@@ -1,22 +1,20 @@
 """Multilevel Ruppert-Polyak averaged stochastic approximation."""
 
-from .params import (CRITICAL, SLOW, InvalidParameters, ParameterSet, Schedule,
-                     ScheduleValue, ValidationReport, schedule_at, validate)
+from .params import (CRITICAL, SLOW, InvalidParameters, ParameterSet, ValidationReport,
+                     schedule_arrays, validate)
 from .families import (EulerSdeFamily, GeometricCostModel, LevelFamily,
-                       SyntheticGaussianFamily, empirical_order_check, level_cost,
-                       sample_level_diff)
-from .estimator import ReplicationPlan, estimate, replication_counts
+                       SyntheticGaussianFamily, empirical_order_check)
 from .driver import (BallMonitor, BoxProjection, Checkpoint, IdentityProjection,
-                     RunPlan, RunRecord, RunState, default_theta0,
-                     geometric_checkpoints, run, step)
+                     RunPlan, RunRecord, default_theta0, geometric_checkpoints,
+                     replication_counts, run)
 from .asymptotics import (AsymptoticPrediction, RateBundle, RegimeClass,
                           classify_regime_corollary, oracle_eps_bias, oracle_eps_diff,
                           predict, predict_critical, predict_slow, psi, rates)
 from .linear import (ContractingMatrix, IllConditionedError, LyapunovNorm,
                      averaged_operator, exp_lemma_gaps, exp_product_gap, linear_iterate,
-                     lyapunov_norm, matrix_exp, product_operator, spectral_abscissa)
-from .harness import (CltReport, L2Monitor, ReplicationSpec, clt_report, cost_curve,
-                      kolmogorov_critical, kolmogorov_survival, ks_statistic,
+                     lyapunov_norm, product_operator, spectral_abscissa)
+from .harness import (CltReport, InsufficientReplicas, L2Monitor, ReplicationSpec,
+                      clt_report, cost_curve, kolmogorov_critical, ks_statistic,
                       l2_monitor, normalized_sample_stats, replica_seeds, run_replicas)
 from .config import (ConfigError, ExperimentConfig, build_cost_model, build_family,
                      build_projection, config_from_dict, load_config)

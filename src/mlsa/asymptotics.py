@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .params import CRITICAL, SLOW, ParameterSet, schedule_arrays, schedule_at
+from .params import CRITICAL, SLOW, ParameterSet, schedule_arrays
 
 
 def _psi_formula(u: float, v: float, M: float, z: float) -> float:
@@ -107,14 +107,15 @@ def predict_slow(params: ParameterSet, n: int) -> AsymptoticPrediction:
     p = params
     if p.regime != SLOW:
         raise ValueError("predict_slow requires slow-regime parameters")
-    sv = schedule_at(p, n)
-    pre = sv.xi < 0.0  # the max(. , 1) clamp was active
+    arr = schedule_arrays(p, n)
+    s, xi = int(arr["s"][-1]), float(arr["xi"][-1])
+    pre = xi < 0.0  # the max(. , 1) clamp was active
     rb = rates(p)
     one_minus = 1.0 - p.M ** (-(1.0 - p.beta) / 2.0)
     decay = float(n) ** (-(p.phi + 1) * rb.r)
     # pre-asymptotic xi lies below 0; the modulation is periodic, so evaluate
     # it at the fractional part there
-    z = sv.xi - math.floor(sv.xi) if pre else sv.xi
+    z = xi - math.floor(xi) if pre else xi
     psi_b = _psi_formula(rb.r1, -p.alpha, p.M, z)
     psi_d = _psi_formula(rb.r2, 1.0 - p.beta, p.M, z)
     eps_bias = p.kappa_s ** (-p.alpha) * p.kappa_K ** (-rb.r) * psi_b * decay
@@ -125,7 +126,7 @@ def predict_slow(params: ParameterSet, n: int) -> AsymptoticPrediction:
                      * psi_b * cost ** (-rb.r))
     eps_diff_cost = (p.kappa_C ** rb.r * one_minus ** (-(rb.r + 0.5)) * _diff_prefactor(p)
                      * p.kappa_s ** ((1 - p.beta) / 2) * math.sqrt(psi_d) * cost ** (-rb.r))
-    return AsymptoticPrediction(n=n, s=sv.s, xi=sv.xi, eps_bias=eps_bias, eps_diff=eps_diff,
+    return AsymptoticPrediction(n=n, s=s, xi=xi, eps_bias=eps_bias, eps_diff=eps_diff,
                                 predicted_cost=cost, eps_bias_cost_form=eps_bias_cost,
                                 eps_diff_cost_form=eps_diff_cost, pre_asymptotic=pre)
 
@@ -137,7 +138,7 @@ def predict_critical(params: ParameterSet, n: int, alpha_prime=None) -> Asymptot
         raise ValueError("predict_critical requires critical-regime parameters")
     if n < 2:
         raise ValueError("critical prediction needs n >= 2 (log n vanishes at 1)")
-    sv = schedule_at(p, n, alpha_prime)
+    arr = schedule_arrays(p, n, alpha_prime)
     log_M_n = math.log(n) / math.log(p.M)
     eps_diff = (1.0 / math.sqrt(2 * p.alpha * p.kappa_K) * _diff_prefactor(p)
                 * float(n) ** (-(p.phi + 1) / 2.0) * math.sqrt((p.phi + 1) * log_M_n))
@@ -145,7 +146,8 @@ def predict_critical(params: ParameterSet, n: int, alpha_prime=None) -> Asymptot
             * ((p.phi + 1) / 2.0) * log_M_n)
     eps_diff_cost = (math.sqrt(p.kappa_C) / (2 * p.alpha) * _diff_prefactor(p)
                      * (math.log(cost) / math.log(p.M)) / math.sqrt(cost))
-    return AsymptoticPrediction(n=n, s=sv.s, xi=sv.xi, eps_bias=None, eps_diff=eps_diff,
+    return AsymptoticPrediction(n=n, s=int(arr["s"][-1]), xi=float(arr["xi"][-1]),
+                                eps_bias=None, eps_diff=eps_diff,
                                 predicted_cost=cost, eps_bias_cost_form=None,
                                 eps_diff_cost_form=eps_diff_cost)
 

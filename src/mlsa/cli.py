@@ -1,8 +1,9 @@
 """Configuration-driven command line: validate, predict, run, plot.
 
-Exit codes: 0 success, 1 domain failure (rejected parameters, missing
-artifacts), 2 usage or parse errors.  All artifacts embed the configuration
-hash; ``plot`` refuses inputs with mixed hashes.
+Exit codes: 0 success, 1 domain failure (rejected parameters, too few
+surviving replicas, missing artifacts), 2 usage or parse errors.  All
+artifacts embed the configuration hash; ``plot`` refuses inputs with mixed
+hashes.
 """
 
 from __future__ import annotations
@@ -22,10 +23,9 @@ import scipy.special
 from . import harness
 from ._svg import loglog_plot
 from .asymptotics import predictions_csv, rates
-from .config import (ConfigError, build_cost_model, build_family, build_projection,
-                     load_config, load_config_document)
-from .driver import BallMonitor, default_theta0
-from .params import SLOW, InvalidParameters, fill_param_defaults, validate
+from .config import ConfigError, build_cost_model, build_family, build_projection, load_config
+from .driver import BallMonitor, csv_header, default_theta0
+from .params import SLOW, InvalidParameters
 
 
 def _print_report(report) -> None:
@@ -39,13 +39,15 @@ def _print_report(report) -> None:
 
 def cmd_validate(args) -> int:
     try:
-        doc = load_config_document(args.config)
+        load_config(args.config)
     except ConfigError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    report = validate(fill_param_defaults(doc["params"]))
-    _print_report(report)
-    return 0 if report.accepted else 1
+    except InvalidParameters as exc:
+        _print_report(exc.report)
+        return 1
+    print("accepted")
+    return 0
 
 
 def _load_or_report(path):
@@ -56,7 +58,7 @@ def _load_or_report(path):
         print(f"parse error: {exc}", file=sys.stderr)
         return None, 2
     except InvalidParameters as exc:
-        _print_report(exc.report)
+        print(f"rejected: {exc}", file=sys.stderr)
         return None, 1
 
 
@@ -84,19 +86,6 @@ def _sha256(path: str) -> str:
         for block in iter(lambda: fh.read(65536), b""):
             h.update(block)
     return h.hexdigest()
-
-
-def _records_csv(records, d: int, cfg_hash: str, seed: int) -> str:
-    buf = io.StringIO()
-    buf.write(f"# config_hash={cfg_hash} master_seed={seed}\n")
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["replica", "n"] + [f"theta_{i}" for i in range(d)]
-               + [f"theta_bar_{i}" for i in range(d)] + ["cost"])
-    for idx, rec in enumerate(records):
-        for cp in rec.checkpoints:
-            w.writerow([idx, cp.n] + [repr(float(v)) for v in cp.theta]
-                       + [repr(float(v)) for v in cp.theta_bar] + [repr(float(cp.cost))])
-    return buf.getvalue()
 
 
 def cmd_run(args) -> int:
@@ -133,11 +122,25 @@ def cmd_run(args) -> int:
     }
     manifest_path = os.path.join(out_dir, "manifest.json")
     files = manifest["files"]  # filled incrementally so partial runs list what completed
-    try:
-        path = os.path.join(out_dir, "records.csv")
+
+    def write(name: str, text: str):
+        path = os.path.join(out_dir, name)
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(_records_csv(records, family.d, cfg_hash, spec.master_seed))
-        files["records.csv"] = _sha256(path)
+            fh.write(text)
+        files[name] = _sha256(path)
+
+    def csv_text(header: list, rows) -> str:
+        buf = io.StringIO()
+        buf.write(f"# config_hash={cfg_hash} master_seed={spec.master_seed}\n")
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
+        return buf.getvalue()
+
+    try:
+        write("records.csv", csv_text(["replica"] + csv_header(family.d),
+                                      ([idx] + cp.csv_row() for idx, rec in enumerate(records)
+                                       for cp in rec.checkpoints)))
 
         checkpoint = max(spec.checkpoints)
         if family.has_ground_truth():
@@ -149,22 +152,13 @@ def cmd_run(args) -> int:
         else:
             payload = json.dumps({"config_hash": cfg_hash,
                                   "skipped": "family has no ground truth"})
-        path = os.path.join(out_dir, "clt_report.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-        files["clt_report.json"] = _sha256(path)
+        write("clt_report.json", payload)
 
         rows = harness.cost_curve(records, cfg.params)
-        buf = io.StringIO()
-        buf.write(f"# config_hash={cfg_hash} master_seed={spec.master_seed}\n")
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["n", "mean_cost", "predicted_cost", "ratio"])
-        for r in rows:
-            w.writerow([r["n"], repr(r["mean_cost"]), repr(r["predicted_cost"]), repr(r["ratio"])])
-        path = os.path.join(out_dir, "cost_table.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(buf.getvalue())
-        files["cost_table.csv"] = _sha256(path)
+        write("cost_table.csv", csv_text(
+            ["n", "mean_cost", "predicted_cost", "ratio"],
+            ([r["n"], repr(r["mean_cost"]), repr(r["predicted_cost"]), repr(r["ratio"])]
+             for r in rows)))
 
         lo = [c for c in spec.checkpoints if n0_l2 <= c <= spec.n_final // 2]
         hi = [c for c in spec.checkpoints if c > spec.n_final // 2]
@@ -174,16 +168,14 @@ def cmd_run(args) -> int:
         if hi:
             windows.append((min(hi), max(hi)))
         mon = harness.l2_monitor(records, cfg.params, family.theta_star, eps_l2, n0_l2, windows)
-        path = os.path.join(out_dir, "l2_monitor.json")
         doc = json.loads(mon.to_json())
         doc["config_hash"] = cfg_hash
         doc["master_seed"] = spec.master_seed
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(doc, sort_keys=True))
-        files["l2_monitor.json"] = _sha256(path)
-
-        manifest["files"] = files
+        write("l2_monitor.json", json.dumps(doc, sort_keys=True))
         manifest["complete"] = True
+    except harness.InsufficientReplicas as exc:
+        print(f"run failed: {exc}", file=sys.stderr)
+        return 1
     finally:
         with open(manifest_path, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(manifest, sort_keys=True))

@@ -14,6 +14,11 @@ One file per experiment.  Layout (matrices are row-major nested lists):
 Unknown keys anywhere are rejected.  Round-trips losslessly through
 ``to_dict``; ``config_hash`` is the sha256 of the canonical JSON and is
 embedded in every artifact.
+
+Documents are checked completely at load time: malformed structure, types or
+shapes raise :class:`ConfigError`; well-formed values outside the model's
+domain (regime inequalities, a non-integer Euler scale, no root) raise
+:class:`InvalidParameters`.
 """
 
 from __future__ import annotations
@@ -26,11 +31,21 @@ import numpy as np
 from .driver import BoxProjection, IdentityProjection, geometric_checkpoints
 from .families import EulerSdeFamily, GeometricCostModel, LevelFamily, SyntheticGaussianFamily
 from .harness import ReplicationSpec
-from .params import ParameterSet, fill_param_defaults
+from .params import (CRITICAL, InvalidParameters, ParameterSet, ValidationReport, Violation,
+                     fill_param_defaults)
 
 
 class ConfigError(ValueError):
     pass
+
+
+def _check_type(ok: bool, section: str, key: str, expected: str, value):
+    if not ok:
+        raise ConfigError(f"{section}: {key} must be {expected}, got {value!r}")
+
+
+def _check_int(section: str, key: str, value, lo: int):
+    _check_type(type(value) is int and value >= lo, section, key, f"an integer >= {lo}", value)
 
 
 def _require_keys(section: dict, name: str, required: set, optional: set = frozenset()):
@@ -85,21 +100,28 @@ def parse_config_structure(doc: dict) -> dict:
     _require_keys(doc, "<root>", {"params", "family", "projection", "replication", "output"})
     try:
         filled = fill_param_defaults(doc["params"])
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"params: {exc}") from exc
+    for name in ("family", "projection", "replication", "output"):
+        _check_type(isinstance(doc[name], dict), "<root>", name, "an object", doc[name])
 
-    fam = dict(doc["family"])
+    fam = doc["family"]
     kind = fam.get("kind")
     if kind == "synthetic_gaussian":
         _require_keys(fam, "family", {"kind", "theta_star", "H", "mu", "noise_factor"},
                       {"quadratic", "modulated"})
+        _check_type(isinstance(fam.get("modulated", False), bool), "family", "modulated",
+                    "a boolean", fam.get("modulated"))
     elif kind == "euler_sde":
         _require_keys(fam, "family", {"kind", "drift", "diffusion"},
                       {"target", "horizon", "payoff"})
+        for key in ("drift", "diffusion", "target", "horizon"):
+            _check_type(type(fam.get(key, 1.0)) in (int, float), "family", key, "a number",
+                        fam.get(key))
     else:
         raise ConfigError(f"family: unknown kind {kind!r}")
 
-    proj = dict(doc["projection"])
+    proj = doc["projection"]
     if proj.get("kind") == "identity":
         _require_keys(proj, "projection", {"kind"})
     elif proj.get("kind") == "box":
@@ -107,55 +129,99 @@ def parse_config_structure(doc: dict) -> dict:
     else:
         raise ConfigError(f"projection: unknown kind {proj.get('kind')!r}")
 
-    rep = dict(doc["replication"])
+    rep = doc["replication"]
     _require_keys(rep, "replication", {"replicas", "n_final", "master_seed"},
                   {"checkpoints", "divergence_radius"})
-    if not isinstance(rep["replicas"], int) or rep["replicas"] < 2:
-        raise ConfigError("replication: replicas must be an integer >= 2")
-    out = dict(doc["output"])
+    _check_int("replication", "replicas", rep["replicas"], 2)
+    _check_int("replication", "n_final", rep["n_final"], 1)
+    _check_int("replication", "master_seed", rep["master_seed"], 0)
+    cps = rep.get("checkpoints")
+    _check_type(cps is None or isinstance(cps, list), "replication", "checkpoints",
+                "null or a list", cps)
+    for c in cps or ():
+        _check_int("replication", "checkpoints entry", c, 1)
+    radius = rep.get("divergence_radius")
+    _check_type(radius is None or (type(radius) in (int, float) and radius > 0), "replication",
+                "divergence_radius", "null or a positive number", radius)
+    out = doc["output"]
     _require_keys(out, "output", {"directory"}, {"plots"})
+    _check_type(isinstance(out["directory"], str), "output", "directory", "a string",
+                out["directory"])
+    _check_type(isinstance(out.get("plots", True), bool), "output", "plots", "a boolean",
+                out.get("plots"))
     return filled
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
     filled = parse_config_structure(doc)
     params = ParameterSet(**filled)  # raises InvalidParameters when rejected
-    rep = dict(doc["replication"])
+    rep = doc["replication"]
     cps = rep.get("checkpoints")
     if cps is None:
-        cps = geometric_checkpoints(int(rep["n_final"]))
-    spec = ReplicationSpec(
-        replicas=int(rep["replicas"]),
-        n_final=int(rep["n_final"]),
-        checkpoints=tuple(int(c) for c in cps),
-        master_seed=int(rep["master_seed"]),
-        divergence_radius=(None if rep.get("divergence_radius") is None
-                           else float(rep["divergence_radius"])),
-    )
-    out = dict(doc["output"])
-    return ExperimentConfig(
+        cps = geometric_checkpoints(rep["n_final"])
+    try:
+        spec = ReplicationSpec(
+            replicas=rep["replicas"],
+            n_final=rep["n_final"],
+            checkpoints=tuple(cps),
+            master_seed=rep["master_seed"],
+            divergence_radius=(None if rep.get("divergence_radius") is None
+                               else float(rep["divergence_radius"])),
+        )
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"replication: {exc}") from exc
+    out = doc["output"]
+    cfg = ExperimentConfig(
         params=params,
         family_spec=dict(doc["family"]),
         projection_spec=dict(doc["projection"]),
         replication=spec,
-        output_dir=str(out["directory"]),
-        plots=bool(out.get("plots", True)),
+        output_dir=out["directory"],
+        plots=out.get("plots", True),
     )
+    _check_experiment(cfg)
+    return cfg
 
 
-def load_config_document(path: str) -> dict:
-    """Load and structurally check a config file, returning the raw document."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    parse_config_structure(doc)
-    return doc
+def _reject(regime: str, name: str, detail: str):
+    violation = Violation(name, f"{name}: {detail}")
+    raise InvalidParameters(ValidationReport(False, regime, (violation,)))
+
+
+def _check_experiment(cfg: ExperimentConfig):
+    """Checks that need the family and projection, not just one section."""
+    p, fam = cfg.params, cfg.family_spec
+    if fam["kind"] == "euler_sde" and p.M != int(p.M):
+        _reject(p.regime, "integer M for euler_sde", f"M = {p.M:.6g} is not an integer")
+    if fam.get("payoff") == "terminal":
+        _reject(p.regime, "payoff with a root", "'terminal' has no theta* to approximate")
+    if p.regime == CRITICAL and max(cfg.replication.checkpoints) < 2:
+        _reject(p.regime, "checkpoint n >= 2", "critical predictions need log n > 0")
+    try:
+        family = build_family(cfg)
+        projection = build_projection(cfg)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ConfigError(f"family or projection: {exc}") from exc
+    d = family.d
+    if fam["kind"] == "synthetic_gaussian":
+        if min(np.linalg.matrix_rank(family.H), np.linalg.matrix_rank(family.A)) < d:
+            _reject(p.regime, "nonsingular H and noise_factor",
+                    "the CLT target H^-1 Gamma H^-T must be positive definite")
+    if isinstance(projection, BoxProjection):
+        for key in ("lower", "upper"):
+            _check_type(getattr(projection, key).shape == (d,), "projection", key,
+                        f"a list of {d} numbers", cfg.projection_spec[key])
 
 
 def load_config(path: str) -> ExperimentConfig:
-    return config_from_dict(load_config_document(path))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    return config_from_dict(doc)
 
 
 def build_family(cfg: ExperimentConfig) -> LevelFamily:
@@ -177,8 +243,8 @@ def build_family(cfg: ExperimentConfig) -> LevelFamily:
         diffusion=float(fam["diffusion"]),
         target=float(fam.get("target", 1.0)),
         horizon=float(fam.get("horizon", 1.0)),
-        M=int(cfg.params.M),
-        payoff=str(fam.get("payoff", "shortfall")),
+        M=cfg.params.M,
+        payoff=fam.get("payoff", "shortfall"),
     )
 
 

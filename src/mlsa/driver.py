@@ -15,18 +15,40 @@ replica owns its state and random stream exclusively.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .estimator import ReplicationPlan, counts_array, estimate, replication_counts
 from .families import LevelFamily
-from .params import ParameterSet, Schedule, schedule_arrays
+from .params import ParameterSet, schedule_arrays
+
+# snap near-integer count values before the ceiling so exact ratios such as
+# K/M^s = 8 are not pushed up by float noise from pow/log round-trips
+_INT_SNAP = 1e-9
+
+
+def _ceil_snapped(x: float) -> int:
+    r = round(x)
+    if abs(x - r) <= _INT_SNAP * max(1.0, abs(x)):
+        return max(int(r), 1)
+    return max(math.ceil(x), 1)
+
+
+def replication_counts(params: ParameterSet, s: int, K: float) -> tuple[int, ...]:
+    """Level counts (N_1, ..., N_s) for budget K at accuracy s.
+
+    N_k(s, K) = ceil((K / M^s) * M^((beta+1)/2 * (s-k))), nonincreasing in k;
+    for beta = 1 they reduce to ceil(K * M^-k), independent of s.
+    """
+    if s < 1:
+        raise ValueError("s must be >= 1")
+    if not K > 0:
+        raise ValueError("K must be positive")
+    M, beta = params.M, params.beta
+    base = K / M ** s
+    return tuple(_ceil_snapped(base * M ** (0.5 * (beta + 1) * (s - k))) for k in range(1, s + 1))
 
 
 class IdentityProjection:
@@ -53,24 +75,6 @@ class BoxProjection:
         return np.clip(x, self.lower, self.upper)
 
 
-@dataclass
-class RunState:
-    """Mutable per-replica iteration state (exclusively owned).
-
-    ``rng`` is the master stream handle; every iteration draws from its own
-    child stream spawned from it (one stream per iteration), so the draws of
-    iteration n never depend on how many values earlier iterations consumed.
-    """
-
-    n: int
-    theta: np.ndarray
-    theta_bar: np.ndarray
-    b_bar: float
-    cost: float
-    rng: np.random.SeedSequence
-    in_ball: bool = True
-
-
 def _master_sequence(seed) -> np.random.SeedSequence:
     """Fresh master handle (rebased so spawn counters start at zero)."""
     if isinstance(seed, np.random.SeedSequence):
@@ -87,6 +91,12 @@ class BallMonitor:
     n0: int
 
 
+def csv_header(d: int) -> list[str]:
+    """Columns of one checkpoint row: n, theta_i, theta_bar_i, cost."""
+    return (["n"] + [f"theta_{i}" for i in range(d)]
+            + [f"theta_bar_{i}" for i in range(d)] + ["cost"])
+
+
 @dataclass(frozen=True)
 class Checkpoint:
     n: int
@@ -94,6 +104,11 @@ class Checkpoint:
     theta_bar: np.ndarray
     cost: float
     in_ball: Optional[bool] = None
+
+    def csv_row(self) -> list:
+        """Values under :func:`csv_header`, floats as exact ``repr``."""
+        return ([self.n] + [repr(float(x)) for x in self.theta]
+                + [repr(float(x)) for x in self.theta_bar] + [repr(float(self.cost))])
 
 
 @dataclass(frozen=True)
@@ -116,39 +131,13 @@ class RunRecord:
                 return cp
         raise KeyError(f"no checkpoint at n={n}")
 
-    def to_csv(self) -> str:
-        d = len(self.theta_final)
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["n"] + [f"theta_{i}" for i in range(d)]
-                   + [f"theta_bar_{i}" for i in range(d)] + ["cost"])
-        for cp in self.checkpoints:
-            w.writerow([cp.n] + [repr(float(x)) for x in cp.theta]
-                       + [repr(float(x)) for x in cp.theta_bar] + [repr(float(cp.cost))])
-        return buf.getvalue()
-
-    def to_json_summary(self, params: Optional[ParameterSet] = None) -> str:
-        out = {
-            "seed": _seed_repr(self.seed),
-            "n_final": self.n_final,
-            "theta_final": list(map(float, self.theta_final)),
-            "theta_bar_final": list(map(float, self.theta_bar_final)),
-            "cost_final": float(self.cost_final),
-            "aborted": self.aborted,
-        }
-        if params is not None:
-            out["params"] = params.to_dict()
-        return json.dumps(out, sort_keys=True)
-
-
-def _seed_repr(seed) -> object:
-    if isinstance(seed, np.random.SeedSequence):
-        return {"entropy": seed.entropy, "spawn_key": list(seed.spawn_key)}
-    return seed
-
 
 class RunPlan:
-    """Precomputed, immutable per-iteration tables shared by all replicas."""
+    """Precomputed, immutable per-iteration tables shared by all replicas.
+
+    The cost model is theta-free, so the cost of iteration n is the fixed
+    increment sum_k N_k C_k.
+    """
 
     def __init__(self, params: ParameterSet, cost_model, n_final: int, alpha_prime=None):
         self.params = params
@@ -156,25 +145,11 @@ class RunPlan:
         arr = schedule_arrays(params, n_final, alpha_prime=alpha_prime)
         self.gamma = arr["gamma"]
         self.b = arr["b"]
-        self.b_bar = arr["b_bar"]
         self.s = arr["s"]
-        self.K = arr["K"]
-        self.counts = [counts_array(params, int(arr["s"][i]), float(arr["K"][i]))
-                       for i in range(n_final)]
-        if getattr(cost_model, "theta_independent", False):
-            self.cost_inc = np.array([
-                float(np.sum(self.counts[i] * np.array(
-                    [cost_model.level_cost(None, k) for k in range(1, int(self.s[i]) + 1)])))
-                for i in range(n_final)
-            ])
-        else:
-            self.cost_inc = None
-
-
-def iteration_cost(plan: ReplicationPlan, cost_model, theta) -> float:
-    """Cost of one iteration: sum_k N_k * C_k(theta)."""
-    return float(sum(n_k * cost_model.level_cost(theta, k)
-                     for k, n_k in enumerate(plan.counts, start=1)))
+        self.counts = [np.asarray(replication_counts(params, int(s), float(K)), dtype=float)
+                       for s, K in zip(arr["s"], arr["K"])]
+        costs = np.array([cost_model.level_cost(None, k) for k in range(1, int(self.s.max()) + 1)])
+        self.cost_inc = np.array([float(np.sum(c * costs[:len(c)])) for c in self.counts])
 
 
 def default_theta0(family: LevelFamily) -> np.ndarray:
@@ -195,33 +170,6 @@ def geometric_checkpoints(n_final: int, factor: float = 1.25) -> tuple[int, ...]
         x *= factor
     pts.add(n_final)
     return tuple(sorted(pts))
-
-
-class RunAborted(RuntimeError):
-    def __init__(self, iteration: int, z: np.ndarray):
-        self.iteration = iteration
-        self.z = z
-        super().__init__(f"non-finite state at iteration {iteration}")
-
-
-def step(state: RunState, params: ParameterSet, family: LevelFamily, cost_model,
-         projection, schedule: Optional[Schedule] = None) -> RunState:
-    """Advance one iteration (computes schedule and plan at n+1 on the fly)."""
-    schedule = schedule or Schedule(params)
-    n = state.n + 1
-    sv = schedule.value(n)
-    plan = replication_counts(params, sv.s, sv.K)
-    theta_prev = state.theta
-    rng_n = np.random.default_rng(state.rng.spawn(1)[0])
-    z, _ = estimate(family, theta_prev, plan, rng_n)
-    theta = projection(theta_prev + sv.gamma * z)
-    if not np.all(np.isfinite(theta)):
-        raise RunAborted(n, z)
-    b_bar = state.b_bar + sv.b
-    theta_bar = (state.b_bar * state.theta_bar + sv.b * theta) / b_bar
-    cost = state.cost + iteration_cost(plan, cost_model, theta_prev)
-    return RunState(n=n, theta=theta, theta_bar=theta_bar, b_bar=b_bar,
-                    cost=cost, rng=state.rng, in_ball=state.in_ball)
 
 
 def run(params: ParameterSet, family: LevelFamily, cost_model, projection,
@@ -250,8 +198,7 @@ def run(params: ParameterSet, family: LevelFamily, cost_model, projection,
     for c in checkpoints:
         cp_mask[c] = True
     recorded: list[Checkpoint] = []
-    gamma, b, counts_all = rp.gamma, rp.b, rp.counts
-    cost_inc = rp.cost_inc
+    gamma, b, counts_all, cost_inc = rp.gamma, rp.b, rp.counts, rp.cost_inc
     aborted = False
     abort_n = None
     abort_z = None
@@ -265,11 +212,7 @@ def run(params: ParameterSet, family: LevelFamily, cost_model, projection,
         if not np.all(np.isfinite(theta_new)):
             aborted, abort_n, abort_z = True, n, np.array(z)
             break
-        if cost_inc is not None:
-            cost += cost_inc[i]
-        else:
-            cost += float(np.sum(counts_all[i] * np.array(
-                [cost_model.level_cost(theta, k) for k in range(1, len(counts_all[i]) + 1)])))
+        cost += cost_inc[i]
         theta = theta_new
         b_bar_new = b_bar + b[i]
         theta_bar = (b_bar * theta_bar + b[i] * theta) / b_bar_new

@@ -18,7 +18,7 @@ Two built-in families are provided:
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -30,7 +30,6 @@ class GeometricCostModel:
 
     kappa_C: float
     M: float
-    theta_independent: bool = field(default=True, init=False)
 
     def level_cost(self, theta, k: int) -> float:
         if k < 1:
@@ -38,15 +37,10 @@ class GeometricCostModel:
         return self.kappa_C * self.M ** k
 
 
-def level_cost(cost_model, theta, k: int) -> float:
-    """Per-sample simulation cost C_k(theta) of one level-k difference."""
-    return cost_model.level_cost(theta, k)
-
-
 class LevelFamily(abc.ABC):
     """Evaluation contract for level differences.
 
-    Subclasses fix the dimension ``d`` and implement ``sample_level_diff``.
+    Subclasses fix the dimension ``d`` and implement ``sample_level_diff_batch``.
     Sampling requires an exclusively owned random stream per caller; family
     descriptions themselves are immutable.
     """
@@ -60,12 +54,8 @@ class LevelFamily(abc.ABC):
     Gamma: Optional[np.ndarray] = None
 
     @abc.abstractmethod
-    def sample_level_diff(self, theta: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-        """One independent sample of F_k(theta, U) - F_{k-1}(theta, U)."""
-
     def sample_level_diff_batch(self, theta, k: int, size: int, rng) -> np.ndarray:
-        """``size`` independent level-k difference samples, shape (size, d)."""
-        return np.stack([self.sample_level_diff(theta, k, rng) for _ in range(size)])
+        """``size`` independent samples of F_k(theta, U) - F_{k-1}(theta, U), shape (size, d)."""
 
     def ml_estimate(self, theta: np.ndarray, counts: Sequence[int], rng: np.random.Generator) -> np.ndarray:
         """Multilevel estimate: sum over k of the mean of counts[k-1] samples.
@@ -85,13 +75,6 @@ class LevelFamily(abc.ABC):
 
     def f(self, theta: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-
-def sample_level_diff(family: LevelFamily, theta, k: int, rng) -> np.ndarray:
-    """One sample of the level-k difference (module-level convenience)."""
-    if k < 1:
-        raise ValueError("level k must be >= 1")
-    return family.sample_level_diff(np.asarray(theta, dtype=float), k, rng)
 
 
 class SyntheticGaussianFamily(LevelFamily):
@@ -114,18 +97,24 @@ class SyntheticGaussianFamily(LevelFamily):
     def __init__(self, theta_star, H, mu, noise_factor, alpha: float, beta: float, M: float,
                  quadratic=None, modulated: bool = False):
         self.theta_star = np.atleast_1d(np.asarray(theta_star, dtype=float))
-        self.d = self.theta_star.shape[0]
-        self.H = np.asarray(H, dtype=float).reshape(self.d, self.d)
-        self.mu = np.atleast_1d(np.asarray(mu, dtype=float))
-        self.A = np.asarray(noise_factor, dtype=float).reshape(self.d, self.d)
-        self.Gamma = self.A @ self.A.T
+        self.d = d = self.theta_star.shape[0]
+        self.H = np.asarray(H, dtype=float)
+        self.mu = np.asarray(mu, dtype=float)
+        self.A = np.asarray(noise_factor, dtype=float)
         self.alpha = float(alpha)
         self.beta = float(beta)
         self.M = float(M)
-        self.Q = None if quadratic is None else np.asarray(quadratic, dtype=float).reshape(self.d, self.d)
+        self.Q = None if quadratic is None else np.asarray(quadratic, dtype=float)
         self.modulated = bool(modulated)
         if self.M <= 1:
             raise ValueError("M must exceed 1")
+        shapes = {"theta_star": (d,), "H": (d, d), "mu": (d,), "noise_factor": (d, d),
+                  "quadratic": (d, d)}
+        values = (self.theta_star, self.H, self.mu, self.A, self.Q)
+        for (name, shape), a in zip(shapes.items(), values):
+            if a is not None and (a.shape != shape or not np.all(np.isfinite(a))):
+                raise ValueError(f"{name} must be a finite array of shape {shape}")
+        self.Gamma = self.A @ self.A.T
 
     def f(self, theta):
         e = np.asarray(theta, dtype=float) - self.theta_star
@@ -143,16 +132,6 @@ class SyntheticGaussianFamily(LevelFamily):
         if k == 1:
             return self.M ** (-self.alpha)
         return self.M ** (-self.alpha * k) - self.M ** (-self.alpha * (k - 1))
-
-    def sample_level_diff(self, theta, k, rng):
-        if k < 1:
-            raise ValueError("level k must be >= 1")
-        m = self.modulation(theta)
-        g = rng.standard_normal(self.d)
-        out = self.mu * (m * self._bias_increment(k)) + (self.M ** (-self.beta * k / 2.0) * m) * (self.A @ g)
-        if k == 1:
-            out = out + self.f(theta)
-        return out
 
     def sample_level_diff_batch(self, theta, k, size, rng):
         if k < 1:
@@ -237,20 +216,14 @@ class EulerSdeFamily(LevelFamily):
         n_fine = self.M ** k
         h = self.T / n_fine
         dw = np.sqrt(h) * rng.standard_normal((size, n_fine))
-        xf = np.full(size, x0)
-        for i in range(n_fine):
-            xf = xf + self.drift * xf * h + self.diffusion * xf * dw[:, i]
+        # the Euler step x + a x h + s x dW is x (1 + a h + s dW), so a path is a product
+        xf = x0 * np.prod(1.0 + self.drift * h + self.diffusion * dw, axis=1)
         if k == 1:
             return xf, None
         hc = self.T / (n_fine // self.M)
         dwc = dw.reshape(size, n_fine // self.M, self.M).sum(axis=2)
-        xc = np.full(size, x0)
-        for i in range(n_fine // self.M):
-            xc = xc + self.drift * xc * hc + self.diffusion * xc * dwc[:, i]
+        xc = x0 * np.prod(1.0 + self.drift * hc + self.diffusion * dwc, axis=1)
         return xf, xc
-
-    def sample_level_diff(self, theta, k, rng):
-        return self.sample_level_diff_batch(theta, k, 1, rng)[0]
 
     def sample_level_diff_batch(self, theta, k, size, rng):
         if k < 1:

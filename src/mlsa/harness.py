@@ -32,6 +32,10 @@ from .families import LevelFamily
 from .params import CRITICAL, SLOW, ParameterSet
 
 
+class InsufficientReplicas(ValueError):
+    """Too few replicas are left to compute a statistic."""
+
+
 @dataclass(frozen=True)
 class ReplicationSpec:
     """How many replicas to run, for how long, and how to seed them."""
@@ -45,6 +49,8 @@ class ReplicationSpec:
     def __post_init__(self):
         if self.replicas < 2:
             raise ValueError("need at least 2 replicas")
+        if not self.checkpoints:
+            raise ValueError("need at least one checkpoint")
         if any(c < 1 or c > self.n_final for c in self.checkpoints):
             raise ValueError("checkpoints must lie in [1, n_final]")
         object.__setattr__(self, "checkpoints", tuple(sorted(set(self.checkpoints))))
@@ -86,39 +92,24 @@ def run_replicas(spec: ReplicationSpec, params: ParameterSet, family: LevelFamil
     return out  # type: ignore[return-value]
 
 
-def normal_cdf(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + np.vectorize(math.erf)(np.asarray(x, dtype=float) / math.sqrt(2.0)))
-
-
 def ks_statistic(sample: np.ndarray) -> float:
     """One-sample KS distance of ``sample`` to the standard normal."""
+    import scipy.special  # imported here: ``import mlsa`` stays free of scipy.special
+
     x = np.sort(np.asarray(sample, dtype=float))
     n = len(x)
-    cdf = normal_cdf(x)
+    cdf = scipy.special.ndtr(x)
     i = np.arange(1, n + 1)
     return float(max(np.max(i / n - cdf), np.max(cdf - (i - 1) / n)))
 
 
-def kolmogorov_survival(x: float, terms: int = 20) -> float:
-    """P(sup |B(t)| > x) of the Kolmogorov distribution, 20-term series."""
-    if x <= 0:
-        return 1.0
-    j = np.arange(1, terms + 1)
-    return float(2.0 * np.sum((-1.0) ** (j - 1) * np.exp(-2.0 * j ** 2 * x ** 2)))
+def kolmogorov_critical(alpha: float) -> float:
+    """c with P(sup |B(t)| > c) = alpha; the sample-size-n critical value is c/sqrt(n)."""
+    import scipy.special  # imported here: ``import mlsa`` stays free of scipy.special
 
-
-def kolmogorov_critical(alpha: float, terms: int = 20) -> float:
-    """c with survival(c) = alpha; the sample-size-n critical value is c/sqrt(n)."""
     if not 0 < alpha < 1:
         raise ValueError("alpha must be in (0, 1)")
-    lo, hi = 0.05, 5.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if kolmogorov_survival(mid, terms) > alpha:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return float(scipy.special.kolmogi(alpha))
 
 
 def _sym_inv_sqrt(S: np.ndarray) -> np.ndarray:
@@ -202,9 +193,9 @@ def clt_report(records: Sequence[RunRecord], params: ParameterSet, family: Level
                inputs: Optional[dict] = None) -> CltReport:
     """Build the CLT verification report at one checkpoint.
 
-    Screening: replicas whose final iterate left the ball of radius
-    ``divergence_radius`` around theta*, or that aborted, are excluded (their
-    count is reported).  Pure function of its arguments.
+    Screening: replicas whose iterate at ``checkpoint`` lies outside the ball
+    of radius ``divergence_radius`` around theta*, or that aborted, are
+    excluded (their count is reported).  Pure function of its arguments.
     """
     if not family.has_ground_truth():
         raise ValueError("CLT report requires a family with ground truth (H, mu, Gamma)")
@@ -219,12 +210,13 @@ def clt_report(records: Sequence[RunRecord], params: ParameterSet, family: Level
     for rec in records:
         if rec.aborted:
             continue
-        if float(np.linalg.norm(rec.theta_final - theta_star)) > divergence_radius:
+        theta = rec.checkpoint_at(checkpoint).theta
+        if float(np.linalg.norm(theta - theta_star)) > divergence_radius:
             continue
         kept.append(rec)
     n_kept = len(kept)
     if n_kept < 2:
-        raise ValueError("fewer than 2 replicas survive screening")
+        raise InsufficientReplicas(f"fewer than 2 of {len(records)} replicas survive screening")
     theta_bars = np.stack([rec.checkpoint_at(checkpoint).theta_bar for rec in kept])
     costs = np.array([rec.checkpoint_at(checkpoint).cost for rec in kept])
     center = theta_bars - theta_star
@@ -299,7 +291,7 @@ def l2_monitor(records: Sequence[RunRecord], params: ParameterSet, theta_star,
             raise ValueError("windows must be disjoint and increasing")
     usable = [rec for rec in records if not rec.aborted]
     if not usable:
-        raise ValueError("no non-aborted records")
+        raise InsufficientReplicas(f"all {len(records)} replicas aborted")
     maps = [{cp.n: cp for cp in rec.checkpoints} for rec in usable]
     common_ns = sorted(set.intersection(*(set(m) for m in maps)))
     values: list[float] = []
@@ -337,7 +329,7 @@ def cost_curve(records: Sequence[RunRecord], params: ParameterSet) -> list[dict]
     """Rows (n, mean cost_n, predicted cost, ratio) over common checkpoints."""
     usable = [rec for rec in records if not rec.aborted]
     if not usable:
-        raise ValueError("no non-aborted records")
+        raise InsufficientReplicas(f"all {len(records)} replicas aborted")
     ns = [cp.n for cp in usable[0].checkpoints]
     rows = []
     for n in ns:

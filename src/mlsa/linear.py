@@ -44,44 +44,6 @@ def spectral_abscissa(H: np.ndarray) -> float:
     return float(np.max(np.linalg.eigvals(np.asarray(H, dtype=float)).real))
 
 
-def matrix_exp(A: np.ndarray, tol: float = 1e-12, max_terms: int = 80) -> np.ndarray:
-    """Scaling-and-squaring on the truncated Taylor series, residual controlled.
-
-    The scaled matrix B = A / 2^j has ||B|| <= 1/2; terms are accumulated until
-    the geometric tail bound of the remainder falls below ``tol`` relative to
-    the partial sum.  Raises if the series fails to converge (non-finite input).
-    """
-    A = np.asarray(A, dtype=float)
-    d = A.shape[0]
-    if A.shape != (d, d):
-        raise ValueError("matrix_exp expects a square matrix")
-    norm = np.linalg.norm(A, 2) if np.all(np.isfinite(A)) else np.inf
-    if not math.isfinite(norm):
-        raise RuntimeError("matrix exponential convergence failure: non-finite input")
-    j = max(0, math.ceil(math.log2(norm / 0.5)) if norm > 0.5 else 0)
-    B = A / 2.0 ** j
-    acc = np.eye(d)
-    term = np.eye(d)
-    nb = np.linalg.norm(B, 2)
-    series_tol = tol / 2.0 ** (j + 1)  # squaring doubles the relative error j times
-    converged = False
-    for k in range(1, max_terms + 1):
-        term = term @ B / k
-        acc = acc + term
-        # remainder <= ||term|| * q/(1-q) with q = ||B||/(k+1) <= 1/2
-        q = nb / (k + 1.0)
-        if q < 1.0:
-            tail = np.linalg.norm(term, 2) * q / (1.0 - q)
-            if tail <= series_tol * max(np.linalg.norm(acc, 2), 1.0):
-                converged = True
-                break
-    if not converged:
-        raise RuntimeError("matrix exponential convergence failure: residual above tolerance")
-    for _ in range(j):
-        acc = acc @ acc
-    return acc
-
-
 @dataclass(frozen=True)
 class ContractingMatrix:
     """H with spectral abscissa strictly below -L (checked at construction)."""
@@ -119,10 +81,6 @@ class LyapunovNorm:
             raise ValueError("P must be positive definite")
         self._sqrt = (V * np.sqrt(w)) @ V.T
         self._isqrt = (V / np.sqrt(w)) @ V.T
-
-    def norm_vec(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        return float(math.sqrt(x @ self.P @ x))
 
     def norm_mat(self, M) -> float:
         return float(np.linalg.norm(self._sqrt @ np.asarray(M, dtype=float) @ self._isqrt, 2))
@@ -238,7 +196,7 @@ def exp_product_gap(cm: ContractingMatrix, gamma: ScheduleLike, r: int, m: int,
     H, L = cm.H, cm.L
     dt = sum(g(q) for q in range(r + 1, m + 1))
     prod = product_operator(H, gamma, r, m)
-    actual = lyap.norm_mat(matrix_exp(dt * H) - prod)
+    actual = lyap.norm_mat(scipy.linalg.expm(dt * H) - prod)
     h_norm = lyap.norm_mat(H)
     bound = (h_norm ** 2 * math.exp(g(1) * (L + h_norm)) * math.exp(-dt * L)
              * sum(g(q) ** 2 for q in range(r + 1, m + 1)))
@@ -252,23 +210,11 @@ def exp_lemma_gaps(A: np.ndarray) -> tuple[float, float, float, float]:
     """
     A = np.asarray(A, dtype=float)
     d = A.shape[0]
-    eA = matrix_exp(A)
+    eA = scipy.linalg.expm(A)
     na = np.linalg.norm(A, 2)
     g1 = float(np.linalg.norm(eA - np.eye(d), 2))
     g2 = float(np.linalg.norm(eA - np.eye(d) - A, 2))
     return g1, math.exp(na) * na, g2, 0.5 * math.exp(na) * na ** 2
-
-
-def gap_table_csv(cm: ContractingMatrix, gamma: ScheduleLike,
-                  pairs: Sequence[tuple[int, int]],
-                  lyap: Optional[LyapunovNorm] = None) -> str:
-    """CSV of (r, m, actual_gap, bound) rows for bound-vs-actual curves."""
-    lyap = lyap or lyapunov_norm(cm)
-    lines = ["r,m,actual_gap,bound"]
-    for r, m in pairs:
-        actual, bound = exp_product_gap(cm, gamma, r, m, lyap=lyap)
-        lines.append(f"{r},{m},{actual!r},{bound!r}")
-    return "\n".join(lines) + "\n"
 
 
 def linear_iterate(H: np.ndarray, gamma: ScheduleLike, b: ScheduleLike,

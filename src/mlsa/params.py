@@ -17,7 +17,7 @@ drives the periodic modulation of the asymptotic constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from typing import Callable, Mapping, Optional
 
 import numpy as np
@@ -162,97 +162,14 @@ def validate(params) -> ValidationReport:
     return ValidationReport(not violations, regime, tuple(violations))
 
 
-@dataclass(frozen=True)
-class ScheduleValue:
-    """Deterministic schedule at one iteration index."""
-
-    n: int
-    gamma: float
-    b: float
-    K: float
-    K_bar: float
-    s: int
-    xi: float
-
-
-class Schedule:
-    """Evaluates the schedules with an incrementally grown K_bar cache.
-
-    ``value(n)`` is amortized O(1) when n is visited in increasing order; the
-    running budget sum uses Kahan compensation so that K_bar stays accurate to
-    a few ulps over at least 1e7 terms.  One instance per run; the underlying
-    ParameterSet can be shared freely.
-
-    ``alpha_prime`` (critical regime only) is the user-supplied nondecreasing
-    sequence n -> alpha'_n tending to alpha; the default is the constant alpha.
-    """
-
-    def __init__(self, params: ParameterSet, alpha_prime: Optional[Callable[[int], float]] = None):
-        self.params = params
-        self._alpha_prime = alpha_prime
-        self._kbar: list[float] = []  # _kbar[i] = K_bar_{i+1}
-        self._comp = 0.0  # Kahan compensation carried across extensions
-
-    def _extend(self, n: int):
-        p = self.params
-        total = self._kbar[-1] if self._kbar else 0.0
-        c = self._comp
-        for k in range(len(self._kbar) + 1, n + 1):
-            term = p.kappa_K * (p.phi + 1.0) * float(k) ** p.phi - c
-            t = total + term
-            c = (t - total) - term
-            total = t
-            self._kbar.append(total)
-        self._comp = c
-
-    def K_bar(self, n: int) -> float:
-        if n < 1:
-            raise ValueError("n must be a positive integer")
-        if n > len(self._kbar):
-            self._extend(n)
-        return self._kbar[n - 1]
-
-    def level_and_offset(self, n: int) -> tuple[int, float]:
-        """(s_n, xi_n); in the critical regime xi is the ceiling's leftover."""
-        p = self.params
-        if p.regime == SLOW:
-            raw = math.log(p.kappa_s * self.K_bar(n) ** (1.0 / (2 * p.alpha - p.beta + 1))) / math.log(p.M)
-            s = max(math.floor(raw), 1)
-            return s, raw - s
-        a_n = p.alpha if self._alpha_prime is None else float(self._alpha_prime(n))
-        if not 0 < a_n <= p.alpha:
-            raise ValueError("alpha_prime values must lie in (0, alpha]")
-        raw = (1.0 / a_n) * ((p.phi + 1) / 2.0) * math.log(n) / math.log(p.M)
-        s = max(math.ceil(raw), 1)
-        return s, raw - s
-
-    def value(self, n: int) -> ScheduleValue:
-        if n < 1:
-            raise ValueError("n must be a positive integer")
-        p = self.params
-        s, xi = self.level_and_offset(n)
-        return ScheduleValue(
-            n=n,
-            gamma=float(n) ** (-p.psi),
-            b=float(n) ** p.rho,
-            K=p.kappa_K * (p.phi + 1.0) * float(n) ** p.phi,
-            K_bar=self.K_bar(n),
-            s=s,
-            xi=xi,
-        )
-
-
-def schedule_at(params: ParameterSet, n: int, alpha_prime: Optional[Callable[[int], float]] = None) -> ScheduleValue:
-    """Exact schedule values at n (K_bar by exact summation, no closed form)."""
-    return Schedule(params, alpha_prime).value(n)
-
-
 def schedule_arrays(params: ParameterSet, n: int,
                     alpha_prime: Optional[Callable[[int], float]] = None) -> dict[str, np.ndarray]:
-    """Vectorized schedules for all indices 1..n.
+    """Schedules for all indices 1..n: the single source of s_n, K_bar_n, xi_n.
 
     Returns arrays ``idx, gamma, b, b_bar, K, K_bar, s, xi``.  K_bar uses
-    cumulative summation of the exact terms.
+    cumulative summation of the exact terms.  ``alpha_prime`` (critical regime
+    only) is the nondecreasing sequence n -> alpha'_n tending to alpha; the
+    default is the constant alpha.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
@@ -287,21 +204,18 @@ def schedule_arrays(params: ParameterSet, n: int,
 def fill_param_defaults(d: Mapping) -> dict:
     """Structural check of a flat parameter mapping; fills optional defaults.
 
-    Raises on unknown or missing keys but does not run the feasibility
+    Raises on unknown or missing keys and on non-numeric values (no silent
+    coercion of strings or booleans) but does not run the feasibility
     validation (use :func:`validate` or construct a ParameterSet for that).
     """
-    known = {f.name for f in fields(ParameterSet)}
-    unknown = set(d) - known
+    defaults = {f.name: f.default for f in fields(ParameterSet) if f.default is not MISSING}
+    unknown = set(d) - {f.name for f in fields(ParameterSet)}
     if unknown:
         raise ValueError(f"unknown parameter keys: {sorted(unknown)}")
-    missing = {"regime", "alpha", "beta", "M", "phi", "rho", "psi"} - set(d)
+    missing = {f.name for f in fields(ParameterSet)} - set(defaults) - set(d)
     if missing:
         raise ValueError(f"missing parameter keys: {sorted(missing)}")
-    out = {"kappa_K": 1.0, "kappa_s": 1.0, "kappa_C": 1.0, "lam": 1.0, "L": 0.5}
-    out.update({k: (v if k == "regime" else float(v)) for k, v in d.items()})
-    return out
-
-
-def params_from_dict(d: Mapping) -> ParameterSet:
-    """Build a ParameterSet from a flat mapping (one key per field)."""
-    return ParameterSet(**fill_param_defaults(d))
+    for k, v in d.items():
+        if k != "regime" and type(v) not in (int, float):
+            raise TypeError(f"parameter {k} must be a number, got {v!r}")
+    return {**defaults, **{k: (v if k == "regime" else float(v)) for k, v in d.items()}}

@@ -263,7 +263,8 @@ def test_criterion_10_determinism(cost_model_mod, identity_mod):
                                theta0, workers=workers)
         rep = clt_report(records, params, family, 400, divergence_radius=10.0)
         curve = cost_curve(records, params)
-        return [r.to_csv() for r in records], rep.to_json(), curve
+        rows = [[cp.csv_row() for cp in r.checkpoints] for r in records]
+        return rows, rep.to_json(), curve
 
     a1 = artifacts(1)
     a2 = artifacts(1)

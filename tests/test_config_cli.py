@@ -1,11 +1,17 @@
+import contextlib
 import copy
+import io
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from mlsa import ConfigError, config_from_dict
+from mlsa import ConfigError, InvalidParameters, config_from_dict
 from mlsa.cli import main
+
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 BASE = {
     "params": {"regime": "slow", "alpha": 1.0, "beta": 0.5, "M": 2.0, "phi": 2.0,
@@ -60,12 +66,43 @@ def test_validate_accept_exit_zero(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "accepted"
 
 
+def euler_doc(**family):
+    doc = copy.deepcopy(BASE)
+    doc["params"].update({"regime": "critical", "beta": 1.0})
+    doc["family"] = {"kind": "euler_sde", "drift": 0.05, "diffusion": 0.2,
+                     "target": 1.0, "horizon": 1.0, "payoff": "shortfall", **family}
+    doc["projection"] = {"kind": "box", "lower": [0.0], "upper": [5.0]}
+    doc["replication"].update({"replicas": 3, "n_final": 40, "checkpoints": [20, 40],
+                               "divergence_radius": 20.0})
+    return doc
+
+
 def test_validate_reject_names_inequality(tmp_path, capsys):
     rc = main(["validate", write_config(tmp_path, variant(**{"params.beta": 1.2}))])
     assert rc == 1
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "rejected"
     assert "beta < 1" in out
+    # domain errors outside the regime inequalities: same exit code, and `run`
+    # refuses them with one line on stderr before writing anything
+    euler_m = euler_doc()
+    euler_m["params"]["M"] = 2.5
+    cases = [(euler_m, "integer M for euler_sde"),
+             (euler_doc(payoff="terminal"), "payoff with a root"),
+             (variant(**{"params.regime": "critical", "params.beta": 1.0,
+                         "replication.checkpoints": [1]}), "checkpoint n >= 2"),
+             (variant(**{"family.noise_factor": [[1.0, 0.0], [1.0, 0.0]]}),
+              "nonsingular H and noise_factor")]
+    for i, (doc, name) in enumerate(cases):
+        path = write_config(tmp_path, doc, name=f"domain{i}.json")
+        assert main(["validate", path]) == 1
+        out = capsys.readouterr().out
+        assert out.splitlines()[0] == "rejected" and name in out
+        out_dir = str(tmp_path / f"domain{i}")
+        assert main(["run", path, "--out", out_dir]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and name in err
+        assert not os.path.exists(out_dir)
 
 
 def test_validate_malformed_file_exit_two(tmp_path, capsys):
@@ -82,6 +119,25 @@ def test_replicas_rejected_at_validation(tmp_path, capsys):
     rc = main(["validate", write_config(tmp_path, doc)])
     assert rc == 2
     assert "replicas" in capsys.readouterr().err
+    # structural errors: exit 2 from validate and from run, nothing written
+    cases = [(variant(**{"replication.checkpoints": []}), "checkpoint"),
+             (variant(**{"replication.checkpoints": [30, 61]}), "checkpoints"),
+             (variant(**{"replication.n_final": 60.0}), "n_final"),
+             (variant(**{"projection.kind": "box", "projection.lower": [-1.0, -1.0, -1.0],
+                         "projection.upper": [1.0, 1.0, 1.0]}), "lower"),
+             (variant(**{"projection.kind": "box", "projection.lower": [-1.0],
+                         "projection.upper": [1.0]}), "lower"),
+             (variant(**{"family.mu": [1.0, -1.0, 0.0]}), "mu"),
+             (variant(**{"params.M": "2.0"}), "M")]
+    for i, (doc, word) in enumerate(cases):
+        path = write_config(tmp_path, doc, name=f"struct{i}.json")
+        assert main(["validate", path]) == 2
+        assert word in capsys.readouterr().err
+        out_dir = str(tmp_path / f"struct{i}")
+        assert main(["run", path, "--out", out_dir]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and word in err
+        assert not os.path.exists(out_dir)
 
 
 def test_predict_prints_table(tmp_path, capsys):
@@ -175,11 +231,107 @@ def test_partial_failure_marks_manifest_incomplete(tmp_path, monkeypatch):
 
 
 def test_shipped_configs_are_valid(capsys):
-    root = os.path.join(os.path.dirname(__file__), "..", "configs")
     for name in ("slow_default.json", "critical_default.json", "euler_gbm.json"):
-        rc = main(["validate", os.path.join(root, name)])
+        rc = main(["validate", os.path.join(CONFIGS, name)])
         assert rc == 0, name
     capsys.readouterr()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_too_few_surviving_replicas_fail_cleanly(tmp_path, capsys):
+    # H = 5 I repels from theta*: every replica leaves the screening ball, and
+    # over a longer horizon every replica overflows and aborts
+    doc = variant(**{"family.H": [[5.0, 0.0], [0.0, 5.0]], "params.psi": 0.3})
+    for n_final in (60, 1500):
+        doc["replication"].update({"n_final": n_final, "checkpoints": [n_final // 2, n_final]})
+        path = write_config(tmp_path, doc, name=f"diverge{n_final}.json")
+        out_dir = str(tmp_path / f"diverge{n_final}")
+        rc = main(["run", path, "--out", out_dir, "--workers", "1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "replicas" in err
+        manifest = json.loads(open(os.path.join(out_dir, "manifest.json")).read())
+        assert manifest["complete"] is False
+        assert sorted(manifest["files"]) == ["records.csv"]
+        with open(os.path.join(out_dir, "records.csv")) as fh:
+            last = {line.split(",")[1] for line in fh.readlines()[2:]}
+        assert (str(n_final) in last) == (n_final == 60)  # the long run aborts every replica
+
+
+def shipped(name, **replication):
+    with open(os.path.join(CONFIGS, name)) as fh:
+        doc = json.load(fh)
+    doc["replication"].update(replication)
+    return doc
+
+
+SMALL = dict(replicas=3, n_final=40, checkpoints=None)
+FUZZ_BASES = [shipped(name, **SMALL) for name in
+              ("slow_default.json", "critical_default.json", "euler_gbm.json")]
+# values of the wrong type for any field; numbers only where a list or string is due,
+# so no example asks for unbounded work
+WRONG = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
+                  st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+                  st.lists(st.floats(-3, 3), max_size=3))
+SHORT_LISTS = st.lists(st.floats(-3, 3) | st.just(float("nan")), max_size=3)
+SPECIAL = {  # well-typed values the loader must still judge
+    ("params", "M"): st.sampled_from([2, 2.5, 3.0, 1.5, 4]),
+    ("params", "beta"): st.sampled_from([1.0, 0.5, float("nan"), -1.0]),
+    ("family", "payoff"): st.sampled_from(["shortfall", "terminal", "call"]),
+    ("family", "theta_star"): SHORT_LISTS,
+    ("family", "mu"): SHORT_LISTS,
+    ("replication", "checkpoints"): st.lists(st.integers(-1, 45), max_size=4),
+    ("replication", "divergence_radius"): st.sampled_from([5.0, 1e-3, 0.0, -1.0]),
+    ("projection", "lower"): SHORT_LISTS,
+    ("projection", "upper"): SHORT_LISTS,
+}
+
+
+@st.composite
+def mutations(draw):
+    doc = copy.deepcopy(draw(st.sampled_from(FUZZ_BASES)))
+    if draw(st.booleans()):
+        d = len(doc["family"].get("theta_star", [0.0]))
+        doc["projection"] = {"kind": "box", "lower": [-2.0] * d, "upper": [2.0] * d}
+    for _ in range(draw(st.integers(1, 2))):
+        how = draw(st.sampled_from(["special", "special", "wrong type", "delete", "section"]))
+        if how == "section":  # a whole section of the wrong type, or an extra one
+            doc[draw(st.sampled_from(sorted(doc) + ["extra"]))] = draw(WRONG)
+            continue
+        if how == "special":
+            section, key = draw(st.sampled_from(sorted(SPECIAL)))
+        else:
+            section = draw(st.sampled_from(sorted(doc)))
+            keys = sorted(doc[section]) if isinstance(doc[section], dict) else []
+            key = draw(st.sampled_from(keys + ["extra"]))
+        if not isinstance(doc[section], dict):
+            continue
+        if how == "delete":
+            doc[section].pop(key, None)
+        else:
+            doc[section][key] = draw(SPECIAL[section, key] if how == "special" else WRONG)
+    return doc
+
+
+@given(mutations())
+@settings(max_examples=30, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_fuzzed_configs_reject_or_complete(doc):
+    """Every document exits 1 or 2 with a message, or completes; never a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        out_dir = os.path.join(tmp, "out")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(["run", path, "--out", out_dir, "--workers", "1"])
+        if rc == 0:
+            with open(os.path.join(out_dir, "manifest.json")) as fh:
+                assert json.load(fh)["complete"] is True
+        else:
+            assert rc in (1, 2)
+            assert err.getvalue().strip()
 
 
 def test_run_euler_family_without_ground_truth(tmp_path):

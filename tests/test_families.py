@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
-from mlsa import (EulerSdeFamily, GeometricCostModel, empirical_order_check,
-                  level_cost, sample_level_diff)
+from mlsa import EulerSdeFamily, GeometricCostModel, empirical_order_check
 
 from conftest import make_scalar_family, make_slow_family
+
+
+def sample_level_diff(family, theta, k, rng):
+    """One sample of the level-k difference."""
+    return family.sample_level_diff_batch(np.asarray(theta, dtype=float), k, 1, rng)[0]
 
 
 def test_zero_noise_level_two_increment():
@@ -49,8 +53,8 @@ def test_telescoping_zero_noise_modulated():
 
 def test_sampling_determinism():
     fam = make_slow_family()
-    a = fam.sample_level_diff(np.array([0.1, -0.2]), 4, np.random.default_rng(99))
-    b = fam.sample_level_diff(np.array([0.1, -0.2]), 4, np.random.default_rng(99))
+    a = sample_level_diff(fam, np.array([0.1, -0.2]), 4, np.random.default_rng(99))
+    b = sample_level_diff(fam, np.array([0.1, -0.2]), 4, np.random.default_rng(99))
     assert np.array_equal(a, b)
 
 
@@ -98,8 +102,8 @@ def test_order_check_requires_samples():
 def test_euler_coupling_zero_diffusion_deterministic():
     fam = EulerSdeFamily(drift=0.3, diffusion=0.0, target=1.0, payoff="terminal")
     theta = np.array([1.0])
-    v1 = fam.sample_level_diff(theta, 4, np.random.default_rng(0))
-    v2 = fam.sample_level_diff(theta, 4, np.random.default_rng(12345))
+    v1 = sample_level_diff(fam, theta, 4, np.random.default_rng(0))
+    v2 = sample_level_diff(fam, theta, 4, np.random.default_rng(12345))
     assert np.array_equal(v1, v2)  # draws are consumed but cannot affect the value
     # the value is the deterministic Euler discretization gap between the grids
     def euler_gap(steps):
@@ -122,11 +126,11 @@ def test_euler_rejects_nonintegral_scale():
 
 def test_cost_model_values():
     cm = GeometricCostModel(kappa_C=1.0, M=2.0)
-    assert level_cost(cm, None, 3) == 8.0
-    assert level_cost(cm, None, 1) == 2.0
-    assert level_cost(GeometricCostModel(kappa_C=2.5, M=4.0), None, 2) == 40.0
+    assert cm.level_cost(None, 3) == 8.0
+    assert cm.level_cost(None, 1) == 2.0
+    assert GeometricCostModel(kappa_C=2.5, M=4.0).level_cost(None, 2) == 40.0
     with pytest.raises(ValueError):
-        level_cost(cm, None, 0)
+        cm.level_cost(None, 0)
 
 
 def test_generic_estimate_matches_collapse_at_zero_noise():
@@ -137,3 +141,24 @@ def test_generic_estimate_matches_collapse_at_zero_noise():
     z_fast = fam.ml_estimate(theta, counts, rng)
     z_slow = super(type(fam), fam).ml_estimate(theta, counts, np.random.default_rng(1))
     np.testing.assert_allclose(z_fast, z_slow, rtol=0, atol=1e-15)
+
+
+def test_euler_product_matches_step_loop():
+    fam = EulerSdeFamily(drift=0.05, diffusion=0.2, target=1.0)
+    theta, size = np.array([0.9]), 500
+    for k in (1, 3, 6):
+        vals = fam.sample_level_diff_batch(theta, k, size, np.random.default_rng(k))[:, 0]
+        # reference: the Euler recursion step by step on the same draws
+        n_fine = 2 ** k
+        dw = np.sqrt(1.0 / n_fine) * np.random.default_rng(k).standard_normal((size, n_fine))
+
+        def euler(increments, h):
+            x = np.full(size, 0.9)
+            for i in range(increments.shape[1]):
+                x = x + 0.05 * x * h + 0.2 * x * increments[:, i]
+            return x
+
+        ref = 1.0 - euler(dw, 1.0 / n_fine)
+        if k > 1:
+            ref -= 1.0 - euler(dw.reshape(size, n_fine // 2, 2).sum(axis=2), 2.0 / n_fine)
+        np.testing.assert_allclose(vals, ref, rtol=1e-12, atol=1e-14)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,12 +9,14 @@ import scipy.special
 
 from mlsa import (BallMonitor, ParameterSet, ReplicationSpec, clt_report, cost_curve,
                   default_theta0, kolmogorov_critical, ks_statistic, l2_monitor,
-                  normalized_sample_stats, replica_seeds, run_replicas)
-from mlsa.driver import iteration_cost
-from mlsa.estimator import replication_counts
-from mlsa.params import Schedule
+                  normalized_sample_stats, replica_seeds, replication_counts, run_replicas)
+from mlsa.driver import Checkpoint
 
 from conftest import CRITICAL_DEFAULT, make_scalar_family, make_slow_family
+
+
+def csv_rows(records):
+    return [[cp.csv_row() for cp in rec.checkpoints] for rec in records]
 
 
 def small_spec(R=4, n=50, seed=11, checkpoints=None):
@@ -34,7 +39,7 @@ def test_run_replicas_deterministic_and_nondegenerate(slow_params, slow_family,
     theta0 = default_theta0(slow_family)
     a = run_replicas(small_spec(), slow_params, slow_family, cost_model, identity, theta0)
     b = run_replicas(small_spec(), slow_params, slow_family, cost_model, identity, theta0)
-    assert [r.to_csv() for r in a] == [r.to_csv() for r in b]
+    assert csv_rows(a) == csv_rows(b)
     finals = {tuple(r.theta_final) for r in a}
     assert len(finals) >= 2  # noise present: distinct seeds separate
 
@@ -45,13 +50,29 @@ def test_run_replicas_worker_count_invariance(slow_params, slow_family, cost_mod
                        identity, theta0, workers=1)
     par = run_replicas(small_spec(R=5), slow_params, slow_family, cost_model,
                        identity, theta0, workers=2)
-    assert [r.to_csv() for r in seq] == [r.to_csv() for r in par]
+    assert csv_rows(seq) == csv_rows(par)
 
 
 def test_kolmogorov_critical_against_scipy():
     for alpha in (0.10, 0.05, 0.01, 0.005):
         assert kolmogorov_critical(alpha) == pytest.approx(
             float(scipy.special.kolmogi(alpha)), abs=1e-9)
+        assert scipy.special.kolmogorov(kolmogorov_critical(alpha)) == pytest.approx(alpha)
+    for alpha in (0.0, 1.0):
+        with pytest.raises(ValueError):
+            kolmogorov_critical(alpha)
+
+
+def test_import_loads_neither_scipy_stats_nor_special():
+    # a fresh interpreter: this test session has already imported scipy.special
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    code = ("import sys, mlsa; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.special') if m in sys.modules))")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def test_ks_statistic_behaviour():
@@ -111,18 +132,32 @@ def test_clt_report_fields_and_purity(slow_params, cost_model, identity):
     assert doc["inputs"]["divergence_radius"] == 10.0
 
 
+def displaced(rec, n, shift):
+    """Copy of ``rec`` whose iterate at checkpoint ``n`` and after is moved by ``shift``."""
+    cps = tuple(Checkpoint(cp.n, cp.theta + shift, cp.theta_bar, cp.cost, cp.in_ball)
+                if cp.n >= n else cp for cp in rec.checkpoints)
+    return type(rec)(checkpoints=cps, n_final=rec.n_final, theta_final=rec.theta_final + shift,
+                     theta_bar_final=rec.theta_bar_final, cost_final=rec.cost_final,
+                     seed=rec.seed)
+
+
 def test_clt_report_screens_divergent(slow_params, cost_model, identity):
     fam = make_slow_family()
-    records = _records_for_report(slow_params, fam, cost_model, identity, R=30)
-    bad = records[0]
-    far = type(bad)(checkpoints=bad.checkpoints, n_final=bad.n_final,
-                    theta_final=bad.theta_final + 100.0,
-                    theta_bar_final=bad.theta_bar_final, cost_final=bad.cost_final,
-                    seed=bad.seed)
-    rep = clt_report([far] + records[1:], slow_params, fam, 400, divergence_radius=10.0)
+    spec = ReplicationSpec(replicas=30, n_final=400, checkpoints=(200, 400), master_seed=5)
+    records = run_replicas(spec, slow_params, fam, cost_model, identity, default_theta0(fam))
+    rep = clt_report([displaced(records[0], 400, 100.0)] + records[1:], slow_params, fam, 400,
+                     divergence_radius=10.0)
     assert rep.replicas_total == 30
     assert rep.replicas_screened == 29
     assert rep.underpowered  # fewer than 100 survivors
+    # screening reads the iterate at the reported checkpoint: a replica that
+    # leaves the ball only after n = 200 still counts at n = 200
+    late = clt_report([displaced(records[0], 400, 100.0)] + records[1:], slow_params, fam, 200,
+                      divergence_radius=10.0)
+    assert late.replicas_screened == 30
+    early = clt_report([displaced(records[0], 200, 100.0)] + records[1:], slow_params, fam, 200,
+                       divergence_radius=10.0)
+    assert early.replicas_screened == 29
 
 
 def test_clt_report_rejects_zero_gamma(slow_params, cost_model, identity):
@@ -183,10 +218,10 @@ def test_cost_curve_deterministic_rows(cost_model, identity):
     records = run_replicas(spec, p, fam, cost_model, identity, [0.5])
     rows = cost_curve(records, p)
     assert [r["n"] for r in rows] == [2, 4, 8]  # n = 1 has no critical prediction
-    sched = Schedule(p)
     expected = 0.0
-    for m in (1, 2):
-        sv = sched.value(m)
-        expected += iteration_cost(replication_counts(p, sv.s, sv.K), cost_model, None)
+    for m, s in ((1, 1), (2, 2)):  # s_n = max(ceil(1.5 log2 n), 1)
+        K = p.kappa_K * 3.0 * m ** 2
+        expected += sum(n_k * cost_model.level_cost(None, k)
+                        for k, n_k in enumerate(replication_counts(p, s, K), 1))
     assert rows[0]["mean_cost"] == pytest.approx(expected, rel=1e-12)
     assert rows[0]["ratio"] == pytest.approx(rows[0]["mean_cost"] / rows[0]["predicted_cost"])

@@ -2,12 +2,10 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from mlsa import (ContractingMatrix, IllConditionedError, averaged_operator,
                   exp_lemma_gaps, exp_product_gap, linear_iterate, lyapunov_norm,
-                  matrix_exp, product_operator, spectral_abscissa)
-from mlsa.linear import gap_table_csv
+                  product_operator, spectral_abscissa)
 
 
 def random_contracting(rng, d=None, margin=1.0):
@@ -19,27 +17,6 @@ def random_contracting(rng, d=None, margin=1.0):
     if ab > -margin - 0.05:
         H -= (ab + margin + 0.05) * np.eye(d)
     return H
-
-
-def test_matrix_exp_against_scipy():
-    rng = np.random.default_rng(0)
-    for _ in range(25):
-        A = rng.standard_normal((4, 4)) * rng.uniform(0.1, 3.0)
-        np.testing.assert_allclose(matrix_exp(A), scipy.linalg.expm(A),
-                                   rtol=1e-10, atol=1e-12)
-
-
-def test_matrix_exp_self_consistency():
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        A = rng.standard_normal((3, 3))
-        err = np.linalg.norm(matrix_exp(A) @ matrix_exp(-A) - np.eye(3), 2)
-        assert err <= 1e-10
-
-
-def test_matrix_exp_rejects_non_finite():
-    with pytest.raises(RuntimeError, match="convergence"):
-        matrix_exp(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 def test_contracting_matrix_validation():
@@ -184,17 +161,6 @@ def test_exp_lemma_inequalities_random():
         g1, g1b, g2, g2b = exp_lemma_gaps(A)
         assert g1 <= g1b + 1e-12
         assert g2 <= g2b + 1e-12
-
-
-def test_gap_table_csv_export():
-    cm = ContractingMatrix(np.array([[-1.0]]), 0.5)
-    text = gap_table_csv(cm, lambda n: 0.1, [(0, 0), (0, 10)])
-    lines = text.strip().splitlines()
-    assert lines[0] == "r,m,actual_gap,bound"
-    assert lines[1] == "0,0,0.0,0.0"
-    r, m, actual, bound = lines[2].split(",")
-    assert float(actual) == pytest.approx(0.019201, rel=1e-4)
-    assert float(bound) >= float(actual)
 
 
 def test_linear_iterate_fixed_point():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mlsa import InvalidParameters, ParameterSet, Schedule, schedule_at, validate
-from mlsa.params import params_from_dict, schedule_arrays
+from mlsa import InvalidParameters, ParameterSet, validate
+from mlsa.params import fill_param_defaults, schedule_arrays
 
 from conftest import CRITICAL_DEFAULT, SLOW_PINNED
 
@@ -68,48 +68,53 @@ def test_validate_is_pure():
     assert validate(d) == validate(d)
 
 
+def schedule_at(params, n, alpha_prime=None):
+    """(K_bar_n, s_n, xi_n) from the last entry of the schedule arrays."""
+    arr = schedule_arrays(params, n, alpha_prime)
+    return float(arr["K_bar"][-1]), int(arr["s"][-1]), float(arr["xi"][-1])
+
+
 def test_schedule_reference_point(slow_params_pinned):
-    sv = schedule_at(slow_params_pinned, 10)
-    assert sv.K_bar == 3 * 385  # sum of 3 k^2, k <= 10
-    assert sv.s == 4
-    assert abs(sv.xi - 0.0695) < 1e-3
+    K_bar, s, xi = schedule_at(slow_params_pinned, 10)
+    assert K_bar == 3 * 385  # sum of 3 k^2, k <= 10
+    assert s == 4
+    assert abs(xi - 0.0695) < 1e-3
     # definitional identity between the level, the offset and the budget
-    lhs = slow_params_pinned.M ** (sv.s + sv.xi)
-    rhs = slow_params_pinned.kappa_s * sv.K_bar ** (1 / 2.5)
+    lhs = slow_params_pinned.M ** (s + xi)
+    rhs = slow_params_pinned.kappa_s * K_bar ** (1 / 2.5)
     assert abs(lhs / rhs - 1) < 1e-12
 
 
 def test_schedule_clamp_branch():
     p = ParameterSet(**make({"kappa_s": 1e-3}))
-    sv = schedule_at(p, 1)
-    assert sv.s == 1
-    assert sv.xi < 0  # the floor was below 1
+    _, s, xi = schedule_at(p, 1)
+    assert s == 1
+    assert xi < 0  # the floor was below 1
 
 
 def test_schedule_rejects_n_zero(slow_params_pinned):
     with pytest.raises(ValueError):
-        schedule_at(slow_params_pinned, 0)
+        schedule_arrays(slow_params_pinned, 0)
 
 
 def test_critical_level_reference_point():
     p = ParameterSet(**CRITICAL_DEFAULT)
-    assert schedule_at(p, 8).s == 5  # ceil(1.5 * log2 8) = ceil(4.5)
+    assert schedule_at(p, 8)[1] == 5  # ceil(1.5 * log2 8) = ceil(4.5)
 
 
 def test_critical_level_alpha_prime_hook():
     p = ParameterSet(**CRITICAL_DEFAULT)
     slower = schedule_at(p, 64, alpha_prime=lambda n: 0.5)
-    assert slower.s == 2 * schedule_at(p, 64).s  # halving alpha' doubles the level
+    assert slower[1] == 2 * schedule_at(p, 64)[1]  # halving alpha' doubles the level
 
 
 def test_level_offset_identity_along_n(slow_params_pinned):
     p = slow_params_pinned
-    sched = Schedule(p)
-    for n in range(1, 400):
-        sv = sched.value(n)
-        if sv.xi >= 0:
-            lhs = p.M ** (sv.s + sv.xi)
-            rhs = p.kappa_s * sv.K_bar ** (1 / 2.5)
+    arr = schedule_arrays(p, 399)
+    for K_bar, s, xi in zip(arr["K_bar"], arr["s"], arr["xi"]):
+        if xi >= 0:
+            lhs = p.M ** (s + xi)
+            rhs = p.kappa_s * K_bar ** (1 / 2.5)
             assert abs(lhs / rhs - 1) < 1e-12
 
 
@@ -122,32 +127,53 @@ def test_monotonicity(slow_params_pinned):
     assert np.all(np.diff(arr_c["s"]) >= 0)
 
 
-def test_incremental_cache_matches_vectorized(slow_params_pinned):
-    sched = Schedule(slow_params_pinned)
-    arr = schedule_arrays(slow_params_pinned, 500)
-    for n in (1, 2, 17, 100, 499, 500):
-        sv = sched.value(n)
-        assert sv.s == arr["s"][n - 1]
-        assert math.isclose(sv.K_bar, arr["K_bar"][n - 1], rel_tol=1e-12)
-        assert math.isclose(sv.xi, arr["xi"][n - 1], rel_tol=0, abs_tol=1e-10)
+def reference_schedule(p, ns):
+    """Plain-Python (s_n, xi_n) at the indices ``ns`` from an exactly summed K_bar_n.
+
+    phi = 2 sums k^2 in closed form over the integers; any other phi sums the
+    budget terms with math.fsum, which rounds the exact sum once.
+    """
+    out = {}
+    for n in ns:
+        if p.regime == "critical":
+            raw = (p.phi + 1) / 2.0 / p.alpha * math.log(n) / math.log(p.M)
+            s = max(math.ceil(raw), 1)
+        else:
+            if p.phi == 2.0:
+                K_bar = p.kappa_K * float(n * (n + 1) * (2 * n + 1) // 2)
+            else:
+                K_bar = math.fsum(p.kappa_K * (p.phi + 1) * float(k) ** p.phi
+                                  for k in range(1, n + 1))
+            raw = math.log(p.kappa_s * K_bar ** (1.0 / (2 * p.alpha - p.beta + 1))) / math.log(p.M)
+            s = max(math.floor(raw), 1)
+        out[n] = (s, raw - s)
+    return out
 
 
-@given(st.integers(min_value=1, max_value=2000), st.integers(min_value=1, max_value=2000))
-@settings(max_examples=25, deadline=None)
-def test_schedule_pure_and_order_free(n1, n2):
-    p = ParameterSet(**SLOW_PINNED)
-    s = Schedule(p)
-    a, b = s.value(n1), s.value(n2)  # second call may hit the cache
-    assert s.value(n1) == a
-    assert s.value(n2) == b
-    assert schedule_at(p, n1) == a
+def test_schedule_arrays_match_exact_reference():
+    n_max = 200_000
+    cases = [(SLOW_PINNED, {}), (SLOW_PINNED, {"kappa_s": 8.0, "psi": 0.5}),
+             (SLOW_PINNED, {"phi": 1.5, "rho": 1.5}), (CRITICAL_DEFAULT, {})]
+    for base, overrides in cases:
+        p = ParameterSet(**make(overrides, base=base))
+        arr = schedule_arrays(p, n_max)
+        if p.phi == 2.0 or p.regime == "critical":
+            ns = range(1, n_max + 1)
+        else:  # fsum is O(n) per index, so check a spread of indices
+            ns = (1, 2, 17, 100, 499, 500, 4_000, 65_537, n_max)
+        for n, (s, xi) in reference_schedule(p, ns).items():
+            assert arr["s"][n - 1] == s, (overrides, n)
+            assert abs(arr["xi"][n - 1] - xi) <= 1e-10, (overrides, n)
 
 
 def test_params_from_dict_strictness():
     with pytest.raises(ValueError, match="unknown"):
-        params_from_dict(make({"bogus": 1.0}))
+        fill_param_defaults(make({"bogus": 1.0}))
     with pytest.raises(ValueError, match="missing"):
-        params_from_dict({"regime": "slow", "alpha": 1.0})
+        fill_param_defaults({"regime": "slow", "alpha": 1.0})
+    for bad in ("2.0", True, None, [2.0]):  # no silent coercion to a number
+        with pytest.raises(TypeError, match="M must be a number"):
+            fill_param_defaults(make({"M": bad}))
 
 
 def test_bad_regime_tag():
