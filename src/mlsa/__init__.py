@@ -15,7 +15,7 @@ from .linear import (ContractingMatrix, IllConditionedError, LyapunovNorm,
                      lyapunov_norm, product_operator, spectral_abscissa)
 from .harness import (CltReport, InsufficientReplicas, L2Monitor, ReplicationSpec,
                       clt_report, cost_curve, kolmogorov_critical, ks_statistic,
-                      l2_monitor, normalized_sample_stats, replica_seeds, run_replicas)
+                      l2_monitor, normalized_sample_stats, block_seeds, run_replicas)
 from .config import (ConfigError, ExperimentConfig, build_cost_model, build_family,
                      build_projection, config_from_dict, load_config)
 

@@ -104,11 +104,12 @@ def predict_slow(params: ParameterSet, n: int) -> AsymptoticPrediction:
     ``pre_asymptotic`` rather than refused; xi_n is then negative and the
     formulas are evaluated as written.
     """
-    p = params
-    if p.regime != SLOW:
+    if params.regime != SLOW:
         raise ValueError("predict_slow requires slow-regime parameters")
-    arr = schedule_arrays(p, n)
-    s, xi = int(arr["s"][-1]), float(arr["xi"][-1])
+    return predictions(params, [n])[0]
+
+
+def _slow_at(p: ParameterSet, n: int, s: int, xi: float) -> AsymptoticPrediction:
     pre = xi < 0.0  # the max(. , 1) clamp was active
     rb = rates(p)
     one_minus = 1.0 - p.M ** (-(1.0 - p.beta) / 2.0)
@@ -131,14 +132,16 @@ def predict_slow(params: ParameterSet, n: int) -> AsymptoticPrediction:
                                 eps_diff_cost_form=eps_diff_cost, pre_asymptotic=pre)
 
 
-def predict_critical(params: ParameterSet, n: int, alpha_prime=None) -> AsymptoticPrediction:
+def predict_critical(params: ParameterSet, n: int) -> AsymptoticPrediction:
     """Critical-regime prediction; has no bias normalization (centers at theta*)."""
-    p = params
-    if p.regime != CRITICAL:
+    if params.regime != CRITICAL:
         raise ValueError("predict_critical requires critical-regime parameters")
+    return predictions(params, [n])[0]
+
+
+def _critical_at(p: ParameterSet, n: int, s: int, xi: float) -> AsymptoticPrediction:
     if n < 2:
         raise ValueError("critical prediction needs n >= 2 (log n vanishes at 1)")
-    arr = schedule_arrays(p, n, alpha_prime)
     log_M_n = math.log(n) / math.log(p.M)
     eps_diff = (1.0 / math.sqrt(2 * p.alpha * p.kappa_K) * _diff_prefactor(p)
                 * float(n) ** (-(p.phi + 1) / 2.0) * math.sqrt((p.phi + 1) * log_M_n))
@@ -146,14 +149,20 @@ def predict_critical(params: ParameterSet, n: int, alpha_prime=None) -> Asymptot
             * ((p.phi + 1) / 2.0) * log_M_n)
     eps_diff_cost = (math.sqrt(p.kappa_C) / (2 * p.alpha) * _diff_prefactor(p)
                      * (math.log(cost) / math.log(p.M)) / math.sqrt(cost))
-    return AsymptoticPrediction(n=n, s=int(arr["s"][-1]), xi=float(arr["xi"][-1]),
-                                eps_bias=None, eps_diff=eps_diff,
+    return AsymptoticPrediction(n=n, s=s, xi=xi, eps_bias=None, eps_diff=eps_diff,
                                 predicted_cost=cost, eps_bias_cost_form=None,
                                 eps_diff_cost_form=eps_diff_cost)
 
 
 def predict(params: ParameterSet, n: int) -> AsymptoticPrediction:
-    return predict_slow(params, n) if params.regime == SLOW else predict_critical(params, n)
+    return predictions(params, [n])[0]
+
+
+def predictions(params: ParameterSet, ns: Sequence[int]) -> list[AsymptoticPrediction]:
+    """``predict(params, n)`` for every n in ``ns``, from one schedule pass at max(ns)."""
+    arr = schedule_arrays(params, max(ns, default=1))
+    at = _slow_at if params.regime == SLOW else _critical_at
+    return [at(params, n, int(arr["s"][n - 1]), float(arr["xi"][n - 1])) for n in ns]
 
 
 _MAX_ORACLE_N = 10 ** 7
@@ -244,8 +253,7 @@ def predictions_csv(params: ParameterSet, ns: Sequence[int]) -> str:
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["n", "s", "xi", "eps_bias", "eps_diff", "predicted_cost",
                 "eps_bias_cost_form", "eps_diff_cost_form", "pre_asymptotic"])
-    for n in ns:
-        a = predict(params, int(n))
+    for a in predictions(params, [int(n) for n in ns]):
         w.writerow([a.n, a.s, repr(a.xi),
                     "" if a.eps_bias is None else repr(a.eps_bias), repr(a.eps_diff),
                     repr(a.predicted_cost),

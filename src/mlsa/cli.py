@@ -89,13 +89,16 @@ def _sha256(path: str) -> str:
 
 
 def cmd_run(args) -> int:
+    if args.seed is not None and args.seed < 0:  # the rule load_config applies to master_seed
+        print(f"parse error: --seed must be an integer >= 0, got {args.seed}", file=sys.stderr)
+        return 2
     cfg, rc = _load_or_report(args.config)
     if cfg is None:
         return rc
     spec = cfg.replication
     if args.seed is not None:
         spec = harness.ReplicationSpec(spec.replicas, spec.n_final, spec.checkpoints,
-                                       int(args.seed), spec.divergence_radius)
+                                       args.seed, spec.divergence_radius)
     out_dir = args.out or cfg.output_dir
     os.makedirs(out_dir, exist_ok=True)
     family = build_family(cfg)
@@ -214,22 +217,17 @@ def cmd_plot(args) -> int:
     family = build_family(cfg)
     theta_star = family.theta_star
 
-    by_n: dict[int, list] = {}
+    bars: dict[int, list] = {}
     costs: dict[int, list] = {}
-    last_bars: dict[int, list] = {}
     with open(os.path.join(run_dir, "records.csv"), "r", encoding="utf-8") as fh:
         fh.readline()
-        reader = csv.DictReader(fh)
-        d = family.d
-        for row in reader:
+        for row in csv.DictReader(fh):
             n = int(row["n"])
-            bar = np.array([float(row[f"theta_bar_{i}"]) for i in range(d)])
-            by_n.setdefault(n, []).append(float(np.linalg.norm(bar - theta_star)))
+            bars.setdefault(n, []).append([float(row[f"theta_bar_{i}"]) for i in range(family.d)])
             costs.setdefault(n, []).append(float(row["cost"]))
-            if n == cfg.replication.n_final:
-                last_bars.setdefault(n, []).append(bar)
-    ns = sorted(by_n)
-    mean_err = np.array([np.mean(by_n[n]) for n in ns])
+    ns = sorted(bars)
+    mean_err = np.array([np.linalg.norm(np.array(bars[n]) - theta_star, axis=1).mean()
+                         for n in ns])
     mean_cost = np.array([np.mean(costs[n]) for n in ns])
     keep = mean_err > 0
     mean_err, mean_cost = mean_err[keep], mean_cost[keep]
@@ -256,7 +254,7 @@ def cmd_plot(args) -> int:
         fh.write(f"# config_hash={cfg_hash}\n")
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["component", "theoretical_quantile", "standardized_value"])
-        bars = np.stack(last_bars[cfg.replication.n_final])
+        bars = np.array(bars[ns[-1]])  # the largest checkpoint, as in the CLT report
         for j in range(bars.shape[1]):
             col = np.sort(bars[:, j])
             col = (col - col.mean()) / (col.std(ddof=1) or 1.0)

@@ -9,12 +9,13 @@ and maintains the weighted average theta_bar_n = (b_bar_{n-1} theta_bar_{n-1}
 the exact cumulative cost sum_m sum_k N_k(s_m, K_m) C_k(theta_{m-1}).
 
 Per-iteration schedule and plan data are theta-independent, so they are
-precomputed once in a :class:`RunPlan` and shared across replicas; each
-replica owns its state and random stream exclusively.
+precomputed once in a :class:`RunPlan` and shared across replicas; a block of
+replicas runs in lockstep as one (R, d) state on a random stream it owns.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -29,32 +30,30 @@ from .params import ParameterSet, schedule_arrays
 _INT_SNAP = 1e-9
 
 
-def _ceil_snapped(x: float) -> int:
-    r = round(x)
-    if abs(x - r) <= _INT_SNAP * max(1.0, abs(x)):
-        return max(int(r), 1)
-    return max(math.ceil(x), 1)
-
-
-def replication_counts(params: ParameterSet, s: int, K: float) -> tuple[int, ...]:
-    """Level counts (N_1, ..., N_s) for budget K at accuracy s.
+def replication_counts(params: ParameterSet, s, K) -> np.ndarray:
+    """Level counts N_k(s_n, K_n) for all n at once: an (n, max s_n) integer
+    matrix whose row n holds (N_1, ..., N_{s_n}) and zeros past s_n.
 
     N_k(s, K) = ceil((K / M^s) * M^((beta+1)/2 * (s-k))), nonincreasing in k;
-    for beta = 1 they reduce to ceil(K * M^-k), independent of s.
+    for beta = 1 they reduce to ceil(K * M^-k), independent of s.  ``s`` and
+    ``K`` are equal-length sequences, or scalars for a single row.
     """
-    if s < 1:
+    s = np.atleast_1d(np.asarray(s))
+    K = np.atleast_1d(np.asarray(K, dtype=float))
+    if np.any(s < 1):
         raise ValueError("s must be >= 1")
-    if not K > 0:
+    if not np.all(K > 0):
         raise ValueError("K must be positive")
     M, beta = params.M, params.beta
-    base = K / M ** s
-    return tuple(_ceil_snapped(base * M ** (0.5 * (beta + 1) * (s - k))) for k in range(1, s + 1))
+    k = np.arange(1, int(s.max()) + 1)
+    x = (K / M ** s)[:, None] * M ** (0.5 * (beta + 1) * (s[:, None] - k))
+    r = np.round(x)
+    counts = np.where(np.abs(x - r) <= _INT_SNAP * np.maximum(1.0, np.abs(x)), r, np.ceil(x))
+    return np.where(k <= s[:, None], np.maximum(counts, 1.0), 0.0).astype(np.int64)
 
 
 class IdentityProjection:
     """D = R^d; the projection is the identity."""
-
-    kind = "identity"
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return x
@@ -62,8 +61,6 @@ class IdentityProjection:
 
 class BoxProjection:
     """Componentwise clamp onto the box [lower_i, upper_i]."""
-
-    kind = "box"
 
     def __init__(self, lower, upper):
         self.lower = np.atleast_1d(np.asarray(lower, dtype=float))
@@ -73,13 +70,6 @@ class BoxProjection:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return np.clip(x, self.lower, self.upper)
-
-
-def _master_sequence(seed) -> np.random.SeedSequence:
-    """Fresh master handle (rebased so spawn counters start at zero)."""
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.SeedSequence(entropy=seed.entropy, spawn_key=seed.spawn_key)
-    return np.random.SeedSequence(seed)
 
 
 @dataclass(frozen=True)
@@ -120,36 +110,35 @@ class RunRecord:
     theta_final: np.ndarray
     theta_bar_final: np.ndarray
     cost_final: float
-    seed: object
     aborted: bool = False
     abort_iteration: Optional[int] = None
     abort_z: Optional[np.ndarray] = None
 
     def checkpoint_at(self, n: int) -> Checkpoint:
-        for cp in self.checkpoints:
-            if cp.n == n:
-                return cp
+        i = bisect.bisect_left(self.checkpoints, n, key=lambda cp: cp.n)
+        if i < len(self.checkpoints) and self.checkpoints[i].n == n:
+            return self.checkpoints[i]
         raise KeyError(f"no checkpoint at n={n}")
 
 
 class RunPlan:
     """Precomputed, immutable per-iteration tables shared by all replicas.
 
-    The cost model is theta-free, so the cost of iteration n is the fixed
-    increment sum_k N_k C_k.
+    ``counts`` is the :func:`replication_counts` matrix of the run; iteration
+    n samples ``counts[n-1, :s[n-1]]``.  The cost model is theta-free, so the
+    cost of iteration n is the fixed increment sum_k N_k C_k.
     """
 
-    def __init__(self, params: ParameterSet, cost_model, n_final: int, alpha_prime=None):
-        self.params = params
+    def __init__(self, params: ParameterSet, cost_model, n_final: int):
         self.n_final = int(n_final)
-        arr = schedule_arrays(params, n_final, alpha_prime=alpha_prime)
+        arr = schedule_arrays(params, n_final)
         self.gamma = arr["gamma"]
         self.b = arr["b"]
         self.s = arr["s"]
-        self.counts = [np.asarray(replication_counts(params, int(s), float(K)), dtype=float)
-                       for s, K in zip(arr["s"], arr["K"])]
-        costs = np.array([cost_model.level_cost(None, k) for k in range(1, int(self.s.max()) + 1)])
-        self.cost_inc = np.array([float(np.sum(c * costs[:len(c)])) for c in self.counts])
+        self.counts = replication_counts(params, self.s, arr["K"])
+        costs = np.array([cost_model.level_cost(None, k)
+                          for k in range(1, self.counts.shape[1] + 1)])
+        self.cost_inc = self.counts @ costs
 
 
 def default_theta0(family: LevelFamily) -> np.ndarray:
@@ -173,61 +162,63 @@ def geometric_checkpoints(n_final: int, factor: float = 1.25) -> tuple[int, ...]
 
 
 def run(params: ParameterSet, family: LevelFamily, cost_model, projection,
-        theta0, n_final: int, checkpoints: Sequence[int], seed, *,
-        ball: Optional[BallMonitor] = None, plan: Optional[RunPlan] = None) -> RunRecord:
-    """Run one replica for ``n_final`` iterations.
+        theta0, n_final: int, checkpoints: Sequence[int], seed, *, replicas: int = 1,
+        ball: Optional[BallMonitor] = None, plan: Optional[RunPlan] = None) -> list[RunRecord]:
+    """Run a block of ``replicas`` replicas in lockstep for ``n_final`` iterations.
 
-    Deterministic function of all inputs and the seed.  ``checkpoints`` are
-    recorded after the indicated iteration completes; ``seed`` may be an int
-    or a numpy SeedSequence.  A non-finite state aborts with a partial record
-    flagged invalid.
+    The states are the rows of one (replicas, d) array started at ``theta0``;
+    each iteration makes one ``ml_estimate`` call for all rows on the stream
+    ``default_rng(seed)`` (an int or a SeedSequence seed).  ``checkpoints`` are
+    recorded after the indicated iteration completes.  A row whose state turns
+    non-finite aborts alone with a partial record flagged invalid; it stays in
+    the block, frozen, so the other rows draw and record exactly as before.
     """
-    checkpoints = tuple(sorted(set(int(c) for c in checkpoints)))
-    if checkpoints and (checkpoints[0] < 1 or checkpoints[-1] > n_final):
+    checkpoints = frozenset(int(c) for c in checkpoints)
+    if checkpoints and (min(checkpoints) < 1 or max(checkpoints) > n_final):
         raise ValueError("checkpoints must lie in [1, n_final]")
     rp = plan or RunPlan(params, cost_model, n_final)
     if rp.n_final < n_final:
         raise ValueError("precomputed RunPlan is shorter than n_final")
-    iteration_seeds = _master_sequence(seed).spawn(n_final)
-    theta = np.array(theta0, dtype=float).reshape(family.d)
-    theta_bar = np.zeros(family.d)
+    rng = np.random.default_rng(seed)
+    theta = np.array(np.broadcast_to(np.asarray(theta0, dtype=float), (replicas, family.d)))
+    theta_bar = np.zeros_like(theta)
     b_bar = 0.0
     cost = 0.0
-    in_ball = True
-    cp_mask = np.zeros(n_final + 1, dtype=bool)
-    for c in checkpoints:
-        cp_mask[c] = True
-    recorded: list[Checkpoint] = []
-    gamma, b, counts_all, cost_inc = rp.gamma, rp.b, rp.counts, rp.cost_inc
-    aborted = False
-    abort_n = None
-    abort_z = None
-    for i in range(n_final):
-        n = i + 1
-        if ball is not None and n - 1 >= ball.n0 and in_ball:
-            if float(np.linalg.norm(theta - ball.center)) > ball.eps:
-                in_ball = False
-        z = family.ml_estimate(theta, counts_all[i], np.random.default_rng(iteration_seeds[i]))
-        theta_new = projection(theta + gamma[i] * z)
-        if not np.all(np.isfinite(theta_new)):
-            aborted, abort_n, abort_z = True, n, np.array(z)
-            break
-        cost += cost_inc[i]
-        theta = theta_new
-        b_bar_new = b_bar + b[i]
-        theta_bar = (b_bar * theta_bar + b[i] * theta) / b_bar_new
-        b_bar = b_bar_new
-        if cp_mask[n]:
-            recorded.append(Checkpoint(n=n, theta=theta.copy(), theta_bar=theta_bar.copy(),
-                                       cost=cost, in_ball=(in_ball if ball is not None else None)))
-    return RunRecord(
-        checkpoints=tuple(recorded),
-        n_final=(abort_n - 1) if aborted else n_final,
-        theta_final=theta.copy(),
-        theta_bar_final=theta_bar.copy(),
-        cost_final=cost,
-        seed=seed,
-        aborted=aborted,
-        abort_iteration=abort_n,
-        abort_z=abort_z,
-    )
+    live = np.ones(replicas, dtype=bool)
+    in_ball = np.ones(replicas, dtype=bool)
+    aborts = {}  # row -> (abort iteration, its estimate, cost so far)
+    recorded: list[list[Checkpoint]] = [[] for _ in range(replicas)]
+    gamma, b, s, counts, cost_inc = rp.gamma, rp.b, rp.s, rp.counts, rp.cost_inc
+    # non-finite states are expected here: they are detected and abort their row
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n_final):
+            n = i + 1
+            if ball is not None and n - 1 >= ball.n0:
+                in_ball &= np.linalg.norm(theta - ball.center, axis=1) <= ball.eps
+            z = family.ml_estimate(theta, counts[i, :s[i]], rng)
+            theta_new = projection(theta + gamma[i] * z)
+            b_bar_new = b_bar + b[i]
+            bar_new = (b_bar * theta_bar + b[i] * theta_new) / b_bar_new
+            if not (live.all() and np.isfinite(theta_new).all()):
+                failed = live & ~np.isfinite(theta_new).all(axis=1)
+                for r in np.flatnonzero(failed):
+                    aborts[r] = (n, z[r].copy(), cost)
+                live &= ~failed
+                theta_new = np.where(live[:, None], theta_new, theta)
+                bar_new = np.where(live[:, None], bar_new, theta_bar)
+            theta, theta_bar, b_bar = theta_new, bar_new, b_bar_new
+            cost += cost_inc[i]
+            if n in checkpoints:
+                for r in np.flatnonzero(live):
+                    recorded[r].append(Checkpoint(
+                        n=n, theta=theta[r].copy(), theta_bar=theta_bar[r].copy(), cost=cost,
+                        in_ball=None if ball is None else bool(in_ball[r])))
+    records = []
+    for r in range(replicas):
+        n_abort, z_abort, cost_r = aborts.get(r, (None, None, cost))
+        records.append(RunRecord(
+            checkpoints=tuple(recorded[r]), n_final=n_final if n_abort is None else n_abort - 1,
+            theta_final=theta[r].copy(), theta_bar_final=theta_bar[r].copy(),
+            cost_final=float(cost_r), aborted=n_abort is not None, abort_iteration=n_abort,
+            abort_z=z_abort))
+    return records

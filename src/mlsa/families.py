@@ -37,6 +37,14 @@ class GeometricCostModel:
         return self.kappa_C * self.M ** k
 
 
+def _rowmap(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """x @ A.T, column by column, so a row's result does not depend on its neighbours."""
+    out = x[..., :1] * A[:, 0]
+    for j in range(1, A.shape[1]):
+        out = out + x[..., j:j + 1] * A[:, j]
+    return out
+
+
 class LevelFamily(abc.ABC):
     """Evaluation contract for level differences.
 
@@ -58,16 +66,19 @@ class LevelFamily(abc.ABC):
         """``size`` independent samples of F_k(theta, U) - F_{k-1}(theta, U), shape (size, d)."""
 
     def ml_estimate(self, theta: np.ndarray, counts: Sequence[int], rng: np.random.Generator) -> np.ndarray:
-        """Multilevel estimate: sum over k of the mean of counts[k-1] samples.
+        """Multilevel estimates for the rows of ``theta`` (shape (R, d)), shape (R, d).
 
-        Level-major, sample-minor sampling order; all samples independent
-        (drawn as one batch per level).  Families with exploitable structure
-        may override with an exact equal-in-law shortcut (see
+        Each row sums over k the mean of counts[k-1] samples.  Rows draw in
+        order, each level-major and sample-minor, all samples independent
+        (one batch per level).  Families with exploitable structure may
+        override with an exact equal-in-law shortcut (see
         SyntheticGaussianFamily).
         """
-        z = np.zeros(self.d)
-        for k, n_k in enumerate(counts, start=1):
-            z += self.sample_level_diff_batch(theta, k, int(n_k), rng).mean(axis=0)
+        theta = np.asarray(theta, dtype=float)
+        z = np.zeros(theta.shape)
+        for row, out in zip(theta, z):
+            for k, n_k in enumerate(counts, start=1):
+                out += self.sample_level_diff_batch(row, k, int(n_k), rng).mean(axis=0)
         return z
 
     def has_ground_truth(self) -> bool:
@@ -91,7 +102,7 @@ class SyntheticGaussianFamily(LevelFamily):
     f(theta) = H(theta-theta*) + (theta-theta*) .* (Q(theta-theta*)) with the
     optional quadratic perturbation Q; m(theta) = 1 + |theta-theta*| when
     ``modulated``.  One sample of a level difference consumes exactly d
-    standard normals; ``ml_estimate`` consumes s*d (one block row per level).
+    standard normals; ``ml_estimate`` consumes s*d per row (one draw per level).
     """
 
     def __init__(self, theta_star, H, mu, noise_factor, alpha: float, beta: float, M: float,
@@ -117,16 +128,19 @@ class SyntheticGaussianFamily(LevelFamily):
         self.Gamma = self.A @ self.A.T
 
     def f(self, theta):
+        """f at theta of shape (d,) or at each row of theta of shape (R, d)."""
         e = np.asarray(theta, dtype=float) - self.theta_star
-        out = self.H @ e
+        out = _rowmap(self.H, e)
         if self.Q is not None:
-            out = out + e * (self.Q @ e)
+            out = out + e * _rowmap(self.Q, e)
         return out
 
-    def modulation(self, theta) -> float:
+    def modulation(self, theta):
+        """m(theta), with a trailing axis of length 1 when modulated (one value per row)."""
         if not self.modulated:
             return 1.0
-        return 1.0 + float(np.linalg.norm(np.asarray(theta, dtype=float) - self.theta_star))
+        e = np.asarray(theta, dtype=float) - self.theta_star
+        return 1.0 + np.linalg.norm(e, axis=-1, keepdims=True)
 
     def _bias_increment(self, k: int) -> float:
         if k == 1:
@@ -147,14 +161,15 @@ class SyntheticGaussianFamily(LevelFamily):
         """Exact collapse: the mean of N iid Gaussians is Gaussian with 1/N
         the covariance, so one draw per level reproduces the estimator's law.
 
-        Consumes an (s, d) standard-normal block, rows in level order.
+        Consumes one (R, s, d) standard-normal block: rows in order, levels
+        in order within a row.
         """
         s = len(counts)
         m = self.modulation(theta)
-        g = rng.standard_normal((s, self.d))
+        g = rng.standard_normal((len(theta), s, self.d))
         coef = self.M ** (-self.beta * np.arange(1, s + 1) / 2.0) / np.sqrt(
             np.asarray(counts, dtype=float))
-        noise = (coef @ g) @ self.A.T
+        noise = _rowmap(self.A, coef @ g)
         return self.f(theta) + self.mu * (m * self.M ** (-self.alpha * s)) + m * noise
 
 
@@ -204,8 +219,7 @@ class EulerSdeFamily(LevelFamily):
 
     def f(self, theta):
         x = float(np.atleast_1d(theta)[0])
-        ex = x * np.exp(self.drift * self.T)
-        return np.array([self.target - ex if self.payoff == "shortfall" else ex])
+        return np.array([self._payoff(x * np.exp(self.drift * self.T))])
 
     def _payoff(self, x):
         return self.target - x if self.payoff == "shortfall" else x

@@ -1,9 +1,9 @@
 """Replicated runs, CLT verification statistics and the L2 monitor.
 
-Replica streams are derived from the master seed with numpy's SeedSequence
-spawning (seed_i = SeedSequence(master_seed).spawn()[i]), which hashes
-(entropy, spawn_key) into independent, non-overlapping PCG64 streams; records
-are therefore independent of worker count and scheduling order.
+Block j of BLOCK replicas (j*BLOCK .. min((j+1)*BLOCK, R) - 1) runs in
+lockstep on the stream default_rng(SeedSequence(master_seed).spawn(n_blocks)[j]);
+these streams are independent and non-overlapping, and blocks go to workers
+whole, so records do not depend on worker count or scheduling order.
 
 The CLT report normalizes the averaged iterate at a checkpoint,
 
@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import driver
-from .asymptotics import predict
+from .asymptotics import predict, predictions
 from .driver import BallMonitor, RunPlan, RunRecord
 from .families import LevelFamily
 from .params import CRITICAL, SLOW, ParameterSet
@@ -56,17 +56,18 @@ class ReplicationSpec:
         object.__setattr__(self, "checkpoints", tuple(sorted(set(self.checkpoints))))
 
 
-def replica_seeds(master_seed: int, count: int) -> list[np.random.SeedSequence]:
-    """Documented seed mixing: child i of SeedSequence(master_seed)."""
-    return list(np.random.SeedSequence(master_seed).spawn(count))
+# replicas per block: one random stream and one (BLOCK, d) lockstep state each
+BLOCK = 100
 
 
-def _run_chunk(args):
-    (params, family, cost_model, projection, theta0, n_final, checkpoints,
-     seeds, ball) = args
-    plan = RunPlan(params, cost_model, n_final)
-    return [driver.run(params, family, cost_model, projection, theta0, n_final,
-                       checkpoints, seed, ball=ball, plan=plan) for seed in seeds]
+def block_seeds(master_seed: int, n_blocks: int) -> list[np.random.SeedSequence]:
+    """Documented seed mixing: block j runs on child j of SeedSequence(master_seed)."""
+    return list(np.random.SeedSequence(master_seed).spawn(n_blocks))
+
+
+def _run_block(args):
+    common, seed, size, ball, plan = args
+    return driver.run(*common, seed, replicas=size, ball=ball, plan=plan)
 
 
 def run_replicas(spec: ReplicationSpec, params: ParameterSet, family: LevelFamily,
@@ -74,22 +75,24 @@ def run_replicas(spec: ReplicationSpec, params: ParameterSet, family: LevelFamil
                  ball: Optional[BallMonitor] = None) -> list[RunRecord]:
     """Run ``spec.replicas`` independent replicas, deterministically.
 
-    Aborted replicas are returned flagged, never dropped.  The result list is
-    ordered by replica index and independent of ``workers``.
+    Each block of BLOCK replicas runs in lockstep on its own stream; at most
+    ``workers`` processes take whole blocks, and a single block runs in this
+    process.  Aborted replicas are returned flagged, never dropped.  The result
+    list is ordered by replica index and independent of ``workers``.
     """
-    seeds = replica_seeds(spec.master_seed, spec.replicas)
+    R = spec.replicas
+    plan = RunPlan(params, cost_model, spec.n_final)
     common = (params, family, cost_model, projection, np.asarray(theta0, dtype=float),
               spec.n_final, spec.checkpoints)
-    if workers <= 1:
-        return _run_chunk(common + (seeds, ball))
-    chunks = [seeds[i::workers] for i in range(workers)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_run_chunk, [common + (c, ball) for c in chunks]))
-    out: list[Optional[RunRecord]] = [None] * spec.replicas
-    for w, part in enumerate(parts):
-        for j, rec in enumerate(part):
-            out[w + j * workers] = rec
-    return out  # type: ignore[return-value]
+    starts = range(0, R, BLOCK)
+    tasks = [(common, seed, min(BLOCK, R - j), ball, plan)
+             for j, seed in zip(starts, block_seeds(spec.master_seed, len(starts)))]
+    if workers <= 1 or len(tasks) == 1:
+        parts = [_run_block(t) for t in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+            parts = list(pool.map(_run_block, tasks))
+    return [rec for part in parts for rec in part]
 
 
 def ks_statistic(sample: np.ndarray) -> float:
@@ -206,19 +209,13 @@ def clt_report(records: Sequence[RunRecord], params: ParameterSet, family: Level
     target = H_inv @ Gamma @ H_inv.T
     theta_star = family.theta_star
     pred = predict(params, checkpoint)
-    kept = []
-    for rec in records:
-        if rec.aborted:
-            continue
-        theta = rec.checkpoint_at(checkpoint).theta
-        if float(np.linalg.norm(theta - theta_star)) > divergence_radius:
-            continue
-        kept.append(rec)
+    kept = [cp for cp in (rec.checkpoint_at(checkpoint) for rec in records if not rec.aborted)
+            if float(np.linalg.norm(cp.theta - theta_star)) <= divergence_radius]
     n_kept = len(kept)
     if n_kept < 2:
         raise InsufficientReplicas(f"fewer than 2 of {len(records)} replicas survive screening")
-    theta_bars = np.stack([rec.checkpoint_at(checkpoint).theta_bar for rec in kept])
-    costs = np.array([rec.checkpoint_at(checkpoint).cost for rec in kept])
+    theta_bars = np.stack([cp.theta_bar for cp in kept])
+    costs = np.array([cp.cost for cp in kept])
     center = theta_bars - theta_star
     if params.regime == SLOW:
         center = center + pred.eps_bias * (H_inv @ family.mu)
@@ -293,31 +290,24 @@ def l2_monitor(records: Sequence[RunRecord], params: ParameterSet, theta_star,
     if not usable:
         raise InsufficientReplicas(f"all {len(records)} replicas aborted")
     maps = [{cp.n: cp for cp in rec.checkpoints} for rec in usable]
-    common_ns = sorted(set.intersection(*(set(m) for m in maps)))
+    ns = np.array(sorted(set.intersection(*(set(m) for m in maps))), dtype=int)
+    cps = [[m[n] for m in maps] for n in ns]  # common checkpoint x replica
+    if any(cp.in_ball is None for row in cps for cp in row):
+        raise ValueError("records lack ball-monitor flags; rerun with ball tracking")
+    stay = np.array([[cp.in_ball for cp in row] for row in cps], dtype=bool).reshape(
+        len(ns), len(maps))
+    theta = np.array([[cp.theta for cp in row] for row in cps], dtype=float).reshape(
+        stay.shape + theta_star.shape)
+    err2 = np.where(stay, ((theta - theta_star) ** 2).sum(axis=2), 0.0)
+    dn = l2_delta(params, ns)
+    per_n = np.sqrt(err2.mean(axis=1)) / np.where(dn > 0.0, dn, 1.0)
     values: list[float] = []
     flagged: list[bool] = []
     for lo, hi in wins:
-        per_n = []
-        stayers = 0
-        for n in (m for m in common_ns if lo <= m <= hi):
-            dn = float(l2_delta(params, np.array([n]))[0])
-            if dn <= 0.0:  # critical delta vanishes at n = 1
-                continue
-            sq = []
-            for m in maps:
-                cp = m[n]
-                if cp.in_ball is None:
-                    raise ValueError("records lack ball-monitor flags; rerun with ball tracking")
-                err2 = float(np.sum((cp.theta - theta_star) ** 2))
-                sq.append(err2 if cp.in_ball else 0.0)
-                stayers += int(cp.in_ball)
-            per_n.append(math.sqrt(float(np.mean(sq))) / dn)
-        if per_n and stayers > 0:  # flagged = empty restriction set
-            values.append(float(np.mean(per_n)))
-            flagged.append(False)
-        else:
-            values.append(float("nan"))
-            flagged.append(True)
+        # critical delta vanishes at n = 1; flagged = no usable n or an empty restriction set
+        sel = (ns >= lo) & (ns <= hi) & (dn > 0.0)
+        flagged.append(not stay[sel].any())
+        values.append(float("nan") if flagged[-1] else float(per_n[sel].mean()))
     ratio = None
     if len(values) >= 2 and not flagged[0] and not flagged[-1] and values[0] > 0:
         ratio = values[-1] / values[0]
@@ -330,14 +320,11 @@ def cost_curve(records: Sequence[RunRecord], params: ParameterSet) -> list[dict]
     usable = [rec for rec in records if not rec.aborted]
     if not usable:
         raise InsufficientReplicas(f"all {len(records)} replicas aborted")
-    ns = [cp.n for cp in usable[0].checkpoints]
+    # the critical law has no prediction at n = 1
+    ns = [cp.n for cp in usable[0].checkpoints if params.regime != CRITICAL or cp.n >= 2]
     rows = []
-    for n in ns:
-        costs = [rec.checkpoint_at(n).cost for rec in usable]
-        if params.regime == CRITICAL and n < 2:
-            continue
-        predicted = predict(params, n).predicted_cost
-        mean_cost = float(np.mean(costs))
-        rows.append({"n": n, "mean_cost": mean_cost, "predicted_cost": predicted,
-                     "ratio": mean_cost / predicted})
+    for n, pred in zip(ns, predictions(params, ns)):
+        mean_cost = float(np.mean([rec.checkpoint_at(n).cost for rec in usable]))
+        rows.append({"n": n, "mean_cost": mean_cost, "predicted_cost": pred.predicted_cost,
+                     "ratio": mean_cost / pred.predicted_cost})
     return rows

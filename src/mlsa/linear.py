@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-import scipy.linalg
 
 ScheduleLike = Union[Sequence[float], np.ndarray, Callable[[int], float]]
 
@@ -106,6 +105,7 @@ def lyapunov_norm(cm: ContractingMatrix) -> LyapunovNorm:
     eps0 is found by a grid scan at 1e-3 resolution, refined by bisection, and
     the whole interval is re-verified on a 100-point grid.
     """
+    import scipy.linalg  # imported here: ``import mlsa`` stays free of scipy.linalg
     H, L = cm.H, cm.L
     d = cm.d
     A = H + L * np.eye(d)
@@ -185,6 +185,7 @@ def exp_product_gap(cm: ContractingMatrix, gamma: ScheduleLike, r: int, m: int,
     Both are measured in the Lyapunov norm; requires gamma_{r+1} <= eps0 so the
     contraction argument applies from index r on.
     """
+    import scipy.linalg  # imported here: ``import mlsa`` stays free of scipy.linalg
     if r > m:
         raise ValueError("need r <= m")
     lyap = lyap or lyapunov_norm(cm)
@@ -208,6 +209,7 @@ def exp_lemma_gaps(A: np.ndarray) -> tuple[float, float, float, float]:
 
     Euclidean operator norm; returned flat as (g1, g1_bound, g2, g2_bound).
     """
+    import scipy.linalg  # imported here: ``import mlsa`` stays free of scipy.linalg
     A = np.asarray(A, dtype=float)
     d = A.shape[0]
     eA = scipy.linalg.expm(A)

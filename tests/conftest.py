@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -74,3 +76,18 @@ def cost_model():
 @pytest.fixture
 def identity():
     return IdentityProjection()
+
+
+def reference_counts(params, s, K):
+    """Scalar reference for replication_counts: (N_1, ..., N_s) as Python ints,
+    N_k = ceil((K / M^s) M^((beta+1)/2 (s-k))) after snapping values within
+    1e-9 (relative) of an integer onto it."""
+    def ceil_snapped(x):
+        r = round(x)
+        if abs(x - r) <= 1e-9 * max(1.0, abs(x)):
+            return max(int(r), 1)
+        return max(math.ceil(x), 1)
+
+    base = K / params.M ** s
+    return tuple(ceil_snapped(base * params.M ** (0.5 * (params.beta + 1) * (s - k)))
+                 for k in range(1, s + 1))

@@ -16,7 +16,7 @@ from mlsa import (BallMonitor, ContractingMatrix, GeometricCostModel,
                   exp_product_gap, l2_monitor, linear_iterate, lyapunov_norm,
                   oracle_eps_bias, oracle_eps_diff, predict_critical, predict_slow,
                   psi, run_replicas, spectral_abscissa)
-from mlsa.harness import replica_seeds
+from mlsa.harness import block_seeds
 
 from conftest import (CRITICAL_DEFAULT, CRITICAL_PINNED, SLOW_DEFAULT, SLOW_PINNED,
                       make_scalar_family, make_slow_family)
@@ -271,8 +271,8 @@ def test_criterion_10_determinism(cost_model_mod, identity_mod):
     a3 = artifacts(2)
     assert a1 == a2 == a3
     # seed streams themselves are reproducible objects
-    assert [s.spawn_key for s in replica_seeds(31415, 5)] == [
-        s.spawn_key for s in replica_seeds(31415, 5)]
+    assert [s.spawn_key for s in block_seeds(31415, 5)] == [
+        s.spawn_key for s in block_seeds(31415, 5)]
     report(10, time.perf_counter() - t0, 120.0,
            "records, CLT report and cost table bitwise identical across reruns "
            "and worker counts")

@@ -138,6 +138,12 @@ def test_replicas_rejected_at_validation(tmp_path, capsys):
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and word in err
         assert not os.path.exists(out_dir)
+    # --seed obeys the rule load_config applies to master_seed
+    out_dir = str(tmp_path / "negative_seed")
+    assert main(["run", write_config(tmp_path, BASE), "--seed", "-1", "--out", out_dir]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("parse error:") and "seed" in err
+    assert not os.path.exists(out_dir)
 
 
 def test_predict_prints_table(tmp_path, capsys):
@@ -194,6 +200,13 @@ def test_plot_outputs_svg_with_guide(tmp_path, capsys):
     assert "slope -0.4" in svg
     qq = open(os.path.join(out_dir, "qq_data.csv")).read()
     assert qq.splitlines()[1] == "component,theoretical_quantile,standardized_value"
+    # checkpoints that stop short of n_final: the QQ data use the largest one
+    doc = variant(**{"replication.replicas": 3, "replication.n_final": 40,
+                     "replication.checkpoints": [10, 20]})
+    out_dir = run_dir_of(tmp_path, doc, "p_short")
+    assert main(["plot", out_dir]) == 0
+    with open(os.path.join(out_dir, "qq_data.csv")) as fh:
+        assert len(fh.read().splitlines()) == 2 + 3 * 2  # hash, header, 3 replicas x 2 components
 
 
 def test_plot_empty_dir_exit_one(tmp_path, capsys):

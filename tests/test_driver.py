@@ -3,24 +3,51 @@ import math
 import numpy as np
 import pytest
 
-from mlsa import (BallMonitor, BoxProjection, GeometricCostModel, IdentityProjection,
-                  ParameterSet, SyntheticGaussianFamily, default_theta0,
-                  geometric_checkpoints, replication_counts, run)
+from mlsa import (BallMonitor, BoxProjection, EulerSdeFamily, GeometricCostModel,
+                  IdentityProjection, ParameterSet, ReplicationSpec, SyntheticGaussianFamily,
+                  default_theta0, geometric_checkpoints, run, run_replicas)
 from mlsa.driver import RunPlan, csv_header
 from mlsa.families import LevelFamily
 
-from conftest import CRITICAL_DEFAULT, SLOW_PINNED, make_scalar_family, make_slow_family
+from conftest import (CRITICAL_DEFAULT, SLOW_PINNED, make_scalar_family, make_slow_family,
+                      reference_counts)
 
 
-def reference_run(params, family, cost_model, projection, theta0, n_final, seed):
-    """Scalar reference for run(): plain-Python schedule and one stream per iteration.
+def synthetic_estimate(family, theta, counts, g):
+    """One row's SyntheticGaussianFamily estimate from its (s, d) normals ``g``,
+    with f and the noise factor applied in plain Python (unmodulated, no
+    quadratic term)."""
+    assert not family.modulated and family.Q is None
+    s, d = len(counts), family.d
+    coef = family.M ** (-family.beta * np.arange(1, s + 1) / 2.0) / np.sqrt(
+        np.asarray(counts, dtype=float))
+    v = coef @ g  # the level sum of this row's normals
 
-    Returns (theta_n, theta_bar_n, cost_n) after each iteration n.
+    def apply(A, x):  # A @ x, column by column
+        out = [x[0] * A[i, 0] for i in range(d)]
+        for j in range(1, d):
+            out = [out[i] + x[j] * A[i, j] for i in range(d)]
+        return out
+
+    e = [theta[i] - family.theta_star[i] for i in range(d)]
+    f, noise = apply(family.H, e), apply(family.A, v)
+    bias = family.M ** (-family.alpha * s)
+    return np.array([f[i] + family.mu[i] * (1.0 * bias) + noise[i] for i in range(d)])
+
+
+def reference_run(params, family, cost_model, projection, theta0, n_final, seed, replicas):
+    """Plain-Python reference for run() on one block: a plain-Python schedule,
+    the block's one stream default_rng(seed), one (replicas, s, d) draw per
+    iteration, and every row stepped on its own.
+
+    Returns, per row, the list of (theta_n, theta_bar_n, cost_n) after each
+    iteration n.
     """
     p = params
-    streams = np.random.SeedSequence(seed).spawn(n_final)
-    theta = np.array(theta0, dtype=float)
-    theta_bar, b_bar, K_bar, cost, out = np.zeros_like(theta), 0.0, 0.0, 0.0, []
+    rng = np.random.default_rng(seed)
+    thetas = [np.array(theta0, dtype=float)] * replicas
+    bars = [np.zeros(family.d)] * replicas
+    b_bar, K_bar, cost, out = 0.0, 0.0, 0.0, [[] for _ in range(replicas)]
     for n in range(1, n_final + 1):
         K = p.kappa_K * (p.phi + 1.0) * float(n) ** p.phi
         K_bar += K
@@ -30,20 +57,35 @@ def reference_run(params, family, cost_model, projection, theta0, n_final, seed)
         else:
             raw = (1.0 / p.alpha) * ((p.phi + 1) / 2.0) * math.log(n) / math.log(p.M)
             s = max(math.ceil(raw), 1)
-        counts = replication_counts(p, s, K)
-        z = family.ml_estimate(theta, counts, np.random.default_rng(streams[n - 1]))
+        counts = reference_counts(p, s, K)
+        g = rng.standard_normal((replicas, s, family.d))
         cost += sum(n_k * cost_model.level_cost(None, k) for k, n_k in enumerate(counts, 1))
-        theta = projection(theta + float(n) ** (-p.psi) * z)
         b = float(n) ** p.rho
-        theta_bar = (b_bar * theta_bar + b * theta) / (b_bar + b)
+        for r in range(replicas):
+            z = synthetic_estimate(family, thetas[r], counts, g[r])
+            thetas[r] = projection(thetas[r] + float(n) ** (-p.psi) * z)
+            bars[r] = (b_bar * bars[r] + b * thetas[r]) / (b_bar + b)
+            out[r].append((thetas[r], bars[r], cost))
         b_bar += b
-        out.append((theta, theta_bar, cost))
     return out
+
+
+def per_iteration_stream_run(family, plan, theta0, n_final, stream):
+    """The earlier stream layout, kept as an in-law reference: one replica
+    alone, iteration n drawing from default_rng(stream.spawn(n_final)[n-1])."""
+    theta, bar, b_bar = np.array(theta0, dtype=float), np.zeros(family.d), 0.0
+    for i, child in enumerate(stream.spawn(n_final)):
+        counts = plan.counts[i, :plan.s[i]]
+        z = family.ml_estimate(theta[None], counts, np.random.default_rng(child))[0]
+        theta = theta + plan.gamma[i] * z
+        bar = (b_bar * bar + plan.b[i] * theta) / (b_bar + plan.b[i])
+        b_bar += plan.b[i]
+    return bar
 
 
 def test_first_step_is_linear_contraction(slow_params_pinned, cost_model):
     fam = make_scalar_family(H=-1.0, mu=0.0, noise=0.0)
-    rec = run(slow_params_pinned, fam, cost_model, IdentityProjection(), [1.0], 1, (1,), 0)
+    [rec] = run(slow_params_pinned, fam, cost_model, IdentityProjection(), [1.0], 1, (1,), 0)
     assert rec.theta_final[0] == pytest.approx(1.0 - 1.0, abs=0)  # gamma_1 = 1
     assert rec.theta_bar_final[0] == rec.theta_final[0]  # average starts at n = 1
 
@@ -54,7 +96,7 @@ def test_step_box_clamp(slow_params_pinned, cost_model):
                                   noise_factor=[[0.0]], alpha=1.0, beta=0.5, M=2.0)
     p = ParameterSet(**dict(SLOW_PINNED, kappa_s=1e-3))  # keeps s_1 = 1
     box = BoxProjection([-0.5], [0.5])
-    rec = run(p, fam, cost_model, box, [0.4], 1, (1,), 0)
+    [rec] = run(p, fam, cost_model, box, [0.4], 1, (1,), 0)
     assert rec.theta_final[0] == pytest.approx(0.5, abs=0)
 
 
@@ -68,8 +110,8 @@ def test_iteration_cost_arithmetic(critical_params):
 
 def test_step_cost_matches_schedule(slow_params_pinned, cost_model):
     fam = make_scalar_family()
-    counts = replication_counts(slow_params_pinned, 1, 3.0)  # s_1 = 1, K_1 = 3
-    rec = run(slow_params_pinned, fam, cost_model, IdentityProjection(), [1.0], 1, (1,), 0)
+    counts = reference_counts(slow_params_pinned, 1, 3.0)  # s_1 = 1, K_1 = 3
+    [rec] = run(slow_params_pinned, fam, cost_model, IdentityProjection(), [1.0], 1, (1,), 0)
     assert rec.cost_final == sum(n_k * cost_model.level_cost(None, k)
                                  for k, n_k in enumerate(counts, 1))
 
@@ -77,8 +119,8 @@ def test_step_cost_matches_schedule(slow_params_pinned, cost_model):
 def test_run_is_deterministic(slow_params, slow_family, cost_model, identity):
     theta0 = default_theta0(slow_family)
     kw = dict(n_final=150, checkpoints=(10, 150), seed=987)
-    a = run(slow_params, slow_family, cost_model, identity, theta0, **kw)
-    b = run(slow_params, slow_family, cost_model, identity, theta0, **kw)
+    [a] = run(slow_params, slow_family, cost_model, identity, theta0, **kw)
+    [b] = run(slow_params, slow_family, cost_model, identity, theta0, **kw)
     assert rows(a) == rows(b)
     assert np.array_equal(a.theta_final, b.theta_final)
 
@@ -87,7 +129,7 @@ def test_zero_noise_contraction_bound(cost_model, identity):
     p = ParameterSet(**SLOW_PINNED)
     fam = make_scalar_family(H=-1.0, mu=0.0, noise=0.0)
     n = 10 ** 4
-    rec = run(p, fam, cost_model, identity, [1.0], n, (n,), 0)
+    [rec] = run(p, fam, cost_model, identity, [1.0], n, (n,), 0)
     # |theta_n| <= prod(1 - gamma_k) <= exp(-sum gamma_k), computed alongside
     gammas = np.arange(1, n + 1, dtype=float) ** -0.75
     bound = np.exp(np.sum(np.log1p(-np.minimum(gammas, 1 - 1e-16))))
@@ -97,8 +139,8 @@ def test_zero_noise_contraction_bound(cost_model, identity):
 
 def test_streaming_average_matches_direct_sum(slow_params, slow_family, cost_model, identity):
     n = 2000
-    rec = run(slow_params, slow_family, cost_model, identity,
-              default_theta0(slow_family), n, tuple(range(1, n + 1)), 4242)
+    [rec] = run(slow_params, slow_family, cost_model, identity,
+                default_theta0(slow_family), n, tuple(range(1, n + 1)), 4242)
     b = np.arange(1, n + 1, dtype=float) ** slow_params.rho
     thetas = np.stack([cp.theta for cp in rec.checkpoints])
     direct = (b[:, None] * thetas).sum(axis=0) / b.sum()
@@ -106,8 +148,8 @@ def test_streaming_average_matches_direct_sum(slow_params, slow_family, cost_mod
 
 
 def test_cost_strictly_increasing(slow_params, slow_family, cost_model, identity):
-    rec = run(slow_params, slow_family, cost_model, identity,
-              default_theta0(slow_family), 50, tuple(range(1, 51)), 7)
+    [rec] = run(slow_params, slow_family, cost_model, identity,
+                default_theta0(slow_family), 50, tuple(range(1, 51)), 7)
     costs = [cp.cost for cp in rec.checkpoints]
     assert all(b > a for a, b in zip(costs, costs[1:]))
 
@@ -116,11 +158,8 @@ def test_default_config_average_improves(slow_params, cost_model, identity):
     fam = make_slow_family()
     theta0 = default_theta0(fam)
     d0 = np.linalg.norm(theta0 - fam.theta_star)
-    improved = 0
-    for seed in range(100):
-        rec = run(slow_params, fam, cost_model, identity, theta0, 2000, (2000,), seed)
-        if np.linalg.norm(rec.theta_bar_final - fam.theta_star) < d0:
-            improved += 1
+    records = run(slow_params, fam, cost_model, identity, theta0, 2000, (2000,), 0, replicas=100)
+    improved = sum(np.linalg.norm(rec.theta_bar_final - fam.theta_star) < d0 for rec in records)
     assert improved >= 99
 
 
@@ -133,16 +172,16 @@ class _BlowUpFamily(LevelFamily):
         self.calls = 0
 
     def sample_level_diff_batch(self, theta, k, size, rng):
-        return np.stack([self.ml_estimate(theta, [1], rng)] * size)
+        return np.zeros((size, 1))
 
     def ml_estimate(self, theta, counts, rng):
         self.calls += 1
-        return np.array([np.inf]) if self.calls >= self.at else np.array([0.0])
+        return np.full(np.shape(theta), np.inf if self.calls >= self.at else 0.0)
 
 
 def test_abort_flags_partial_record(slow_params, cost_model, identity):
     fam = _BlowUpFamily(at=5)
-    rec = run(slow_params, fam, cost_model, identity, [1.0], 20, (3, 10), 0)
+    [rec] = run(slow_params, fam, cost_model, identity, [1.0], 20, (3, 10), 0)
     assert rec.aborted
     assert rec.abort_iteration == 5
     assert not np.isfinite(rec.abort_z[0])
@@ -152,14 +191,14 @@ def test_abort_flags_partial_record(slow_params, cost_model, identity):
 def test_ball_monitor_tracks_previous_iterates(slow_params, cost_model, identity):
     fam = make_scalar_family(H=-0.5, mu=0.0, noise=0.0)  # theta_1 = 0.5 after gamma_1 = 1
     ball = BallMonitor(center=np.zeros(1), eps=0.05, n0=1)
-    rec = run(slow_params, fam, cost_model, identity, [1.0], 30,
-              tuple(range(1, 31)), 0, ball=ball)
+    [rec] = run(slow_params, fam, cost_model, identity, [1.0], 30,
+                tuple(range(1, 31)), 0, ball=ball)
     flags = [cp.in_ball for cp in rec.checkpoints]
     assert flags[0] is True  # no m in [n0, 0] yet
     assert all(f is False for f in flags[1:])  # theta_1 left; the restriction never resets
     ball_late = BallMonitor(center=np.zeros(1), eps=0.05, n0=25)
-    rec2 = run(slow_params, fam, cost_model, identity, [1.0], 30,
-               tuple(range(1, 31)), 0, ball=ball_late)
+    [rec2] = run(slow_params, fam, cost_model, identity, [1.0], 30,
+                 tuple(range(1, 31)), 0, ball=ball_late)
     assert rec2.checkpoints[-1].in_ball is True  # contraction done before n0
 
 
@@ -174,26 +213,59 @@ def test_run_matches_scalar_reference(slow_params, critical_params, cost_model):
              (slow_params, make_slow_family(), BoxProjection([0.0, 0.0], [0.9, 0.9])),
              (critical_params, make_scalar_family(beta=1.0), IdentityProjection()),
              (critical_params, make_scalar_family(beta=1.0), BoxProjection([0.2], [1.5]))]
+    replicas = 9  # enough rows that a BLAS product would group some differently
     for params, fam, proj in cases:
         theta0 = default_theta0(fam)
         # numpy's vectorised power may differ from libm pow by an ulp beyond n = 10
         # on some CPUs, so the bitwise check runs 10 iterations and a longer run
         # is held to a relative tolerance of a few hundred ulps
         for n_final, rtol in ((10, 0.0), (200, 1e-13)):
-            ref = reference_run(params, fam, cost_model, proj, theta0, n_final, seed=55)
-            rec = run(params, fam, cost_model, proj, theta0, n_final,
-                      tuple(range(1, n_final + 1)), 55)
-            for cp, (theta, theta_bar, cost) in zip(rec.checkpoints, ref, strict=True):
-                np.testing.assert_allclose(cp.theta, theta, rtol=rtol, atol=0)
-                np.testing.assert_allclose(cp.theta_bar, theta_bar, rtol=rtol, atol=0)
-                assert cp.cost == cost  # integer-valued sums are exact in any order
+            ref = reference_run(params, fam, cost_model, proj, theta0, n_final, 55, replicas)
+            records = run(params, fam, cost_model, proj, theta0, n_final,
+                          tuple(range(1, n_final + 1)), 55, replicas=replicas)
+            for rec, ref_rows in zip(records, ref, strict=True):
+                for cp, (theta, theta_bar, cost) in zip(rec.checkpoints, ref_rows, strict=True):
+                    np.testing.assert_allclose(cp.theta, theta, rtol=rtol, atol=0)
+                    np.testing.assert_allclose(cp.theta_bar, theta_bar, rtol=rtol, atol=0)
+                    assert cp.cost == cost  # integer-valued sums are exact in any order
+
+
+def test_block_streams_match_per_iteration_streams_in_law(slow_params, cost_model, identity):
+    from scipy.stats import ks_2samp
+
+    fam, R, n = make_slow_family(), 400, 200
+    theta0 = default_theta0(fam)
+    plan = RunPlan(slow_params, cost_model, n)
+    spec = ReplicationSpec(replicas=R, n_final=n, checkpoints=(n,), master_seed=1)
+    block = np.stack([rec.theta_bar_final for rec in run_replicas(
+        spec, slow_params, fam, cost_model, identity, theta0)])
+    old = np.stack([per_iteration_stream_run(fam, plan, theta0, n, stream)
+                    for stream in np.random.SeedSequence(2).spawn(R)])
+    for j in range(fam.d):
+        assert ks_2samp(block[:, j], old[:, j]).pvalue > 0.01
+
+
+def test_aborted_row_leaves_other_rows_unchanged(slow_params, cost_model):
+    cases = [(make_slow_family(), [1e308, 1e308]),  # H e overflows at n = 1
+             (EulerSdeFamily(drift=0.05, diffusion=0.2, target=1.0), [np.inf])]
+    for fam, blow_up in cases:
+        theta0 = np.tile(default_theta0(fam), (4, 1))
+        kw = dict(n_final=12, checkpoints=(3, 12), seed=8, replicas=4)
+        calm = run(slow_params, fam, cost_model, IdentityProjection(), theta0, **kw)
+        theta0[1] = blow_up
+        mixed = run(slow_params, fam, cost_model, IdentityProjection(), theta0, **kw)
+        assert mixed[1].aborted and mixed[1].abort_iteration == 1
+        assert mixed[1].checkpoints == () and mixed[1].cost_final == 0.0
+        for r in (0, 2, 3):
+            assert not mixed[r].aborted
+            assert rows(mixed[r]) == rows(calm[r])
 
 
 def test_run_precomputed_plan_reuse(slow_params, slow_family, cost_model, identity):
     plan = RunPlan(slow_params, cost_model, 100)
     theta0 = default_theta0(slow_family)
-    a = run(slow_params, slow_family, cost_model, identity, theta0, 100, (100,), 5, plan=plan)
-    b = run(slow_params, slow_family, cost_model, identity, theta0, 100, (100,), 5)
+    [a] = run(slow_params, slow_family, cost_model, identity, theta0, 100, (100,), 5, plan=plan)
+    [b] = run(slow_params, slow_family, cost_model, identity, theta0, 100, (100,), 5)
     assert rows(a) == rows(b)
 
 
@@ -208,8 +280,8 @@ def rows(rec):
 
 
 def test_record_serialization_roundtrip(slow_params, slow_family, cost_model, identity):
-    rec = run(slow_params, slow_family, cost_model, identity,
-              default_theta0(slow_family), 20, (10, 20), 3)
+    [rec] = run(slow_params, slow_family, cost_model, identity,
+                default_theta0(slow_family), 20, (10, 20), 3)
     assert csv_header(2) == ["n", "theta_0", "theta_1", "theta_bar_0", "theta_bar_1", "cost"]
     assert len(rows(rec)) == 2
     for cp, row in zip(rec.checkpoints, rows(rec)):

@@ -135,7 +135,7 @@ def test_cost_model_values():
 
 def test_generic_estimate_matches_collapse_at_zero_noise():
     fam = make_scalar_family(mu=0.9, noise=0.0)
-    theta = np.array([0.3])
+    theta = np.array([[0.3], [-0.8]])
     counts = (7, 4, 2)
     rng = np.random.default_rng(0)
     z_fast = fam.ml_estimate(theta, counts, rng)

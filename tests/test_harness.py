@@ -9,8 +9,9 @@ import scipy.special
 
 from mlsa import (BallMonitor, ParameterSet, ReplicationSpec, clt_report, cost_curve,
                   default_theta0, kolmogorov_critical, ks_statistic, l2_monitor,
-                  normalized_sample_stats, replica_seeds, replication_counts, run_replicas)
+                  normalized_sample_stats, block_seeds, replication_counts, run_replicas)
 from mlsa.driver import Checkpoint
+from mlsa.harness import BLOCK
 
 from conftest import CRITICAL_DEFAULT, make_scalar_family, make_slow_family
 
@@ -26,7 +27,7 @@ def small_spec(R=4, n=50, seed=11, checkpoints=None):
 
 
 def test_replica_seed_streams_are_distinct():
-    seeds = replica_seeds(123, 150)  # 150 streams give ~1.1e4 pairs
+    seeds = block_seeds(123, 150)  # 150 streams give ~1.1e4 pairs
     prefixes = set()
     for s in seeds:
         draws = np.random.default_rng(s).random(64)
@@ -45,12 +46,13 @@ def test_run_replicas_deterministic_and_nondegenerate(slow_params, slow_family,
 
 
 def test_run_replicas_worker_count_invariance(slow_params, slow_family, cost_model, identity):
+    # three blocks, the last one partial: each block runs whole on one worker
     theta0 = default_theta0(slow_family)
-    seq = run_replicas(small_spec(R=5), slow_params, slow_family, cost_model,
-                       identity, theta0, workers=1)
-    par = run_replicas(small_spec(R=5), slow_params, slow_family, cost_model,
-                       identity, theta0, workers=2)
-    assert csv_rows(seq) == csv_rows(par)
+    spec = small_spec(R=2 * BLOCK + 3, n=50)
+    runs = [run_replicas(spec, slow_params, slow_family, cost_model, identity, theta0,
+                         workers=w) for w in (1, 2, 3)]
+    assert len(runs[0]) == 2 * BLOCK + 3
+    assert csv_rows(runs[0]) == csv_rows(runs[1]) == csv_rows(runs[2])
 
 
 def test_kolmogorov_critical_against_scipy():
@@ -67,7 +69,8 @@ def test_import_loads_neither_scipy_stats_nor_special():
     # a fresh interpreter: this test session has already imported scipy.special
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     code = ("import sys, mlsa; "
-            "print(sorted(m for m in ('scipy.stats', 'scipy.special') if m in sys.modules))")
+            "print(sorted(m for m in ('scipy.stats', 'scipy.special', 'scipy.linalg') "
+            "if m in sys.modules))")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -137,8 +140,7 @@ def displaced(rec, n, shift):
     cps = tuple(Checkpoint(cp.n, cp.theta + shift, cp.theta_bar, cp.cost, cp.in_ball)
                 if cp.n >= n else cp for cp in rec.checkpoints)
     return type(rec)(checkpoints=cps, n_final=rec.n_final, theta_final=rec.theta_final + shift,
-                     theta_bar_final=rec.theta_bar_final, cost_final=rec.cost_final,
-                     seed=rec.seed)
+                     theta_bar_final=rec.theta_bar_final, cost_final=rec.cost_final)
 
 
 def test_clt_report_screens_divergent(slow_params, cost_model, identity):
@@ -222,6 +224,6 @@ def test_cost_curve_deterministic_rows(cost_model, identity):
     for m, s in ((1, 1), (2, 2)):  # s_n = max(ceil(1.5 log2 n), 1)
         K = p.kappa_K * 3.0 * m ** 2
         expected += sum(n_k * cost_model.level_cost(None, k)
-                        for k, n_k in enumerate(replication_counts(p, s, K), 1))
+                        for k, n_k in enumerate(replication_counts(p, s, K)[0], 1))
     assert rows[0]["mean_cost"] == pytest.approx(expected, rel=1e-12)
     assert rows[0]["ratio"] == pytest.approx(rows[0]["mean_cost"] / rows[0]["predicted_cost"])
