@@ -4,9 +4,8 @@ from .params import (CRITICAL, SLOW, InvalidParameters, ParameterSet, Validation
                      schedule_arrays, validate)
 from .families import (EulerSdeFamily, GeometricCostModel, LevelFamily,
                        SyntheticGaussianFamily, empirical_order_check)
-from .driver import (BallMonitor, BoxProjection, Checkpoint, IdentityProjection,
-                     RunPlan, RunRecord, default_theta0, geometric_checkpoints,
-                     replication_counts, run)
+from .driver import (BallMonitor, BoxProjection, IdentityProjection, RunPlan, RunRecord,
+                     default_theta0, geometric_checkpoints, replication_counts, run)
 from .asymptotics import (AsymptoticPrediction, RateBundle, RegimeClass,
                           classify_regime_corollary, oracle_eps_bias, oracle_eps_diff,
                           predict, predict_critical, predict_slow, psi, rates)

@@ -89,9 +89,12 @@ def _sha256(path: str) -> str:
 
 
 def cmd_run(args) -> int:
-    if args.seed is not None and args.seed < 0:  # the rule load_config applies to master_seed
-        print(f"parse error: --seed must be an integer >= 0, got {args.seed}", file=sys.stderr)
-        return 2
+    # --seed follows the rule load_config applies to master_seed
+    for flag, value, least in (("--seed", args.seed, 0), ("--workers", args.workers, 1)):
+        if value is not None and value < least:
+            print(f"parse error: {flag} must be an integer >= {least}, got {value}",
+                  file=sys.stderr)
+            return 2
     cfg, rc = _load_or_report(args.config)
     if cfg is None:
         return rc
@@ -113,8 +116,8 @@ def cmd_run(args) -> int:
     n0_l2 = max(1, spec.n_final // 8)
     ball = BallMonitor(center=family.theta_star, eps=eps_l2, n0=n0_l2)
     workers = args.workers or min(os.cpu_count() or 1, spec.replicas)
-    records = harness.run_replicas(spec, cfg.params, family, cost_model, projection,
-                                   theta0, workers=workers, ball=ball)
+    record = harness.run_replicas(spec, cfg.params, family, cost_model, projection,
+                                  theta0, workers=workers, ball=ball)
     cfg_hash = cfg.config_hash()
     manifest = {
         "config": cfg.to_dict(),
@@ -141,13 +144,11 @@ def cmd_run(args) -> int:
         return buf.getvalue()
 
     try:
-        write("records.csv", csv_text(["replica"] + csv_header(family.d),
-                                      ([idx] + cp.csv_row() for idx, rec in enumerate(records)
-                                       for cp in rec.checkpoints)))
+        write("records.csv", csv_text(["replica"] + csv_header(family.d), record.csv_rows()))
 
         checkpoint = max(spec.checkpoints)
         if family.has_ground_truth():
-            report = harness.clt_report(records, cfg.params, family, checkpoint,
+            report = harness.clt_report(record, cfg.params, family, checkpoint,
                                         divergence_radius=radius,
                                         inputs={"config_hash": cfg_hash,
                                                 "master_seed": spec.master_seed})
@@ -157,7 +158,7 @@ def cmd_run(args) -> int:
                                   "skipped": "family has no ground truth"})
         write("clt_report.json", payload)
 
-        rows = harness.cost_curve(records, cfg.params)
+        rows = harness.cost_curve(record, cfg.params)
         write("cost_table.csv", csv_text(
             ["n", "mean_cost", "predicted_cost", "ratio"],
             ([r["n"], repr(r["mean_cost"]), repr(r["predicted_cost"]), repr(r["ratio"])]
@@ -170,7 +171,7 @@ def cmd_run(args) -> int:
             windows.append((min(lo), max(lo)))
         if hi:
             windows.append((min(hi), max(hi)))
-        mon = harness.l2_monitor(records, cfg.params, family.theta_star, eps_l2, n0_l2, windows)
+        mon = harness.l2_monitor(record, cfg.params, family.theta_star, eps_l2, n0_l2, windows)
         doc = json.loads(mon.to_json())
         doc["config_hash"] = cfg_hash
         doc["master_seed"] = spec.master_seed
@@ -217,18 +218,12 @@ def cmd_plot(args) -> int:
     family = build_family(cfg)
     theta_star = family.theta_star
 
-    bars: dict[int, list] = {}
-    costs: dict[int, list] = {}
-    with open(os.path.join(run_dir, "records.csv"), "r", encoding="utf-8") as fh:
-        fh.readline()
-        for row in csv.DictReader(fh):
-            n = int(row["n"])
-            bars.setdefault(n, []).append([float(row[f"theta_bar_{i}"]) for i in range(family.d)])
-            costs.setdefault(n, []).append(float(row["cost"]))
-    ns = sorted(bars)
-    mean_err = np.array([np.linalg.norm(np.array(bars[n]) - theta_star, axis=1).mean()
-                         for n in ns])
-    mean_cost = np.array([np.mean(costs[n]) for n in ns])
+    # records.csv: a hash comment, then ["replica"] + csv_header(d) and its rows
+    table = np.loadtxt(os.path.join(run_dir, "records.csv"), delimiter=",", skiprows=2, ndmin=2)
+    n_col, bar, cost = table[:, 1], table[:, 2 + family.d:2 + 2 * family.d], table[:, -1]
+    ns = np.unique(n_col)
+    mean_err = np.array([np.linalg.norm(bar[n_col == n] - theta_star, axis=1).mean() for n in ns])
+    mean_cost = np.array([cost[n_col == n].mean() for n in ns])
     keep = mean_err > 0
     mean_err, mean_cost = mean_err[keep], mean_cost[keep]
 
@@ -254,7 +249,7 @@ def cmd_plot(args) -> int:
         fh.write(f"# config_hash={cfg_hash}\n")
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["component", "theoretical_quantile", "standardized_value"])
-        bars = np.array(bars[ns[-1]])  # the largest checkpoint, as in the CLT report
+        bars = bar[n_col == ns[-1]]  # the largest checkpoint, as in the CLT report
         for j in range(bars.shape[1]):
             col = np.sort(bars[:, j])
             col = (col - col.mean()) / (col.std(ddof=1) or 1.0)

@@ -15,7 +15,6 @@ replicas runs in lockstep as one (R, d) state on a random stream it owns.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -88,37 +87,40 @@ def csv_header(d: int) -> list[str]:
 
 
 @dataclass(frozen=True)
-class Checkpoint:
-    n: int
+class RunRecord:
+    """Checkpointed output of one run of R replicas; row r is replica r.
+
+    ``theta``, ``theta_bar`` (c, R, d) and ``in_ball`` (c, R; None without a
+    ball monitor) hold all rows after iteration ``ns[j]``; ``cost`` (c,) is
+    shared, the cost model being theta-free.  A row that turned non-finite at
+    iteration ``abort_iteration[r]`` (0: it completed) is frozen from then on
+    and its later checkpoints are not part of the record; ``abort_z[r]`` is
+    its estimate there (NaN if it completed), ``cost_final[r]`` the cost before.
+    """
+
+    ns: np.ndarray
     theta: np.ndarray
     theta_bar: np.ndarray
-    cost: float
-    in_ball: Optional[bool] = None
-
-    def csv_row(self) -> list:
-        """Values under :func:`csv_header`, floats as exact ``repr``."""
-        return ([self.n] + [repr(float(x)) for x in self.theta]
-                + [repr(float(x)) for x in self.theta_bar] + [repr(float(self.cost))])
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    """Checkpointed output of one replica run."""
-
-    checkpoints: tuple[Checkpoint, ...]
-    n_final: int
+    cost: np.ndarray
+    in_ball: Optional[np.ndarray]
     theta_final: np.ndarray
     theta_bar_final: np.ndarray
-    cost_final: float
-    aborted: bool = False
-    abort_iteration: Optional[int] = None
-    abort_z: Optional[np.ndarray] = None
+    cost_final: np.ndarray
+    abort_iteration: np.ndarray
+    abort_z: np.ndarray
 
-    def checkpoint_at(self, n: int) -> Checkpoint:
-        i = bisect.bisect_left(self.checkpoints, n, key=lambda cp: cp.n)
-        if i < len(self.checkpoints) and self.checkpoints[i].n == n:
-            return self.checkpoints[i]
-        raise KeyError(f"no checkpoint at n={n}")
+    @property
+    def aborted(self) -> np.ndarray:
+        return self.abort_iteration > 0
+
+    def csv_rows(self) -> list[list]:
+        """Rows under ``["replica"] + csv_header(d)``, replica by replica, over the
+        checkpoints reached before any abort; csv writes the floats as exact repr."""
+        reached = ~self.aborted | (self.ns[:, None] < self.abort_iteration)
+        rep, j = np.nonzero(reached.T)
+        values = np.hstack([self.theta[j, rep], self.theta_bar[j, rep], self.cost[j, None]])
+        return [[r, n, *v] for r, n, v in zip(rep.tolist(), self.ns[j].tolist(),
+                                              values.tolist())]
 
 
 class RunPlan:
@@ -163,18 +165,18 @@ def geometric_checkpoints(n_final: int, factor: float = 1.25) -> tuple[int, ...]
 
 def run(params: ParameterSet, family: LevelFamily, cost_model, projection,
         theta0, n_final: int, checkpoints: Sequence[int], seed, *, replicas: int = 1,
-        ball: Optional[BallMonitor] = None, plan: Optional[RunPlan] = None) -> list[RunRecord]:
+        ball: Optional[BallMonitor] = None, plan: Optional[RunPlan] = None) -> RunRecord:
     """Run a block of ``replicas`` replicas in lockstep for ``n_final`` iterations.
 
     The states are the rows of one (replicas, d) array started at ``theta0``;
     each iteration makes one ``ml_estimate`` call for all rows on the stream
-    ``default_rng(seed)`` (an int or a SeedSequence seed).  ``checkpoints`` are
-    recorded after the indicated iteration completes.  A row whose state turns
-    non-finite aborts alone with a partial record flagged invalid; it stays in
-    the block, frozen, so the other rows draw and record exactly as before.
+    ``default_rng(seed)`` (an int or a SeedSequence seed).  The whole block is
+    recorded after each iteration in ``checkpoints``.  A row whose state turns
+    non-finite aborts alone; it stays in the block, frozen, so the other rows
+    draw and record exactly as before.
     """
-    checkpoints = frozenset(int(c) for c in checkpoints)
-    if checkpoints and (min(checkpoints) < 1 or max(checkpoints) > n_final):
+    ns = np.array(sorted({int(c) for c in checkpoints}), dtype=np.int64)
+    if ns.size and (ns[0] < 1 or ns[-1] > n_final):
         raise ValueError("checkpoints must lie in [1, n_final]")
     rp = plan or RunPlan(params, cost_model, n_final)
     if rp.n_final < n_final:
@@ -183,12 +185,15 @@ def run(params: ParameterSet, family: LevelFamily, cost_model, projection,
     theta = np.array(np.broadcast_to(np.asarray(theta0, dtype=float), (replicas, family.d)))
     theta_bar = np.zeros_like(theta)
     b_bar = 0.0
-    cost = 0.0
     live = np.ones(replicas, dtype=bool)
     in_ball = np.ones(replicas, dtype=bool)
-    aborts = {}  # row -> (abort iteration, its estimate, cost so far)
-    recorded: list[list[Checkpoint]] = [[] for _ in range(replicas)]
-    gamma, b, s, counts, cost_inc = rp.gamma, rp.b, rp.s, rp.counts, rp.cost_inc
+    abort_iteration = np.zeros(replicas, dtype=np.int64)
+    abort_z = np.full(theta.shape, np.nan)
+    rec_theta = np.empty((len(ns),) + theta.shape)
+    rec_bar = np.empty_like(rec_theta)
+    rec_ball = None if ball is None else np.empty((len(ns), replicas), dtype=bool)
+    at = dict(zip(ns.tolist(), range(len(ns))))  # checkpoint n -> its slot
+    gamma, b, s, counts = rp.gamma, rp.b, rp.s, rp.counts
     # non-finite states are expected here: they are detected and abort their row
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_final):
@@ -201,24 +206,21 @@ def run(params: ParameterSet, family: LevelFamily, cost_model, projection,
             bar_new = (b_bar * theta_bar + b[i] * theta_new) / b_bar_new
             if not (live.all() and np.isfinite(theta_new).all()):
                 failed = live & ~np.isfinite(theta_new).all(axis=1)
-                for r in np.flatnonzero(failed):
-                    aborts[r] = (n, z[r].copy(), cost)
+                abort_iteration[failed] = n
+                abort_z[failed] = z[failed]
                 live &= ~failed
                 theta_new = np.where(live[:, None], theta_new, theta)
                 bar_new = np.where(live[:, None], bar_new, theta_bar)
             theta, theta_bar, b_bar = theta_new, bar_new, b_bar_new
-            cost += cost_inc[i]
-            if n in checkpoints:
-                for r in np.flatnonzero(live):
-                    recorded[r].append(Checkpoint(
-                        n=n, theta=theta[r].copy(), theta_bar=theta_bar[r].copy(), cost=cost,
-                        in_ball=None if ball is None else bool(in_ball[r])))
-    records = []
-    for r in range(replicas):
-        n_abort, z_abort, cost_r = aborts.get(r, (None, None, cost))
-        records.append(RunRecord(
-            checkpoints=tuple(recorded[r]), n_final=n_final if n_abort is None else n_abort - 1,
-            theta_final=theta[r].copy(), theta_bar_final=theta_bar[r].copy(),
-            cost_final=float(cost_r), aborted=n_abort is not None, abort_iteration=n_abort,
-            abort_z=z_abort))
-    return records
+            j = at.get(n)
+            if j is not None:
+                rec_theta[j], rec_bar[j] = theta, theta_bar
+                if rec_ball is not None:
+                    rec_ball[j] = in_ball
+    # spent[n]: the cost of iterations 1..n, summed in iteration order
+    spent = np.concatenate(([0.0], np.cumsum(rp.cost_inc[:n_final])))
+    return RunRecord(
+        ns=ns, theta=rec_theta, theta_bar=rec_bar, cost=spent[ns], in_ball=rec_ball,
+        theta_final=theta, theta_bar_final=theta_bar,
+        cost_final=spent[np.where(abort_iteration > 0, abort_iteration - 1, n_final)],
+        abort_iteration=abort_iteration, abort_z=abort_z)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -70,15 +70,26 @@ def _run_block(args):
     return driver.run(*common, seed, replicas=size, ball=ball, plan=plan)
 
 
+def _join(parts: list[RunRecord]) -> RunRecord:
+    """Block records joined along the replica axis; they share ``ns`` and ``cost``."""
+    def join(name):
+        arrays = [getattr(p, name) for p in parts]
+        if name in ("ns", "cost") or arrays[0] is None:
+            return arrays[0]
+        return np.concatenate(arrays, axis=1 if name in ("theta", "theta_bar", "in_ball") else 0)
+
+    return RunRecord(**{f.name: join(f.name) for f in fields(RunRecord)})
+
+
 def run_replicas(spec: ReplicationSpec, params: ParameterSet, family: LevelFamily,
                  cost_model, projection, theta0, *, workers: int = 1,
-                 ball: Optional[BallMonitor] = None) -> list[RunRecord]:
+                 ball: Optional[BallMonitor] = None) -> RunRecord:
     """Run ``spec.replicas`` independent replicas, deterministically.
 
     Each block of BLOCK replicas runs in lockstep on its own stream; at most
     ``workers`` processes take whole blocks, and a single block runs in this
-    process.  Aborted replicas are returned flagged, never dropped.  The result
-    list is ordered by replica index and independent of ``workers``.
+    process.  Aborted replicas are kept and flagged, never dropped.  Row r of
+    the returned record is replica r, independent of ``workers``.
     """
     R = spec.replicas
     plan = RunPlan(params, cost_model, spec.n_final)
@@ -92,7 +103,7 @@ def run_replicas(spec: ReplicationSpec, params: ParameterSet, family: LevelFamil
     else:
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             parts = list(pool.map(_run_block, tasks))
-    return [rec for part in parts for rec in part]
+    return _join(parts)
 
 
 def ks_statistic(sample: np.ndarray) -> float:
@@ -191,10 +202,10 @@ def normalized_sample_stats(zeta: np.ndarray, target_cov: np.ndarray, level: flo
     }
 
 
-def clt_report(records: Sequence[RunRecord], params: ParameterSet, family: LevelFamily,
+def clt_report(record: RunRecord, params: ParameterSet, family: LevelFamily,
                checkpoint: int, *, divergence_radius: float, level: float = 0.01,
                inputs: Optional[dict] = None) -> CltReport:
-    """Build the CLT verification report at one checkpoint.
+    """Build the CLT verification report at one checkpoint of ``record.ns``.
 
     Screening: replicas whose iterate at ``checkpoint`` lies outside the ball
     of radius ``divergence_radius`` around theta*, or that aborted, are
@@ -205,27 +216,30 @@ def clt_report(records: Sequence[RunRecord], params: ParameterSet, family: Level
     Gamma = np.atleast_2d(family.Gamma)
     if not np.any(Gamma != 0.0):
         raise ValueError("target covariance requires Gamma != 0")
+    hit = np.flatnonzero(record.ns == checkpoint)
+    if not hit.size:
+        raise KeyError(f"no checkpoint at n={checkpoint}")
+    j = int(hit[0])
     H_inv = np.linalg.inv(np.atleast_2d(family.H))
     target = H_inv @ Gamma @ H_inv.T
     theta_star = family.theta_star
     pred = predict(params, checkpoint)
-    kept = [cp for cp in (rec.checkpoint_at(checkpoint) for rec in records if not rec.aborted)
-            if float(np.linalg.norm(cp.theta - theta_star)) <= divergence_radius]
-    n_kept = len(kept)
+    R = len(record.abort_iteration)
+    kept = ~record.aborted & (np.linalg.norm(record.theta[j] - theta_star, axis=1)
+                              <= divergence_radius)
+    n_kept = int(kept.sum())
     if n_kept < 2:
-        raise InsufficientReplicas(f"fewer than 2 of {len(records)} replicas survive screening")
-    theta_bars = np.stack([cp.theta_bar for cp in kept])
-    costs = np.array([cp.cost for cp in kept])
-    center = theta_bars - theta_star
+        raise InsufficientReplicas(f"fewer than 2 of {R} replicas survive screening")
+    center = record.theta_bar[j, kept] - theta_star
     if params.regime == SLOW:
         center = center + pred.eps_bias * (H_inv @ family.mu)
     zeta = center / pred.eps_diff
     stats = normalized_sample_stats(zeta, target, level)
     return CltReport(
         checkpoint=checkpoint,
-        replicas_total=len(records),
+        replicas_total=R,
         replicas_screened=n_kept,
-        screened_fraction=n_kept / len(records),
+        screened_fraction=n_kept / R,
         zeta=zeta,
         mean=stats["mean"],
         cov=stats["cov"],
@@ -237,7 +251,7 @@ def clt_report(records: Sequence[RunRecord], params: ParameterSet, family: Level
         level=level,
         eps_bias=pred.eps_bias,
         eps_diff=pred.eps_diff,
-        cost_ratio=float(costs.mean() / pred.predicted_cost),
+        cost_ratio=float(record.cost[j] / pred.predicted_cost),
         underpowered=n_kept < 100,
         inputs={"params": params.to_dict(), "divergence_radius": divergence_radius,
                 **(inputs or {})},
@@ -272,12 +286,12 @@ class L2Monitor:
         }, sort_keys=True)
 
 
-def l2_monitor(records: Sequence[RunRecord], params: ParameterSet, theta_star,
+def l2_monitor(record: RunRecord, params: ParameterSet, theta_star,
                epsilon: float, n0: int, windows: Sequence[tuple[int, int]]) -> L2Monitor:
     """Windowed estimates of delta_n^-1 E[1{stayed} |theta_n - theta*|^2]^(1/2).
 
     The stay-in-ball indicator is the one tracked by the driver's ball
-    monitor, so records must have been produced with ball=(theta*, epsilon,
+    monitor, so the record must have been produced with ball=(theta*, epsilon,
     n0).  Windows must be disjoint; a window with no usable checkpoint or an
     empty restriction set is flagged.  Only non-aborted replicas enter.
     """
@@ -286,19 +300,14 @@ def l2_monitor(records: Sequence[RunRecord], params: ParameterSet, theta_star,
     for (a1, b1), (a2, b2) in zip(wins, wins[1:]):
         if a2 <= b1:
             raise ValueError("windows must be disjoint and increasing")
-    usable = [rec for rec in records if not rec.aborted]
-    if not usable:
-        raise InsufficientReplicas(f"all {len(records)} replicas aborted")
-    maps = [{cp.n: cp for cp in rec.checkpoints} for rec in usable]
-    ns = np.array(sorted(set.intersection(*(set(m) for m in maps))), dtype=int)
-    cps = [[m[n] for m in maps] for n in ns]  # common checkpoint x replica
-    if any(cp.in_ball is None for row in cps for cp in row):
-        raise ValueError("records lack ball-monitor flags; rerun with ball tracking")
-    stay = np.array([[cp.in_ball for cp in row] for row in cps], dtype=bool).reshape(
-        len(ns), len(maps))
-    theta = np.array([[cp.theta for cp in row] for row in cps], dtype=float).reshape(
-        stay.shape + theta_star.shape)
-    err2 = np.where(stay, ((theta - theta_star) ** 2).sum(axis=2), 0.0)
+    usable = ~record.aborted
+    if not usable.any():
+        raise InsufficientReplicas(f"all {len(usable)} replicas aborted")
+    if record.in_ball is None:
+        raise ValueError("record lacks ball-monitor flags; rerun with ball tracking")
+    ns = record.ns
+    stay = record.in_ball[:, usable]  # checkpoint x replica
+    err2 = np.where(stay, ((record.theta[:, usable] - theta_star) ** 2).sum(axis=2), 0.0)
     dn = l2_delta(params, ns)
     per_n = np.sqrt(err2.mean(axis=1)) / np.where(dn > 0.0, dn, 1.0)
     values: list[float] = []
@@ -315,16 +324,14 @@ def l2_monitor(records: Sequence[RunRecord], params: ParameterSet, theta_star,
                      ratio=ratio, epsilon=float(epsilon), n0=int(n0))
 
 
-def cost_curve(records: Sequence[RunRecord], params: ParameterSet) -> list[dict]:
-    """Rows (n, mean cost_n, predicted cost, ratio) over common checkpoints."""
-    usable = [rec for rec in records if not rec.aborted]
-    if not usable:
-        raise InsufficientReplicas(f"all {len(records)} replicas aborted")
+def cost_curve(record: RunRecord, params: ParameterSet) -> list[dict]:
+    """Rows (n, mean cost_n, predicted cost, ratio) over the checkpoints; the
+    mean cost is the cost every replica shares, as the cost model is theta-free."""
+    if record.aborted.all():
+        raise InsufficientReplicas(f"all {len(record.aborted)} replicas aborted")
     # the critical law has no prediction at n = 1
-    ns = [cp.n for cp in usable[0].checkpoints if params.regime != CRITICAL or cp.n >= 2]
-    rows = []
-    for n, pred in zip(ns, predictions(params, ns)):
-        mean_cost = float(np.mean([rec.checkpoint_at(n).cost for rec in usable]))
-        rows.append({"n": n, "mean_cost": mean_cost, "predicted_cost": pred.predicted_cost,
-                     "ratio": mean_cost / pred.predicted_cost})
-    return rows
+    keep = record.ns >= (2 if params.regime == CRITICAL else 1)
+    ns, costs = record.ns[keep].tolist(), record.cost[keep].tolist()
+    return [{"n": n, "mean_cost": cost, "predicted_cost": pred.predicted_cost,
+             "ratio": cost / pred.predicted_cost}
+            for n, cost, pred in zip(ns, costs, predictions(params, ns))]

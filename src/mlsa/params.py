@@ -8,7 +8,7 @@ a cumulative budget ``K_bar_n = sum_{k<=n} K_k`` and an accuracy level ``s_n``
 whose form depends on the regime:
 
 * slow (beta < 1):   s_n = max(floor(log_M(kappa_s * K_bar_n^(1/(2a-b+1)))), 1)
-* critical (beta=1): s_n = max(ceil((1/alpha'_n) * log_M(n^((phi+1)/2))), 1)
+* critical (beta=1): s_n = max(ceil((1/alpha) * log_M(n^((phi+1)/2))), 1)
 
 ``xi_n`` is the fractional part left over by the floor in the slow regime; it
 drives the periodic modulation of the asymptotic constants.
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, fields
-from typing import Callable, Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
@@ -162,14 +162,11 @@ def validate(params) -> ValidationReport:
     return ValidationReport(not violations, regime, tuple(violations))
 
 
-def schedule_arrays(params: ParameterSet, n: int,
-                    alpha_prime: Optional[Callable[[int], float]] = None) -> dict[str, np.ndarray]:
+def schedule_arrays(params: ParameterSet, n: int) -> dict[str, np.ndarray]:
     """Schedules for all indices 1..n: the single source of s_n, K_bar_n, xi_n.
 
     Returns arrays ``idx, gamma, b, b_bar, K, K_bar, s, xi``.  K_bar uses
-    cumulative summation of the exact terms.  ``alpha_prime`` (critical regime
-    only) is the nondecreasing sequence n -> alpha'_n tending to alpha; the
-    default is the constant alpha.
+    cumulative summation of the exact terms.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
@@ -181,13 +178,7 @@ def schedule_arrays(params: ParameterSet, n: int,
         raw = np.log(p.kappa_s * K_bar ** (1.0 / (2 * p.alpha - p.beta + 1))) / math.log(p.M)
         s = np.maximum(np.floor(raw), 1.0)
     else:
-        if alpha_prime is None:
-            a = np.full(n, p.alpha)
-        else:
-            a = np.array([float(alpha_prime(k)) for k in range(1, n + 1)])
-            if np.any(a <= 0) or np.any(a > p.alpha):
-                raise ValueError("alpha_prime values must lie in (0, alpha]")
-        raw = (1.0 / a) * ((p.phi + 1) / 2.0) * np.log(idx) / math.log(p.M)
+        raw = (1.0 / p.alpha) * ((p.phi + 1) / 2.0) * np.log(idx) / math.log(p.M)
         s = np.maximum(np.ceil(raw), 1.0)
     return {
         "idx": idx,

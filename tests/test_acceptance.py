@@ -37,9 +37,9 @@ def slow_clt(cost_model_mod, identity_mod):
     spec = ReplicationSpec(replicas=1000, n_final=4000, checkpoints=(4000,),
                            master_seed=20240501)
     t0 = time.perf_counter()
-    records = run_replicas(spec, params, family, cost_model_mod, identity_mod,
-                           default_theta0(family), workers=WORKERS)
-    return params, family, records, time.perf_counter() - t0
+    record = run_replicas(spec, params, family, cost_model_mod, identity_mod,
+                          default_theta0(family), workers=WORKERS)
+    return params, family, record, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
@@ -49,9 +49,9 @@ def critical_clt(cost_model_mod, identity_mod):
     spec = ReplicationSpec(replicas=1000, n_final=4000, checkpoints=(4000,),
                            master_seed=20240502)
     t0 = time.perf_counter()
-    records = run_replicas(spec, params, family, cost_model_mod, identity_mod,
-                           default_theta0(family), workers=WORKERS)
-    return params, family, records, time.perf_counter() - t0
+    record = run_replicas(spec, params, family, cost_model_mod, identity_mod,
+                          default_theta0(family), workers=WORKERS)
+    return params, family, record, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
@@ -118,9 +118,9 @@ def test_criterion_04_cost_law_both_regimes(cost_model_mod, identity_mod):
              make_scalar_family(H=-1.0, mu=0.05, gamma_var=1.0, beta=1.0))):
         params = ParameterSet(**cfg)
         spec = ReplicationSpec(replicas=2, n_final=n, checkpoints=(n,), master_seed=7)
-        records = run_replicas(spec, params, fam, cost_model_mod, identity_mod,
-                               default_theta0(fam))
-        row = cost_curve(records, params)[-1]
+        record = run_replicas(spec, params, fam, cost_model_mod, identity_mod,
+                              default_theta0(fam))
+        row = cost_curve(record, params)[-1]
         ratios[name] = row["ratio"]
         assert 0.9 <= row["ratio"] <= 1.1, name
     report(4, time.perf_counter() - t0, 60.0,
@@ -128,9 +128,9 @@ def test_criterion_04_cost_law_both_regimes(cost_model_mod, identity_mod):
 
 
 def test_criterion_05_slow_regime_clt(slow_clt):
-    params, family, records, elapsed = slow_clt
+    params, family, record, elapsed = slow_clt
     t0 = time.perf_counter()
-    rep = clt_report(records, params, family, 4000, divergence_radius=10.0)
+    rep = clt_report(record, params, family, 4000, divergence_radius=10.0)
     elapsed += time.perf_counter() - t0
     assert rep.screened_fraction >= 0.99
     assert rep.frobenius_rel <= 0.15
@@ -143,9 +143,9 @@ def test_criterion_05_slow_regime_clt(slow_clt):
 
 
 def test_criterion_06_critical_regime_clt(critical_clt):
-    params, family, records, elapsed = critical_clt
+    params, family, record, elapsed = critical_clt
     t0 = time.perf_counter()
-    rep = clt_report(records, params, family, 4000, divergence_radius=10.0)
+    rep = clt_report(record, params, family, 4000, divergence_radius=10.0)
     elapsed += time.perf_counter() - t0
     var_ratio = float(rep.cov[0, 0] / rep.target_cov[0, 0])
     assert abs(var_ratio - 1.0) <= 0.15
@@ -239,9 +239,9 @@ def test_criterion_09_l2_bound_monitor(cost_model_mod, identity_mod):
     spec = ReplicationSpec(replicas=500, n_final=8000, checkpoints=cps,
                            master_seed=20240509)
     ball = BallMonitor(center=family.theta_star, eps=0.25, n0=100)
-    records = run_replicas(spec, params, family, cost_model_mod, identity_mod,
-                           theta0, workers=WORKERS, ball=ball)
-    mon = l2_monitor(records, params, family.theta_star, 0.25, 100,
+    record = run_replicas(spec, params, family, cost_model_mod, identity_mod,
+                          theta0, workers=WORKERS, ball=ball)
+    mon = l2_monitor(record, params, family.theta_star, 0.25, 100,
                      [(500, 1000), (4000, 8000)])
     assert not any(mon.flagged)
     assert mon.ratio is not None and mon.ratio <= 2.0
@@ -259,11 +259,11 @@ def test_criterion_10_determinism(cost_model_mod, identity_mod):
                            master_seed=31415)
 
     def artifacts(workers):
-        records = run_replicas(spec, params, family, cost_model_mod, identity_mod,
-                               theta0, workers=workers)
-        rep = clt_report(records, params, family, 400, divergence_radius=10.0)
-        curve = cost_curve(records, params)
-        rows = [[cp.csv_row() for cp in r.checkpoints] for r in records]
+        record = run_replicas(spec, params, family, cost_model_mod, identity_mod,
+                              theta0, workers=workers)
+        rep = clt_report(record, params, family, 400, divergence_radius=10.0)
+        curve = cost_curve(record, params)
+        rows = record.csv_rows()
         return rows, rep.to_json(), curve
 
     a1 = artifacts(1)

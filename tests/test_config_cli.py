@@ -138,12 +138,14 @@ def test_replicas_rejected_at_validation(tmp_path, capsys):
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and word in err
         assert not os.path.exists(out_dir)
-    # --seed obeys the rule load_config applies to master_seed
-    out_dir = str(tmp_path / "negative_seed")
-    assert main(["run", write_config(tmp_path, BASE), "--seed", "-1", "--out", out_dir]) == 2
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and err.startswith("parse error:") and "seed" in err
-    assert not os.path.exists(out_dir)
+    # --seed obeys the rule load_config applies to master_seed; --workers is at least 1
+    for i, (flag, value) in enumerate((("--seed", "-1"), ("--workers", "0"),
+                                       ("--workers", "-3"))):
+        out_dir = str(tmp_path / f"flag{i}")
+        assert main(["run", write_config(tmp_path, BASE), flag, value, "--out", out_dir]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("parse error:") and flag in err
+        assert not os.path.exists(out_dir)
 
 
 def test_predict_prints_table(tmp_path, capsys):

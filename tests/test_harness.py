@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,14 +11,9 @@ import scipy.special
 from mlsa import (BallMonitor, ParameterSet, ReplicationSpec, clt_report, cost_curve,
                   default_theta0, kolmogorov_critical, ks_statistic, l2_monitor,
                   normalized_sample_stats, block_seeds, replication_counts, run_replicas)
-from mlsa.driver import Checkpoint
 from mlsa.harness import BLOCK
 
 from conftest import CRITICAL_DEFAULT, make_scalar_family, make_slow_family
-
-
-def csv_rows(records):
-    return [[cp.csv_row() for cp in rec.checkpoints] for rec in records]
 
 
 def small_spec(R=4, n=50, seed=11, checkpoints=None):
@@ -40,8 +36,8 @@ def test_run_replicas_deterministic_and_nondegenerate(slow_params, slow_family,
     theta0 = default_theta0(slow_family)
     a = run_replicas(small_spec(), slow_params, slow_family, cost_model, identity, theta0)
     b = run_replicas(small_spec(), slow_params, slow_family, cost_model, identity, theta0)
-    assert csv_rows(a) == csv_rows(b)
-    finals = {tuple(r.theta_final) for r in a}
+    assert a.csv_rows() == b.csv_rows()
+    finals = {tuple(row) for row in a.theta_final}
     assert len(finals) >= 2  # noise present: distinct seeds separate
 
 
@@ -51,8 +47,8 @@ def test_run_replicas_worker_count_invariance(slow_params, slow_family, cost_mod
     spec = small_spec(R=2 * BLOCK + 3, n=50)
     runs = [run_replicas(spec, slow_params, slow_family, cost_model, identity, theta0,
                          workers=w) for w in (1, 2, 3)]
-    assert len(runs[0]) == 2 * BLOCK + 3
-    assert csv_rows(runs[0]) == csv_rows(runs[1]) == csv_rows(runs[2])
+    assert runs[0].theta.shape[1] == 2 * BLOCK + 3
+    assert runs[0].csv_rows() == runs[1].csv_rows() == runs[2].csv_rows()
 
 
 def test_kolmogorov_critical_against_scipy():
@@ -112,7 +108,7 @@ def test_calibration_frobenius_shrinks_with_replicas():
     assert large < 0.7 * small  # ~ R^-1/2 decay
 
 
-def _records_for_report(slow_params, family, cost_model, identity, R=120, n=400, seed=5):
+def _record_for_report(slow_params, family, cost_model, identity, R=120, n=400, seed=5):
     spec = ReplicationSpec(replicas=R, n_final=n, checkpoints=(n,), master_seed=seed)
     return run_replicas(spec, slow_params, family, cost_model, identity,
                         default_theta0(family))
@@ -120,9 +116,9 @@ def _records_for_report(slow_params, family, cost_model, identity, R=120, n=400,
 
 def test_clt_report_fields_and_purity(slow_params, cost_model, identity):
     fam = make_slow_family()
-    records = _records_for_report(slow_params, fam, cost_model, identity)
-    rep1 = clt_report(records, slow_params, fam, 400, divergence_radius=10.0)
-    rep2 = clt_report(records, slow_params, fam, 400, divergence_radius=10.0)
+    record = _record_for_report(slow_params, fam, cost_model, identity)
+    rep1 = clt_report(record, slow_params, fam, 400, divergence_radius=10.0)
+    rep2 = clt_report(record, slow_params, fam, 400, divergence_radius=10.0)
     assert rep1.to_json() == rep2.to_json()  # pure function of its inputs
     assert rep1.replicas_screened == 120
     assert rep1.screened_fraction == 1.0
@@ -133,48 +129,50 @@ def test_clt_report_fields_and_purity(slow_params, cost_model, identity):
         np.array([[1.0, 0.15], [0.15, 0.25]]), abs=1e-12)
     doc = json.loads(rep1.to_json())
     assert doc["inputs"]["divergence_radius"] == 10.0
+    with pytest.raises(KeyError):  # not a checkpoint of the run: no neighbouring column
+        clt_report(record, slow_params, fam, 399, divergence_radius=10.0)
 
 
-def displaced(rec, n, shift):
-    """Copy of ``rec`` whose iterate at checkpoint ``n`` and after is moved by ``shift``."""
-    cps = tuple(Checkpoint(cp.n, cp.theta + shift, cp.theta_bar, cp.cost, cp.in_ball)
-                if cp.n >= n else cp for cp in rec.checkpoints)
-    return type(rec)(checkpoints=cps, n_final=rec.n_final, theta_final=rec.theta_final + shift,
-                     theta_bar_final=rec.theta_bar_final, cost_final=rec.cost_final)
+def displaced(rec, replica, n, shift):
+    """Copy of ``rec`` with one replica's iterate moved by ``shift`` from checkpoint ``n`` on."""
+    theta, theta_final = rec.theta.copy(), rec.theta_final.copy()
+    theta[rec.ns >= n, replica] += shift
+    theta_final[replica] += shift
+    return dataclasses.replace(rec, theta=theta, theta_final=theta_final)
 
 
 def test_clt_report_screens_divergent(slow_params, cost_model, identity):
     fam = make_slow_family()
     spec = ReplicationSpec(replicas=30, n_final=400, checkpoints=(200, 400), master_seed=5)
-    records = run_replicas(spec, slow_params, fam, cost_model, identity, default_theta0(fam))
-    rep = clt_report([displaced(records[0], 400, 100.0)] + records[1:], slow_params, fam, 400,
+    record = run_replicas(spec, slow_params, fam, cost_model, identity, default_theta0(fam))
+    rep = clt_report(displaced(record, 0, 400, 100.0), slow_params, fam, 400,
                      divergence_radius=10.0)
     assert rep.replicas_total == 30
     assert rep.replicas_screened == 29
     assert rep.underpowered  # fewer than 100 survivors
     # screening reads the iterate at the reported checkpoint: a replica that
     # leaves the ball only after n = 200 still counts at n = 200
-    late = clt_report([displaced(records[0], 400, 100.0)] + records[1:], slow_params, fam, 200,
+    late = clt_report(displaced(record, 0, 400, 100.0), slow_params, fam, 200,
                       divergence_radius=10.0)
     assert late.replicas_screened == 30
-    early = clt_report([displaced(records[0], 200, 100.0)] + records[1:], slow_params, fam, 200,
+    early = clt_report(displaced(record, 0, 200, 100.0), slow_params, fam, 200,
                        divergence_radius=10.0)
     assert early.replicas_screened == 29
 
 
 def test_clt_report_rejects_zero_gamma(slow_params, cost_model, identity):
     fam = make_scalar_family(noise=0.0)
-    records = _records_for_report(slow_params, fam, cost_model, identity, R=4, n=20)
+    record = _record_for_report(slow_params, fam, cost_model, identity, R=4, n=20)
     with pytest.raises(ValueError, match="Gamma"):
-        clt_report(records, slow_params, fam, 20, divergence_radius=10.0)
+        clt_report(record, slow_params, fam, 20, divergence_radius=10.0)
 
 
 def test_critical_report_centers_at_root(cost_model, identity):
     p = ParameterSet(**CRITICAL_DEFAULT)
     fam = make_scalar_family(H=-1.0, mu=0.05, gamma_var=1.0, beta=1.0)
     spec = ReplicationSpec(replicas=150, n_final=300, checkpoints=(300,), master_seed=3)
-    records = run_replicas(spec, p, fam, cost_model, identity, default_theta0(fam))
-    rep = clt_report(records, p, fam, 300, divergence_radius=10.0)
+    record = run_replicas(spec, p, fam, cost_model, identity, default_theta0(fam))
+    rep = clt_report(record, p, fam, 300, divergence_radius=10.0)
     assert rep.eps_bias is None
     assert rep.zeta.shape == (150, 1)
 
@@ -184,8 +182,8 @@ def test_l2_monitor_zero_noise_vanishes(slow_params, cost_model, identity):
     ball = BallMonitor(center=np.zeros(1), eps=2.0, n0=1)
     spec = ReplicationSpec(replicas=2, n_final=400, checkpoints=tuple(range(10, 401, 10)),
                            master_seed=0)
-    records = run_replicas(spec, slow_params, fam, cost_model, identity, [1.0], ball=ball)
-    mon = l2_monitor(records, slow_params, np.zeros(1), 2.0, 1, [(10, 100), (300, 400)])
+    record = run_replicas(spec, slow_params, fam, cost_model, identity, [1.0], ball=ball)
+    mon = l2_monitor(record, slow_params, np.zeros(1), 2.0, 1, [(10, 100), (300, 400)])
     assert not any(mon.flagged)
     assert mon.values[1] < mon.values[0] * 1e-3  # deterministic contraction
     assert mon.ratio == pytest.approx(mon.values[1] / mon.values[0])
@@ -195,9 +193,9 @@ def test_l2_monitor_requires_flags(slow_params, cost_model, identity):
     fam = make_scalar_family()
     spec = ReplicationSpec(replicas=2, n_final=40, checkpoints=(10, 20, 30, 40),
                            master_seed=0)
-    records = run_replicas(spec, slow_params, fam, cost_model, identity, [1.0])
+    record = run_replicas(spec, slow_params, fam, cost_model, identity, [1.0])
     with pytest.raises(ValueError, match="ball"):
-        l2_monitor(records, slow_params, np.zeros(1), 0.5, 1, [(10, 20), (30, 40)])
+        l2_monitor(record, slow_params, np.zeros(1), 0.5, 1, [(10, 20), (30, 40)])
 
 
 def test_l2_monitor_window_rules(slow_params, cost_model, identity):
@@ -205,20 +203,20 @@ def test_l2_monitor_window_rules(slow_params, cost_model, identity):
     ball = BallMonitor(center=np.zeros(1), eps=0.01, n0=1)  # smaller than the transient
     spec = ReplicationSpec(replicas=2, n_final=200, checkpoints=tuple(range(5, 201, 5)),
                            master_seed=0)
-    records = run_replicas(spec, slow_params, fam, cost_model, identity, [1.0], ball=ball)
-    mon = l2_monitor(records, slow_params, np.zeros(1), 0.01, 1, [(5, 50), (100, 200)])
+    record = run_replicas(spec, slow_params, fam, cost_model, identity, [1.0], ball=ball)
+    mon = l2_monitor(record, slow_params, np.zeros(1), 0.01, 1, [(5, 50), (100, 200)])
     assert all(mon.flagged)  # the excursion kills the from-n0-on restriction
     assert mon.ratio is None
     with pytest.raises(ValueError, match="disjoint"):
-        l2_monitor(records, slow_params, np.zeros(1), 0.01, 1, [(5, 50), (40, 60)])
+        l2_monitor(record, slow_params, np.zeros(1), 0.01, 1, [(5, 50), (40, 60)])
 
 
 def test_cost_curve_deterministic_rows(cost_model, identity):
     p = ParameterSet(**dict(CRITICAL_DEFAULT, kappa_K=10.0 / 3.0))
     fam = make_scalar_family(beta=1.0)
     spec = ReplicationSpec(replicas=2, n_final=8, checkpoints=(1, 2, 4, 8), master_seed=1)
-    records = run_replicas(spec, p, fam, cost_model, identity, [0.5])
-    rows = cost_curve(records, p)
+    record = run_replicas(spec, p, fam, cost_model, identity, [0.5])
+    rows = cost_curve(record, p)
     assert [r["n"] for r in rows] == [2, 4, 8]  # n = 1 has no critical prediction
     expected = 0.0
     for m, s in ((1, 1), (2, 2)):  # s_n = max(ceil(1.5 log2 n), 1)

@@ -68,9 +68,9 @@ def test_validate_is_pure():
     assert validate(d) == validate(d)
 
 
-def schedule_at(params, n, alpha_prime=None):
+def schedule_at(params, n):
     """(K_bar_n, s_n, xi_n) from the last entry of the schedule arrays."""
-    arr = schedule_arrays(params, n, alpha_prime)
+    arr = schedule_arrays(params, n)
     return float(arr["K_bar"][-1]), int(arr["s"][-1]), float(arr["xi"][-1])
 
 
@@ -100,12 +100,6 @@ def test_schedule_rejects_n_zero(slow_params_pinned):
 def test_critical_level_reference_point():
     p = ParameterSet(**CRITICAL_DEFAULT)
     assert schedule_at(p, 8)[1] == 5  # ceil(1.5 * log2 8) = ceil(4.5)
-
-
-def test_critical_level_alpha_prime_hook():
-    p = ParameterSet(**CRITICAL_DEFAULT)
-    slower = schedule_at(p, 64, alpha_prime=lambda n: 0.5)
-    assert slower[1] == 2 * schedule_at(p, 64)[1]  # halving alpha' doubles the level
 
 
 def test_level_offset_identity_along_n(slow_params_pinned):
