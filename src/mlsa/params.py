@@ -180,11 +180,12 @@ def schedule_arrays(params: ParameterSet, n: int) -> dict[str, np.ndarray]:
     else:
         raw = (1.0 / p.alpha) * ((p.phi + 1) / 2.0) * np.log(idx) / math.log(p.M)
         s = np.maximum(np.ceil(raw), 1.0)
+    b = idx ** p.rho
     return {
         "idx": idx,
         "gamma": idx ** (-p.psi),
-        "b": idx ** p.rho,
-        "b_bar": np.cumsum(idx ** p.rho),
+        "b": b,
+        "b_bar": np.cumsum(b),
         "K": K,
         "K_bar": K_bar,
         "s": s.astype(np.int64),

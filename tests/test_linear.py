@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from mlsa import (ContractingMatrix, IllConditionedError, averaged_operator,
+import mlsa.linear
+from mlsa import (ContractingMatrix, IllConditionedError, LyapunovNorm, averaged_operator,
                   exp_lemma_gaps, exp_product_gap, linear_iterate, lyapunov_norm,
                   product_operator, spectral_abscissa)
 
@@ -17,6 +18,71 @@ def random_contracting(rng, d=None, margin=1.0):
     if ab > -margin - 0.05:
         H -= (ab + margin + 0.05) * np.eye(d)
     return H
+
+
+def scalar_schedule(sched):
+    if callable(sched):
+        return sched
+    arr = np.asarray(sched, dtype=float)
+    return lambda n: float(arr[n - 1])
+
+
+def reference_eps0(cm):
+    """lyapunov_norm's eps0 from a scan that evaluates one eps at a time."""
+    import scipy.linalg
+    H, L, d = cm.H, cm.L, cm.d
+    P = scipy.linalg.solve_continuous_lyapunov((H + L * np.eye(d)).T, -np.eye(d))
+    P = 0.5 * (P + P.T)
+    w = np.linalg.eigvalsh(P)
+    if w[0] <= 0 or w[-1] / w[0] > 1e12:
+        raise IllConditionedError("ill-conditioned")
+    ly = LyapunovNorm(P, eps0=0.0)
+
+    def gap(eps):
+        return ly.norm_mat(np.eye(d) + eps * H) - (1.0 - eps * L)
+
+    lo, hi = 0.0, None
+    for eps in np.linspace(0.0, 1.0 / L, max(int(1.0 / L / 1e-3), 2) + 1)[1:]:
+        if gap(float(eps)) <= 0.0:
+            lo = float(eps)
+        else:
+            hi = float(eps)
+            break
+    if hi is not None:
+        for _ in range(40):
+            mid = 0.5 * (lo + hi)
+            if gap(mid) <= 0.0:
+                lo = mid
+            else:
+                hi = mid
+    if lo <= 0.0 or max(gap(float(e)) for e in np.linspace(0.0, lo, 100)) > 1e-10:
+        raise IllConditionedError("verification failed")
+    return lo
+
+
+def reference_averaged_operator(H, gamma, b, l, n):
+    g, bf = scalar_schedule(gamma), scalar_schedule(b)
+    d = H.shape[0]
+    prod = np.eye(d)
+    acc = bf(l) * prod
+    for k in range(l + 1, n + 1):
+        prod = prod @ (np.eye(d) + g(k) * H)
+        acc = acc + bf(k) * prod
+    return (g(l) / bf(l)) * acc
+
+
+def reference_linear_iterate(H, gamma, b, upsilon_source, n, theta0=None):
+    g, bf = scalar_schedule(gamma), scalar_schedule(b)
+    theta = np.zeros(H.shape[0]) if theta0 is None else np.array(theta0, dtype=float)
+    theta_bar = np.zeros_like(theta)
+    b_bar = 0.0
+    for k in range(1, n + 1):
+        ups = upsilon_source(k)
+        theta = theta + g(k) * (theta @ H.T + ups)
+        b_bar_new = b_bar + bf(k)
+        theta_bar = (b_bar * theta_bar + bf(k) * theta) / b_bar_new
+        b_bar = b_bar_new
+    return theta, theta_bar
 
 
 def test_contracting_matrix_validation():
@@ -58,11 +124,38 @@ def test_lyapunov_norm_ill_conditioned_rejected():
         lyapunov_norm(ContractingMatrix(H, 0.5))
 
 
+def test_lyapunov_norm_matches_scalar_scan(monkeypatch):
+    rng = np.random.default_rng(17)
+    cases = [ContractingMatrix(random_contracting(rng, d=1 + i % 4), 0.8) for i in range(20)]
+    # a slow H with a small L: a 10^4-point grid scanned in several stacks
+    cases += [ContractingMatrix(0.1 * random_contracting(rng, d=d), 0.1) for d in (2, 4)]
+    cases.append(ContractingMatrix(np.array([[-1.0, 1e8], [0.0, -1.0]]), 0.5))
+    raised = 0
+    for cm in cases:
+        try:
+            expected = reference_eps0(cm)
+        except IllConditionedError:
+            with pytest.raises(IllConditionedError):
+                lyapunov_norm(cm)
+            raised += 1
+            continue
+        assert lyapunov_norm(cm).eps0 == expected
+    assert raised == 1
+    # one grid point per stack: the first failing point always opens a stack
+    monkeypatch.setattr(mlsa.linear, "_STACK_ENTRIES", 1)
+    for cm in cases[:4]:
+        assert lyapunov_norm(cm).eps0 == reference_eps0(cm)
+
+
 def test_product_operator_empty_and_scalar():
     H = np.array([[-1.0]])
     assert np.array_equal(product_operator(H, lambda n: 0.5, 3, 3), np.eye(1))
     val = product_operator(H, lambda n: 0.5, 0, 3)[0, 0]
     assert val == pytest.approx(0.125, abs=0)  # (1 - 0.5)^3
+    with pytest.raises(ValueError, match="1-based"):
+        product_operator(H, [0.1, 0.2, 0.3], -1, 2)  # would read gamma_0 = arr[-1]
+    with pytest.raises(ValueError, match="3 values.* 5"):
+        product_operator(H, [0.1, 0.2, 0.3], 0, 5)
 
 
 def test_product_operator_contraction_in_lyapunov_norm():
@@ -82,6 +175,21 @@ def test_averaged_operator_single_term():
     H = np.array([[-1.0]])
     out = averaged_operator(H, lambda n: n ** -0.5, lambda n: n ** 2.0, 7, 7)
     assert out[0, 0] == pytest.approx(7.0 ** -0.5, abs=0)  # gamma_l times identity
+
+
+def test_averaged_operator_matches_scalar_loop():
+    rng = np.random.default_rng(23)
+    idx = np.arange(1, 1201, dtype=float)
+    for i in range(8):
+        H = random_contracting(rng, d=1 + i % 4)
+        for gamma, b in ((lambda k: k ** (-1.0 / 3.0), lambda k: 1.0),
+                         (lambda k: k ** -0.75, lambda k: k ** 2.0),
+                         (idx ** -0.6, idx ** 1.5)):
+            for l, n in ((1, 1), (7, 900), (200, 1200)):
+                assert np.array_equal(averaged_operator(H, gamma, b, l, n),
+                                      reference_averaged_operator(H, gamma, b, l, n))
+    with pytest.raises(ValueError, match="1200 values.* 1201"):
+        averaged_operator(H, idx ** -0.6, idx, 1, 1201)
 
 
 def test_averaged_operator_regression_heavy_weights():
@@ -127,6 +235,10 @@ def test_exp_product_gap_requires_small_steps():
     ly = lyapunov_norm(cm)
     with pytest.raises(ValueError, match="eps0"):
         exp_product_gap(cm, lambda n: 10.0, 0, 5, lyap=ly)
+    with pytest.raises(ValueError, match="1-based"):
+        exp_product_gap(cm, [0.1, 0.1, 0.1], -1, 2, lyap=ly)
+    with pytest.raises(ValueError, match="2 values.* 5"):
+        exp_product_gap(cm, [0.1, 0.1], 0, 5, lyap=ly)
 
 
 def test_exp_product_gap_bound_dominates_random():
@@ -168,6 +280,22 @@ def test_linear_iterate_fixed_point():
                                       lambda n: 1.0, lambda k: np.zeros(1), 200)
     assert np.array_equal(theta, np.zeros(1))
     assert np.array_equal(theta_bar, np.zeros(1))
+
+
+def test_linear_iterate_matches_scalar_loop():
+    n = 600
+    idx = np.arange(1, n + 1, dtype=float)
+    rng = np.random.default_rng(29)
+    for shape in ((3,), (40, 3)):
+        H = random_contracting(rng, d=3)
+        noise = 0.3 * rng.standard_normal((n,) + shape)
+        theta0 = rng.standard_normal(shape)
+        for gamma, b in ((idx ** -0.5, idx ** 2.0), (lambda k: k ** -0.6, lambda k: 1.0)):
+            got = linear_iterate(H, gamma, b, lambda k: noise[k - 1], n, theta0=theta0)
+            want = reference_linear_iterate(H, gamma, b, lambda k: noise[k - 1], n, theta0=theta0)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    with pytest.raises(ValueError, match="600 values.* 601"):
+        linear_iterate(H, idx ** -0.5, idx, lambda k: noise[0], n + 1, theta0=theta0)
 
 
 def test_linear_iterate_deterministic_drift_limit():
