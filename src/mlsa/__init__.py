@@ -2,15 +2,13 @@
 
 from .params import (CRITICAL, SLOW, InvalidParameters, ParameterSet, ValidationReport,
                      schedule_arrays, validate)
-from .families import (EulerSdeFamily, GeometricCostModel, LevelFamily,
-                       SyntheticGaussianFamily, empirical_order_check)
+from .families import EulerSdeFamily, GeometricCostModel, LevelFamily, SyntheticGaussianFamily
 from .driver import (BallMonitor, BoxProjection, IdentityProjection, RunPlan, RunRecord,
                      default_theta0, geometric_checkpoints, replication_counts, run)
-from .asymptotics import (AsymptoticPrediction, RateBundle, RegimeClass,
-                          classify_regime_corollary, oracle_eps_bias, oracle_eps_diff,
+from .asymptotics import (AsymptoticPrediction, RateBundle, oracle_eps_bias, oracle_eps_diff,
                           predict, predict_critical, predict_slow, psi, rates)
 from .linear import (ContractingMatrix, IllConditionedError, LyapunovNorm,
-                     averaged_operator, exp_lemma_gaps, exp_product_gap, linear_iterate,
+                     averaged_operator, exp_product_gap, linear_iterate,
                      lyapunov_norm, product_operator, spectral_abscissa)
 from .harness import (CltReport, InsufficientReplicas, L2Monitor, ReplicationSpec,
                       clt_report, cost_curve, kolmogorov_critical, ks_statistic,

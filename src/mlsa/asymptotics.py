@@ -27,7 +27,6 @@ Gamma-normalized CLT scale) or (2 alpha kappa_K)^-1 k^-phi log_M k (critical).
 from __future__ import annotations
 
 import csv
-import enum
 import io
 import math
 from dataclasses import dataclass
@@ -201,50 +200,6 @@ def oracle_eps_diff(params: ParameterSet, n: int) -> float:
         return float(math.sqrt(np.sum(arr["b"] ** 2 * d2)) / arr["b_bar"][-1] / conv)
     d2 = (2.0 * p.alpha * p.kappa_K) ** -1.0 * k ** (-p.phi) * np.log(k) / math.log(p.M)
     return float(math.sqrt(np.sum(arr["b"] ** 2 * d2)) / arr["b_bar"][-1])
-
-
-class RegimeClass(enum.Enum):
-    BIAS_COMPARABLE = "BiasComparable"
-    BIAS_NEGLIGIBLE = "BiasNegligible"
-    DIFF_NEGLIGIBLE = "DiffNegligible"
-    UNDETERMINED = "Undetermined"
-
-
-def classify_regime_corollary(eps_bias_seq: Sequence[float], eps_diff_seq: Sequence[float],
-                              *, negligible_factor: float = 0.5,
-                              comparable_spread: float = 2.0,
-                              trend_fraction: float = 0.6) -> RegimeClass:
-    """Classify the empirical limit behaviour of eps_bias / eps_diff.
-
-    Declared thresholds: with q1/q2 the means of the ratio over the first and
-    last quarters of the checkpoints, q2/q1 <= negligible_factor with a
-    consistently decreasing trend means the bias is negligible (and
-    symmetrically for the fluctuation term); otherwise a bounded spread of the
-    ratio over the second half means the two scales are comparable; anything
-    else is undetermined.
-    """
-    rb = np.asarray(eps_bias_seq, dtype=float)
-    rd = np.asarray(eps_diff_seq, dtype=float)
-    if rb.shape != rd.shape or rb.ndim != 1 or len(rb) < 4:
-        raise ValueError("need two equal-length sequences with at least 4 checkpoints")
-    if np.any(rb <= 0) or np.any(rd <= 0):
-        raise ValueError("sequences must be strictly positive")
-    ratio = rb / rd
-    q = max(len(ratio) // 4, 1)
-    g = ratio[-q:].mean() / ratio[:q].mean()
-    steps = np.diff(np.log(ratio))
-    if g <= negligible_factor:
-        if np.mean(steps < 0) >= trend_fraction:
-            return RegimeClass.BIAS_NEGLIGIBLE
-        return RegimeClass.UNDETERMINED
-    if g >= 1.0 / negligible_factor:
-        if np.mean(steps > 0) >= trend_fraction:
-            return RegimeClass.DIFF_NEGLIGIBLE
-        return RegimeClass.UNDETERMINED
-    tail = ratio[len(ratio) // 2:]
-    if tail.max() / tail.min() <= comparable_spread:
-        return RegimeClass.BIAS_COMPARABLE
-    return RegimeClass.UNDETERMINED
 
 
 def predictions_csv(params: ParameterSet, ns: Sequence[int]) -> str:

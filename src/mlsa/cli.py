@@ -1,9 +1,9 @@
 """Configuration-driven command line: validate, predict, run, plot.
 
 Exit codes: 0 success, 1 domain failure (rejected parameters, too few
-surviving replicas, missing artifacts), 2 usage or parse errors.  All
-artifacts embed the configuration hash; ``plot`` refuses inputs with mixed
-hashes.
+surviving replicas, missing or damaged artifacts), 2 usage or parse errors.
+All artifacts embed the configuration hash; ``plot`` refuses inputs with
+mixed hashes.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ import scipy.special
 from . import harness
 from ._svg import loglog_plot
 from .asymptotics import predictions_csv, rates
-from .config import ConfigError, build_cost_model, build_family, build_projection, load_config
+from .config import (ConfigError, build_cost_model, build_family, build_projection,
+                     config_from_dict, load_config)
 from .driver import BallMonitor, csv_header, default_theta0
 from .params import SLOW, InvalidParameters
 
@@ -62,6 +63,16 @@ def _load_or_report(path):
         return None, 1
 
 
+def _make_out_dir(path: str) -> bool:
+    """Create the output directory; a path that cannot be one is a parse error."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        print(f"parse error: output directory {path}: {exc.strerror}", file=sys.stderr)
+        return False
+    return True
+
+
 def cmd_predict(args) -> int:
     cfg, rc = _load_or_report(args.config)
     if cfg is None:
@@ -69,7 +80,8 @@ def cmd_predict(args) -> int:
     ns = sorted(n for n in cfg.replication.checkpoints if cfg.params.regime != "critical" or n >= 2)
     table = predictions_csv(cfg.params, ns)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
+        if not _make_out_dir(args.out):
+            return 2
         path = os.path.join(args.out, "predictions.csv")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"# config_hash={cfg.config_hash()}\n")
@@ -103,7 +115,8 @@ def cmd_run(args) -> int:
         spec = harness.ReplicationSpec(spec.replicas, spec.n_final, spec.checkpoints,
                                        args.seed, spec.divergence_radius)
     out_dir = args.out or cfg.output_dir
-    os.makedirs(out_dir, exist_ok=True)
+    if not _make_out_dir(out_dir):
+        return 2
     family = build_family(cfg)
     cost_model = build_cost_model(cfg)
     projection = build_projection(cfg)
@@ -152,7 +165,7 @@ def cmd_run(args) -> int:
                                         divergence_radius=radius,
                                         inputs={"config_hash": cfg_hash,
                                                 "master_seed": spec.master_seed})
-            payload = report.to_json()
+            payload = harness.report_json(report)
         else:
             payload = json.dumps({"config_hash": cfg_hash,
                                   "skipped": "family has no ground truth"})
@@ -172,10 +185,8 @@ def cmd_run(args) -> int:
         if hi:
             windows.append((min(hi), max(hi)))
         mon = harness.l2_monitor(record, cfg.params, family.theta_star, eps_l2, n0_l2, windows)
-        doc = json.loads(mon.to_json())
-        doc["config_hash"] = cfg_hash
-        doc["master_seed"] = spec.master_seed
-        write("l2_monitor.json", json.dumps(doc, sort_keys=True))
+        write("l2_monitor.json", harness.report_json(mon, config_hash=cfg_hash,
+                                                     master_seed=spec.master_seed))
         manifest["complete"] = True
     except harness.InsufficientReplicas as exc:
         print(f"run failed: {exc}", file=sys.stderr)
@@ -204,17 +215,20 @@ def cmd_plot(args) -> int:
     if missing:
         print(f"missing artifacts: {', '.join(sorted(missing))}", file=sys.stderr)
         return 1
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    cfg_hash = manifest["config_hash"]
-    for name in needed:
-        h = _read_hash_comment(os.path.join(run_dir, name))
+    try:  # a damaged manifest, hash line or stored config is a domain failure
+        with open(manifest_path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        cfg_hash = manifest["config_hash"]
+        hashes = {name: _read_hash_comment(os.path.join(run_dir, name)) for name in needed}
+        cfg = config_from_dict(manifest["config"])
+    except (ValueError, KeyError, TypeError) as exc:
+        print(f"damaged run directory: {exc}", file=sys.stderr)
+        return 1
+    for name, h in hashes.items():
         if h != cfg_hash:
             print(f"mixed config hashes: {name} has {h[:12]}.., manifest {cfg_hash[:12]}..",
                   file=sys.stderr)
             return 1
-    from .config import config_from_dict
-    cfg = config_from_dict(manifest["config"])
     family = build_family(cfg)
     theta_star = family.theta_star
 

@@ -118,6 +118,8 @@ def parse_config_structure(doc: dict) -> dict:
         for key in ("drift", "diffusion", "target", "horizon"):
             _check_type(type(fam.get(key, 1.0)) in (int, float), "family", key, "a number",
                         fam.get(key))
+        _check_type(fam.get("payoff", "shortfall") in ("shortfall", "terminal"), "family",
+                    "payoff", "'shortfall' or 'terminal'", fam.get("payoff"))
     else:
         raise ConfigError(f"family: unknown kind {kind!r}")
 
@@ -244,7 +246,6 @@ def build_family(cfg: ExperimentConfig) -> LevelFamily:
         target=float(fam.get("target", 1.0)),
         horizon=float(fam.get("horizon", 1.0)),
         M=cfg.params.M,
-        payoff=fam.get("payoff", "shortfall"),
     )
 
 

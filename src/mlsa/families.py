@@ -84,9 +84,6 @@ class LevelFamily(abc.ABC):
     def has_ground_truth(self) -> bool:
         return self.mu is not None and self.Gamma is not None
 
-    def f(self, theta: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
 
 class SyntheticGaussianFamily(LevelFamily):
     """Ground-truth family with exactly Gaussian level differences.
@@ -178,17 +175,10 @@ class EulerSdeFamily(LevelFamily):
 
     dX = drift*X dt + diffusion*X dW on [0, T] with X_0 = theta; level k uses
     M^k uniform time steps.  Within one sample the coarse path reuses the fine
-    increments, summed in groups of M, and the level difference is
-    payoff(fine) - payoff(coarse).
-
-    Payoffs:
-
-    * ``"shortfall"`` (default): payoff(x) = target - x, so
-      f(theta) = target - theta*exp(drift*T) has the contracting slope
-      H = -exp(drift*T) and the exactly known root theta* = target*exp(-drift*T).
-      This is the variant usable inside the stochastic approximation loop.
-    * ``"terminal"``: payoff(x) = x (coupling and order diagnostics only; the
-      slope is positive, so there is no contracting zero).
+    increments, summed in groups of M.  The payoff is the shortfall
+    target - X_T: a level difference is (target - fine) - (target - coarse),
+    and f(theta) = target - theta*exp(drift*T) has the contracting slope
+    H = -exp(drift*T) and the exactly known root theta* = target*exp(-drift*T).
 
     (mu, Gamma) have no closed form here; the family participates in
     qualitative rate checks, never in CLT covariance tests.  One level-k
@@ -196,33 +186,21 @@ class EulerSdeFamily(LevelFamily):
     """
 
     def __init__(self, drift: float, diffusion: float, target: float = 1.0,
-                 horizon: float = 1.0, M: int = 2, payoff: str = "shortfall"):
+                 horizon: float = 1.0, M: int = 2):
         if int(M) != M or M < 2:
             raise ValueError("EulerSdeFamily requires an integer scale M >= 2")
-        if payoff not in ("shortfall", "terminal"):
-            raise ValueError("payoff must be 'shortfall' or 'terminal'")
         self.d = 1
         self.drift = float(drift)
         self.diffusion = float(diffusion)
         self.target = float(target)
         self.T = float(horizon)
         self.M = int(M)
-        self.payoff = payoff
-        self.mu = None
-        self.Gamma = None
-        if payoff == "shortfall":
-            self.theta_star = np.array([self.target * np.exp(-self.drift * self.T)])
-            self.H = np.array([[-np.exp(self.drift * self.T)]])
-        else:
-            self.theta_star = None
-            self.H = None
+        self.theta_star = np.array([self.target * np.exp(-self.drift * self.T)])
+        self.H = np.array([[-np.exp(self.drift * self.T)]])
 
     def f(self, theta):
-        x = float(np.atleast_1d(theta)[0])
-        return np.array([self._payoff(x * np.exp(self.drift * self.T))])
-
-    def _payoff(self, x):
-        return self.target - x if self.payoff == "shortfall" else x
+        """f at theta of shape (1,) or at each row of theta of shape (R, 1)."""
+        return self.target - np.asarray(theta, dtype=float) * np.exp(self.drift * self.T)
 
     def _terminal_pair(self, theta, k, size, rng):
         """Terminal values (fine with M^k steps, coarse with M^(k-1) steps)."""
@@ -244,47 +222,7 @@ class EulerSdeFamily(LevelFamily):
             raise ValueError("level k must be >= 1")
         xf, xc = self._terminal_pair(theta, k, size, rng)
         if xc is None:  # F_1 - F_0 = F_1 with the convention F_0 = 0
-            vals = self._payoff(xf)
+            vals = self.target - xf
         else:
-            vals = self._payoff(xf) - self._payoff(xc)
+            vals = (self.target - xf) - (self.target - xc)
         return vals[:, None]
-
-
-@dataclass(frozen=True)
-class OrderCheckRow:
-    k: int
-    scaled_bias_norm: float  # |sum of level-diff means up to k - f(theta*)| * M^(alpha k)
-    scaled_cov: np.ndarray  # cov(F_k - F_{k-1}) * M^(beta k)
-
-
-def empirical_order_check(family: LevelFamily, k_max: int, samples_per_level: int,
-                          rng: np.random.Generator, alpha: Optional[float] = None,
-                          beta: Optional[float] = None, theta=None) -> list[OrderCheckRow]:
-    """Monte Carlo estimate of the order constants at theta* (or ``theta``).
-
-    The level-k bias is recovered by telescoping the level-difference means.
-    Requires a family with known theta* and f; rejects sample sizes below 100.
-    """
-    if samples_per_level < 100:
-        raise ValueError("need at least 100 samples per level")
-    if theta is None and family.theta_star is None:
-        raise ValueError("order check requires a known theta* or an explicit theta")
-    alpha = getattr(family, "alpha", None) if alpha is None else alpha
-    beta = getattr(family, "beta", None) if beta is None else beta
-    if alpha is None or beta is None:
-        raise ValueError("order exponents (alpha, beta) unknown for this family")
-    M = float(family.M)
-    theta = family.theta_star if theta is None else np.asarray(theta, dtype=float)
-    f_ref = family.f(theta)
-    rows = []
-    running_mean = np.zeros(family.d)
-    for k in range(1, k_max + 1):
-        batch = family.sample_level_diff_batch(theta, k, samples_per_level, rng)
-        running_mean = running_mean + batch.mean(axis=0)
-        cov = np.atleast_2d(np.cov(batch, rowvar=False, ddof=1))
-        rows.append(OrderCheckRow(
-            k=k,
-            scaled_bias_norm=float(np.linalg.norm(running_mean - f_ref)) * M ** (alpha * k),
-            scaled_cov=cov * M ** (beta * k),
-        ))
-    return rows

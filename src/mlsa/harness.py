@@ -154,29 +154,6 @@ class CltReport:
     underpowered: bool
     inputs: dict = field(default_factory=dict)
 
-    def to_json(self) -> str:
-        out = {
-            "checkpoint": self.checkpoint,
-            "replicas_total": self.replicas_total,
-            "replicas_screened": self.replicas_screened,
-            "screened_fraction": self.screened_fraction,
-            "mean": self.mean.tolist(),
-            "cov": self.cov.tolist(),
-            "target_cov": self.target_cov.tolist(),
-            "frobenius_rel": self.frobenius_rel,
-            "ks_stats": self.ks_stats.tolist(),
-            "ks_critical": self.ks_critical,
-            "ks_pass": self.ks_pass,
-            "level": self.level,
-            "eps_bias": self.eps_bias,
-            "eps_diff": self.eps_diff,
-            "cost_ratio": self.cost_ratio,
-            "underpowered": self.underpowered,
-            "inputs": self.inputs,
-            "zeta": self.zeta.tolist(),
-        }
-        return json.dumps(out, sort_keys=True)
-
 
 def normalized_sample_stats(zeta: np.ndarray, target_cov: np.ndarray, level: float) -> dict:
     """Mean/covariance distances and per-component KS for normalized samples.
@@ -275,15 +252,19 @@ class L2Monitor:
     epsilon: float
     n0: int
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "windows": [list(w) for w in self.windows],
-            "values": [None if math.isnan(v) else v for v in self.values],
-            "flagged": list(self.flagged),
-            "ratio": self.ratio,
-            "epsilon": self.epsilon,
-            "n0": self.n0,
-        }, sort_keys=True)
+
+def report_json(report, **extra) -> str:
+    """Key-sorted JSON of a report dataclass's fields and ``extra``: arrays and
+    tuples become lists, and NaN in a value or list becomes null."""
+    def plain(v):
+        if isinstance(v, np.ndarray):
+            v = v.tolist()
+        if isinstance(v, (list, tuple)):
+            return [plain(x) for x in v]
+        return None if isinstance(v, float) and math.isnan(v) else v
+
+    doc = {f.name: getattr(report, f.name) for f in fields(report)}
+    return json.dumps({k: plain(v) for k, v in {**doc, **extra}.items()}, sort_keys=True)
 
 
 def l2_monitor(record: RunRecord, params: ParameterSet, theta_star,

@@ -13,12 +13,11 @@ and the averaged operators
 and certifies the exponential-vs-product bound
 
     ||e^{(t_m-t_r)H} - prod_{l=r+1}^m (I+gamma_l H)||_P
-        <= ||H||_P^2 e^{gamma_1 (L+||H||_P)} e^{-(t_m-t_r) L} sum gamma_q^2
+        <= ||H||_P^2 e^{gamma_1 (L+||H||_P)} e^{-(t_m-t_r) L} sum gamma_q^2.
 
-together with the elementary gaps ||e^A - I|| <= e^||A|| ||A|| and
-||e^A - (I+A)|| <= 0.5 e^||A|| ||A||^2.  The linear recursion
-theta_n = theta_{n-1} + gamma_n (H theta_{n-1} + Upsilon_n) with its weighted
-average is provided for empirical checks of the averaging limit theorems.
+The linear recursion theta_n = theta_{n-1} + gamma_n (H theta_{n-1} + Upsilon_n)
+with its weighted average is provided for empirical checks of the averaging
+limit theorems.
 """
 
 from __future__ import annotations
@@ -205,21 +204,6 @@ def exp_product_gap(cm: ContractingMatrix, gamma: ScheduleLike, r: int, m: int,
     bound = (h_norm ** 2 * math.exp(g[0] * (L + h_norm)) * math.exp(-dt * L)
              * sum(q ** 2 for q in g[r:]))
     return actual, bound
-
-
-def exp_lemma_gaps(A: np.ndarray) -> tuple[float, float, float, float]:
-    """((||e^A - I||, e^||A|| ||A||), (||e^A - I - A||, e^||A|| ||A||^2 / 2)).
-
-    Euclidean operator norm; returned flat as (g1, g1_bound, g2, g2_bound).
-    """
-    import scipy.linalg  # imported here: ``import mlsa`` stays free of scipy.linalg
-    A = np.asarray(A, dtype=float)
-    d = A.shape[0]
-    eA = scipy.linalg.expm(A)
-    na = np.linalg.norm(A, 2)
-    g1 = float(np.linalg.norm(eA - np.eye(d), 2))
-    g2 = float(np.linalg.norm(eA - np.eye(d) - A, 2))
-    return g1, math.exp(na) * na, g2, 0.5 * math.exp(na) * na ** 2
 
 
 def linear_iterate(H: np.ndarray, gamma: ScheduleLike, b: ScheduleLike,

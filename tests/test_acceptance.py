@@ -16,7 +16,7 @@ from mlsa import (BallMonitor, ContractingMatrix, GeometricCostModel,
                   exp_product_gap, l2_monitor, linear_iterate, lyapunov_norm,
                   oracle_eps_bias, oracle_eps_diff, predict_critical, predict_slow,
                   psi, run_replicas, spectral_abscissa)
-from mlsa.harness import block_seeds
+from mlsa.harness import block_seeds, report_json
 
 from conftest import (CRITICAL_DEFAULT, CRITICAL_PINNED, SLOW_DEFAULT, SLOW_PINNED,
                       make_scalar_family, make_slow_family)
@@ -264,7 +264,7 @@ def test_criterion_10_determinism(cost_model_mod, identity_mod):
         rep = clt_report(record, params, family, 400, divergence_radius=10.0)
         curve = cost_curve(record, params)
         rows = record.csv_rows()
-        return rows, rep.to_json(), curve
+        return rows, report_json(rep), curve
 
     a1 = artifacts(1)
     a2 = artifacts(1)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mlsa import (ParameterSet, RegimeClass, classify_regime_corollary, oracle_eps_bias,
-                  oracle_eps_diff, predict_critical, predict_slow, psi, rates)
+from mlsa import (ParameterSet, oracle_eps_bias, oracle_eps_diff, predict_critical,
+                  predict_slow, psi, rates)
 from mlsa.asymptotics import predictions_csv
 
 from conftest import SLOW_PINNED
@@ -200,38 +200,6 @@ def test_cost_form_critical_converges_from_above(critical_params_pinned):
         ratios.append(pred.eps_diff_cost_form / pred.eps_diff)
     assert all(1.0 < r < 1.2 for r in ratios)
     assert ratios[0] > ratios[1] > ratios[2]
-
-
-def _checkpoints():
-    return np.unique(np.geomspace(10, 10 ** 6, 40).astype(int))
-
-
-def test_classify_comparable():
-    ns = _checkpoints().astype(float)
-    eps = ns ** -1.2
-    assert classify_regime_corollary(eps, eps) == RegimeClass.BIAS_COMPARABLE
-
-
-def test_classify_bias_negligible():
-    ns = _checkpoints().astype(float)
-    diff = ns ** -1.2
-    bias = diff / np.log(ns)
-    assert classify_regime_corollary(bias, diff) == RegimeClass.BIAS_NEGLIGIBLE
-
-
-def test_classify_diff_negligible():
-    ns = _checkpoints().astype(float)
-    bias = ns ** -1.2
-    diff = bias / np.log(ns)
-    assert classify_regime_corollary(bias, diff) == RegimeClass.DIFF_NEGLIGIBLE
-
-
-def test_classify_noisy_undetermined():
-    ns = _checkpoints().astype(float)
-    diff = ns ** -1.2
-    rng = np.random.default_rng(0)
-    bias = diff * np.exp(rng.uniform(-1.5, 1.5, len(ns)))
-    assert classify_regime_corollary(bias, diff) == RegimeClass.UNDETERMINED
 
 
 def test_predictions_csv_shape(slow_params_pinned):

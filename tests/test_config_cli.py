@@ -128,7 +128,8 @@ def test_replicas_rejected_at_validation(tmp_path, capsys):
              (variant(**{"projection.kind": "box", "projection.lower": [-1.0],
                          "projection.upper": [1.0]}), "lower"),
              (variant(**{"family.mu": [1.0, -1.0, 0.0]}), "mu"),
-             (variant(**{"params.M": "2.0"}), "M")]
+             (variant(**{"params.M": "2.0"}), "M"),
+             (euler_doc(payoff="call"), "payoff")]
     for i, (doc, word) in enumerate(cases):
         path = write_config(tmp_path, doc, name=f"struct{i}.json")
         assert main(["validate", path]) == 2
@@ -146,6 +147,17 @@ def test_replicas_rejected_at_validation(tmp_path, capsys):
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("parse error:") and flag in err
         assert not os.path.exists(out_dir)
+    # an output path that names an existing regular file, from --out or from the config
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    for argv in (["run", write_config(tmp_path, BASE), "--out", str(taken)],
+                 ["run", write_config(tmp_path, variant(**{"output.directory": str(taken)}),
+                                      name="taken.json")],
+                 ["predict", write_config(tmp_path, BASE), "--out", str(taken)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("parse error:")
+        assert captured.out == "" and taken.read_text() == "keep"
 
 
 def test_predict_prints_table(tmp_path, capsys):
@@ -226,6 +238,27 @@ def test_plot_refuses_mixed_hashes(tmp_path, capsys):
     rc = main(["plot", out_dir])
     assert rc == 1
     assert "mixed config hashes" in capsys.readouterr().err
+    # damaged run directories: one line on stderr and exit 1, never a traceback
+    doc = variant(**{"replication.replicas": 3, "replication.n_final": 40,
+                     "replication.checkpoints": [10, 20, 40]})
+
+    def invalid_config(text):
+        manifest = json.loads(text)
+        manifest["config"]["params"]["beta"] = 1.2  # no longer a slow-regime parameter set
+        return json.dumps(manifest)
+
+    damage = [("records.csv", lambda text: text.split("\n", 1)[1]),  # no hash line
+              ("cost_table.csv", lambda text: ""),
+              ("manifest.json", lambda text: text[:-1]),  # truncated JSON
+              ("manifest.json", invalid_config)]
+    for i, (name, edit) in enumerate(damage):
+        out_dir = run_dir_of(tmp_path, doc, f"damaged{i}")
+        path = os.path.join(out_dir, name)
+        text = open(path).read()
+        open(path, "w").write(edit(text))
+        assert main(["plot", out_dir]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "damaged run directory" in err
 
 
 def test_partial_failure_marks_manifest_incomplete(tmp_path, monkeypatch):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mlsa import EulerSdeFamily, GeometricCostModel, empirical_order_check
+from mlsa import EulerSdeFamily, GeometricCostModel
 
 from conftest import make_scalar_family, make_slow_family
 
@@ -9,6 +9,13 @@ from conftest import make_scalar_family, make_slow_family
 def sample_level_diff(family, theta, k, rng):
     """One sample of the level-k difference."""
     return family.sample_level_diff_batch(np.asarray(theta, dtype=float), k, 1, rng)[0]
+
+
+def scaled_level_covs(family, theta, k_max, samples, rng, beta):
+    """cov(F_k - F_{k-1}) * M^(beta k) for k = 1..k_max, one batch of ``samples`` per level."""
+    return [np.atleast_2d(np.cov(family.sample_level_diff_batch(theta, k, samples, rng),
+                                 rowvar=False)) * family.M ** (beta * k)
+            for k in range(1, k_max + 1)]
 
 
 def test_zero_noise_level_two_increment():
@@ -69,47 +76,38 @@ def test_modulated_covariance_scaling():
 
 def test_order_check_synthetic_matches_gamma():
     fam = make_slow_family()
-    rows = empirical_order_check(fam, k_max=5, samples_per_level=40_000,
-                                 rng=np.random.default_rng(3))
-    for row in rows:
-        np.testing.assert_allclose(row.scaled_cov, fam.Gamma, atol=0.05)
+    covs = scaled_level_covs(fam, fam.theta_star, 5, 40_000, np.random.default_rng(3), fam.beta)
+    for cov in covs:
+        np.testing.assert_allclose(cov, fam.Gamma, atol=0.05)
 
 
 def test_order_check_modulated_covariance():
     fam = make_scalar_family(modulated=True)
     theta = np.array([0.8])
-    rows = empirical_order_check(fam, k_max=3, samples_per_level=100_000,
-                                 rng=np.random.default_rng(5), theta=theta)
-    for row in rows:
-        assert row.scaled_cov[0, 0] == pytest.approx((1.8) ** 2, rel=0.03)
+    covs = scaled_level_covs(fam, theta, 3, 100_000, np.random.default_rng(5), fam.beta)
+    for cov in covs:
+        assert cov[0, 0] == pytest.approx((1.8) ** 2, rel=0.03)
 
 
 def test_order_check_euler_variance_ratio():
-    fam = EulerSdeFamily(drift=0.05, diffusion=0.2, target=1.0, payoff="terminal")
-    rows = empirical_order_check(fam, k_max=8, samples_per_level=2000,
-                                 rng=np.random.default_rng(11),
-                                 alpha=1.0, beta=1.0, theta=np.array([1.0]))
-    covs = [row.scaled_cov[0, 0] for row in rows[1:]]  # level 1 is the raw payoff
+    fam = EulerSdeFamily(drift=0.05, diffusion=0.2, target=1.0)
+    rows = scaled_level_covs(fam, np.array([1.0]), 8, 2000, np.random.default_rng(11), 1.0)
+    covs = [cov[0, 0] for cov in rows[1:]]  # level 1 is the raw payoff
     for a, b in zip(covs, covs[1:]):
         assert 0.5 <= b / a <= 2.0
 
 
-def test_order_check_requires_samples():
-    with pytest.raises(ValueError):
-        empirical_order_check(make_slow_family(), 3, 99, np.random.default_rng(0))
-
-
 def test_euler_coupling_zero_diffusion_deterministic():
-    fam = EulerSdeFamily(drift=0.3, diffusion=0.0, target=1.0, payoff="terminal")
+    fam = EulerSdeFamily(drift=0.3, diffusion=0.0, target=1.0)
     theta = np.array([1.0])
     v1 = sample_level_diff(fam, theta, 4, np.random.default_rng(0))
     v2 = sample_level_diff(fam, theta, 4, np.random.default_rng(12345))
     assert np.array_equal(v1, v2)  # draws are consumed but cannot affect the value
-    # the value is the deterministic Euler discretization gap between the grids
+    # the shortfall payoff negates the deterministic Euler discretization gap
     def euler_gap(steps):
         h = 1.0 / steps
         return (1 + 0.3 * h) ** steps
-    expected = euler_gap(16) - euler_gap(8)
+    expected = -(euler_gap(16) - euler_gap(8))
     assert v1[0] == pytest.approx(expected, rel=1e-12)
 
 
@@ -117,6 +115,8 @@ def test_euler_shortfall_root_and_slope():
     fam = EulerSdeFamily(drift=0.1, diffusion=0.2, target=2.0)
     np.testing.assert_allclose(fam.f(fam.theta_star), [0.0], atol=1e-14)
     assert fam.H[0, 0] == pytest.approx(-np.exp(0.1))
+    rows = np.array([fam.theta_star, fam.theta_star + 1.0])  # one f value per (R, 1) row
+    np.testing.assert_allclose(fam.f(rows), [[0.0], [-np.exp(0.1)]], atol=1e-14)
 
 
 def test_euler_rejects_nonintegral_scale():

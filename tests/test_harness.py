@@ -11,7 +11,7 @@ import scipy.special
 from mlsa import (BallMonitor, ParameterSet, ReplicationSpec, clt_report, cost_curve,
                   default_theta0, kolmogorov_critical, ks_statistic, l2_monitor,
                   normalized_sample_stats, block_seeds, replication_counts, run_replicas)
-from mlsa.harness import BLOCK
+from mlsa.harness import BLOCK, report_json
 
 from conftest import CRITICAL_DEFAULT, make_scalar_family, make_slow_family
 
@@ -119,7 +119,7 @@ def test_clt_report_fields_and_purity(slow_params, cost_model, identity):
     record = _record_for_report(slow_params, fam, cost_model, identity)
     rep1 = clt_report(record, slow_params, fam, 400, divergence_radius=10.0)
     rep2 = clt_report(record, slow_params, fam, 400, divergence_radius=10.0)
-    assert rep1.to_json() == rep2.to_json()  # pure function of its inputs
+    assert report_json(rep1) == report_json(rep2)  # pure function of its inputs
     assert rep1.replicas_screened == 120
     assert rep1.screened_fraction == 1.0
     assert not rep1.underpowered
@@ -127,7 +127,7 @@ def test_clt_report_fields_and_purity(slow_params, cost_model, identity):
     assert 0.5 < rep1.cost_ratio < 1.5
     assert rep1.target_cov == pytest.approx(
         np.array([[1.0, 0.15], [0.15, 0.25]]), abs=1e-12)
-    doc = json.loads(rep1.to_json())
+    doc = json.loads(report_json(rep1))
     assert doc["inputs"]["divergence_radius"] == 10.0
     with pytest.raises(KeyError):  # not a checkpoint of the run: no neighbouring column
         clt_report(record, slow_params, fam, 399, divergence_radius=10.0)
@@ -207,6 +207,8 @@ def test_l2_monitor_window_rules(slow_params, cost_model, identity):
     mon = l2_monitor(record, slow_params, np.zeros(1), 0.01, 1, [(5, 50), (100, 200)])
     assert all(mon.flagged)  # the excursion kills the from-n0-on restriction
     assert mon.ratio is None
+    doc = json.loads(report_json(mon))
+    assert doc["values"] == [None, None] and doc["ratio"] is None  # NaN is written as null
     with pytest.raises(ValueError, match="disjoint"):
         l2_monitor(record, slow_params, np.zeros(1), 0.01, 1, [(5, 50), (40, 60)])
 

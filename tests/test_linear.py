@@ -5,8 +5,8 @@ import pytest
 
 import mlsa.linear
 from mlsa import (ContractingMatrix, IllConditionedError, LyapunovNorm, averaged_operator,
-                  exp_lemma_gaps, exp_product_gap, linear_iterate, lyapunov_norm,
-                  product_operator, spectral_abscissa)
+                  exp_product_gap, linear_iterate, lyapunov_norm, product_operator,
+                  spectral_abscissa)
 
 
 def random_contracting(rng, d=None, margin=1.0):
@@ -253,26 +253,6 @@ def test_exp_product_gap_bound_dominates_random():
         m = r + int(rng.integers(1, 30))
         actual, bound = exp_product_gap(cm, gamma, r, m, lyap=ly)
         assert actual <= bound
-
-
-def test_exp_lemma_values():
-    g1, g1b, g2, g2b = exp_lemma_gaps(np.zeros((2, 2)))
-    assert (g1, g1b, g2, g2b) == (0.0, 0.0, 0.0, 0.0)
-    g1, g1b, g2, g2b = exp_lemma_gaps(np.array([[1.0]]))
-    assert g1 == pytest.approx(math.e - 1, rel=1e-10)
-    assert g1b == pytest.approx(math.e, rel=1e-10)
-    assert g2 == pytest.approx(math.e - 2, rel=1e-10)
-    assert g2b == pytest.approx(math.e / 2, rel=1e-10)
-
-
-def test_exp_lemma_inequalities_random():
-    rng = np.random.default_rng(12)
-    for _ in range(100):
-        A = rng.standard_normal((3, 3))
-        A *= rng.uniform(0, 2.0) / max(np.linalg.norm(A, 2), 1e-12)
-        g1, g1b, g2, g2b = exp_lemma_gaps(A)
-        assert g1 <= g1b + 1e-12
-        assert g2 <= g2b + 1e-12
 
 
 def test_linear_iterate_fixed_point():
