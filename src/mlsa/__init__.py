@@ -1,12 +1,11 @@
 """Multilevel Ruppert-Polyak averaged stochastic approximation."""
 
-from .params import (CRITICAL, SLOW, InvalidParameters, ParameterSet, ValidationReport,
-                     schedule_arrays, validate)
+from .params import CRITICAL, SLOW, InvalidParameters, ParameterSet, schedule_arrays, validate
 from .families import EulerSdeFamily, GeometricCostModel, LevelFamily, SyntheticGaussianFamily
 from .driver import (BallMonitor, BoxProjection, IdentityProjection, RunPlan, RunRecord,
                      default_theta0, geometric_checkpoints, replication_counts, run)
 from .asymptotics import (AsymptoticPrediction, RateBundle, oracle_eps_bias, oracle_eps_diff,
-                          predict, predict_critical, predict_slow, psi, rates)
+                          predict_critical, predict_slow, psi, rates)
 from .linear import (ContractingMatrix, IllConditionedError, LyapunovNorm,
                      averaged_operator, exp_product_gap, linear_iterate,
                      lyapunov_norm, product_operator, spectral_abscissa)

@@ -153,12 +153,8 @@ def _critical_at(p: ParameterSet, n: int, s: int, xi: float) -> AsymptoticPredic
                                 eps_diff_cost_form=eps_diff_cost)
 
 
-def predict(params: ParameterSet, n: int) -> AsymptoticPrediction:
-    return predictions(params, [n])[0]
-
-
 def predictions(params: ParameterSet, ns: Sequence[int]) -> list[AsymptoticPrediction]:
-    """``predict(params, n)`` for every n in ``ns``, from one schedule pass at max(ns)."""
+    """The prediction at every n in ``ns``, from one schedule pass at max(ns)."""
     arr = schedule_arrays(params, max(ns, default=1))
     at = _slow_at if params.regime == SLOW else _critical_at
     return [at(params, n, int(arr["s"][n - 1]), float(arr["xi"][n - 1])) for n in ns]

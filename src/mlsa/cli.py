@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 import scipy.special
@@ -29,15 +30,6 @@ from .driver import BallMonitor, csv_header, default_theta0
 from .params import SLOW, InvalidParameters
 
 
-def _print_report(report) -> None:
-    if report.accepted:
-        print("accepted")
-    else:
-        print("rejected")
-        for v in report.violations:
-            print(f"  violation {v.name}: {v.message}")
-
-
 def cmd_validate(args) -> int:
     try:
         load_config(args.config)
@@ -45,7 +37,9 @@ def cmd_validate(args) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except InvalidParameters as exc:
-        _print_report(exc.report)
+        print("rejected")
+        for v in exc.violations:
+            print(f"  violation {v.name}: {v.message}")
         return 1
     print("accepted")
     return 0
@@ -92,14 +86,6 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _sha256(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(65536), b""):
-            h.update(block)
-    return h.hexdigest()
-
-
 def cmd_run(args) -> int:
     # --seed follows the rule load_config applies to master_seed
     for flag, value, least in (("--seed", args.seed, 0), ("--workers", args.workers, 1)):
@@ -143,10 +129,10 @@ def cmd_run(args) -> int:
     files = manifest["files"]  # filled incrementally so partial runs list what completed
 
     def write(name: str, text: str):
-        path = os.path.join(out_dir, name)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        files[name] = _sha256(path)
+        data = text.encode()
+        with open(os.path.join(out_dir, name), "wb") as fh:
+            fh.write(data)
+        files[name] = hashlib.sha256(data).hexdigest()
 
     def csv_text(header: list, rows) -> str:
         buf = io.StringIO()
@@ -215,13 +201,18 @@ def cmd_plot(args) -> int:
     if missing:
         print(f"missing artifacts: {', '.join(sorted(missing))}", file=sys.stderr)
         return 1
-    try:  # a damaged manifest, hash line or stored config is a domain failure
+    try:  # a damaged manifest, hash line, stored config or record table is a domain failure
         with open(manifest_path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
         cfg_hash = manifest["config_hash"]
         hashes = {name: _read_hash_comment(os.path.join(run_dir, name)) for name in needed}
         cfg = config_from_dict(manifest["config"])
-    except (ValueError, KeyError, TypeError) as exc:
+        # records.csv: a hash comment, then ["replica"] + csv_header(d) and its rows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy warns, and does not raise, on a table of no rows
+            table = np.loadtxt(os.path.join(run_dir, "records.csv"), delimiter=",", skiprows=2,
+                               ndmin=2)
+    except (ValueError, KeyError, TypeError, UserWarning) as exc:
         print(f"damaged run directory: {exc}", file=sys.stderr)
         return 1
     for name, h in hashes.items():
@@ -231,9 +222,6 @@ def cmd_plot(args) -> int:
             return 1
     family = build_family(cfg)
     theta_star = family.theta_star
-
-    # records.csv: a hash comment, then ["replica"] + csv_header(d) and its rows
-    table = np.loadtxt(os.path.join(run_dir, "records.csv"), delimiter=",", skiprows=2, ndmin=2)
     n_col, bar, cost = table[:, 1], table[:, 2 + family.d:2 + 2 * family.d], table[:, -1]
     ns = np.unique(n_col)
     mean_err = np.array([np.linalg.norm(bar[n_col == n] - theta_star, axis=1).mean() for n in ns])

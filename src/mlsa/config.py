@@ -31,8 +31,7 @@ import numpy as np
 from .driver import BoxProjection, IdentityProjection, geometric_checkpoints
 from .families import EulerSdeFamily, GeometricCostModel, LevelFamily, SyntheticGaussianFamily
 from .harness import ReplicationSpec
-from .params import (CRITICAL, InvalidParameters, ParameterSet, ValidationReport, Violation,
-                     fill_param_defaults)
+from .params import CRITICAL, InvalidParameters, ParameterSet, Violation, fill_param_defaults
 
 
 class ConfigError(ValueError):
@@ -185,20 +184,19 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     return cfg
 
 
-def _reject(regime: str, name: str, detail: str):
-    violation = Violation(name, f"{name}: {detail}")
-    raise InvalidParameters(ValidationReport(False, regime, (violation,)))
+def _reject(name: str, detail: str):
+    raise InvalidParameters((Violation(name, f"{name}: {detail}"),))
 
 
 def _check_experiment(cfg: ExperimentConfig):
     """Checks that need the family and projection, not just one section."""
     p, fam = cfg.params, cfg.family_spec
     if fam["kind"] == "euler_sde" and p.M != int(p.M):
-        _reject(p.regime, "integer M for euler_sde", f"M = {p.M:.6g} is not an integer")
+        _reject("integer M for euler_sde", f"M = {p.M:.6g} is not an integer")
     if fam.get("payoff") == "terminal":
-        _reject(p.regime, "payoff with a root", "'terminal' has no theta* to approximate")
+        _reject("payoff with a root", "'terminal' has no theta* to approximate")
     if p.regime == CRITICAL and max(cfg.replication.checkpoints) < 2:
-        _reject(p.regime, "checkpoint n >= 2", "critical predictions need log n > 0")
+        _reject("checkpoint n >= 2", "critical predictions need log n > 0")
     try:
         family = build_family(cfg)
         projection = build_projection(cfg)
@@ -207,7 +205,7 @@ def _check_experiment(cfg: ExperimentConfig):
     d = family.d
     if fam["kind"] == "synthetic_gaussian":
         if min(np.linalg.matrix_rank(family.H), np.linalg.matrix_rank(family.A)) < d:
-            _reject(p.regime, "nonsingular H and noise_factor",
+            _reject("nonsingular H and noise_factor",
                     "the CLT target H^-1 Gamma H^-T must be positive definite")
     if isinstance(projection, BoxProjection):
         for key in ("lower", "upper"):

@@ -64,8 +64,8 @@ class BoxProjection:
     def __init__(self, lower, upper):
         self.lower = np.atleast_1d(np.asarray(lower, dtype=float))
         self.upper = np.atleast_1d(np.asarray(upper, dtype=float))
-        if np.any(self.lower > self.upper):
-            raise ValueError("box lower bounds must not exceed upper bounds")
+        if not np.all(self.lower <= self.upper):  # also false at a NaN bound
+            raise ValueError("box bounds must be numbers with lower <= upper")
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return np.clip(x, self.lower, self.upper)
@@ -94,8 +94,7 @@ class RunRecord:
     ball monitor) hold all rows after iteration ``ns[j]``; ``cost`` (c,) is
     shared, the cost model being theta-free.  A row that turned non-finite at
     iteration ``abort_iteration[r]`` (0: it completed) is frozen from then on
-    and its later checkpoints are not part of the record; ``abort_z[r]`` is
-    its estimate there (NaN if it completed), ``cost_final[r]`` the cost before.
+    and its later checkpoints are not part of the record.
     """
 
     ns: np.ndarray
@@ -103,11 +102,7 @@ class RunRecord:
     theta_bar: np.ndarray
     cost: np.ndarray
     in_ball: Optional[np.ndarray]
-    theta_final: np.ndarray
-    theta_bar_final: np.ndarray
-    cost_final: np.ndarray
     abort_iteration: np.ndarray
-    abort_z: np.ndarray
 
     @property
     def aborted(self) -> np.ndarray:
@@ -138,7 +133,7 @@ class RunPlan:
         self.b = arr["b"]
         self.s = arr["s"]
         self.counts = replication_counts(params, self.s, arr["K"])
-        costs = np.array([cost_model.level_cost(None, k)
+        costs = np.array([cost_model.level_cost(k)
                           for k in range(1, self.counts.shape[1] + 1)])
         self.cost_inc = self.counts @ costs
 
@@ -152,35 +147,33 @@ def default_theta0(family: LevelFamily) -> np.ndarray:
     return family.theta_star + u
 
 
-def geometric_checkpoints(n_final: int, factor: float = 1.25) -> tuple[int, ...]:
-    """Geometric checkpoint set {ceil(factor^j)} intersected with [1, n_final]."""
+def geometric_checkpoints(n_final: int) -> tuple[int, ...]:
+    """Geometric checkpoint set {ceil(1.25^j)} intersected with [1, n_final]."""
     pts = set()
     x = 1.0
     while x <= n_final:
         pts.add(int(math.ceil(x)))
-        x *= factor
+        x *= 1.25
     pts.add(n_final)
     return tuple(sorted(pts))
 
 
-def run(params: ParameterSet, family: LevelFamily, cost_model, projection,
-        theta0, n_final: int, checkpoints: Sequence[int], seed, *, replicas: int = 1,
-        ball: Optional[BallMonitor] = None, plan: Optional[RunPlan] = None) -> RunRecord:
-    """Run a block of ``replicas`` replicas in lockstep for ``n_final`` iterations.
+def run(plan: RunPlan, family: LevelFamily, projection, theta0, checkpoints: Sequence[int],
+        seed, *, replicas: int = 1, ball: Optional[BallMonitor] = None) -> RunRecord:
+    """Run a block of ``replicas`` replicas in lockstep for ``plan.n_final`` iterations.
 
-    The states are the rows of one (replicas, d) array started at ``theta0``;
-    each iteration makes one ``ml_estimate`` call for all rows on the stream
-    ``default_rng(seed)`` (an int or a SeedSequence seed).  The whole block is
-    recorded after each iteration in ``checkpoints``.  A row whose state turns
-    non-finite aborts alone; it stays in the block, frozen, so the other rows
-    draw and record exactly as before.
+    The plan is the run's only schedule input.  The states are the rows of
+    one (replicas, d) array started at ``theta0``; each iteration makes one
+    ``ml_estimate`` call for all rows on the stream ``default_rng(seed)`` (an
+    int or a SeedSequence seed).  The whole block is recorded after each
+    iteration in ``checkpoints``.  A row whose state turns non-finite aborts
+    alone; it stays in the block, frozen, so the other rows draw and record
+    exactly as before.
     """
+    n_final = plan.n_final
     ns = np.array(sorted({int(c) for c in checkpoints}), dtype=np.int64)
     if ns.size and (ns[0] < 1 or ns[-1] > n_final):
         raise ValueError("checkpoints must lie in [1, n_final]")
-    rp = plan or RunPlan(params, cost_model, n_final)
-    if rp.n_final < n_final:
-        raise ValueError("precomputed RunPlan is shorter than n_final")
     rng = np.random.default_rng(seed)
     theta = np.array(np.broadcast_to(np.asarray(theta0, dtype=float), (replicas, family.d)))
     theta_bar = np.zeros_like(theta)
@@ -188,12 +181,11 @@ def run(params: ParameterSet, family: LevelFamily, cost_model, projection,
     live = np.ones(replicas, dtype=bool)
     in_ball = np.ones(replicas, dtype=bool)
     abort_iteration = np.zeros(replicas, dtype=np.int64)
-    abort_z = np.full(theta.shape, np.nan)
     rec_theta = np.empty((len(ns),) + theta.shape)
     rec_bar = np.empty_like(rec_theta)
     rec_ball = None if ball is None else np.empty((len(ns), replicas), dtype=bool)
     at = dict(zip(ns.tolist(), range(len(ns))))  # checkpoint n -> its slot
-    gamma, b, s, counts = rp.gamma, rp.b, rp.s, rp.counts
+    gamma, b, s, counts = plan.gamma, plan.b, plan.s, plan.counts
     # non-finite states are expected here: they are detected and abort their row
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_final):
@@ -207,7 +199,6 @@ def run(params: ParameterSet, family: LevelFamily, cost_model, projection,
             if not (live.all() and np.isfinite(theta_new).all()):
                 failed = live & ~np.isfinite(theta_new).all(axis=1)
                 abort_iteration[failed] = n
-                abort_z[failed] = z[failed]
                 live &= ~failed
                 theta_new = np.where(live[:, None], theta_new, theta)
                 bar_new = np.where(live[:, None], bar_new, theta_bar)
@@ -217,10 +208,7 @@ def run(params: ParameterSet, family: LevelFamily, cost_model, projection,
                 rec_theta[j], rec_bar[j] = theta, theta_bar
                 if rec_ball is not None:
                     rec_ball[j] = in_ball
-    # spent[n]: the cost of iterations 1..n, summed in iteration order
-    spent = np.concatenate(([0.0], np.cumsum(rp.cost_inc[:n_final])))
-    return RunRecord(
-        ns=ns, theta=rec_theta, theta_bar=rec_bar, cost=spent[ns], in_ball=rec_ball,
-        theta_final=theta, theta_bar_final=theta_bar,
-        cost_final=spent[np.where(abort_iteration > 0, abort_iteration - 1, n_final)],
-        abort_iteration=abort_iteration, abort_z=abort_z)
+    # the cost of iterations 1..n, summed in iteration order
+    return RunRecord(ns=ns, theta=rec_theta, theta_bar=rec_bar,
+                     cost=np.cumsum(plan.cost_inc)[ns - 1], in_ball=rec_ball,
+                     abort_iteration=abort_iteration)

@@ -31,7 +31,7 @@ class GeometricCostModel:
     kappa_C: float
     M: float
 
-    def level_cost(self, theta, k: int) -> float:
+    def level_cost(self, k: int) -> float:
         if k < 1:
             raise ValueError("level k must be >= 1")
         return self.kappa_C * self.M ** k
@@ -195,8 +195,13 @@ class EulerSdeFamily(LevelFamily):
         self.target = float(target)
         self.T = float(horizon)
         self.M = int(M)
-        self.theta_star = np.array([self.target * np.exp(-self.drift * self.T)])
-        self.H = np.array([[-np.exp(self.drift * self.T)]])
+        with np.errstate(over="ignore", invalid="ignore"):  # rejected below, not warned about
+            self.theta_star = np.array([self.target * np.exp(-self.drift * self.T)])
+            self.H = np.array([[-np.exp(self.drift * self.T)]])
+        values = [self.drift, self.diffusion, self.target, self.T, self.theta_star[0], self.H[0, 0]]
+        if not (self.T > 0 and np.all(np.isfinite(values))):
+            raise ValueError("EulerSdeFamily needs finite drift, diffusion and target, a horizon "
+                             "> 0, and a finite theta* and exp(drift*horizon)")
 
     def f(self, theta):
         """f at theta of shape (1,) or at each row of theta of shape (R, 1)."""

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import driver
-from .asymptotics import predict, predictions
+from .asymptotics import predictions
 from .driver import BallMonitor, RunPlan, RunRecord
 from .families import LevelFamily
 from .params import CRITICAL, SLOW, ParameterSet
@@ -58,6 +58,8 @@ class ReplicationSpec:
 
 # replicas per block: one random stream and one (BLOCK, d) lockstep state each
 BLOCK = 100
+# family-wise false-alarm level of the CLT report's KS tests
+CLT_LEVEL = 0.01
 
 
 def block_seeds(master_seed: int, n_blocks: int) -> list[np.random.SeedSequence]:
@@ -66,19 +68,19 @@ def block_seeds(master_seed: int, n_blocks: int) -> list[np.random.SeedSequence]
 
 
 def _run_block(args):
-    common, seed, size, ball, plan = args
-    return driver.run(*common, seed, replicas=size, ball=ball, plan=plan)
+    common, seed, size, ball = args
+    return driver.run(*common, seed, replicas=size, ball=ball)
 
 
 def _join(parts: list[RunRecord]) -> RunRecord:
     """Block records joined along the replica axis; they share ``ns`` and ``cost``."""
-    def join(name):
-        arrays = [getattr(p, name) for p in parts]
-        if name in ("ns", "cost") or arrays[0] is None:
-            return arrays[0]
-        return np.concatenate(arrays, axis=1 if name in ("theta", "theta_bar", "in_ball") else 0)
+    def join(name, axis=1):
+        return np.concatenate([getattr(p, name) for p in parts], axis=axis)
 
-    return RunRecord(**{f.name: join(f.name) for f in fields(RunRecord)})
+    first = parts[0]
+    return RunRecord(ns=first.ns, theta=join("theta"), theta_bar=join("theta_bar"),
+                     cost=first.cost, in_ball=None if first.in_ball is None else join("in_ball"),
+                     abort_iteration=join("abort_iteration", 0))
 
 
 def run_replicas(spec: ReplicationSpec, params: ParameterSet, family: LevelFamily,
@@ -92,11 +94,10 @@ def run_replicas(spec: ReplicationSpec, params: ParameterSet, family: LevelFamil
     the returned record is replica r, independent of ``workers``.
     """
     R = spec.replicas
-    plan = RunPlan(params, cost_model, spec.n_final)
-    common = (params, family, cost_model, projection, np.asarray(theta0, dtype=float),
-              spec.n_final, spec.checkpoints)
+    common = (RunPlan(params, cost_model, spec.n_final), family, projection,
+              np.asarray(theta0, dtype=float), spec.checkpoints)
     starts = range(0, R, BLOCK)
-    tasks = [(common, seed, min(BLOCK, R - j), ball, plan)
+    tasks = [(common, seed, min(BLOCK, R - j), ball)
              for j, seed in zip(starts, block_seeds(spec.master_seed, len(starts)))]
     if workers <= 1 or len(tasks) == 1:
         parts = [_run_block(t) for t in tasks]
@@ -180,7 +181,7 @@ def normalized_sample_stats(zeta: np.ndarray, target_cov: np.ndarray, level: flo
 
 
 def clt_report(record: RunRecord, params: ParameterSet, family: LevelFamily,
-               checkpoint: int, *, divergence_radius: float, level: float = 0.01,
+               checkpoint: int, *, divergence_radius: float,
                inputs: Optional[dict] = None) -> CltReport:
     """Build the CLT verification report at one checkpoint of ``record.ns``.
 
@@ -200,7 +201,7 @@ def clt_report(record: RunRecord, params: ParameterSet, family: LevelFamily,
     H_inv = np.linalg.inv(np.atleast_2d(family.H))
     target = H_inv @ Gamma @ H_inv.T
     theta_star = family.theta_star
-    pred = predict(params, checkpoint)
+    pred = predictions(params, [checkpoint])[0]
     R = len(record.abort_iteration)
     kept = ~record.aborted & (np.linalg.norm(record.theta[j] - theta_star, axis=1)
                               <= divergence_radius)
@@ -211,7 +212,7 @@ def clt_report(record: RunRecord, params: ParameterSet, family: LevelFamily,
     if params.regime == SLOW:
         center = center + pred.eps_bias * (H_inv @ family.mu)
     zeta = center / pred.eps_diff
-    stats = normalized_sample_stats(zeta, target, level)
+    stats = normalized_sample_stats(zeta, target, CLT_LEVEL)
     return CltReport(
         checkpoint=checkpoint,
         replicas_total=R,
@@ -225,7 +226,7 @@ def clt_report(record: RunRecord, params: ParameterSet, family: LevelFamily,
         ks_stats=stats["ks_stats"],
         ks_critical=stats["ks_critical"],
         ks_pass=stats["ks_pass"],
-        level=level,
+        level=CLT_LEVEL,
         eps_bias=pred.eps_bias,
         eps_diff=pred.eps_diff,
         cost_ratio=float(record.cost[j] / pred.predicted_cost),

@@ -28,27 +28,17 @@ REGIMES = (SLOW, CRITICAL)
 
 
 class InvalidParameters(ValueError):
-    """Raised when a ParameterSet fails its regime feasibility inequalities."""
+    """Raised with the ``violations`` that reject a parameter set or experiment."""
 
-    def __init__(self, report: "ValidationReport"):
-        self.report = report
-        super().__init__("; ".join(v.message for v in report.violations) or "invalid")
+    def __init__(self, violations: tuple[Violation, ...]):
+        self.violations = violations
+        super().__init__("; ".join(v.message for v in violations))
 
 
 @dataclass(frozen=True)
 class Violation:
     name: str
     message: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    accepted: bool
-    regime: str
-    violations: tuple[Violation, ...]
-
-    def violation_names(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self.violations)
 
 
 @dataclass(frozen=True)
@@ -77,9 +67,9 @@ class ParameterSet:
         for f in fields(self):
             if f.name != "regime":
                 object.__setattr__(self, f.name, float(getattr(self, f.name)))
-        report = validate(self)
-        if not report.accepted:
-            raise InvalidParameters(report)
+        violations = validate(self.to_dict())
+        if violations:
+            raise InvalidParameters(violations)
 
     @property
     def r(self) -> float:
@@ -90,42 +80,30 @@ class ParameterSet:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def _field_values(params) -> dict:
-    if isinstance(params, ParameterSet):
-        return params.to_dict()
-    if isinstance(params, Mapping):
-        return dict(params)
-    raise TypeError(f"expected ParameterSet or mapping, got {type(params)!r}")
-
-
 def _check(violations: list, name: str, ok: bool, lhs: float, op: str, rhs: float):
     if not ok:
         violations.append(Violation(name, f"{name}: {lhs:.6g} {op} {rhs:.6g} fails"))
 
 
-def validate(params) -> ValidationReport:
-    """Evaluate every regime feasibility inequality, strictly.
+def validate(v: Mapping) -> tuple[Violation, ...]:
+    """Evaluate every regime feasibility inequality of the mapping ``v``
+    (the fields of a :class:`ParameterSet`), strictly; returns the violations,
+    empty when the set is accepted.
 
-    Accepts a :class:`ParameterSet` or a plain mapping with the same keys.
-    Pure: the report is a function of the field values only.  Equality in any
-    strict inequality counts as a violation.  Non-finite fields reject with a
-    single "non-finite" violation.
+    Pure: a function of the field values only.  Equality in any strict
+    inequality counts as a violation.  Non-finite fields reject with a single
+    "non-finite" violation.
     """
-    v = _field_values(params)
     regime = v.get("regime")
-    violations: list[Violation] = []
-    numeric = {k: val for k, val in v.items() if k != "regime"}
     if regime not in REGIMES:
-        violations.append(Violation("regime", f"regime: {regime!r} not in {REGIMES}"))
-        return ValidationReport(False, str(regime), tuple(violations))
-    if not all(math.isfinite(float(x)) for x in numeric.values()):
-        violations.append(Violation("non-finite", "non-finite: all fields must be finite"))
-        return ValidationReport(False, regime, tuple(violations))
+        return (Violation("regime", f"regime: {regime!r} not in {REGIMES}"),)
+    if not all(math.isfinite(float(x)) for k, x in v.items() if k != "regime"):
+        return (Violation("non-finite", "non-finite: all fields must be finite"),)
 
     alpha, beta, M = float(v["alpha"]), float(v["beta"]), float(v["M"])
     phi, rho, psi = float(v["phi"]), float(v["rho"]), float(v["psi"])
     lam, L = float(v["lam"]), float(v["L"])
-
+    violations: list[Violation] = []
     _check(violations, "alpha > 0", alpha > 0, alpha, ">", 0)
     _check(violations, "beta > 0", beta > 0, beta, ">", 0)
     _check(violations, "M > 1", M > 1, M, ">", 1)
@@ -135,7 +113,7 @@ def validate(params) -> ValidationReport:
     _check(violations, "L > 0", L > 0, L, ">", 0)
     _check(violations, "lambda in (0, 1]", 0 < lam <= 1, lam, "in", 1)
     if violations:
-        return ValidationReport(False, regime, tuple(violations))
+        return tuple(violations)
 
     if regime == SLOW:
         _check(violations, "beta < 1", beta < 1, beta, "<", 1)
@@ -159,7 +137,7 @@ def validate(params) -> ValidationReport:
         _check(violations, "psi > (1 - lambda/(lambda+1) (phi+1))_+", psi > lower, psi, ">", lower)
         _check(violations, "psi < 1", psi < 1, psi, "<", 1)
 
-    return ValidationReport(not violations, regime, tuple(violations))
+    return tuple(violations)
 
 
 def schedule_arrays(params: ParameterSet, n: int) -> dict[str, np.ndarray]:

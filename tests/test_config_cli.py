@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import os
@@ -114,6 +115,7 @@ def test_validate_malformed_file_exit_two(tmp_path, capsys):
     assert "parse error" in err and ":1:" in err  # line diagnostics
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # Euler constants reject without a warning
 def test_replicas_rejected_at_validation(tmp_path, capsys):
     doc = variant(**{"replication.replicas": 0})
     rc = main(["validate", write_config(tmp_path, doc)])
@@ -129,7 +131,13 @@ def test_replicas_rejected_at_validation(tmp_path, capsys):
                          "projection.upper": [1.0]}), "lower"),
              (variant(**{"family.mu": [1.0, -1.0, 0.0]}), "mu"),
              (variant(**{"params.M": "2.0"}), "M"),
-             (euler_doc(payoff="call"), "payoff")]
+             (euler_doc(payoff="call"), "payoff"),
+             # Euler and box constants that no run can use
+             (euler_doc(horizon=-1), "horizon"),
+             (euler_doc(drift=float("nan")), "drift"),
+             (euler_doc(drift=1e308), "exp(drift*horizon)"),
+             (dict(euler_doc(), projection={"kind": "box", "lower": [float("nan")],
+                                            "upper": [5.0]}), "lower")]
     for i, (doc, word) in enumerate(cases):
         path = write_config(tmp_path, doc, name=f"struct{i}.json")
         assert main(["validate", path]) == 2
@@ -182,8 +190,9 @@ def test_run_writes_manifest_with_four_artifacts(tmp_path):
     assert manifest["complete"]
     assert sorted(manifest["files"]) == ["clt_report.json", "cost_table.csv",
                                          "l2_monitor.json", "records.csv"]
-    for name in manifest["files"]:
-        assert os.path.exists(os.path.join(out_dir, name))
+    for name, digest in manifest["files"].items():
+        with open(os.path.join(out_dir, name), "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == digest
 
 
 def test_rerun_and_worker_count_reproduce_hashes(tmp_path):
@@ -250,7 +259,9 @@ def test_plot_refuses_mixed_hashes(tmp_path, capsys):
     damage = [("records.csv", lambda text: text.split("\n", 1)[1]),  # no hash line
               ("cost_table.csv", lambda text: ""),
               ("manifest.json", lambda text: text[:-1]),  # truncated JSON
-              ("manifest.json", invalid_config)]
+              ("manifest.json", invalid_config),
+              ("records.csv", lambda text: text[:text.rindex(",")]),  # truncated last row
+              ("records.csv", lambda text: "".join(text.splitlines(True)[:2]))]  # no rows
     for i, (name, edit) in enumerate(damage):
         out_dir = run_dir_of(tmp_path, doc, f"damaged{i}")
         path = os.path.join(out_dir, name)

@@ -61,7 +61,7 @@ def reference_run(params, family, cost_model, projection, theta0, n_final, seed,
             s = max(math.ceil(raw), 1)
         counts = reference_counts(p, s, K)
         g = rng.standard_normal((replicas, s, family.d))
-        cost += sum(n_k * cost_model.level_cost(None, k) for k, n_k in enumerate(counts, 1))
+        cost += sum(n_k * cost_model.level_cost(k) for k, n_k in enumerate(counts, 1))
         b = float(n) ** p.rho
         for r in range(replicas):
             z = synthetic_estimate(family, thetas[r], counts, g[r])
@@ -87,9 +87,10 @@ def per_iteration_stream_run(family, plan, theta0, n_final, stream):
 
 def test_first_step_is_linear_contraction(slow_params_pinned, cost_model):
     fam = make_scalar_family(H=-1.0, mu=0.0, noise=0.0)
-    rec = run(slow_params_pinned, fam, cost_model, IdentityProjection(), [1.0], 1, (1,), 0)
-    assert rec.theta_final[0, 0] == pytest.approx(1.0 - 1.0, abs=0)  # gamma_1 = 1
-    assert rec.theta_bar_final[0, 0] == rec.theta_final[0, 0]  # average starts at n = 1
+    rec = run(RunPlan(slow_params_pinned, cost_model, 1), fam, IdentityProjection(), [1.0],
+              (1,), 0)
+    assert rec.theta[-1, 0, 0] == pytest.approx(1.0 - 1.0, abs=0)  # gamma_1 = 1
+    assert rec.theta_bar[-1, 0, 0] == rec.theta[-1, 0, 0]  # average starts at n = 1
 
 
 def test_step_box_clamp(slow_params_pinned, cost_model):
@@ -98,8 +99,8 @@ def test_step_box_clamp(slow_params_pinned, cost_model):
                                   noise_factor=[[0.0]], alpha=1.0, beta=0.5, M=2.0)
     p = ParameterSet(**dict(SLOW_PINNED, kappa_s=1e-3))  # keeps s_1 = 1
     box = BoxProjection([-0.5], [0.5])
-    rec = run(p, fam, cost_model, box, [0.4], 1, (1,), 0)
-    assert rec.theta_final[0, 0] == pytest.approx(0.5, abs=0)
+    rec = run(RunPlan(p, cost_model, 1), fam, box, [0.4], (1,), 0)
+    assert rec.theta[-1, 0, 0] == pytest.approx(0.5, abs=0)
 
 
 def test_iteration_cost_arithmetic(critical_params):
@@ -113,44 +114,45 @@ def test_iteration_cost_arithmetic(critical_params):
 def test_step_cost_matches_schedule(slow_params_pinned, cost_model):
     fam = make_scalar_family()
     counts = reference_counts(slow_params_pinned, 1, 3.0)  # s_1 = 1, K_1 = 3
-    rec = run(slow_params_pinned, fam, cost_model, IdentityProjection(), [1.0], 1, (1,), 0)
-    assert rec.cost_final[0] == sum(n_k * cost_model.level_cost(None, k)
+    rec = run(RunPlan(slow_params_pinned, cost_model, 1), fam, IdentityProjection(), [1.0],
+              (1,), 0)
+    assert rec.cost[-1] == sum(n_k * cost_model.level_cost(k)
                                  for k, n_k in enumerate(counts, 1))
 
 
 def test_run_is_deterministic(slow_params, slow_family, cost_model, identity):
     theta0 = default_theta0(slow_family)
-    kw = dict(n_final=150, checkpoints=(10, 150), seed=987)
-    a = run(slow_params, slow_family, cost_model, identity, theta0, **kw)
-    b = run(slow_params, slow_family, cost_model, identity, theta0, **kw)
+    plan = RunPlan(slow_params, cost_model, 150)
+    a = run(plan, slow_family, identity, theta0, (10, 150), 987)
+    b = run(plan, slow_family, identity, theta0, (10, 150), 987)
     assert a.csv_rows() == b.csv_rows()
-    assert np.array_equal(a.theta_final, b.theta_final)
+    assert np.array_equal(a.theta[-1], b.theta[-1])
 
 
 def test_zero_noise_contraction_bound(cost_model, identity):
     p = ParameterSet(**SLOW_PINNED)
     fam = make_scalar_family(H=-1.0, mu=0.0, noise=0.0)
     n = 10 ** 4
-    rec = run(p, fam, cost_model, identity, [1.0], n, (n,), 0)
+    rec = run(RunPlan(p, cost_model, n), fam, identity, [1.0], (n,), 0)
     # |theta_n| <= prod(1 - gamma_k) <= exp(-sum gamma_k), computed alongside
     gammas = np.arange(1, n + 1, dtype=float) ** -0.75
     bound = np.exp(np.sum(np.log1p(-np.minimum(gammas, 1 - 1e-16))))
     assert bound <= 1e-10
-    assert abs(rec.theta_final[0, 0]) <= max(bound, 1e-300) or abs(rec.theta_final[0, 0]) <= 1e-10
+    assert abs(rec.theta[-1, 0, 0]) <= max(bound, 1e-300) or abs(rec.theta[-1, 0, 0]) <= 1e-10
 
 
 def test_streaming_average_matches_direct_sum(slow_params, slow_family, cost_model, identity):
     n = 2000
-    rec = run(slow_params, slow_family, cost_model, identity,
-              default_theta0(slow_family), n, tuple(range(1, n + 1)), 4242)
+    rec = run(RunPlan(slow_params, cost_model, n), slow_family, identity,
+              default_theta0(slow_family), tuple(range(1, n + 1)), 4242)
     b = np.arange(1, n + 1, dtype=float) ** slow_params.rho
     direct = (b[:, None] * rec.theta[:, 0]).sum(axis=0) / b.sum()
-    np.testing.assert_allclose(rec.theta_bar_final[0], direct, rtol=1e-10)
+    np.testing.assert_allclose(rec.theta_bar[-1, 0], direct, rtol=1e-10)
 
 
 def test_cost_strictly_increasing(slow_params, slow_family, cost_model, identity):
-    rec = run(slow_params, slow_family, cost_model, identity,
-              default_theta0(slow_family), 50, tuple(range(1, 51)), 7)
+    rec = run(RunPlan(slow_params, cost_model, 50), slow_family, identity,
+              default_theta0(slow_family), tuple(range(1, 51)), 7)
     assert np.all(np.diff(rec.cost) > 0)
 
 
@@ -158,8 +160,9 @@ def test_default_config_average_improves(slow_params, cost_model, identity):
     fam = make_slow_family()
     theta0 = default_theta0(fam)
     d0 = np.linalg.norm(theta0 - fam.theta_star)
-    rec = run(slow_params, fam, cost_model, identity, theta0, 2000, (2000,), 0, replicas=100)
-    improved = np.sum(np.linalg.norm(rec.theta_bar_final - fam.theta_star, axis=1) < d0)
+    rec = run(RunPlan(slow_params, cost_model, 2000), fam, identity, theta0, (2000,), 0,
+              replicas=100)
+    improved = np.sum(np.linalg.norm(rec.theta_bar[-1] - fam.theta_star, axis=1) < d0)
     assert improved >= 99
 
 
@@ -181,24 +184,22 @@ class _BlowUpFamily(LevelFamily):
 
 def test_abort_flags_partial_record(slow_params, cost_model, identity):
     fam = _BlowUpFamily(at=5)
-    rec = run(slow_params, fam, cost_model, identity, [1.0], 20, (3, 10), 0)
+    rec = run(RunPlan(slow_params, cost_model, 20), fam, identity, [1.0], (3, 10), 0)
     assert rec.aborted[0]
     assert rec.abort_iteration[0] == 5
-    assert not np.isfinite(rec.abort_z[0, 0])
     assert [row[:2] for row in rec.csv_rows()] == [[0, 3]]  # only pre-abort checkpoints
 
 
 def test_ball_monitor_tracks_previous_iterates(slow_params, cost_model, identity):
     fam = make_scalar_family(H=-0.5, mu=0.0, noise=0.0)  # theta_1 = 0.5 after gamma_1 = 1
     ball = BallMonitor(center=np.zeros(1), eps=0.05, n0=1)
-    rec = run(slow_params, fam, cost_model, identity, [1.0], 30,
-              tuple(range(1, 31)), 0, ball=ball)
+    plan = RunPlan(slow_params, cost_model, 30)
+    rec = run(plan, fam, identity, [1.0], tuple(range(1, 31)), 0, ball=ball)
     flags = rec.in_ball[:, 0]
     assert flags[0]  # no m in [n0, 0] yet
     assert not flags[1:].any()  # theta_1 left; the restriction never resets
     ball_late = BallMonitor(center=np.zeros(1), eps=0.05, n0=25)
-    rec2 = run(slow_params, fam, cost_model, identity, [1.0], 30,
-               tuple(range(1, 31)), 0, ball=ball_late)
+    rec2 = run(plan, fam, identity, [1.0], tuple(range(1, 31)), 0, ball=ball_late)
     assert rec2.in_ball[-1, 0]  # contraction done before n0
 
 
@@ -221,7 +222,7 @@ def test_run_matches_scalar_reference(slow_params, critical_params, cost_model):
         # is held to a relative tolerance of a few hundred ulps
         for n_final, rtol in ((10, 0.0), (200, 1e-13)):
             ref = reference_run(params, fam, cost_model, proj, theta0, n_final, 55, replicas)
-            rec = run(params, fam, cost_model, proj, theta0, n_final,
+            rec = run(RunPlan(params, cost_model, n_final), fam, proj, theta0,
                       tuple(range(1, n_final + 1)), 55, replicas=replicas)
             assert len(ref) == rec.theta.shape[1]
             for r, ref_rows in enumerate(ref):
@@ -239,7 +240,7 @@ def test_block_streams_match_per_iteration_streams_in_law(slow_params, cost_mode
     theta0 = default_theta0(fam)
     plan = RunPlan(slow_params, cost_model, n)
     spec = ReplicationSpec(replicas=R, n_final=n, checkpoints=(n,), master_seed=1)
-    block = run_replicas(spec, slow_params, fam, cost_model, identity, theta0).theta_bar_final
+    block = run_replicas(spec, slow_params, fam, cost_model, identity, theta0).theta_bar[-1]
     old = np.stack([per_iteration_stream_run(fam, plan, theta0, n, stream)
                     for stream in np.random.SeedSequence(2).spawn(R)])
     for j in range(fam.d):
@@ -251,34 +252,25 @@ def test_aborted_row_leaves_other_rows_unchanged(slow_params, cost_model):
              (EulerSdeFamily(drift=0.05, diffusion=0.2, target=1.0), [np.inf])]
     for fam, blow_up in cases:
         theta0 = np.tile(default_theta0(fam), (4, 1))
-        kw = dict(n_final=12, checkpoints=(3, 12), seed=8, replicas=4)
-        calm = run(slow_params, fam, cost_model, IdentityProjection(), theta0, **kw)
+        args = (RunPlan(slow_params, cost_model, 12), fam, IdentityProjection())
+        calm = run(*args, theta0, (3, 12), 8, replicas=4)
         theta0[1] = blow_up
-        mixed = run(slow_params, fam, cost_model, IdentityProjection(), theta0, **kw)
+        mixed = run(*args, theta0, (3, 12), 8, replicas=4)
         assert mixed.abort_iteration.tolist() == [0, 1, 0, 0]
-        assert mixed.cost_final[1] == 0.0
         assert [row[:2] for row in calm.csv_rows()] == [[r, n] for r in range(4) for n in (3, 12)]
         # the aborted replica writes no row; the others write exactly what they did alone
         assert mixed.csv_rows() == [row for row in calm.csv_rows() if row[0] != 1]
 
 
-def test_run_precomputed_plan_reuse(slow_params, slow_family, cost_model, identity):
-    plan = RunPlan(slow_params, cost_model, 100)
-    theta0 = default_theta0(slow_family)
-    a = run(slow_params, slow_family, cost_model, identity, theta0, 100, (100,), 5, plan=plan)
-    b = run(slow_params, slow_family, cost_model, identity, theta0, 100, (100,), 5)
-    assert a.csv_rows() == b.csv_rows()
-
-
 def test_run_rejects_bad_checkpoints(slow_params, slow_family, cost_model, identity):
     with pytest.raises(ValueError):
-        run(slow_params, slow_family, cost_model, identity,
-            default_theta0(slow_family), 10, (11,), 0)
+        run(RunPlan(slow_params, cost_model, 10), slow_family, identity,
+            default_theta0(slow_family), (11,), 0)
 
 
 def test_record_serialization_roundtrip(slow_params, slow_family, cost_model, identity):
-    rec = run(slow_params, slow_family, cost_model, identity,
-              default_theta0(slow_family), 20, (10, 20), 3)
+    rec = run(RunPlan(slow_params, cost_model, 20), slow_family, identity,
+              default_theta0(slow_family), (10, 20), 3)
     assert csv_header(2) == ["n", "theta_0", "theta_1", "theta_bar_0", "theta_bar_1", "cost"]
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rec.csv_rows())

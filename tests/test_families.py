@@ -126,11 +126,11 @@ def test_euler_rejects_nonintegral_scale():
 
 def test_cost_model_values():
     cm = GeometricCostModel(kappa_C=1.0, M=2.0)
-    assert cm.level_cost(None, 3) == 8.0
-    assert cm.level_cost(None, 1) == 2.0
-    assert GeometricCostModel(kappa_C=2.5, M=4.0).level_cost(None, 2) == 40.0
+    assert cm.level_cost(3) == 8.0
+    assert cm.level_cost(1) == 2.0
+    assert GeometricCostModel(kappa_C=2.5, M=4.0).level_cost(2) == 40.0
     with pytest.raises(ValueError):
-        cm.level_cost(None, 0)
+        cm.level_cost(0)
 
 
 def test_generic_estimate_matches_collapse_at_zero_noise():

@@ -37,7 +37,7 @@ def test_run_replicas_deterministic_and_nondegenerate(slow_params, slow_family,
     a = run_replicas(small_spec(), slow_params, slow_family, cost_model, identity, theta0)
     b = run_replicas(small_spec(), slow_params, slow_family, cost_model, identity, theta0)
     assert a.csv_rows() == b.csv_rows()
-    finals = {tuple(row) for row in a.theta_final}
+    finals = {tuple(row) for row in a.theta[-1]}
     assert len(finals) >= 2  # noise present: distinct seeds separate
 
 
@@ -135,10 +135,9 @@ def test_clt_report_fields_and_purity(slow_params, cost_model, identity):
 
 def displaced(rec, replica, n, shift):
     """Copy of ``rec`` with one replica's iterate moved by ``shift`` from checkpoint ``n`` on."""
-    theta, theta_final = rec.theta.copy(), rec.theta_final.copy()
+    theta = rec.theta.copy()
     theta[rec.ns >= n, replica] += shift
-    theta_final[replica] += shift
-    return dataclasses.replace(rec, theta=theta, theta_final=theta_final)
+    return dataclasses.replace(rec, theta=theta)
 
 
 def test_clt_report_screens_divergent(slow_params, cost_model, identity):
@@ -223,7 +222,7 @@ def test_cost_curve_deterministic_rows(cost_model, identity):
     expected = 0.0
     for m, s in ((1, 1), (2, 2)):  # s_n = max(ceil(1.5 log2 n), 1)
         K = p.kappa_K * 3.0 * m ** 2
-        expected += sum(n_k * cost_model.level_cost(None, k)
+        expected += sum(n_k * cost_model.level_cost(k)
                         for k, n_k in enumerate(replication_counts(p, s, K)[0], 1))
     assert rows[0]["mean_cost"] == pytest.approx(expected, rel=1e-12)
     assert rows[0]["ratio"] == pytest.approx(rows[0]["mean_cost"] / rows[0]["predicted_cost"])
