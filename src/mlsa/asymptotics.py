@@ -205,9 +205,6 @@ def predictions_csv(params: ParameterSet, ns: Sequence[int]) -> str:
     w.writerow(["n", "s", "xi", "eps_bias", "eps_diff", "predicted_cost",
                 "eps_bias_cost_form", "eps_diff_cost_form", "pre_asymptotic"])
     for a in predictions(params, [int(n) for n in ns]):
-        w.writerow([a.n, a.s, repr(a.xi),
-                    "" if a.eps_bias is None else repr(a.eps_bias), repr(a.eps_diff),
-                    repr(a.predicted_cost),
-                    "" if a.eps_bias_cost_form is None else repr(a.eps_bias_cost_form),
-                    repr(a.eps_diff_cost_form), int(a.pre_asymptotic)])
+        w.writerow([a.n, a.s, a.xi, a.eps_bias, a.eps_diff, a.predicted_cost,
+                    a.eps_bias_cost_form, a.eps_diff_cost_form, int(a.pre_asymptotic)])
     return buf.getvalue()

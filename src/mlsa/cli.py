@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 domain failure (rejected parameters, too few
 surviving replicas, missing or damaged artifacts), 2 usage or parse errors.
 All artifacts embed the configuration hash; ``plot`` refuses inputs with
-mixed hashes.
+mixed hashes or with bytes that differ from the manifest's sha256.
 """
 
 from __future__ import annotations
@@ -160,8 +160,7 @@ def cmd_run(args) -> int:
         rows = harness.cost_curve(record, cfg.params)
         write("cost_table.csv", csv_text(
             ["n", "mean_cost", "predicted_cost", "ratio"],
-            ([r["n"], repr(r["mean_cost"]), repr(r["predicted_cost"]), repr(r["ratio"])]
-             for r in rows)))
+            ([r["n"], r["mean_cost"], r["predicted_cost"], r["ratio"]] for r in rows)))
 
         lo = [c for c in spec.checkpoints if n0_l2 <= c <= spec.n_final // 2]
         hi = [c for c in spec.checkpoints if c > spec.n_final // 2]
@@ -206,6 +205,7 @@ def cmd_plot(args) -> int:
             manifest = json.load(fh)
         cfg_hash = manifest["config_hash"]
         hashes = {name: _read_hash_comment(os.path.join(run_dir, name)) for name in needed}
+        digests = {name: manifest["files"][name] for name in needed}
         cfg = config_from_dict(manifest["config"])
         # records.csv: a hash comment, then ["replica"] + csv_header(d) and its rows
         with warnings.catch_warnings():
@@ -220,6 +220,12 @@ def cmd_plot(args) -> int:
             print(f"mixed config hashes: {name} has {h[:12]}.., manifest {cfg_hash[:12]}..",
                   file=sys.stderr)
             return 1
+    for name, digest in digests.items():  # after the hash lines: a mixed hash also alters the bytes
+        with open(os.path.join(run_dir, name), "rb") as fh:
+            if hashlib.sha256(fh.read()).hexdigest() != digest:
+                print(f"damaged run directory: {name} does not match its manifest sha256",
+                      file=sys.stderr)
+                return 1
     family = build_family(cfg)
     theta_star = family.theta_star
     n_col, bar, cost = table[:, 1], table[:, 2 + family.d:2 + 2 * family.d], table[:, -1]
@@ -257,7 +263,7 @@ def cmd_plot(args) -> int:
             col = (col - col.mean()) / (col.std(ddof=1) or 1.0)
             q = scipy.special.ndtri((np.arange(1, len(col) + 1) - 0.5) / len(col))
             for a, b in zip(q, col):
-                w.writerow([j, repr(float(a)), repr(float(b))])
+                w.writerow([j, a, b])
     print(f"wrote {svg_path} and {qq_path}")
     return 0
 

@@ -95,25 +95,22 @@ class IllConditionedError(RuntimeError):
     pass
 
 
-_GRID_RESOLUTION = 1e-3
 _VERIFY_POINTS = 100
 _VERIFY_SLACK = 1e-10
-_STACK_ENTRIES = 2 ** 16  # matrix entries per grid-scan stack: bounded memory, early stop
-
-
-def _contraction_gap(lyap: LyapunovNorm, H: np.ndarray, L: float, eps) -> np.ndarray:
-    """||I + eps H||_P - (1 - eps L), elementwise over a scalar or an array of eps."""
-    eps = np.asarray(eps, dtype=float)
-    steps = np.eye(H.shape[0]) + eps[..., None, None] * H
-    return np.linalg.norm(lyap._sqrt @ steps @ lyap._isqrt, 2, axis=(-2, -1)) - (1.0 - eps * L)
 
 
 def lyapunov_norm(cm: ContractingMatrix) -> LyapunovNorm:
     """Construct a norm with ||I + eps H||_P <= 1 - eps L on [0, eps0].
 
-    P solves the stationary Lyapunov equation (H + L I)^T P + P (H + L I) = -I;
-    eps0 is found by a grid scan at 1e-3 resolution, refined by bisection, and
-    the whole interval is re-verified on a 100-point grid.
+    P solves the stationary Lyapunov equation (H + L I)^T P + P (H + L I) = -I,
+    so with X = H^T P H - L^2 P
+
+        (I + eps H)^T P (I + eps H) - (1 - eps L)^2 P = eps (eps X - I),
+
+    and, while 1 - eps L >= 0, the bound holds exactly when
+    eps * lambda_max(X) <= 1.  Past 1/L the right side 1 - eps L is negative,
+    which no norm meets, so 1/L caps eps0: eps0 = 1 / max(L, lambda_max(X)).
+    The whole interval is re-verified on a 100-point grid.
     """
     import scipy.linalg  # imported here: ``import mlsa`` stays free of scipy.linalg
     H, L, d = cm.H, cm.L, cm.d
@@ -124,35 +121,15 @@ def lyapunov_norm(cm: ContractingMatrix) -> LyapunovNorm:
     if w[0] <= 0 or w[-1] / w[0] > 1e12:
         raise IllConditionedError(
             f"ill-conditioned: Lyapunov solution has eigenvalue range [{w[0]:.3g}, {w[-1]:.3g}]")
-    lyap = LyapunovNorm(P, eps0=0.0)
-
-    eps_max = 1.0 / L  # beyond this the bound 1 - eps L is negative
-    n_grid = max(int(eps_max / _GRID_RESOLUTION), 2)
-    grid = np.linspace(0.0, eps_max, n_grid + 1)[1:]
-    lo, hi = 0.0, None  # eps0 lies below the first grid point whose gap is not <= 0
-    stack = max(_STACK_ENTRIES // d ** 2, 1)  # grid points per stacked call
-    for part in np.split(grid, range(stack, len(grid), stack)):
-        fails = np.flatnonzero(~(_contraction_gap(lyap, H, L, part) <= 0.0))
-        if fails.size:
-            j = int(fails[0])
-            lo, hi = (float(part[j - 1]) if j else lo), float(part[j])
-            break
-        lo = float(part[-1])
-    if hi is not None:
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            if _contraction_gap(lyap, H, L, mid) <= 0.0:
-                lo = mid
-            else:
-                hi = mid
-    eps0 = lo
-    if eps0 <= 0.0:
-        raise IllConditionedError("verification failed: no positive contraction radius found")
-    check = np.linspace(0.0, eps0, _VERIFY_POINTS)
-    worst = float(np.max(_contraction_gap(lyap, H, L, check)))
+    lam = np.linalg.eigvalsh(H.T @ P @ H - L * L * P)[-1]
+    lyap = LyapunovNorm(P, eps0=1.0 / max(L, lam))
+    check = np.linspace(0.0, lyap.eps0, _VERIFY_POINTS)
+    steps = np.eye(d) + check[:, None, None] * H
+    gaps = np.linalg.norm(lyap._sqrt @ steps @ lyap._isqrt, 2, axis=(-2, -1)) - (1.0 - check * L)
+    worst = float(np.max(gaps))
     if worst > _VERIFY_SLACK:
         raise IllConditionedError(f"verification failed: grid gap {worst:.3g} above tolerance")
-    return LyapunovNorm(P, eps0=eps0)
+    return lyap
 
 
 def product_operator(H: np.ndarray, gamma: ScheduleLike, l: int, k: int) -> np.ndarray:

@@ -261,7 +261,8 @@ def test_plot_refuses_mixed_hashes(tmp_path, capsys):
               ("manifest.json", lambda text: text[:-1]),  # truncated JSON
               ("manifest.json", invalid_config),
               ("records.csv", lambda text: text[:text.rindex(",")]),  # truncated last row
-              ("records.csv", lambda text: "".join(text.splitlines(True)[:2]))]  # no rows
+              ("records.csv", lambda text: "".join(text.splitlines(True)[:2])),  # no rows
+              ("records.csv", lambda text: text[:-4] + "\n")]  # last cost cut by three digits
     for i, (name, edit) in enumerate(damage):
         out_dir = run_dir_of(tmp_path, doc, f"damaged{i}")
         path = os.path.join(out_dir, name)

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-import mlsa.linear
 from mlsa import (ContractingMatrix, IllConditionedError, LyapunovNorm, averaged_operator,
                   exp_product_gap, linear_iterate, lyapunov_norm, product_operator,
                   spectral_abscissa)
@@ -95,15 +94,14 @@ def test_contracting_matrix_validation():
 
 def test_lyapunov_norm_scalar_case():
     ly = lyapunov_norm(ContractingMatrix(np.array([[-2.0]]), 1.0))
-    assert ly.eps0 >= 0.5  # |1 - 2 eps| <= 1 - eps holds up to 2/3
-    assert ly.eps0 <= 2.0 / 3.0 + 1e-6
+    assert ly.eps0 == pytest.approx(2.0 / 3.0, rel=1e-14)  # |1 - 2 eps| <= 1 - eps holds up to 2/3
 
 
 def test_lyapunov_norm_identity_case():
     ly = lyapunov_norm(ContractingMatrix(-np.eye(2), 0.5))
-    # P is a multiple of the identity; the bound holds on all of [0, 1]
+    # P is a multiple of the identity; |1 - eps| <= 1 - eps / 2 holds up to 4/3
     assert np.allclose(ly.P / ly.P[0, 0], np.eye(2), atol=1e-12)
-    assert ly.eps0 >= 1.0
+    assert ly.eps0 == pytest.approx(4.0 / 3.0, rel=1e-14)
     for eps in np.linspace(0, 1, 25):
         assert ly.norm_mat(np.eye(2) - eps * np.eye(2)) <= 1 - 0.5 * eps + 1e-12
 
@@ -116,6 +114,11 @@ def test_lyapunov_norm_beats_euclidean_for_shear():
     ly = lyapunov_norm(cm)
     for e in np.linspace(0, ly.eps0, 50):
         assert ly.norm_mat(np.eye(2) + e * H) <= 1 - 0.5 * e + 1e-10
+    # the exact radius of the shear [[-1, a], [0, -1]] at L = 1/2, also where a
+    # 1e-3 grid scan overshoots it or finds no positive radius at all
+    for a in (4.0, 1e3, 1e4, 1e5):
+        ly = lyapunov_norm(ContractingMatrix(np.array([[-1.0, a], [0.0, -1.0]]), 0.5))
+        assert ly.eps0 == pytest.approx(4.0 / (a * a + a * math.sqrt(a * a + 1) + 3), rel=1e-9)
 
 
 def test_lyapunov_norm_ill_conditioned_rejected():
@@ -124,10 +127,10 @@ def test_lyapunov_norm_ill_conditioned_rejected():
         lyapunov_norm(ContractingMatrix(H, 0.5))
 
 
-def test_lyapunov_norm_matches_scalar_scan(monkeypatch):
+def test_lyapunov_norm_matches_scalar_scan():
     rng = np.random.default_rng(17)
     cases = [ContractingMatrix(random_contracting(rng, d=1 + i % 4), 0.8) for i in range(20)]
-    # a slow H with a small L: a 10^4-point grid scanned in several stacks
+    # a slow H with a small L: the reference scans a 10^4-point grid
     cases += [ContractingMatrix(0.1 * random_contracting(rng, d=d), 0.1) for d in (2, 4)]
     cases.append(ContractingMatrix(np.array([[-1.0, 1e8], [0.0, -1.0]]), 0.5))
     raised = 0
@@ -139,12 +142,13 @@ def test_lyapunov_norm_matches_scalar_scan(monkeypatch):
                 lyapunov_norm(cm)
             raised += 1
             continue
-        assert lyapunov_norm(cm).eps0 == expected
+        ly = lyapunov_norm(cm)
+        assert ly.eps0 == pytest.approx(expected, rel=1e-12)
+        # the radius is the largest one: just past it the bound fails
+        past = ly.eps0 * (1 + 1e-6)
+        if past < 1.0 / cm.L:
+            assert ly.norm_mat(np.eye(cm.d) + past * cm.H) > 1.0 - past * cm.L
     assert raised == 1
-    # one grid point per stack: the first failing point always opens a stack
-    monkeypatch.setattr(mlsa.linear, "_STACK_ENTRIES", 1)
-    for cm in cases[:4]:
-        assert lyapunov_norm(cm).eps0 == reference_eps0(cm)
 
 
 def test_product_operator_empty_and_scalar():
