@@ -1,4 +1,4 @@
-"""Minimal self-contained SVG scatter/line plots (no rendering dependency)."""
+"""Minimal self-contained SVG error-vs-cost plot (no rendering dependency)."""
 
 from __future__ import annotations
 
@@ -22,15 +22,14 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     return [lo + i * step for i in range(count)]
 
 
-def loglog_plot(x: Sequence[float], y: Sequence[float], guide_x: Sequence[float],
-                guide_y: Sequence[float], title: str, xlabel: str, ylabel: str,
+def loglog_plot(x: Sequence[float], y: Sequence[float], guide_y: Sequence[float],
                 guide_label: str) -> str:
-    """Log-log scatter of (x, y) with a dashed guide curve, as an SVG string."""
+    """Log-log scatter of error y against cost x with a dashed guide curve
+    (guide_y at the same x), as an SVG string."""
     lx = [math.log10(v) for v in x]
     ly = [math.log10(v) for v in y]
-    gx = [math.log10(v) for v in guide_x]
     gy = [math.log10(v) for v in guide_y]
-    xlo, xhi = min(lx + gx), max(lx + gx)
+    xlo, xhi = min(lx), max(lx)
     ylo, yhi = min(ly + gy), max(ly + gy)
     pad_x = 0.05 * (xhi - xlo or 1.0)
     pad_y = 0.05 * (yhi - ylo or 1.0)
@@ -46,14 +45,14 @@ def loglog_plot(x: Sequence[float], y: Sequence[float], guide_x: Sequence[float]
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
-        f'<text x="{_W // 2}" y="20" text-anchor="middle" font-size="14">{title}</text>',
+        f'<text x="{_W // 2}" y="20" text-anchor="middle" font-size="14">error vs cost</text>',
         f'<line x1="{_MARGIN}" y1="{_H - _MARGIN}" x2="{_W - _MARGIN // 2}" '
         f'y2="{_H - _MARGIN}" stroke="black"/>',
         f'<line x1="{_MARGIN}" y1="{_MARGIN // 2}" x2="{_MARGIN}" '
         f'y2="{_H - _MARGIN}" stroke="black"/>',
-        f'<text x="{_W // 2}" y="{_H - 15}" text-anchor="middle" font-size="12">{xlabel}</text>',
+        f'<text x="{_W // 2}" y="{_H - 15}" text-anchor="middle" font-size="12">cost_n</text>',
         f'<text x="15" y="{_H // 2}" text-anchor="middle" font-size="12" '
-        f'transform="rotate(-90 15 {_H // 2})">{ylabel}</text>',
+        f'transform="rotate(-90 15 {_H // 2})">|theta_bar - theta*|</text>',
     ]
     for t in _ticks(xlo, xhi):
         px = sx([t])[0]
@@ -67,7 +66,7 @@ def loglog_plot(x: Sequence[float], y: Sequence[float], guide_x: Sequence[float]
                      f'y2="{py:.1f}" stroke="black"/>')
         parts.append(f'<text x="{_MARGIN - 8}" y="{py + 3:.1f}" text-anchor="end" '
                      f'font-size="10">1e{t:.1f}</text>')
-    gpx, gpy = sx(gx), sy(gy)
+    gpx, gpy = sx(lx), sy(gy)
     pts = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(gpx, gpy))
     parts.append(f'<polyline points="{pts}" fill="none" stroke="gray" '
                  f'stroke-dasharray="6,4" stroke-width="1.5"/>')

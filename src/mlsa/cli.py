@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 domain failure (rejected parameters, too few
 surviving replicas, missing or damaged artifacts), 2 usage or parse errors.
-All artifacts embed the configuration hash; ``plot`` refuses inputs with
-mixed hashes or with bytes that differ from the manifest's sha256.
+All artifacts embed the configuration hash; ``plot`` refuses inputs whose
+bytes differ from the manifest's sha256.
 """
 
 from __future__ import annotations
@@ -183,14 +183,6 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _read_hash_comment(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline().strip()
-    if not first.startswith("# config_hash="):
-        raise ValueError(f"{path} lacks a config hash")
-    return first.removeprefix("# config_hash=").split()[0]
-
-
 def cmd_plot(args) -> int:
     run_dir = args.run_dir
     manifest_path = os.path.join(run_dir, "manifest.json")
@@ -200,12 +192,14 @@ def cmd_plot(args) -> int:
     if missing:
         print(f"missing artifacts: {', '.join(sorted(missing))}", file=sys.stderr)
         return 1
-    try:  # a damaged manifest, hash line, stored config or record table is a domain failure
+    try:  # a damaged manifest, stored config or record table is a domain failure
         with open(manifest_path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
         cfg_hash = manifest["config_hash"]
-        hashes = {name: _read_hash_comment(os.path.join(run_dir, name)) for name in needed}
-        digests = {name: manifest["files"][name] for name in needed}
+        for name in needed:  # catches a file from another run as well as a damaged one
+            with open(os.path.join(run_dir, name), "rb") as fh:
+                if hashlib.sha256(fh.read()).hexdigest() != manifest["files"][name]:
+                    raise ValueError(f"{name} does not match its manifest sha256")
         cfg = config_from_dict(manifest["config"])
         # records.csv: a hash comment, then ["replica"] + csv_header(d) and its rows
         with warnings.catch_warnings():
@@ -215,17 +209,6 @@ def cmd_plot(args) -> int:
     except (ValueError, KeyError, TypeError, UserWarning) as exc:
         print(f"damaged run directory: {exc}", file=sys.stderr)
         return 1
-    for name, h in hashes.items():
-        if h != cfg_hash:
-            print(f"mixed config hashes: {name} has {h[:12]}.., manifest {cfg_hash[:12]}..",
-                  file=sys.stderr)
-            return 1
-    for name, digest in digests.items():  # after the hash lines: a mixed hash also alters the bytes
-        with open(os.path.join(run_dir, name), "rb") as fh:
-            if hashlib.sha256(fh.read()).hexdigest() != digest:
-                print(f"damaged run directory: {name} does not match its manifest sha256",
-                      file=sys.stderr)
-                return 1
     family = build_family(cfg)
     theta_star = family.theta_star
     n_col, bar, cost = table[:, 1], table[:, 2 + family.d:2 + 2 * family.d], table[:, -1]
@@ -245,9 +228,7 @@ def cmd_plot(args) -> int:
         c = float(mean_err @ shape / (shape @ shape))  # least squares on c alone
         guide = c * shape
         label = "c log(x)/sqrt(x)"
-    svg = loglog_plot(mean_cost, mean_err, mean_cost, guide,
-                      title="error vs cost", xlabel="cost_n", ylabel="|theta_bar - theta*|",
-                      guide_label=label)
+    svg = loglog_plot(mean_cost, mean_err, guide, guide_label=label)
     svg_path = os.path.join(run_dir, "error_vs_cost.svg")
     with open(svg_path, "w", encoding="utf-8") as fh:
         fh.write(svg)

@@ -8,16 +8,18 @@ One file per experiment.  Layout (matrices are row-major nested lists):
       "projection":  {"kind": "identity"} | {"kind": "box", "lower": [...], "upper": [...]},
       "replication": {"replicas": R, "n_final": N, "checkpoints": [...] | null,
                       "master_seed": S, "divergence_radius": r | null},
-      "output":      {"directory": "out", "plots": true}
+      "output":      {"directory": "out"}
     }
 
-Unknown keys anywhere are rejected.  Round-trips losslessly through
-``to_dict``; ``config_hash`` is the sha256 of the canonical JSON and is
-embedded in every artifact.
+``params`` holds the fields of :class:`ParameterSet`: regime, alpha, beta, M,
+phi, rho and psi, and optionally kappa_K, kappa_s, kappa_C and lam.  Unknown
+keys anywhere are rejected.  Round-trips losslessly through ``to_dict``;
+``config_hash`` is the sha256 of the canonical JSON and is embedded in every
+artifact.
 
 Documents are checked completely at load time: malformed structure, types or
 shapes raise :class:`ConfigError`; well-formed values outside the model's
-domain (regime inequalities, a non-integer Euler scale, no root) raise
+domain (regime inequalities, a non-integer Euler scale) raise
 :class:`InvalidParameters`.
 """
 
@@ -25,13 +27,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
+
 import numpy as np
 
 from .driver import BoxProjection, IdentityProjection, geometric_checkpoints
 from .families import EulerSdeFamily, GeometricCostModel, LevelFamily, SyntheticGaussianFamily
 from .harness import ReplicationSpec
-from .params import CRITICAL, InvalidParameters, ParameterSet, Violation, fill_param_defaults
+from .params import CRITICAL, InvalidParameters, ParameterSet, Violation
 
 
 class ConfigError(ValueError):
@@ -63,7 +66,6 @@ class ExperimentConfig:
     projection_spec: dict
     replication: ReplicationSpec
     output_dir: str
-    plots: bool
 
     def to_dict(self) -> dict:
         return {
@@ -77,7 +79,7 @@ class ExperimentConfig:
                 "master_seed": self.replication.master_seed,
                 "divergence_radius": self.replication.divergence_radius,
             },
-            "output": {"directory": self.output_dir, "plots": self.plots},
+            "output": {"directory": self.output_dir},
         }
 
     def canonical_json(self) -> str:
@@ -87,38 +89,38 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
 
-def parse_config_structure(doc: dict) -> dict:
-    """Structural pass: key checking and defaults, no feasibility validation.
+def parse_config_structure(doc: dict):
+    """Structural pass: key and type checking, no feasibility validation.
 
-    Returns the filled parameter mapping (flat dict).  Raises ConfigError for
-    malformed documents; regime inequalities are *not* checked here, so the
-    CLI can report them as domain failures rather than parse errors.
+    Raises ConfigError for malformed documents; regime inequalities are *not*
+    checked here, so the CLI can report them as domain failures rather than
+    parse errors.
     """
     if not isinstance(doc, dict):
         raise ConfigError("configuration root must be an object")
     _require_keys(doc, "<root>", {"params", "family", "projection", "replication", "output"})
-    try:
-        filled = fill_param_defaults(doc["params"])
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise ConfigError(f"params: {exc}") from exc
-    for name in ("family", "projection", "replication", "output"):
+    for name in ("params", "family", "projection", "replication", "output"):
         _check_type(isinstance(doc[name], dict), "<root>", name, "an object", doc[name])
+
+    names = {f.name for f in fields(ParameterSet)}
+    required = {f.name for f in fields(ParameterSet) if f.default is MISSING}
+    _require_keys(doc["params"], "params", required, names - required)
+    for key, value in doc["params"].items():
+        if key != "regime":  # no silent coercion of strings or booleans
+            _check_type(type(value) in (int, float), "params", key, "a number", value)
 
     fam = doc["family"]
     kind = fam.get("kind")
     if kind == "synthetic_gaussian":
         _require_keys(fam, "family", {"kind", "theta_star", "H", "mu", "noise_factor"},
-                      {"quadratic", "modulated"})
+                      {"modulated"})
         _check_type(isinstance(fam.get("modulated", False), bool), "family", "modulated",
                     "a boolean", fam.get("modulated"))
     elif kind == "euler_sde":
-        _require_keys(fam, "family", {"kind", "drift", "diffusion"},
-                      {"target", "horizon", "payoff"})
+        _require_keys(fam, "family", {"kind", "drift", "diffusion"}, {"target", "horizon"})
         for key in ("drift", "diffusion", "target", "horizon"):
             _check_type(type(fam.get(key, 1.0)) in (int, float), "family", key, "a number",
                         fam.get(key))
-        _check_type(fam.get("payoff", "shortfall") in ("shortfall", "terminal"), "family",
-                    "payoff", "'shortfall' or 'terminal'", fam.get("payoff"))
     else:
         raise ConfigError(f"family: unknown kind {kind!r}")
 
@@ -145,17 +147,17 @@ def parse_config_structure(doc: dict) -> dict:
     _check_type(radius is None or (type(radius) in (int, float) and radius > 0), "replication",
                 "divergence_radius", "null or a positive number", radius)
     out = doc["output"]
-    _require_keys(out, "output", {"directory"}, {"plots"})
+    _require_keys(out, "output", {"directory"})
     _check_type(isinstance(out["directory"], str), "output", "directory", "a string",
                 out["directory"])
-    _check_type(isinstance(out.get("plots", True), bool), "output", "plots", "a boolean",
-                out.get("plots"))
-    return filled
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    filled = parse_config_structure(doc)
-    params = ParameterSet(**filled)  # raises InvalidParameters when rejected
+    parse_config_structure(doc)
+    try:
+        params = ParameterSet(**doc["params"])  # raises InvalidParameters when rejected
+    except OverflowError as exc:  # an integer too large for a float
+        raise ConfigError(f"params: {exc}") from exc
     rep = doc["replication"]
     cps = rep.get("checkpoints")
     if cps is None:
@@ -171,14 +173,12 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         )
     except (ValueError, OverflowError) as exc:
         raise ConfigError(f"replication: {exc}") from exc
-    out = doc["output"]
     cfg = ExperimentConfig(
         params=params,
         family_spec=dict(doc["family"]),
         projection_spec=dict(doc["projection"]),
         replication=spec,
-        output_dir=out["directory"],
-        plots=out.get("plots", True),
+        output_dir=doc["output"]["directory"],
     )
     _check_experiment(cfg)
     return cfg
@@ -193,8 +193,6 @@ def _check_experiment(cfg: ExperimentConfig):
     p, fam = cfg.params, cfg.family_spec
     if fam["kind"] == "euler_sde" and p.M != int(p.M):
         _reject("integer M for euler_sde", f"M = {p.M:.6g} is not an integer")
-    if fam.get("payoff") == "terminal":
-        _reject("payoff with a root", "'terminal' has no theta* to approximate")
     if p.regime == CRITICAL and max(cfg.replication.checkpoints) < 2:
         _reject("checkpoint n >= 2", "critical predictions need log n > 0")
     try:
@@ -235,7 +233,6 @@ def build_family(cfg: ExperimentConfig) -> LevelFamily:
             alpha=cfg.params.alpha,
             beta=cfg.params.beta,
             M=cfg.params.M,
-            quadratic=None if fam.get("quadratic") is None else np.asarray(fam["quadratic"], dtype=float),
             modulated=bool(fam.get("modulated", False)),
         )
     return EulerSdeFamily(

@@ -96,14 +96,13 @@ class SyntheticGaussianFamily(LevelFamily):
     With modulation off the covariance of the level-k difference is exactly
     M^(-beta k) * Gamma where Gamma = A A^T, and E[F_k] - f = mu * M^(-alpha k).
 
-    f(theta) = H(theta-theta*) + (theta-theta*) .* (Q(theta-theta*)) with the
-    optional quadratic perturbation Q; m(theta) = 1 + |theta-theta*| when
+    f(theta) = H(theta-theta*) is linear; m(theta) = 1 + |theta-theta*| when
     ``modulated``.  One sample of a level difference consumes exactly d
     standard normals; ``ml_estimate`` consumes s*d per row (one draw per level).
     """
 
     def __init__(self, theta_star, H, mu, noise_factor, alpha: float, beta: float, M: float,
-                 quadratic=None, modulated: bool = False):
+                 modulated: bool = False):
         self.theta_star = np.atleast_1d(np.asarray(theta_star, dtype=float))
         self.d = d = self.theta_star.shape[0]
         self.H = np.asarray(H, dtype=float)
@@ -112,25 +111,19 @@ class SyntheticGaussianFamily(LevelFamily):
         self.alpha = float(alpha)
         self.beta = float(beta)
         self.M = float(M)
-        self.Q = None if quadratic is None else np.asarray(quadratic, dtype=float)
         self.modulated = bool(modulated)
         if self.M <= 1:
             raise ValueError("M must exceed 1")
-        shapes = {"theta_star": (d,), "H": (d, d), "mu": (d,), "noise_factor": (d, d),
-                  "quadratic": (d, d)}
-        values = (self.theta_star, self.H, self.mu, self.A, self.Q)
+        shapes = {"theta_star": (d,), "H": (d, d), "mu": (d,), "noise_factor": (d, d)}
+        values = (self.theta_star, self.H, self.mu, self.A)
         for (name, shape), a in zip(shapes.items(), values):
-            if a is not None and (a.shape != shape or not np.all(np.isfinite(a))):
+            if a.shape != shape or not np.all(np.isfinite(a)):
                 raise ValueError(f"{name} must be a finite array of shape {shape}")
         self.Gamma = self.A @ self.A.T
 
     def f(self, theta):
         """f at theta of shape (d,) or at each row of theta of shape (R, d)."""
-        e = np.asarray(theta, dtype=float) - self.theta_star
-        out = _rowmap(self.H, e)
-        if self.Q is not None:
-            out = out + e * _rowmap(self.Q, e)
-        return out
+        return _rowmap(self.H, np.asarray(theta, dtype=float) - self.theta_star)
 
     def modulation(self, theta):
         """m(theta), with a trailing axis of length 1 when modulated (one value per row)."""

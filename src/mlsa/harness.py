@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import driver
-from .asymptotics import predictions
+from .asymptotics import predictions, rates
 from .driver import BallMonitor, RunPlan, RunRecord
 from .families import LevelFamily
 from .params import CRITICAL, SLOW, ParameterSet
@@ -240,7 +240,7 @@ def l2_delta(params: ParameterSet, n: np.ndarray) -> np.ndarray:
     """Regime normalization for the restricted L2 error of the raw iterate."""
     n = np.asarray(n, dtype=float)
     if params.regime == SLOW:
-        return n ** (-(params.phi + 1) * params.r + (1.0 - params.psi) / 2.0)
+        return n ** (-(params.phi + 1) * rates(params).r + (1.0 - params.psi) / 2.0)
     return n ** (-(params.psi + params.phi) / 2.0) * np.sqrt(np.log(n))
 
 

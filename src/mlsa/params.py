@@ -17,7 +17,7 @@ drives the periodic modulation of the asymptotic constants.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Mapping
 
 import numpy as np
@@ -61,7 +61,6 @@ class ParameterSet:
     kappa_s: float = 1.0
     kappa_C: float = 1.0
     lam: float = 1.0  # linearization exponent, in (0, 1]
-    L: float = 0.5  # contraction margin of the zero
 
     def __post_init__(self):
         for f in fields(self):
@@ -70,11 +69,6 @@ class ParameterSet:
         violations = validate(self.to_dict())
         if violations:
             raise InvalidParameters(violations)
-
-    @property
-    def r(self) -> float:
-        """Base rate alpha / (2*alpha - beta + 1)."""
-        return self.alpha / (2.0 * self.alpha - self.beta + 1.0)
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -102,7 +96,7 @@ def validate(v: Mapping) -> tuple[Violation, ...]:
 
     alpha, beta, M = float(v["alpha"]), float(v["beta"]), float(v["M"])
     phi, rho, psi = float(v["phi"]), float(v["rho"]), float(v["psi"])
-    lam, L = float(v["lam"]), float(v["L"])
+    lam = float(v["lam"])
     violations: list[Violation] = []
     _check(violations, "alpha > 0", alpha > 0, alpha, ">", 0)
     _check(violations, "beta > 0", beta > 0, beta, ">", 0)
@@ -110,7 +104,6 @@ def validate(v: Mapping) -> tuple[Violation, ...]:
     _check(violations, "kappa_K > 0", float(v["kappa_K"]) > 0, float(v["kappa_K"]), ">", 0)
     _check(violations, "kappa_s > 0", float(v["kappa_s"]) > 0, float(v["kappa_s"]), ">", 0)
     _check(violations, "kappa_C > 0", float(v["kappa_C"]) > 0, float(v["kappa_C"]), ">", 0)
-    _check(violations, "L > 0", L > 0, L, ">", 0)
     _check(violations, "lambda in (0, 1]", 0 < lam <= 1, lam, "in", 1)
     if violations:
         return tuple(violations)
@@ -170,22 +163,3 @@ def schedule_arrays(params: ParameterSet, n: int) -> dict[str, np.ndarray]:
         "xi": raw - s,
     }
 
-
-def fill_param_defaults(d: Mapping) -> dict:
-    """Structural check of a flat parameter mapping; fills optional defaults.
-
-    Raises on unknown or missing keys and on non-numeric values (no silent
-    coercion of strings or booleans) but does not run the feasibility
-    validation (use :func:`validate` or construct a ParameterSet for that).
-    """
-    defaults = {f.name: f.default for f in fields(ParameterSet) if f.default is not MISSING}
-    unknown = set(d) - {f.name for f in fields(ParameterSet)}
-    if unknown:
-        raise ValueError(f"unknown parameter keys: {sorted(unknown)}")
-    missing = {f.name for f in fields(ParameterSet)} - set(defaults) - set(d)
-    if missing:
-        raise ValueError(f"missing parameter keys: {sorted(missing)}")
-    for k, v in d.items():
-        if k != "regime" and type(v) not in (int, float):
-            raise TypeError(f"parameter {k} must be a number, got {v!r}")
-    return {**defaults, **{k: (v if k == "regime" else float(v)) for k, v in d.items()}}

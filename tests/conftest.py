@@ -9,16 +9,16 @@ from mlsa import (GeometricCostModel, IdentityProjection, ParameterSet,
 # default experiment constants; chosen so the n = 4000 horizons of the
 # acceptance experiments are deep enough into the asymptotic regime
 SLOW_DEFAULT = dict(regime="slow", alpha=1.0, beta=0.5, M=2.0, phi=2.0, rho=2.0,
-                    psi=0.5, kappa_K=1.0, kappa_s=8.0, kappa_C=1.0, lam=1.0, L=0.5)
+                    psi=0.5, kappa_K=1.0, kappa_s=8.0, kappa_C=1.0, lam=1.0)
 # constants pinned by the formula-vs-oracle checks
 SLOW_PINNED = dict(regime="slow", alpha=1.0, beta=0.5, M=2.0, phi=2.0, rho=2.0,
-                   psi=0.75, kappa_K=1.0, kappa_s=1.0, kappa_C=1.0, lam=1.0, L=0.5)
+                   psi=0.75, kappa_K=1.0, kappa_s=1.0, kappa_C=1.0, lam=1.0)
 CRITICAL_DEFAULT = dict(regime="critical", alpha=1.0, beta=1.0, M=2.0, phi=2.0,
                         rho=2.0, psi=0.5, kappa_K=1.0, kappa_s=1.0, kappa_C=1.0,
-                        lam=1.0, L=0.5)
+                        lam=1.0)
 CRITICAL_PINNED = dict(regime="critical", alpha=1.0, beta=1.0, M=2.0, phi=2.0,
                        rho=2.0, psi=0.8, kappa_K=1.0, kappa_s=1.0, kappa_C=1.0,
-                       lam=1.0, L=0.5)
+                       lam=1.0)
 
 GAMMA2 = np.array([[1.0, 0.3], [0.3, 1.0]])
 
@@ -43,14 +43,14 @@ def critical_params_pinned():
     return ParameterSet(**CRITICAL_PINNED)
 
 
-def make_slow_family(mu=(1.0, -1.0), modulated=False, quadratic=None):
+def make_slow_family(mu=(1.0, -1.0), modulated=False):
     return SyntheticGaussianFamily(
         theta_star=np.zeros(2),
         H=np.diag([-1.0, -2.0]),
         mu=np.asarray(mu, dtype=float),
         noise_factor=np.linalg.cholesky(GAMMA2),
         alpha=1.0, beta=0.5, M=2.0,
-        modulated=modulated, quadratic=quadratic,
+        modulated=modulated,
     )
 
 

@@ -66,7 +66,7 @@ def test_rates_reference_values(slow_params_pinned):
 def test_rates_invariants(alpha, beta, extra_phi):
     phi = 1.0 / (2 * alpha - beta) + extra_phi
     p = ParameterSet(regime="slow", alpha=alpha, beta=beta, M=2.0, phi=phi, rho=phi,
-                     psi=0.9, kappa_K=1.0, kappa_s=1.0, kappa_C=1.0, lam=1.0, L=0.5)
+                     psi=0.9, kappa_K=1.0, kappa_s=1.0, kappa_C=1.0, lam=1.0)
     rb = rates(p)
     assert 0.0 < rb.r < 0.5
     assert rb.r1 > alpha

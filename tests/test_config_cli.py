@@ -17,7 +17,7 @@ CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 BASE = {
     "params": {"regime": "slow", "alpha": 1.0, "beta": 0.5, "M": 2.0, "phi": 2.0,
                "rho": 2.0, "psi": 0.5, "kappa_K": 1.0, "kappa_s": 8.0, "kappa_C": 1.0,
-               "lam": 1.0, "L": 0.5},
+               "lam": 1.0},
     "family": {"kind": "synthetic_gaussian", "theta_star": [0.0, 0.0],
                "H": [[-1.0, 0.0], [0.0, -2.0]], "mu": [1.0, -1.0],
                "noise_factor": [[1.0, 0.0], [0.3, 0.9539392014169456]],
@@ -25,7 +25,7 @@ BASE = {
     "projection": {"kind": "identity"},
     "replication": {"replicas": 4, "n_final": 60, "checkpoints": [30, 60],
                     "master_seed": 77, "divergence_radius": None},
-    "output": {"directory": "out", "plots": True},
+    "output": {"directory": "out"},
 }
 
 
@@ -59,6 +59,12 @@ def test_unknown_keys_rejected():
         config_from_dict(variant(**{"family.bogus": 1}))
     with pytest.raises(ConfigError, match="params"):
         config_from_dict(variant(**{"params.surprise": 1.0}))
+    # keys that no code reads: rejected, never silently ignored
+    for doc in (variant(**{"output.plots": True}), variant(**{"params.L": 0.5}),
+                variant(**{"family.quadratic": [[0.0, 0.0], [0.0, 0.0]]}),
+                euler_doc(payoff="shortfall")):
+        with pytest.raises(ConfigError, match="unknown"):
+            config_from_dict(doc)
 
 
 def test_validate_accept_exit_zero(tmp_path, capsys):
@@ -71,7 +77,7 @@ def euler_doc(**family):
     doc = copy.deepcopy(BASE)
     doc["params"].update({"regime": "critical", "beta": 1.0})
     doc["family"] = {"kind": "euler_sde", "drift": 0.05, "diffusion": 0.2,
-                     "target": 1.0, "horizon": 1.0, "payoff": "shortfall", **family}
+                     "target": 1.0, "horizon": 1.0, **family}
     doc["projection"] = {"kind": "box", "lower": [0.0], "upper": [5.0]}
     doc["replication"].update({"replicas": 3, "n_final": 40, "checkpoints": [20, 40],
                                "divergence_radius": 20.0})
@@ -89,7 +95,6 @@ def test_validate_reject_names_inequality(tmp_path, capsys):
     euler_m = euler_doc()
     euler_m["params"]["M"] = 2.5
     cases = [(euler_m, "integer M for euler_sde"),
-             (euler_doc(payoff="terminal"), "payoff with a root"),
              (variant(**{"params.regime": "critical", "params.beta": 1.0,
                          "replication.checkpoints": [1]}), "checkpoint n >= 2"),
              (variant(**{"family.noise_factor": [[1.0, 0.0], [1.0, 0.0]]}),
@@ -246,7 +251,7 @@ def test_plot_refuses_mixed_hashes(tmp_path, capsys):
     open(path, "w").write("\n".join(lines) + "\n")
     rc = main(["plot", out_dir])
     assert rc == 1
-    assert "mixed config hashes" in capsys.readouterr().err
+    assert "does not match its manifest sha256" in capsys.readouterr().err
     # damaged run directories: one line on stderr and exit 1, never a traceback
     doc = variant(**{"replication.replicas": 3, "replication.n_final": 40,
                      "replication.checkpoints": [10, 20, 40]})
@@ -398,7 +403,7 @@ def test_run_euler_family_without_ground_truth(tmp_path):
     doc = copy.deepcopy(BASE)
     doc["params"].update({"regime": "critical", "beta": 1.0})
     doc["family"] = {"kind": "euler_sde", "drift": 0.05, "diffusion": 0.2,
-                     "target": 1.0, "horizon": 1.0, "payoff": "shortfall"}
+                     "target": 1.0, "horizon": 1.0}
     doc["replication"].update({"replicas": 3, "n_final": 40, "checkpoints": [20, 40],
                                "divergence_radius": 20.0})
     out_dir = run_dir_of(tmp_path, doc, "euler")

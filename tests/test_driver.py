@@ -17,9 +17,8 @@ from conftest import (CRITICAL_DEFAULT, SLOW_PINNED, make_scalar_family, make_sl
 
 def synthetic_estimate(family, theta, counts, g):
     """One row's SyntheticGaussianFamily estimate from its (s, d) normals ``g``,
-    with f and the noise factor applied in plain Python (unmodulated, no
-    quadratic term)."""
-    assert not family.modulated and family.Q is None
+    with f and the noise factor applied in plain Python (unmodulated)."""
+    assert not family.modulated
     s, d = len(counts), family.d
     coef = family.M ** (-family.beta * np.arange(1, s + 1) / 2.0) / np.sqrt(
         np.asarray(counts, dtype=float))

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mlsa import InvalidParameters, ParameterSet, validate
-from mlsa.params import fill_param_defaults, schedule_arrays
+from mlsa import ConfigError, InvalidParameters, ParameterSet, config_from_dict, validate
+from mlsa.params import schedule_arrays
 
 from conftest import CRITICAL_DEFAULT, SLOW_PINNED
 
@@ -153,13 +153,22 @@ def test_schedule_arrays_match_exact_reference():
 
 
 def test_params_from_dict_strictness():
-    with pytest.raises(ValueError, match="unknown"):
-        fill_param_defaults(make({"bogus": 1.0}))
-    with pytest.raises(ValueError, match="missing"):
-        fill_param_defaults({"regime": "slow", "alpha": 1.0})
+    def doc(params):
+        return {"params": params,
+                "family": {"kind": "synthetic_gaussian", "theta_star": [0.0], "H": [[-1.0]],
+                           "mu": [1.0], "noise_factor": [[1.0]]},
+                "projection": {"kind": "identity"},
+                "replication": {"replicas": 2, "n_final": 10, "master_seed": 0},
+                "output": {"directory": "out"}}
+
+    assert config_from_dict(doc(make({}))).params == ParameterSet(**SLOW_PINNED)
+    with pytest.raises(ConfigError, match="unknown"):
+        config_from_dict(doc(make({"bogus": 1.0})))
+    with pytest.raises(ConfigError, match="missing"):
+        config_from_dict(doc({"regime": "slow", "alpha": 1.0}))
     for bad in ("2.0", True, None, [2.0]):  # no silent coercion to a number
-        with pytest.raises(TypeError, match="M must be a number"):
-            fill_param_defaults(make({"M": bad}))
+        with pytest.raises(ConfigError, match="M must be a number"):
+            config_from_dict(doc(make({"M": bad})))
 
 
 def test_bad_regime_tag():
