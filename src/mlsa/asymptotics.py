@@ -38,7 +38,12 @@ from .params import CRITICAL, SLOW, ParameterSet, schedule_arrays
 
 
 def _psi_formula(u: float, v: float, M: float, z: float) -> float:
-    return M ** (-z * (u + v)) * ((M ** u - 1.0) / (M ** (u + v) - 1.0) + M ** (u * z) - 1.0)
+    # the bracket over its denominator M^(u+v) - 1: on z in [0, 1] both terms of
+    # the numerator are >= 0, so they do not cancel when u + v is very negative
+    ln_m = math.log(M)
+    top = (M ** (u * z) * math.expm1(u * (1.0 - z) * ln_m)
+           + M ** (u + v) * math.expm1(u * z * ln_m))
+    return M ** (-z * (u + v)) * top / math.expm1((u + v) * ln_m)
 
 
 def psi(u: float, v: float, M: float, z: float) -> float:

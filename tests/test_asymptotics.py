@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mlsa import (ParameterSet, oracle_eps_bias, oracle_eps_diff, predict_critical,
                   predict_slow, psi, rates)
@@ -37,6 +37,7 @@ def test_psi_domain_errors():
        st.floats(min_value=-4.0, max_value=4.0),
        st.floats(min_value=1.1, max_value=8.0))
 @settings(max_examples=300, deadline=None)
+@example(u=0.0546875, v=-4.0, M=8.0)  # u + v very negative: the bracket once cancelled to 1e-12
 def test_psi_periodicity_property(u, v, M):
     if u - v <= 1e-9 or abs(u + v) < 1e-6:
         return
