@@ -89,7 +89,7 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
 
-def parse_config_structure(doc: dict):
+def parse_config_structure(doc: dict) -> None:
     """Structural pass: key and type checking, no feasibility validation.
 
     Raises ConfigError for malformed documents; regime inequalities are *not*
@@ -102,9 +102,9 @@ def parse_config_structure(doc: dict):
     for name in ("params", "family", "projection", "replication", "output"):
         _check_type(isinstance(doc[name], dict), "<root>", name, "an object", doc[name])
 
-    names = {f.name for f in fields(ParameterSet)}
-    required = {f.name for f in fields(ParameterSet) if f.default is MISSING}
-    _require_keys(doc["params"], "params", required, names - required)
+    fs = fields(ParameterSet)
+    _require_keys(doc["params"], "params", {f.name for f in fs if f.default is MISSING},
+                  {f.name for f in fs if f.default is not MISSING})
     for key, value in doc["params"].items():
         if key != "regime":  # no silent coercion of strings or booleans
             _check_type(type(value) in (int, float), "params", key, "a number", value)
