@@ -105,8 +105,10 @@ def parse_config_structure(doc: dict) -> None:
     fs = fields(ParameterSet)
     _require_keys(doc["params"], "params", {f.name for f in fs if f.default is MISSING},
                   {f.name for f in fs if f.default is not MISSING})
-    for key, value in doc["params"].items():
-        if key != "regime":  # no silent coercion of strings or booleans
+    for key, value in doc["params"].items():  # no silent coercion of strings or booleans
+        if key == "regime":  # an unknown regime name is a domain error, found by validate
+            _check_type(isinstance(value, str), "params", key, "a string", value)
+        else:
             _check_type(type(value) in (int, float), "params", key, "a number", value)
 
     fam = doc["family"]

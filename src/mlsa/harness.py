@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
@@ -102,6 +101,8 @@ def run_replicas(spec: ReplicationSpec, params: ParameterSet, family: LevelFamil
     if workers <= 1 or len(tasks) == 1:
         parts = [_run_block(t) for t in tasks]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # ``import mlsa`` opens no pool
+
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             parts = list(pool.map(_run_block, tasks))
     return _join(parts)

@@ -133,14 +133,22 @@ def validate(v: Mapping) -> tuple[Violation, ...]:
     return tuple(violations)
 
 
+_latest: dict = {}  # {(params, n): arrays} of the latest build; ParameterSet hashes by value
+
+
 def schedule_arrays(params: ParameterSet, n: int) -> dict[str, np.ndarray]:
     """Schedules for all indices 1..n: the single source of s_n, K_bar_n, xi_n.
 
-    Returns arrays ``idx, gamma, b, b_bar, K, K_bar, s, xi``.  K_bar uses
-    cumulative summation of the exact terms.
+    Returns a new dict of arrays ``idx, gamma, b, b_bar, K, K_bar, s, xi``;
+    K_bar uses cumulative summation of the exact terms.  Calls with an equal
+    ``(params, n)`` share the latest build, so its arrays are read-only; it is
+    dropped before a new build starts, so two builds are never held at once.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
+    if (params, n) in _latest:
+        return dict(_latest[params, n])
+    _latest.clear()
     p = params
     idx = np.arange(1, n + 1, dtype=float)
     K = p.kappa_K * (p.phi + 1.0) * idx ** p.phi
@@ -152,7 +160,7 @@ def schedule_arrays(params: ParameterSet, n: int) -> dict[str, np.ndarray]:
         raw = (1.0 / p.alpha) * ((p.phi + 1) / 2.0) * np.log(idx) / math.log(p.M)
         s = np.maximum(np.ceil(raw), 1.0)
     b = idx ** p.rho
-    return {
+    arrays = {
         "idx": idx,
         "gamma": idx ** (-p.psi),
         "b": b,
@@ -162,4 +170,7 @@ def schedule_arrays(params: ParameterSet, n: int) -> dict[str, np.ndarray]:
         "s": s.astype(np.int64),
         "xi": raw - s,
     }
-
+    for a in arrays.values():
+        a.flags.writeable = False
+    _latest[params, n] = arrays
+    return dict(arrays)

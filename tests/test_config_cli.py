@@ -98,7 +98,9 @@ def test_validate_reject_names_inequality(tmp_path, capsys):
              (variant(**{"params.regime": "critical", "params.beta": 1.0,
                          "replication.checkpoints": [1]}), "checkpoint n >= 2"),
              (variant(**{"family.noise_factor": [[1.0, 0.0], [1.0, 0.0]]}),
-              "nonsingular H and noise_factor")]
+              "nonsingular H and noise_factor"),
+             # a regime string that names no regime; a regime that is no string exits 2
+             (variant(**{"params.regime": "medium"}), "'medium' not in")]
     for i, (doc, name) in enumerate(cases):
         path = write_config(tmp_path, doc, name=f"domain{i}.json")
         assert main(["validate", path]) == 1
@@ -136,6 +138,8 @@ def test_replicas_rejected_at_validation(tmp_path, capsys):
                          "projection.upper": [1.0]}), "lower"),
              (variant(**{"family.mu": [1.0, -1.0, 0.0]}), "mu"),
              (variant(**{"params.M": "2.0"}), "M"),
+             (variant(**{"params.regime": 5}), "regime must be a string"),
+             (variant(**{"params.regime": ["slow"]}), "regime must be a string"),
              (euler_doc(payoff="call"), "payoff"),
              # Euler and box constants that no run can use
              (euler_doc(horizon=-1), "horizon"),

@@ -62,11 +62,12 @@ def test_kolmogorov_critical_against_scipy():
 
 
 def test_import_loads_neither_scipy_stats_nor_special():
-    # a fresh interpreter: this test session has already imported scipy.special
+    # a fresh interpreter: this test session has already imported scipy.special;
+    # the process pool, too, is imported only by the run that opens one
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     code = ("import sys, mlsa; "
-            "print(sorted(m for m in ('scipy.stats', 'scipy.special', 'scipy.linalg') "
-            "if m in sys.modules))")
+            "print(sorted(m for m in ('scipy.stats', 'scipy.special', 'scipy.linalg', "
+            "'concurrent.futures') if m in sys.modules))")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

@@ -1,10 +1,14 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mlsa.params
 from mlsa import ConfigError, InvalidParameters, ParameterSet, config_from_dict, validate
+from mlsa.asymptotics import oracle_eps_bias, oracle_eps_diff, predictions
+from mlsa.harness import ReplicationSpec, clt_report, cost_curve, run_replicas
 from mlsa.params import schedule_arrays
 
 from conftest import CRITICAL_DEFAULT, SLOW_PINNED
@@ -173,3 +177,71 @@ def test_params_from_dict_strictness():
 
 def test_bad_regime_tag():
     assert "regime" in names(validate(make({"regime": "fast"})))
+
+
+class BuildCounter:
+    """numpy as ``mlsa.params`` sees it; each schedule build calls ``arange``
+    once, so its calls count the builds.  ``on_build`` runs as a build starts."""
+
+    def __init__(self, on_build=lambda: None):
+        self.builds = 0
+        self.on_build = on_build
+
+    def arange(self, *args, **kwargs):
+        self.builds += 1
+        self.on_build()
+        return np.arange(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def test_schedule_calls_share_one_read_only_build(slow_params_pinned):
+    a = schedule_arrays(slow_params_pinned, 300)
+    b = schedule_arrays(ParameterSet(**SLOW_PINNED), 300)  # equal by value, not identity
+    assert a is not b and a.keys() == b.keys()
+    assert all(a[k] is b[k] and not a[k].flags.writeable for k in a)
+    with pytest.raises(ValueError):
+        a["gamma"][0] = 0.0
+    # each call gets its own dict, so editing one leaves later calls whole
+    del a["s"]
+    assert "s" in schedule_arrays(slow_params_pinned, 300)
+
+
+def test_schedule_rebuild_after_other_keys_is_bitwise_equal(slow_params_pinned,
+                                                            critical_params_pinned):
+    first = {k: v.copy() for k, v in schedule_arrays(slow_params_pinned, 700).items()}
+    schedule_arrays(slow_params_pinned, 350)
+    schedule_arrays(critical_params_pinned, 700)
+    again = schedule_arrays(slow_params_pinned, 700)
+    for k, v in first.items():
+        assert again[k].dtype == v.dtype and again[k].tobytes() == v.tobytes(), k
+
+
+def test_one_schedule_build_per_params_and_n(monkeypatch, slow_params, slow_params_pinned,
+                                             slow_family, cost_model, identity):
+    counter = BuildCounter()
+    monkeypatch.setattr(mlsa.params, "np", counter)
+    n = 1237
+    predictions(slow_params_pinned, [10, n])
+    oracle_eps_bias(slow_params_pinned, n)
+    oracle_eps_diff(slow_params_pinned, n)
+    assert counter.builds == 1
+    predictions(slow_params_pinned, [n - 1])  # the key is exact: no prefix of the n build
+    assert counter.builds == 2
+    # a run: RunPlan at n_final, clt_report at the last checkpoint and cost_curve
+    spec = ReplicationSpec(replicas=20, n_final=60, checkpoints=(30, 60), master_seed=3)
+    record = run_replicas(spec, slow_params, slow_family, cost_model, identity,
+                          slow_family.theta_star + 0.5)
+    clt_report(record, slow_params, slow_family, 60, divergence_radius=10.0)
+    cost_curve(record, slow_params)
+    assert counter.builds == 3
+
+
+def test_previous_schedule_build_is_released_before_the_next(monkeypatch, slow_params_pinned):
+    # only the kept build references the array once the returned dict is gone
+    kept = weakref.ref(schedule_arrays(slow_params_pinned, 500)["s"])
+    released = []
+    monkeypatch.setattr(mlsa.params, "np", BuildCounter(lambda: released.append(kept() is None)))
+    schedule_arrays(slow_params_pinned, 501)
+    assert released == [True]
