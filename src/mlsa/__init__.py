@@ -4,7 +4,7 @@ from .params import CRITICAL, SLOW, InvalidParameters, ParameterSet, schedule_ar
 from .families import EulerSdeFamily, GeometricCostModel, LevelFamily, SyntheticGaussianFamily
 from .driver import (BallMonitor, BoxProjection, IdentityProjection, RunPlan, RunRecord,
                      default_theta0, geometric_checkpoints, replication_counts, run)
-from .asymptotics import (AsymptoticPrediction, RateBundle, oracle_eps_bias, oracle_eps_diff,
+from .asymptotics import (RateBundle, oracle_eps_bias, oracle_eps_diff,
                           predict_critical, predict_slow, psi, rates)
 from .linear import (ContractingMatrix, IllConditionedError, LyapunovNorm,
                      averaged_operator, exp_product_gap, linear_iterate,

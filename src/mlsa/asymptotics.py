@@ -26,23 +26,21 @@ Gamma-normalized CLT scale) or (2 alpha kappa_K)^-1 k^-phi log_M k (critical).
 
 from __future__ import annotations
 
-import csv
-import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
 
+from .driver import csv_lines
 from .params import CRITICAL, SLOW, ParameterSet, schedule_arrays
 
 
-def _psi_formula(u: float, v: float, M: float, z: float) -> float:
+def _psi_formula(u: float, v: float, M: float, z):
     # the bracket over its denominator M^(u+v) - 1: on z in [0, 1] both terms of
     # the numerator are >= 0, so they do not cancel when u + v is very negative
     ln_m = math.log(M)
-    top = (M ** (u * z) * math.expm1(u * (1.0 - z) * ln_m)
-           + M ** (u + v) * math.expm1(u * z * ln_m))
+    top = M ** (u * z) * np.expm1(u * (1.0 - z) * ln_m) + M ** (u + v) * np.expm1(u * z * ln_m)
     return M ** (-z * (u + v)) * top / math.expm1((u + v) * ln_m)
 
 
@@ -60,7 +58,7 @@ def psi(u: float, v: float, M: float, z: float) -> float:
         raise ValueError("psi requires M > 1")
     if not 0.0 <= z <= 1.0:
         raise ValueError("psi argument z must lie in [0, 1]")
-    return _psi_formula(u, v, M, z)
+    return float(_psi_formula(u, v, M, z))
 
 
 @dataclass(frozen=True)
@@ -84,16 +82,24 @@ def rates(params: ParameterSet) -> RateBundle:
 
 
 @dataclass(frozen=True)
-class AsymptoticPrediction:
-    n: int
-    s: int
-    xi: float
-    eps_bias: Optional[float]
-    eps_diff: float
-    predicted_cost: float
-    eps_bias_cost_form: Optional[float]
-    eps_diff_cost_form: float
-    pre_asymptotic: bool = False
+class Predictions:
+    """The closed forms at each n of ``n``: arrays from :func:`predictions`, Python
+    numbers from the one-n wrappers (:meth:`at`).  Critical bias fields are None."""
+
+    n: np.ndarray
+    s: np.ndarray
+    xi: np.ndarray
+    eps_bias: Optional[np.ndarray]
+    eps_diff: np.ndarray
+    predicted_cost: np.ndarray
+    eps_bias_cost_form: Optional[np.ndarray]
+    eps_diff_cost_form: np.ndarray
+    pre_asymptotic: np.ndarray
+
+    def at(self, j: int) -> Predictions:
+        """The prediction at ``n[j]``, each field a Python int, float, bool or None."""
+        return Predictions(*(None if v is None else v[j].item()
+                             for v in (getattr(self, f.name) for f in fields(self))))
 
 
 def _diff_prefactor(params: ParameterSet) -> float:
@@ -101,68 +107,62 @@ def _diff_prefactor(params: ParameterSet) -> float:
     return q / math.sqrt(2 * q - 1)
 
 
-def predict_slow(params: ParameterSet, n: int) -> AsymptoticPrediction:
-    """Evaluate every slow-regime closed form at horizon n.
-
-    If s_n comes from the clamp branch (floor <= 0) the prediction is flagged
-    ``pre_asymptotic`` rather than refused; xi_n is then negative and the
-    formulas are evaluated as written.
-    """
+def predict_slow(params: ParameterSet, n: int) -> Predictions:
+    """Every slow-regime closed form at horizon n (see :func:`predictions`)."""
     if params.regime != SLOW:
         raise ValueError("predict_slow requires slow-regime parameters")
-    return predictions(params, [n])[0]
+    return predictions(params, [n]).at(0)
 
 
-def _slow_at(p: ParameterSet, n: int, s: int, xi: float) -> AsymptoticPrediction:
-    pre = xi < 0.0  # the max(. , 1) clamp was active
-    rb = rates(p)
-    one_minus = 1.0 - p.M ** (-(1.0 - p.beta) / 2.0)
-    decay = float(n) ** (-(p.phi + 1) * rb.r)
-    # pre-asymptotic xi lies below 0; the modulation is periodic, so evaluate
-    # it at the fractional part there
-    z = xi - math.floor(xi) if pre else xi
-    psi_b = _psi_formula(rb.r1, -p.alpha, p.M, z)
-    psi_d = _psi_formula(rb.r2, 1.0 - p.beta, p.M, z)
-    eps_bias = p.kappa_s ** (-p.alpha) * p.kappa_K ** (-rb.r) * psi_b * decay
-    eps_diff = (one_minus ** -0.5 * _diff_prefactor(p) * p.kappa_s ** ((1 - p.beta) / 2)
-                * p.kappa_K ** (-rb.r) * math.sqrt(psi_d) * decay)
-    cost = p.kappa_C * p.kappa_K / one_minus * float(n) ** (p.phi + 1)
-    eps_bias_cost = (p.kappa_C ** rb.r * one_minus ** (-rb.r) * p.kappa_s ** (-p.alpha)
-                     * psi_b * cost ** (-rb.r))
-    eps_diff_cost = (p.kappa_C ** rb.r * one_minus ** (-(rb.r + 0.5)) * _diff_prefactor(p)
-                     * p.kappa_s ** ((1 - p.beta) / 2) * math.sqrt(psi_d) * cost ** (-rb.r))
-    return AsymptoticPrediction(n=n, s=s, xi=xi, eps_bias=eps_bias, eps_diff=eps_diff,
-                                predicted_cost=cost, eps_bias_cost_form=eps_bias_cost,
-                                eps_diff_cost_form=eps_diff_cost, pre_asymptotic=pre)
-
-
-def predict_critical(params: ParameterSet, n: int) -> AsymptoticPrediction:
+def predict_critical(params: ParameterSet, n: int) -> Predictions:
     """Critical-regime prediction; has no bias normalization (centers at theta*)."""
     if params.regime != CRITICAL:
         raise ValueError("predict_critical requires critical-regime parameters")
-    return predictions(params, [n])[0]
+    return predictions(params, [n]).at(0)
 
 
-def _critical_at(p: ParameterSet, n: int, s: int, xi: float) -> AsymptoticPrediction:
-    if n < 2:
-        raise ValueError("critical prediction needs n >= 2 (log n vanishes at 1)")
-    log_M_n = math.log(n) / math.log(p.M)
-    eps_diff = (1.0 / math.sqrt(2 * p.alpha * p.kappa_K) * _diff_prefactor(p)
-                * float(n) ** (-(p.phi + 1) / 2.0) * math.sqrt((p.phi + 1) * log_M_n))
-    cost = (p.kappa_C * p.kappa_K / p.alpha * float(n) ** (p.phi + 1)
-            * ((p.phi + 1) / 2.0) * log_M_n)
-    eps_diff_cost = (math.sqrt(p.kappa_C) / (2 * p.alpha) * _diff_prefactor(p)
-                     * (math.log(cost) / math.log(p.M)) / math.sqrt(cost))
-    return AsymptoticPrediction(n=n, s=s, xi=xi, eps_bias=None, eps_diff=eps_diff,
-                                predicted_cost=cost, eps_bias_cost_form=None,
-                                eps_diff_cost_form=eps_diff_cost)
-
-
-def predictions(params: ParameterSet, ns: Sequence[int]) -> list[AsymptoticPrediction]:
-    """The prediction at every n in ``ns``, from one schedule pass at max(ns)."""
-    arr = schedule_arrays(params, max(ns, default=1))
-    at = _slow_at if params.regime == SLOW else _critical_at
-    return [at(params, n, int(arr["s"][n - 1]), float(arr["xi"][n - 1])) for n in ns]
+def predictions(params: ParameterSet, ns: Sequence[int]) -> Predictions:
+    """Every closed form at each n in ``ns`` in one array pass over one schedule
+    build at max(ns).  A slow-regime s_n from the clamp branch (floor <= 0) is
+    flagged ``pre_asymptotic``, not refused: xi_n is then negative and the
+    formulas are evaluated as written.  The critical regime needs every n >= 2.
+    """
+    p = params
+    n = np.asarray(ns, dtype=np.int64)
+    arr = schedule_arrays(p, int(n.max(initial=1)))
+    s, xi, x = arr["s"][n - 1], arr["xi"][n - 1], n.astype(float)
+    if p.regime == SLOW:
+        pre = xi < 0.0  # the max(. , 1) clamp was active
+        rb = rates(p)
+        one_minus = 1.0 - p.M ** (-(1.0 - p.beta) / 2.0)
+        decay = x ** (-(p.phi + 1) * rb.r)
+        # pre-asymptotic xi lies below 0; the modulation is periodic, so evaluate
+        # it at the fractional part there
+        z = np.where(pre, xi - np.floor(xi), xi)
+        psi_b = _psi_formula(rb.r1, -p.alpha, p.M, z)
+        psi_d = _psi_formula(rb.r2, 1.0 - p.beta, p.M, z)
+        eps_bias = p.kappa_s ** (-p.alpha) * p.kappa_K ** (-rb.r) * psi_b * decay
+        eps_diff = (one_minus ** -0.5 * _diff_prefactor(p) * p.kappa_s ** ((1 - p.beta) / 2)
+                    * p.kappa_K ** (-rb.r) * np.sqrt(psi_d) * decay)
+        cost = p.kappa_C * p.kappa_K / one_minus * x ** (p.phi + 1)
+        eps_bias_cost = (p.kappa_C ** rb.r * one_minus ** (-rb.r) * p.kappa_s ** (-p.alpha)
+                         * psi_b * cost ** (-rb.r))
+        eps_diff_cost = (p.kappa_C ** rb.r * one_minus ** (-(rb.r + 0.5)) * _diff_prefactor(p)
+                         * p.kappa_s ** ((1 - p.beta) / 2) * np.sqrt(psi_d) * cost ** (-rb.r))
+    else:
+        if np.any(n < 2):
+            raise ValueError("critical prediction needs n >= 2 (log n vanishes at 1)")
+        pre, eps_bias, eps_bias_cost = np.zeros(n.shape, dtype=bool), None, None
+        log_M_n = np.log(x) / math.log(p.M)
+        eps_diff = (1.0 / math.sqrt(2 * p.alpha * p.kappa_K) * _diff_prefactor(p)
+                    * x ** (-(p.phi + 1) / 2.0) * np.sqrt((p.phi + 1) * log_M_n))
+        cost = (p.kappa_C * p.kappa_K / p.alpha * x ** (p.phi + 1)
+                * ((p.phi + 1) / 2.0) * log_M_n)
+        eps_diff_cost = (math.sqrt(p.kappa_C) / (2 * p.alpha) * _diff_prefactor(p)
+                         * (np.log(cost) / math.log(p.M)) / np.sqrt(cost))
+    return Predictions(n=n, s=s, xi=xi, eps_bias=eps_bias, eps_diff=eps_diff,
+                       predicted_cost=cost, eps_bias_cost_form=eps_bias_cost,
+                       eps_diff_cost_form=eps_diff_cost, pre_asymptotic=pre)
 
 
 _MAX_ORACLE_N = 10 ** 7
@@ -204,12 +204,10 @@ def oracle_eps_diff(params: ParameterSet, n: int) -> float:
 
 
 def predictions_csv(params: ParameterSet, ns: Sequence[int]) -> str:
-    """CSV table of predictions keyed by n."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["n", "s", "xi", "eps_bias", "eps_diff", "predicted_cost",
-                "eps_bias_cost_form", "eps_diff_cost_form", "pre_asymptotic"])
-    for a in predictions(params, [int(n) for n in ns]):
-        w.writerow([a.n, a.s, a.xi, a.eps_bias, a.eps_diff, a.predicted_cost,
-                    a.eps_bias_cost_form, a.eps_diff_cost_form, int(a.pre_asymptotic)])
-    return buf.getvalue()
+    """CSV table of predictions keyed by n, one column per :class:`Predictions`
+    field; ``pre_asymptotic`` is written 0/1."""
+    a = predictions(params, ns)
+    cols = [getattr(a, f.name) for f in fields(a)]
+    cols[-1] = a.pre_asymptotic.astype(np.int64)
+    return csv_lines([[f.name for f in fields(a)],
+                      *zip(*([None] * len(a.n) if c is None else c.tolist() for c in cols))])

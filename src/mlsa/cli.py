@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import io
 import json
 import math
 import os
@@ -26,7 +25,7 @@ from ._svg import loglog_plot
 from .asymptotics import predictions_csv, rates
 from .config import (ConfigError, build_cost_model, build_family, build_projection,
                      config_from_dict, load_config)
-from .driver import BallMonitor, csv_header, default_theta0
+from .driver import BallMonitor, csv_header, csv_lines, default_theta0
 from .params import SLOW, InvalidParameters
 
 
@@ -135,12 +134,8 @@ def cmd_run(args) -> int:
         files[name] = hashlib.sha256(data).hexdigest()
 
     def csv_text(header: list, rows) -> str:
-        buf = io.StringIO()
-        buf.write(f"# config_hash={cfg_hash} master_seed={spec.master_seed}\n")
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
-        return buf.getvalue()
+        return (f"# config_hash={cfg_hash} master_seed={spec.master_seed}\n"
+                + csv_lines([header]) + csv_lines(rows))
 
     try:
         write("records.csv", csv_text(["replica"] + csv_header(family.d), record.csv_rows()))
@@ -185,16 +180,14 @@ def cmd_run(args) -> int:
 
 def cmd_plot(args) -> int:
     run_dir = args.run_dir
-    manifest_path = os.path.join(run_dir, "manifest.json")
     needed = ["records.csv", "cost_table.csv"]
-    missing = [n for n in [os.path.basename(manifest_path)] + needed
-               if not os.path.exists(os.path.join(run_dir, n))]
-    if missing:
-        print(f"missing artifacts: {', '.join(sorted(missing))}", file=sys.stderr)
-        return 1
     try:  # a damaged manifest, stored config or record table is a domain failure
-        with open(manifest_path, "r", encoding="utf-8") as fh:
+        with open(os.path.join(run_dir, "manifest.json"), "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
+        if manifest["complete"] is not True:  # its artifacts can be missing or stale
+            print(f"incomplete run: the manifest in {run_dir} reads complete: false",
+                  file=sys.stderr)
+            return 1
         cfg_hash = manifest["config_hash"]
         for name in needed:  # catches a file from another run as well as a damaged one
             with open(os.path.join(run_dir, name), "rb") as fh:
@@ -206,6 +199,9 @@ def cmd_plot(args) -> int:
             warnings.simplefilter("error")  # numpy warns, and does not raise, on a table of no rows
             table = np.loadtxt(os.path.join(run_dir, "records.csv"), delimiter=",", skiprows=2,
                                ndmin=2)
+    except (FileNotFoundError, NotADirectoryError) as exc:
+        print(f"missing artifacts: {os.path.basename(exc.filename)}", file=sys.stderr)
+        return 1
     except (ValueError, KeyError, TypeError, UserWarning) as exc:
         print(f"damaged run directory: {exc}", file=sys.stderr)
         return 1

@@ -86,6 +86,12 @@ def csv_header(d: int) -> list[str]:
             + [f"theta_bar_{i}" for i in range(d)] + ["cost"])
 
 
+def csv_lines(rows) -> str:
+    """CSV lines of rows of numbers, plain names and None (an empty field): what
+    ``csv.writer(lineterminator="\\n")`` writes, save its quotes on a lone empty field."""
+    return "".join(",".join(["" if v is None else str(v) for v in row]) + "\n" for row in rows)
+
+
 @dataclass(frozen=True)
 class RunRecord:
     """Checkpointed output of one run of R replicas; row r is replica r.
@@ -110,7 +116,8 @@ class RunRecord:
 
     def csv_rows(self) -> list[list]:
         """Rows under ``["replica"] + csv_header(d)``, replica by replica, over the
-        checkpoints reached before any abort; csv writes the floats as exact repr."""
+        checkpoints reached before any abort; the values are Python floats, so
+        :func:`csv_lines` writes each as its shortest round-trip repr."""
         reached = ~self.aborted | (self.ns[:, None] < self.abort_iteration)
         rep, j = np.nonzero(reached.T)
         values = np.hstack([self.theta[j, rep], self.theta_bar[j, rep], self.cost[j, None]])
@@ -179,27 +186,31 @@ def run(plan: RunPlan, family: LevelFamily, projection, theta0, checkpoints: Seq
     theta_bar = np.zeros_like(theta)
     b_bar = 0.0
     live = np.ones(replicas, dtype=bool)
+    all_live = True
     in_ball = np.ones(replicas, dtype=bool)
     abort_iteration = np.zeros(replicas, dtype=np.int64)
     rec_theta = np.empty((len(ns),) + theta.shape)
     rec_bar = np.empty_like(rec_theta)
     rec_ball = None if ball is None else np.empty((len(ns), replicas), dtype=bool)
     at = dict(zip(ns.tolist(), range(len(ns))))  # checkpoint n -> its slot
-    gamma, b, s, counts = plan.gamma, plan.b, plan.s, plan.counts
+    # Python scalars: the same doubles, without numpy scalar dispatch per iteration
+    gamma, b, s, counts = plan.gamma.tolist(), plan.b.tolist(), plan.s.tolist(), plan.counts
     # non-finite states are expected here: they are detected and abort their row
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_final):
             n = i + 1
             if ball is not None and n - 1 >= ball.n0:
-                in_ball &= np.linalg.norm(theta - ball.center, axis=1) <= ball.eps
+                x = theta - ball.center  # np.linalg.norm(x, axis=1), without its wrapper
+                in_ball &= np.sqrt(np.add.reduce(x * x, axis=1)) <= ball.eps
             z = family.ml_estimate(theta, counts[i, :s[i]], rng)
             theta_new = projection(theta + gamma[i] * z)
             b_bar_new = b_bar + b[i]
             bar_new = (b_bar * theta_bar + b[i] * theta_new) / b_bar_new
-            if not (live.all() and np.isfinite(theta_new).all()):
+            if not (all_live and np.isfinite(theta_new).all()):
                 failed = live & ~np.isfinite(theta_new).all(axis=1)
                 abort_iteration[failed] = n
                 live &= ~failed
+                all_live = False
                 theta_new = np.where(live[:, None], theta_new, theta)
                 bar_new = np.where(live[:, None], bar_new, theta_bar)
             theta, theta_bar, b_bar = theta_new, bar_new, b_bar_new

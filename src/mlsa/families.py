@@ -120,6 +120,7 @@ class SyntheticGaussianFamily(LevelFamily):
             if a.shape != shape or not np.all(np.isfinite(a)):
                 raise ValueError(f"{name} must be a finite array of shape {shape}")
         self.Gamma = self.A @ self.A.T
+        self._noise_scale = {}  # s -> M^(-beta k/2) for k = 1..s, built once per level count
 
     def f(self, theta):
         """f at theta of shape (d,) or at each row of theta of shape (R, d)."""
@@ -157,8 +158,10 @@ class SyntheticGaussianFamily(LevelFamily):
         s = len(counts)
         m = self.modulation(theta)
         g = rng.standard_normal((len(theta), s, self.d))
-        coef = self.M ** (-self.beta * np.arange(1, s + 1) / 2.0) / np.sqrt(
-            np.asarray(counts, dtype=float))
+        scale = self._noise_scale.get(s)
+        if scale is None:  # built at length s, so each entry has the bits of the plain expression
+            scale = self._noise_scale[s] = self.M ** (-self.beta * np.arange(1, s + 1) / 2.0)
+        coef = scale / np.sqrt(counts)
         noise = _rowmap(self.A, coef @ g)
         return self.f(theta) + self.mu * (m * self.M ** (-self.alpha * s)) + m * noise
 

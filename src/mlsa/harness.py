@@ -202,7 +202,7 @@ def clt_report(record: RunRecord, params: ParameterSet, family: LevelFamily,
     H_inv = np.linalg.inv(np.atleast_2d(family.H))
     target = H_inv @ Gamma @ H_inv.T
     theta_star = family.theta_star
-    pred = predictions(params, [checkpoint])[0]
+    pred = predictions(params, [checkpoint]).at(0)
     R = len(record.abort_iteration)
     kept = ~record.aborted & (np.linalg.norm(record.theta[j] - theta_star, axis=1)
                               <= divergence_radius)
@@ -314,7 +314,8 @@ def cost_curve(record: RunRecord, params: ParameterSet) -> list[dict]:
         raise InsufficientReplicas(f"all {len(record.aborted)} replicas aborted")
     # the critical law has no prediction at n = 1
     keep = record.ns >= (2 if params.regime == CRITICAL else 1)
-    ns, costs = record.ns[keep].tolist(), record.cost[keep].tolist()
-    return [{"n": n, "mean_cost": cost, "predicted_cost": pred.predicted_cost,
-             "ratio": cost / pred.predicted_cost}
-            for n, cost, pred in zip(ns, costs, predictions(params, ns))]
+    ns, costs = record.ns[keep], record.cost[keep]
+    pred = predictions(params, ns).predicted_cost
+    return [{"n": n, "mean_cost": cost, "predicted_cost": q, "ratio": r}
+            for n, cost, q, r in zip(ns.tolist(), costs.tolist(), pred.tolist(),
+                                     (costs / pred).tolist())]

@@ -1,14 +1,20 @@
+import json
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mlsa import (ParameterSet, oracle_eps_bias, oracle_eps_diff, predict_critical,
-                  predict_slow, psi, rates)
-from mlsa.asymptotics import predictions_csv
+from mlsa import (ParameterSet, load_config, oracle_eps_bias, oracle_eps_diff,
+                  predict_critical, predict_slow, psi, rates, schedule_arrays)
+from mlsa.asymptotics import predictions, predictions_csv
 
-from conftest import SLOW_PINNED
+from conftest import CRITICAL_PINNED, SLOW_PINNED
+
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
+PREDICTION_COLUMNS = ["n", "s", "xi", "eps_bias", "eps_diff", "predicted_cost",
+                      "eps_bias_cost_form", "eps_diff_cost_form", "pre_asymptotic"]
 
 
 def test_psi_reference_values():
@@ -166,8 +172,17 @@ def test_critical_prefactor_is_one_for_equal_exponents(critical_params_pinned):
 
 
 def test_critical_rejects_n_one(critical_params_pinned):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n >= 2"):
         predict_critical(critical_params_pinned, 1)
+    with pytest.raises(ValueError, match="n >= 2"):
+        predictions(critical_params_pinned, [5, 1, 7])
+
+
+def test_predict_wrappers_reject_the_other_regime(slow_params_pinned, critical_params_pinned):
+    with pytest.raises(ValueError, match="predict_slow requires slow-regime"):
+        predict_slow(critical_params_pinned, 10)
+    with pytest.raises(ValueError, match="predict_critical requires critical-regime"):
+        predict_critical(slow_params_pinned, 10)
 
 
 def test_critical_oracle_two_term_sum(critical_params_pinned):
@@ -203,8 +218,91 @@ def test_cost_form_critical_converges_from_above(critical_params_pinned):
     assert ratios[0] > ratios[1] > ratios[2]
 
 
-def test_predictions_csv_shape(slow_params_pinned):
-    text = predictions_csv(slow_params_pinned, [10, 100])
-    lines = text.strip().splitlines()
-    assert lines[0].startswith("n,s,xi,eps_bias")
-    assert len(lines) == 3
+def scalar_prediction(p, n, s, xi):
+    """The closed forms at one n in scalar math, as they were evaluated one n at a
+    time before predictions() became one array pass; the arrays' reference."""
+    def psi_at(u, v, z):
+        ln_m = math.log(p.M)
+        top = (p.M ** (u * z) * math.expm1(u * (1.0 - z) * ln_m)
+               + p.M ** (u + v) * math.expm1(u * z * ln_m))
+        return p.M ** (-z * (u + v)) * top / math.expm1((u + v) * ln_m)
+
+    q = (p.rho + 1) / (p.phi + 1)
+    prefactor = q / math.sqrt(2 * q - 1)
+    if p.regime == "critical":
+        log_M_n = math.log(n) / math.log(p.M)
+        eps_diff = (1.0 / math.sqrt(2 * p.alpha * p.kappa_K) * prefactor
+                    * float(n) ** (-(p.phi + 1) / 2.0) * math.sqrt((p.phi + 1) * log_M_n))
+        cost = (p.kappa_C * p.kappa_K / p.alpha * float(n) ** (p.phi + 1)
+                * ((p.phi + 1) / 2.0) * log_M_n)
+        eps_diff_cost = (math.sqrt(p.kappa_C) / (2 * p.alpha) * prefactor
+                         * (math.log(cost) / math.log(p.M)) / math.sqrt(cost))
+        return dict(n=n, s=s, xi=xi, eps_bias=None, eps_diff=eps_diff, predicted_cost=cost,
+                    eps_bias_cost_form=None, eps_diff_cost_form=eps_diff_cost,
+                    pre_asymptotic=False)
+    pre = xi < 0.0
+    rb = rates(p)
+    one_minus = 1.0 - p.M ** (-(1.0 - p.beta) / 2.0)
+    decay = float(n) ** (-(p.phi + 1) * rb.r)
+    z = xi - math.floor(xi) if pre else xi
+    psi_b, psi_d = psi_at(rb.r1, -p.alpha, z), psi_at(rb.r2, 1.0 - p.beta, z)
+    eps_bias = p.kappa_s ** (-p.alpha) * p.kappa_K ** (-rb.r) * psi_b * decay
+    eps_diff = (one_minus ** -0.5 * prefactor * p.kappa_s ** ((1 - p.beta) / 2)
+                * p.kappa_K ** (-rb.r) * math.sqrt(psi_d) * decay)
+    cost = p.kappa_C * p.kappa_K / one_minus * float(n) ** (p.phi + 1)
+    eps_bias_cost = (p.kappa_C ** rb.r * one_minus ** (-rb.r) * p.kappa_s ** (-p.alpha)
+                     * psi_b * cost ** (-rb.r))
+    eps_diff_cost = (p.kappa_C ** rb.r * one_minus ** (-(rb.r + 0.5)) * prefactor
+                     * p.kappa_s ** ((1 - p.beta) / 2) * math.sqrt(psi_d) * cost ** (-rb.r))
+    return dict(n=n, s=s, xi=xi, eps_bias=eps_bias, eps_diff=eps_diff, predicted_cost=cost,
+                eps_bias_cost_form=eps_bias_cost, eps_diff_cost_form=eps_diff_cost,
+                pre_asymptotic=pre)
+
+
+def test_array_predictions_match_scalar_reference():
+    # numpy's vectorised power and log may differ from libm by an ulp or two;
+    # rtol was fixed at 2e-15 (about 9 ulps) before the array pass was written
+    sets = [load_config(os.path.join(CONFIGS, f"{name}_default.json")).params
+            for name in ("slow", "critical")]
+    sets += [ParameterSet(**SLOW_PINNED), ParameterSet(**CRITICAL_PINNED),
+             ParameterSet(**dict(SLOW_PINNED, kappa_s=1e-3))]  # pre-asymptotic at small n
+    for p in sets:
+        ns = list(range(2 if p.regime == "critical" else 1, 4001))
+        arr = schedule_arrays(p, 4000)
+        ref = [scalar_prediction(p, n, int(arr["s"][n - 1]), float(arr["xi"][n - 1]))
+               for n in ns]
+        got = predictions(p, ns)
+        for name in PREDICTION_COLUMNS:
+            want = [r[name] for r in ref]
+            if name in ("eps_bias", "eps_bias_cost_form") and p.regime == "critical":
+                assert getattr(got, name) is None
+            elif name in ("n", "s", "xi", "pre_asymptotic"):
+                assert getattr(got, name).tolist() == want, name
+            else:
+                np.testing.assert_allclose(getattr(got, name), want, rtol=2e-15, atol=0,
+                                           err_msg=name)
+        # the one-n wrapper holds Python numbers, which JSON takes as they are
+        one = (predict_slow if p.regime == "slow" else predict_critical)(p, ns[-1])
+        assert one == got.at(len(ns) - 1)
+        assert [type(getattr(one, c)) for c in ("n", "s", "xi", "eps_diff", "pre_asymptotic")] \
+            == [int, int, float, float, bool]
+        json.dumps(vars(one))
+
+
+def test_predictions_csv_shape(slow_params_pinned, critical_params_pinned):
+    early = ParameterSet(**dict(SLOW_PINNED, kappa_s=1e-3))  # n = 1 is pre-asymptotic
+    for p, ns, pre in ((early, [1, 10 ** 4], ["1", "0"]),
+                       (slow_params_pinned, [10, 100], ["0", "0"]),
+                       (critical_params_pinned, [10, 100], ["0", "0"])):
+        lines = predictions_csv(p, ns).splitlines()
+        assert lines[0] == ",".join(PREDICTION_COLUMNS)
+        rows = [line.split(",") for line in lines[1:]]
+        assert [row[0] for row in rows] == [str(n) for n in ns]
+        assert [row[-1] for row in rows] == pre
+        for j, row in enumerate(rows):
+            a = predictions(p, ns).at(j)
+            assert float(row[4]) == a.eps_diff and float(row[5]) == a.predicted_cost
+            if p.regime == "critical":  # no bias columns: empty fields
+                assert row[3] == row[6] == ""
+            else:
+                assert float(row[3]) == a.eps_bias and float(row[6]) == a.eps_bias_cost_form

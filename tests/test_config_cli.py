@@ -282,6 +282,23 @@ def test_plot_refuses_mixed_hashes(tmp_path, capsys):
         assert len(err.splitlines()) == 1 and "damaged run directory" in err
 
 
+def test_plot_refuses_incomplete_run(tmp_path, capsys):
+    # a failed rerun in the directory of a completed run leaves complete: false
+    # beside the earlier run's cost_table.csv and clt_report.json
+    doc = variant(**{"replication.replicas": 3, "replication.n_final": 40,
+                     "replication.checkpoints": [10, 20, 40]})
+    out_dir = run_dir_of(tmp_path, doc, "rerun")
+    doc["replication"]["divergence_radius"] = 1e-9  # screens out every replica
+    assert main(["run", write_config(tmp_path, doc, "fail.json"), "--out", out_dir]) == 1
+    capsys.readouterr()
+    with open(os.path.join(out_dir, "manifest.json")) as fh:
+        assert json.load(fh)["complete"] is False
+    assert os.path.exists(os.path.join(out_dir, "cost_table.csv"))
+    assert main(["plot", out_dir]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("incomplete run:")
+
+
 def test_partial_failure_marks_manifest_incomplete(tmp_path, monkeypatch):
     import mlsa.harness
 

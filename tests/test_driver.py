@@ -1,25 +1,28 @@
 import csv
 import io
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from mlsa import (BallMonitor, BoxProjection, EulerSdeFamily, GeometricCostModel,
                   IdentityProjection, ParameterSet, ReplicationSpec, SyntheticGaussianFamily,
-                  default_theta0, geometric_checkpoints, run, run_replicas)
-from mlsa.driver import RunPlan, csv_header
+                  default_theta0, geometric_checkpoints, replication_counts, run,
+                  run_replicas)
+from mlsa.driver import RunPlan, csv_header, csv_lines
 from mlsa.families import LevelFamily
 
-from conftest import (CRITICAL_DEFAULT, SLOW_PINNED, make_scalar_family, make_slow_family,
-                      reference_counts)
+from conftest import (CRITICAL_DEFAULT, GAMMA2, SLOW_PINNED, make_scalar_family,
+                      make_slow_family, reference_counts)
 
 
 def synthetic_estimate(family, theta, counts, g):
     """One row's SyntheticGaussianFamily estimate from its (s, d) normals ``g``,
-    with f and the noise factor applied in plain Python (unmodulated)."""
-    assert not family.modulated
+    with f and the noise factor applied in plain Python and the level scale
+    built by the expression the family's memo replaced."""
     s, d = len(counts), family.d
+    m = float(np.ravel(family.modulation(theta))[0])  # 1.0 when unmodulated
     coef = family.M ** (-family.beta * np.arange(1, s + 1) / 2.0) / np.sqrt(
         np.asarray(counts, dtype=float))
     v = coef @ g  # the level sum of this row's normals
@@ -33,7 +36,7 @@ def synthetic_estimate(family, theta, counts, g):
     e = [theta[i] - family.theta_star[i] for i in range(d)]
     f, noise = apply(family.H, e), apply(family.A, v)
     bias = family.M ** (-family.alpha * s)
-    return np.array([f[i] + family.mu[i] * (1.0 * bias) + noise[i] for i in range(d)])
+    return np.array([f[i] + family.mu[i] * (m * bias) + m * noise[i] for i in range(d)])
 
 
 def reference_run(params, family, cost_model, projection, theta0, n_final, seed, replicas):
@@ -261,6 +264,18 @@ def test_aborted_row_leaves_other_rows_unchanged(slow_params, cost_model):
         assert mixed.csv_rows() == [row for row in calm.csv_rows() if row[0] != 1]
 
 
+def test_aborted_row_stays_frozen(slow_params, cost_model, identity):
+    # H = 1 repels: 1e308 overflows at n = 1 (gamma_1 = 1) but would step to a
+    # finite 1.7e308 at n = 2 (gamma_2 = 2^-0.5), so only the freeze keeps it
+    fam = make_scalar_family(H=1.0, mu=0.0, noise=1e-3)
+    rec = run(RunPlan(slow_params, cost_model, 6), fam, identity, [[0.5], [1e308]],
+              (1, 2, 6), 3, replicas=2)
+    assert rec.abort_iteration.tolist() == [0, 1]
+    assert rec.theta[:, 1, 0].tolist() == [1e308] * 3
+    assert rec.theta_bar[:, 1, 0].tolist() == [0.0] * 3
+    assert np.all(np.isfinite(rec.theta[:, 0])) and rec.theta[2, 0, 0] != rec.theta[1, 0, 0]
+
+
 def test_run_rejects_bad_checkpoints(slow_params, slow_family, cost_model, identity):
     with pytest.raises(ValueError):
         run(RunPlan(slow_params, cost_model, 10), slow_family, identity,
@@ -279,3 +294,73 @@ def test_record_serialization_roundtrip(slow_params, slow_family, cost_model, id
         r, j = int(row[0]), list(rec.ns).index(int(row[1]))
         values = [float(v) for v in row[2:]]  # csv writes every float as its exact repr
         assert values == list(rec.theta[j, r]) + list(rec.theta_bar[j, r]) + [rec.cost[j]]
+
+
+def test_ml_estimate_level_scale_memo_is_bit_exact(slow_params, critical_params, cost_model):
+    # every level count s of a slow and a critical plan, unmodulated and modulated:
+    # the first call (memo built), a second call (memo hit) and a pickled copy (the
+    # pool path) give exactly the estimate of the expression the memo replaced
+    theta = np.array([[0.3, -0.2], [1.5, 0.25], [-0.7, 2.0]])
+    for params in (slow_params, critical_params):
+        s_max = int(RunPlan(params, cost_model, 4000).s.max())
+        levels = np.arange(1, s_max + 1)
+        all_counts = replication_counts(params, levels, np.full(s_max, 5000.0))
+        for modulated in (False, True):
+            fam = SyntheticGaussianFamily(theta_star=[0.1, -0.1], H=np.diag([-1.0, -2.0]),
+                                          mu=[1.0, -1.0], noise_factor=np.linalg.cholesky(GAMMA2),
+                                          alpha=params.alpha, beta=params.beta, M=params.M,
+                                          modulated=modulated)
+            for call in ("build", "hit", "pickled"):
+                if call == "pickled":
+                    fam = pickle.loads(pickle.dumps(fam))
+                for s in levels.tolist():
+                    counts = all_counts[s - 1, :s]
+                    z = fam.ml_estimate(theta, counts, np.random.default_rng(s))
+                    g = np.random.default_rng(s).standard_normal((len(theta), s, 2))
+                    ref = [synthetic_estimate(fam, row, counts, gr) for row, gr in zip(theta, g)]
+                    assert np.array_equal(z, np.array(ref)), (params.regime, modulated, call, s)
+
+
+def test_dense_ball_flags_match_the_norm_definition(slow_params, cost_model, identity):
+    # in_ball after iteration n: |theta_m - center| <= eps for every m in [n0, n - 1],
+    # as np.linalg.norm(., axis=1) evaluates it; eps is set to replica 0's largest
+    # distance, so that replica sits exactly on the boundary and stays in
+    fam, R, n_final, n0 = make_slow_family(), 6, 80, 5
+    plan, cps = RunPlan(slow_params, cost_model, n_final), tuple(range(1, n_final + 1))
+    theta0 = default_theta0(fam)
+    free = run(plan, fam, identity, theta0, cps, 4, replicas=R)
+    dist = np.linalg.norm(free.theta - fam.theta_star, axis=2)  # row m - 1 is theta_m
+    eps = float(dist[n0 - 1:n_final - 1, 0].max())
+    rec = run(plan, fam, identity, theta0, cps, 4, replicas=R,
+              ball=BallMonitor(center=fam.theta_star, eps=eps, n0=n0))
+    assert np.array_equal(rec.theta, free.theta)
+    expected = np.ones((n_final, R), dtype=bool)
+    for n in range(n0 + 1, n_final + 1):
+        expected[n - 1] = np.all([np.linalg.norm(rec.theta[m - 1] - fam.theta_star, axis=1) <= eps
+                                  for m in range(n0, n)], axis=0)
+    assert np.array_equal(rec.in_ball, expected)
+    assert rec.in_ball[-1, 0] and not rec.in_ball[-1].all()
+
+
+def test_csv_lines_match_csv_writer(slow_params, cost_model):
+    def reference(rows):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        return buf.getvalue()
+
+    fam = make_slow_family()
+    theta0 = np.tile(default_theta0(fam), (3, 1))
+    theta0[1] = [1e308, 1e308]  # H e overflows at n = 1: replica 1 aborts
+    rec = run(RunPlan(slow_params, cost_model, 12), fam, IdentityProjection(), theta0,
+              (3, 12), 8, replicas=3)
+    assert rec.aborted.tolist() == [False, True, False]
+    record_rows = [["replica"] + csv_header(2)] + rec.csv_rows()
+    numbers = [[0, 7, 1.5, -3, 2 ** 70, np.int64(7), np.int32(-3), np.float64(2.25),
+                np.float32(0.1), np.float64(1e-5)],
+               [-0.0, 5e-324, 1e16, 0.1 + 0.2, np.float64(-0.0), np.float64(5e-324),
+                np.float64(1e16), np.float64(0.1) + np.float64(0.2)],
+               # predictions.csv: the critical regime has no bias columns
+               [10, 4, -0.25, None, 0.5, 123.0, None, 0.75, 0],
+               [None, None]]
+    for rows in (record_rows, numbers):
+        assert csv_lines(rows) == reference(rows)
