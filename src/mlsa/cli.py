@@ -9,7 +9,7 @@ bytes differ from the manifest's sha256.
 from __future__ import annotations
 
 import argparse
-import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -97,8 +97,7 @@ def cmd_run(args) -> int:
         return rc
     spec = cfg.replication
     if args.seed is not None:
-        spec = harness.ReplicationSpec(spec.replicas, spec.n_final, spec.checkpoints,
-                                       args.seed, spec.divergence_radius)
+        spec = dataclasses.replace(spec, master_seed=args.seed)
     out_dir = args.out or cfg.output_dir
     if not _make_out_dir(out_dir):
         return 2
@@ -106,13 +105,10 @@ def cmd_run(args) -> int:
     cost_model = build_cost_model(cfg)
     projection = build_projection(cfg)
     theta0 = default_theta0(family)
-    radius = spec.divergence_radius
-    if radius is None:
-        radius = 10.0 * float(np.linalg.norm(theta0 - family.theta_star))
     # L2 monitor defaults: ball of the initial offset size, from n_final/8 on
     eps_l2 = float(np.linalg.norm(theta0 - family.theta_star))
-    n0_l2 = max(1, spec.n_final // 8)
-    ball = BallMonitor(center=family.theta_star, eps=eps_l2, n0=n0_l2)
+    ball = BallMonitor(center=family.theta_star, eps=eps_l2, n0=max(1, spec.n_final // 8))
+    radius = 10.0 * eps_l2 if spec.divergence_radius is None else spec.divergence_radius
     workers = args.workers or min(os.cpu_count() or 1, spec.replicas)
     record = harness.run_replicas(spec, cfg.params, family, cost_model, projection,
                                   theta0, workers=workers, ball=ball)
@@ -157,14 +153,14 @@ def cmd_run(args) -> int:
             ["n", "mean_cost", "predicted_cost", "ratio"],
             ([r["n"], r["mean_cost"], r["predicted_cost"], r["ratio"]] for r in rows)))
 
-        lo = [c for c in spec.checkpoints if n0_l2 <= c <= spec.n_final // 2]
+        lo = [c for c in spec.checkpoints if ball.n0 <= c <= spec.n_final // 2]
         hi = [c for c in spec.checkpoints if c > spec.n_final // 2]
         windows = []
         if lo:
             windows.append((min(lo), max(lo)))
         if hi:
             windows.append((min(hi), max(hi)))
-        mon = harness.l2_monitor(record, cfg.params, family.theta_star, eps_l2, n0_l2, windows)
+        mon = harness.l2_monitor(record, cfg.params, windows)
         write("l2_monitor.json", harness.report_json(mon, config_hash=cfg_hash,
                                                      master_seed=spec.master_seed))
         manifest["complete"] = True
@@ -190,6 +186,8 @@ def cmd_plot(args) -> int:
             return 1
         cfg_hash = manifest["config_hash"]
         for name in needed:  # catches a file from another run as well as a damaged one
+            if name not in manifest["files"]:
+                raise ValueError(f"manifest.json has no sha256 for {name}")
             with open(os.path.join(run_dir, name), "rb") as fh:
                 if hashlib.sha256(fh.read()).hexdigest() != manifest["files"][name]:
                     raise ValueError(f"{name} does not match its manifest sha256")
@@ -229,18 +227,16 @@ def cmd_plot(args) -> int:
     with open(svg_path, "w", encoding="utf-8") as fh:
         fh.write(svg)
 
+    rows = [["component", "theoretical_quantile", "standardized_value"]]
+    bars = bar[n_col == ns[-1]]  # the largest checkpoint, as in the CLT report
+    for j in range(bars.shape[1]):
+        col = np.sort(bars[:, j])
+        col = (col - col.mean()) / (col.std(ddof=1) or 1.0)
+        q = scipy.special.ndtri((np.arange(1, len(col) + 1) - 0.5) / len(col))
+        rows += ([j, a, b] for a, b in zip(q, col))
     qq_path = os.path.join(run_dir, "qq_data.csv")
     with open(qq_path, "w", encoding="utf-8") as fh:
-        fh.write(f"# config_hash={cfg_hash}\n")
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["component", "theoretical_quantile", "standardized_value"])
-        bars = bar[n_col == ns[-1]]  # the largest checkpoint, as in the CLT report
-        for j in range(bars.shape[1]):
-            col = np.sort(bars[:, j])
-            col = (col - col.mean()) / (col.std(ddof=1) or 1.0)
-            q = scipy.special.ndtri((np.arange(1, len(col) + 1) - 0.5) / len(col))
-            for a, b in zip(q, col):
-                w.writerow([j, a, b])
+        fh.write(f"# config_hash={cfg_hash}\n" + csv_lines(rows))
     print(f"wrote {svg_path} and {qq_path}")
     return 0
 

@@ -114,10 +114,7 @@ def parse_config_structure(doc: dict) -> None:
     fam = doc["family"]
     kind = fam.get("kind")
     if kind == "synthetic_gaussian":
-        _require_keys(fam, "family", {"kind", "theta_star", "H", "mu", "noise_factor"},
-                      {"modulated"})
-        _check_type(isinstance(fam.get("modulated", False), bool), "family", "modulated",
-                    "a boolean", fam.get("modulated"))
+        _require_keys(fam, "family", {"kind", "theta_star", "H", "mu", "noise_factor"})
     elif kind == "euler_sde":
         _require_keys(fam, "family", {"kind", "drift", "diffusion"}, {"target", "horizon"})
         for key in ("drift", "diffusion", "target", "horizon"):
@@ -235,7 +232,6 @@ def build_family(cfg: ExperimentConfig) -> LevelFamily:
             alpha=cfg.params.alpha,
             beta=cfg.params.beta,
             M=cfg.params.M,
-            modulated=bool(fam.get("modulated", False)),
         )
     return EulerSdeFamily(
         drift=float(fam["drift"]),

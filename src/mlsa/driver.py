@@ -97,7 +97,7 @@ class RunRecord:
     """Checkpointed output of one run of R replicas; row r is replica r.
 
     ``theta``, ``theta_bar`` (c, R, d) and ``in_ball`` (c, R; None without a
-    ball monitor) hold all rows after iteration ``ns[j]``; ``cost`` (c,) is
+    ``ball`` monitor) hold all rows after iteration ``ns[j]``; ``cost`` (c,) is
     shared, the cost model being theta-free.  A row that turned non-finite at
     iteration ``abort_iteration[r]`` (0: it completed) is frozen from then on
     and its later checkpoints are not part of the record.
@@ -108,6 +108,7 @@ class RunRecord:
     theta_bar: np.ndarray
     cost: np.ndarray
     in_ball: Optional[np.ndarray]
+    ball: Optional[BallMonitor]
     abort_iteration: np.ndarray
 
     @property
@@ -221,5 +222,5 @@ def run(plan: RunPlan, family: LevelFamily, projection, theta0, checkpoints: Seq
                     rec_ball[j] = in_ball
     # the cost of iterations 1..n, summed in iteration order
     return RunRecord(ns=ns, theta=rec_theta, theta_bar=rec_bar,
-                     cost=np.cumsum(plan.cost_inc)[ns - 1], in_ball=rec_ball,
+                     cost=np.cumsum(plan.cost_inc)[ns - 1], in_ball=rec_ball, ball=ball,
                      abort_iteration=abort_iteration)

@@ -6,9 +6,9 @@ Two built-in families are provided:
 
 * :class:`SyntheticGaussianFamily` -- Gaussian level differences constructed so
   that the bias and variance order conditions hold with exact equality:
-  E[F_k(theta,U)] - f(theta) = mu * m(theta) * M^(-alpha k) and
-  cov(F_k - F_{k-1}) = m(theta)^2 * M^(-beta k) * Gamma.  Ground truth
-  (theta*, H, mu, Gamma) is known exactly, which is what the CLT harness needs.
+  E[F_k(theta,U)] - f(theta) = mu * M^(-alpha k) and
+  cov(F_k - F_{k-1}) = M^(-beta k) * Gamma.  Ground truth (theta*, H, mu,
+  Gamma) is known exactly, which is what the CLT harness needs.
 
 * :class:`EulerSdeFamily` -- coupled coarse/fine Euler discretizations of a
   scalar geometric Brownian motion, a qualitative order-(alpha,1) family with
@@ -88,21 +88,21 @@ class LevelFamily(abc.ABC):
 class SyntheticGaussianFamily(LevelFamily):
     """Ground-truth family with exactly Gaussian level differences.
 
-    Level-difference law (m = modulation, g standard normal):
+    Level-difference law (g standard normal):
 
-        k = 1:  f(theta) + mu*m(theta)*M^(-alpha)       + M^(-beta/2)  *m(theta)*A g
-        k >= 2: mu*m(theta)*(M^(-alpha k)-M^(-alpha(k-1))) + M^(-beta k/2)*m(theta)*A g
+        k = 1:  f(theta) + mu*M^(-alpha)          + M^(-beta/2)  *A g
+        k >= 2: mu*(M^(-alpha k)-M^(-alpha(k-1))) + M^(-beta k/2)*A g
 
-    With modulation off the covariance of the level-k difference is exactly
-    M^(-beta k) * Gamma where Gamma = A A^T, and E[F_k] - f = mu * M^(-alpha k).
+    so the covariance of the level-k difference is exactly M^(-beta k) * Gamma
+    where Gamma = A A^T, and E[F_k] - f = mu * M^(-alpha k).
 
-    f(theta) = H(theta-theta*) is linear; m(theta) = 1 + |theta-theta*| when
-    ``modulated``.  One sample of a level difference consumes exactly d
-    standard normals; ``ml_estimate`` consumes s*d per row (one draw per level).
+    f(theta) = H(theta-theta*) is linear, so with the identity projection a run
+    is the averaged linear-Gaussian recursion.  One sample of a level
+    difference consumes exactly d standard normals; ``ml_estimate`` consumes
+    s*d per row (one draw per level).
     """
 
-    def __init__(self, theta_star, H, mu, noise_factor, alpha: float, beta: float, M: float,
-                 modulated: bool = False):
+    def __init__(self, theta_star, H, mu, noise_factor, alpha: float, beta: float, M: float):
         self.theta_star = np.atleast_1d(np.asarray(theta_star, dtype=float))
         self.d = d = self.theta_star.shape[0]
         self.H = np.asarray(H, dtype=float)
@@ -111,7 +111,6 @@ class SyntheticGaussianFamily(LevelFamily):
         self.alpha = float(alpha)
         self.beta = float(beta)
         self.M = float(M)
-        self.modulated = bool(modulated)
         if self.M <= 1:
             raise ValueError("M must exceed 1")
         shapes = {"theta_star": (d,), "H": (d, d), "mu": (d,), "noise_factor": (d, d)}
@@ -126,13 +125,6 @@ class SyntheticGaussianFamily(LevelFamily):
         """f at theta of shape (d,) or at each row of theta of shape (R, d)."""
         return _rowmap(self.H, np.asarray(theta, dtype=float) - self.theta_star)
 
-    def modulation(self, theta):
-        """m(theta), with a trailing axis of length 1 when modulated (one value per row)."""
-        if not self.modulated:
-            return 1.0
-        e = np.asarray(theta, dtype=float) - self.theta_star
-        return 1.0 + np.linalg.norm(e, axis=-1, keepdims=True)
-
     def _bias_increment(self, k: int) -> float:
         if k == 1:
             return self.M ** (-self.alpha)
@@ -141,9 +133,8 @@ class SyntheticGaussianFamily(LevelFamily):
     def sample_level_diff_batch(self, theta, k, size, rng):
         if k < 1:
             raise ValueError("level k must be >= 1")
-        m = self.modulation(theta)
         g = rng.standard_normal((size, self.d))
-        out = self.mu * (m * self._bias_increment(k)) + (self.M ** (-self.beta * k / 2.0) * m) * (g @ self.A.T)
+        out = self.mu * self._bias_increment(k) + self.M ** (-self.beta * k / 2.0) * (g @ self.A.T)
         if k == 1:
             out = out + self.f(theta)
         return out
@@ -156,14 +147,13 @@ class SyntheticGaussianFamily(LevelFamily):
         in order within a row.
         """
         s = len(counts)
-        m = self.modulation(theta)
         g = rng.standard_normal((len(theta), s, self.d))
         scale = self._noise_scale.get(s)
         if scale is None:  # built at length s, so each entry has the bits of the plain expression
             scale = self._noise_scale[s] = self.M ** (-self.beta * np.arange(1, s + 1) / 2.0)
         coef = scale / np.sqrt(counts)
         noise = _rowmap(self.A, coef @ g)
-        return self.f(theta) + self.mu * (m * self.M ** (-self.alpha * s)) + m * noise
+        return self.f(theta) + self.mu * self.M ** (-self.alpha * s) + noise
 
 
 class EulerSdeFamily(LevelFamily):
@@ -203,27 +193,18 @@ class EulerSdeFamily(LevelFamily):
         """f at theta of shape (1,) or at each row of theta of shape (R, 1)."""
         return self.target - np.asarray(theta, dtype=float) * np.exp(self.drift * self.T)
 
-    def _terminal_pair(self, theta, k, size, rng):
-        """Terminal values (fine with M^k steps, coarse with M^(k-1) steps)."""
+    def sample_level_diff_batch(self, theta, k, size, rng):
+        if k < 1:
+            raise ValueError("level k must be >= 1")
         x0 = float(np.atleast_1d(theta)[0])
         n_fine = self.M ** k
         h = self.T / n_fine
         dw = np.sqrt(h) * rng.standard_normal((size, n_fine))
         # the Euler step x + a x h + s x dW is x (1 + a h + s dW), so a path is a product
         xf = x0 * np.prod(1.0 + self.drift * h + self.diffusion * dw, axis=1)
-        if k == 1:
-            return xf, None
+        if k == 1:  # F_1 - F_0 = F_1 with the convention F_0 = 0
+            return (self.target - xf)[:, None]
         hc = self.T / (n_fine // self.M)
         dwc = dw.reshape(size, n_fine // self.M, self.M).sum(axis=2)
         xc = x0 * np.prod(1.0 + self.drift * hc + self.diffusion * dwc, axis=1)
-        return xf, xc
-
-    def sample_level_diff_batch(self, theta, k, size, rng):
-        if k < 1:
-            raise ValueError("level k must be >= 1")
-        xf, xc = self._terminal_pair(theta, k, size, rng)
-        if xc is None:  # F_1 - F_0 = F_1 with the convention F_0 = 0
-            vals = self.target - xf
-        else:
-            vals = (self.target - xf) - (self.target - xc)
-        return vals[:, None]
+        return ((self.target - xf) - (self.target - xc))[:, None]

@@ -72,14 +72,14 @@ def _run_block(args):
 
 
 def _join(parts: list[RunRecord]) -> RunRecord:
-    """Block records joined along the replica axis; they share ``ns`` and ``cost``."""
+    """Block records joined along the replica axis; they share ``ns``, ``cost`` and ``ball``."""
     def join(name, axis=1):
         return np.concatenate([getattr(p, name) for p in parts], axis=axis)
 
     first = parts[0]
     return RunRecord(ns=first.ns, theta=join("theta"), theta_bar=join("theta_bar"),
                      cost=first.cost, in_ball=None if first.in_ball is None else join("in_ball"),
-                     abort_iteration=join("abort_iteration", 0))
+                     ball=first.ball, abort_iteration=join("abort_iteration", 0))
 
 
 def run_replicas(spec: ReplicationSpec, params: ParameterSet, family: LevelFamily,
@@ -269,16 +269,15 @@ def report_json(report, **extra) -> str:
     return json.dumps({k: plain(v) for k, v in {**doc, **extra}.items()}, sort_keys=True)
 
 
-def l2_monitor(record: RunRecord, params: ParameterSet, theta_star,
-               epsilon: float, n0: int, windows: Sequence[tuple[int, int]]) -> L2Monitor:
+def l2_monitor(record: RunRecord, params: ParameterSet,
+               windows: Sequence[tuple[int, int]]) -> L2Monitor:
     """Windowed estimates of delta_n^-1 E[1{stayed} |theta_n - theta*|^2]^(1/2).
 
-    The stay-in-ball indicator is the one tracked by the driver's ball
-    monitor, so the record must have been produced with ball=(theta*, epsilon,
-    n0).  Windows must be disjoint; a window with no usable checkpoint or an
-    empty restriction set is flagged.  Only non-aborted replicas enter.
+    The stay-in-ball indicator and theta* are those of the ball monitor the
+    record was produced with (``record.ball``, centred at theta*).  Windows
+    must be disjoint; a window with no usable checkpoint or an empty
+    restriction set is flagged.  Only non-aborted replicas enter.
     """
-    theta_star = np.asarray(theta_star, dtype=float)
     wins = [(int(lo), int(hi)) for lo, hi in windows]
     for (a1, b1), (a2, b2) in zip(wins, wins[1:]):
         if a2 <= b1:
@@ -286,11 +285,12 @@ def l2_monitor(record: RunRecord, params: ParameterSet, theta_star,
     usable = ~record.aborted
     if not usable.any():
         raise InsufficientReplicas(f"all {len(usable)} replicas aborted")
-    if record.in_ball is None:
+    ball = record.ball
+    if ball is None:
         raise ValueError("record lacks ball-monitor flags; rerun with ball tracking")
     ns = record.ns
     stay = record.in_ball[:, usable]  # checkpoint x replica
-    err2 = np.where(stay, ((record.theta[:, usable] - theta_star) ** 2).sum(axis=2), 0.0)
+    err2 = np.where(stay, ((record.theta[:, usable] - ball.center) ** 2).sum(axis=2), 0.0)
     dn = l2_delta(params, ns)
     per_n = np.sqrt(err2.mean(axis=1)) / np.where(dn > 0.0, dn, 1.0)
     values: list[float] = []
@@ -304,7 +304,7 @@ def l2_monitor(record: RunRecord, params: ParameterSet, theta_star,
     if len(values) >= 2 and not flagged[0] and not flagged[-1] and values[0] > 0:
         ratio = values[-1] / values[0]
     return L2Monitor(windows=tuple(wins), values=tuple(values), flagged=tuple(flagged),
-                     ratio=ratio, epsilon=float(epsilon), n0=int(n0))
+                     ratio=ratio, epsilon=float(ball.eps), n0=int(ball.n0))
 
 
 def cost_curve(record: RunRecord, params: ParameterSet) -> list[dict]:

@@ -43,23 +43,22 @@ def critical_params_pinned():
     return ParameterSet(**CRITICAL_PINNED)
 
 
-def make_slow_family(mu=(1.0, -1.0), modulated=False):
+def make_slow_family(mu=(1.0, -1.0)):
     return SyntheticGaussianFamily(
         theta_star=np.zeros(2),
         H=np.diag([-1.0, -2.0]),
         mu=np.asarray(mu, dtype=float),
         noise_factor=np.linalg.cholesky(GAMMA2),
         alpha=1.0, beta=0.5, M=2.0,
-        modulated=modulated,
     )
 
 
 def make_scalar_family(H=-1.0, mu=1.0, gamma_var=1.0, beta=0.5, alpha=1.0, M=2.0,
-                       modulated=False, noise=None):
+                       noise=None):
     a = np.sqrt(gamma_var) if noise is None else noise
     return SyntheticGaussianFamily(
         theta_star=np.zeros(1), H=[[H]], mu=[mu], noise_factor=[[a]],
-        alpha=alpha, beta=beta, M=M, modulated=modulated,
+        alpha=alpha, beta=beta, M=M,
     )
 
 

@@ -241,8 +241,7 @@ def test_criterion_09_l2_bound_monitor(cost_model_mod, identity_mod):
     ball = BallMonitor(center=family.theta_star, eps=0.25, n0=100)
     record = run_replicas(spec, params, family, cost_model_mod, identity_mod,
                           theta0, workers=WORKERS, ball=ball)
-    mon = l2_monitor(record, params, family.theta_star, 0.25, 100,
-                     [(500, 1000), (4000, 8000)])
+    mon = l2_monitor(record, params, [(500, 1000), (4000, 8000)])
     assert not any(mon.flagged)
     assert mon.ratio is not None and mon.ratio <= 2.0
     report(9, time.perf_counter() - t0, 300.0,

@@ -20,8 +20,7 @@ BASE = {
                "lam": 1.0},
     "family": {"kind": "synthetic_gaussian", "theta_star": [0.0, 0.0],
                "H": [[-1.0, 0.0], [0.0, -2.0]], "mu": [1.0, -1.0],
-               "noise_factor": [[1.0, 0.0], [0.3, 0.9539392014169456]],
-               "modulated": False},
+               "noise_factor": [[1.0, 0.0], [0.3, 0.9539392014169456]]},
     "projection": {"kind": "identity"},
     "replication": {"replicas": 4, "n_final": 60, "checkpoints": [30, 60],
                     "master_seed": 77, "divergence_radius": None},
@@ -62,7 +61,7 @@ def test_unknown_keys_rejected():
     # keys that no code reads: rejected, never silently ignored
     for doc in (variant(**{"output.plots": True}), variant(**{"params.L": 0.5}),
                 variant(**{"family.quadratic": [[0.0, 0.0], [0.0, 0.0]]}),
-                euler_doc(payoff="shortfall")):
+                variant(**{"family.modulated": False}), euler_doc(payoff="shortfall")):
         with pytest.raises(ConfigError, match="unknown"):
             config_from_dict(doc)
 
@@ -141,6 +140,7 @@ def test_replicas_rejected_at_validation(tmp_path, capsys):
              (variant(**{"params.regime": 5}), "regime must be a string"),
              (variant(**{"params.regime": ["slow"]}), "regime must be a string"),
              (euler_doc(payoff="call"), "payoff"),
+             (variant(**{"family.modulated": False}), "unknown keys in 'family': ['modulated']"),
              # Euler and box constants that no run can use
              (euler_doc(horizon=-1), "horizon"),
              (euler_doc(drift=float("nan")), "drift"),
@@ -265,10 +265,16 @@ def test_plot_refuses_mixed_hashes(tmp_path, capsys):
         manifest["config"]["params"]["beta"] = 1.2  # no longer a slow-regime parameter set
         return json.dumps(manifest)
 
+    def no_cost_digest(text):
+        manifest = json.loads(text)
+        del manifest["files"]["cost_table.csv"]
+        return json.dumps(manifest)
+
     damage = [("records.csv", lambda text: text.split("\n", 1)[1]),  # no hash line
               ("cost_table.csv", lambda text: ""),
               ("manifest.json", lambda text: text[:-1]),  # truncated JSON
               ("manifest.json", invalid_config),
+              ("manifest.json", no_cost_digest),
               ("records.csv", lambda text: text[:text.rindex(",")]),  # truncated last row
               ("records.csv", lambda text: "".join(text.splitlines(True)[:2])),  # no rows
               ("records.csv", lambda text: text[:-4] + "\n")]  # last cost cut by three digits
@@ -280,6 +286,8 @@ def test_plot_refuses_mixed_hashes(tmp_path, capsys):
         assert main(["plot", out_dir]) == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "damaged run directory" in err
+        if edit is no_cost_digest:
+            assert "manifest.json has no sha256 for cost_table.csv" in err
 
 
 def test_plot_refuses_incomplete_run(tmp_path, capsys):
@@ -317,7 +325,9 @@ def test_partial_failure_marks_manifest_incomplete(tmp_path, monkeypatch):
 
 
 def test_shipped_configs_are_valid(capsys):
-    for name in ("slow_default.json", "critical_default.json", "euler_gbm.json"):
+    names = sorted(n for n in os.listdir(CONFIGS) if n.endswith(".json"))
+    assert len(names) >= 3
+    for name in names:
         rc = main(["validate", os.path.join(CONFIGS, name)])
         assert rc == 0, name
     capsys.readouterr()
@@ -437,7 +447,7 @@ def test_critical_guide_plot(tmp_path):
     doc = copy.deepcopy(BASE)
     doc["params"].update({"regime": "critical", "beta": 1.0})
     doc["family"] = {"kind": "synthetic_gaussian", "theta_star": [0.0], "H": [[-1.0]],
-                     "mu": [0.05], "noise_factor": [[1.0]], "modulated": False}
+                     "mu": [0.05], "noise_factor": [[1.0]]}
     out_dir = run_dir_of(tmp_path, doc, "crit")
     rc = main(["plot", out_dir])
     assert rc == 0

@@ -22,7 +22,6 @@ def synthetic_estimate(family, theta, counts, g):
     with f and the noise factor applied in plain Python and the level scale
     built by the expression the family's memo replaced."""
     s, d = len(counts), family.d
-    m = float(np.ravel(family.modulation(theta))[0])  # 1.0 when unmodulated
     coef = family.M ** (-family.beta * np.arange(1, s + 1) / 2.0) / np.sqrt(
         np.asarray(counts, dtype=float))
     v = coef @ g  # the level sum of this row's normals
@@ -36,7 +35,7 @@ def synthetic_estimate(family, theta, counts, g):
     e = [theta[i] - family.theta_star[i] for i in range(d)]
     f, noise = apply(family.H, e), apply(family.A, v)
     bias = family.M ** (-family.alpha * s)
-    return np.array([f[i] + family.mu[i] * (m * bias) + m * noise[i] for i in range(d)])
+    return np.array([f[i] + family.mu[i] * bias + noise[i] for i in range(d)])
 
 
 def reference_run(params, family, cost_model, projection, theta0, n_final, seed, replicas):
@@ -297,28 +296,26 @@ def test_record_serialization_roundtrip(slow_params, slow_family, cost_model, id
 
 
 def test_ml_estimate_level_scale_memo_is_bit_exact(slow_params, critical_params, cost_model):
-    # every level count s of a slow and a critical plan, unmodulated and modulated:
-    # the first call (memo built), a second call (memo hit) and a pickled copy (the
-    # pool path) give exactly the estimate of the expression the memo replaced
+    # every level count s of a slow and a critical plan: the first call (memo built), a
+    # second call (memo hit) and a pickled copy (the pool path) give exactly the estimate
+    # of the expression the memo replaced
     theta = np.array([[0.3, -0.2], [1.5, 0.25], [-0.7, 2.0]])
     for params in (slow_params, critical_params):
         s_max = int(RunPlan(params, cost_model, 4000).s.max())
         levels = np.arange(1, s_max + 1)
         all_counts = replication_counts(params, levels, np.full(s_max, 5000.0))
-        for modulated in (False, True):
-            fam = SyntheticGaussianFamily(theta_star=[0.1, -0.1], H=np.diag([-1.0, -2.0]),
-                                          mu=[1.0, -1.0], noise_factor=np.linalg.cholesky(GAMMA2),
-                                          alpha=params.alpha, beta=params.beta, M=params.M,
-                                          modulated=modulated)
-            for call in ("build", "hit", "pickled"):
-                if call == "pickled":
-                    fam = pickle.loads(pickle.dumps(fam))
-                for s in levels.tolist():
-                    counts = all_counts[s - 1, :s]
-                    z = fam.ml_estimate(theta, counts, np.random.default_rng(s))
-                    g = np.random.default_rng(s).standard_normal((len(theta), s, 2))
-                    ref = [synthetic_estimate(fam, row, counts, gr) for row, gr in zip(theta, g)]
-                    assert np.array_equal(z, np.array(ref)), (params.regime, modulated, call, s)
+        fam = SyntheticGaussianFamily(theta_star=[0.1, -0.1], H=np.diag([-1.0, -2.0]),
+                                      mu=[1.0, -1.0], noise_factor=np.linalg.cholesky(GAMMA2),
+                                      alpha=params.alpha, beta=params.beta, M=params.M)
+        for call in ("build", "hit", "pickled"):
+            if call == "pickled":
+                fam = pickle.loads(pickle.dumps(fam))
+            for s in levels.tolist():
+                counts = all_counts[s - 1, :s]
+                z = fam.ml_estimate(theta, counts, np.random.default_rng(s))
+                g = np.random.default_rng(s).standard_normal((len(theta), s, 2))
+                ref = [synthetic_estimate(fam, row, counts, gr) for row, gr in zip(theta, g)]
+                assert np.array_equal(z, np.array(ref)), (params.regime, call, s)
 
 
 def test_dense_ball_flags_match_the_norm_definition(slow_params, cost_model, identity):

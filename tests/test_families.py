@@ -47,14 +47,13 @@ def test_level_variance_monte_carlo():
     assert np.var(batch[:, 0], ddof=1) == pytest.approx(0.35355339, rel=0.01)
 
 
-def test_telescoping_zero_noise_modulated():
-    fam = make_scalar_family(mu=0.7, noise=0.0, modulated=True)
+def test_telescoping_zero_noise():
+    fam = make_scalar_family(mu=0.7, noise=0.0)
     theta = np.array([0.4])
     rng = np.random.default_rng(1)
     s = 5
     total = sum(sample_level_diff(fam, theta, k, rng) for k in range(1, s + 1))
-    m = 1.0 + 0.4
-    expected = fam.f(theta) + 0.7 * m * 2.0 ** (-1.0 * s)
+    expected = fam.f(theta) + 0.7 * 2.0 ** (-1.0 * s)
     np.testing.assert_allclose(total, expected, rtol=0, atol=1e-15)
 
 
@@ -65,28 +64,11 @@ def test_sampling_determinism():
     assert np.array_equal(a, b)
 
 
-def test_modulated_covariance_scaling():
-    theta = np.array([0.5])
-    fam = make_scalar_family(modulated=True)
-    rng = np.random.default_rng(7)
-    batch = fam.sample_level_diff_batch(theta, 2, 200_000, rng)
-    m2 = (1.0 + 0.5) ** 2
-    assert np.var(batch[:, 0], ddof=1) == pytest.approx(m2 * 2.0 ** -1.0, rel=0.02)
-
-
 def test_order_check_synthetic_matches_gamma():
     fam = make_slow_family()
     covs = scaled_level_covs(fam, fam.theta_star, 5, 40_000, np.random.default_rng(3), fam.beta)
     for cov in covs:
         np.testing.assert_allclose(cov, fam.Gamma, atol=0.05)
-
-
-def test_order_check_modulated_covariance():
-    fam = make_scalar_family(modulated=True)
-    theta = np.array([0.8])
-    covs = scaled_level_covs(fam, theta, 3, 100_000, np.random.default_rng(5), fam.beta)
-    for cov in covs:
-        assert cov[0, 0] == pytest.approx((1.8) ** 2, rel=0.03)
 
 
 def test_order_check_euler_variance_ratio():

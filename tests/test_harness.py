@@ -183,7 +183,9 @@ def test_l2_monitor_zero_noise_vanishes(slow_params, cost_model, identity):
     spec = ReplicationSpec(replicas=2, n_final=400, checkpoints=tuple(range(10, 401, 10)),
                            master_seed=0)
     record = run_replicas(spec, slow_params, fam, cost_model, identity, [1.0], ball=ball)
-    mon = l2_monitor(record, slow_params, np.zeros(1), 2.0, 1, [(10, 100), (300, 400)])
+    assert record.ball is ball  # the record carries the monitor its flags track
+    mon = l2_monitor(record, slow_params, [(10, 100), (300, 400)])
+    assert (mon.epsilon, mon.n0) == (2.0, 1)
     assert not any(mon.flagged)
     assert mon.values[1] < mon.values[0] * 1e-3  # deterministic contraction
     assert mon.ratio == pytest.approx(mon.values[1] / mon.values[0])
@@ -194,8 +196,9 @@ def test_l2_monitor_requires_flags(slow_params, cost_model, identity):
     spec = ReplicationSpec(replicas=2, n_final=40, checkpoints=(10, 20, 30, 40),
                            master_seed=0)
     record = run_replicas(spec, slow_params, fam, cost_model, identity, [1.0])
+    assert record.ball is None and record.in_ball is None
     with pytest.raises(ValueError, match="ball"):
-        l2_monitor(record, slow_params, np.zeros(1), 0.5, 1, [(10, 20), (30, 40)])
+        l2_monitor(record, slow_params, [(10, 20), (30, 40)])
 
 
 def test_l2_monitor_window_rules(slow_params, cost_model, identity):
@@ -204,13 +207,13 @@ def test_l2_monitor_window_rules(slow_params, cost_model, identity):
     spec = ReplicationSpec(replicas=2, n_final=200, checkpoints=tuple(range(5, 201, 5)),
                            master_seed=0)
     record = run_replicas(spec, slow_params, fam, cost_model, identity, [1.0], ball=ball)
-    mon = l2_monitor(record, slow_params, np.zeros(1), 0.01, 1, [(5, 50), (100, 200)])
+    mon = l2_monitor(record, slow_params, [(5, 50), (100, 200)])
     assert all(mon.flagged)  # the excursion kills the from-n0-on restriction
     assert mon.ratio is None
     doc = json.loads(report_json(mon))
     assert doc["values"] == [None, None] and doc["ratio"] is None  # NaN is written as null
     with pytest.raises(ValueError, match="disjoint"):
-        l2_monitor(record, slow_params, np.zeros(1), 0.01, 1, [(5, 50), (40, 60)])
+        l2_monitor(record, slow_params, [(5, 50), (40, 60)])
 
 
 def test_cost_curve_deterministic_rows(cost_model, identity):
