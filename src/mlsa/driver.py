@@ -207,11 +207,12 @@ def run(plan: RunPlan, family: LevelFamily, projection, theta0, checkpoints: Seq
             theta_new = projection(theta + gamma[i] * z)
             b_bar_new = b_bar + b[i]
             bar_new = (b_bar * theta_bar + b[i] * theta_new) / b_bar_new
-            if not (all_live and np.isfinite(theta_new).all()):
+            # one sum is non-finite if any entry is; if finite rows overflow it, none aborts
+            if not (all_live and math.isfinite(np.add.reduce(theta_new, axis=None))):
                 failed = live & ~np.isfinite(theta_new).all(axis=1)
                 abort_iteration[failed] = n
                 live &= ~failed
-                all_live = False
+                all_live = bool(live.all())
                 theta_new = np.where(live[:, None], theta_new, theta)
                 bar_new = np.where(live[:, None], bar_new, theta_bar)
             theta, theta_bar, b_bar = theta_new, bar_new, b_bar_new

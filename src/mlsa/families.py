@@ -161,7 +161,9 @@ class EulerSdeFamily(LevelFamily):
 
     dX = drift*X dt + diffusion*X dW on [0, T] with X_0 = theta; level k uses
     M^k uniform time steps.  Within one sample the coarse path reuses the fine
-    increments, summed in groups of M.  The payoff is the shortfall
+    increments, summed left to right in groups of M adjacent steps (numpy's own
+    grouping for M < 8).  They are held step-major, (M^k, size) C-contiguous, so
+    a path product is M^k multiplies of whole rows.  The payoff is the shortfall
     target - X_T: a level difference is (target - fine) - (target - coarse),
     and f(theta) = target - theta*exp(drift*T) has the contracting slope
     H = -exp(drift*T) and the exactly known root theta* = target*exp(-drift*T).
@@ -199,12 +201,13 @@ class EulerSdeFamily(LevelFamily):
         x0 = float(np.atleast_1d(theta)[0])
         n_fine = self.M ** k
         h = self.T / n_fine
-        dw = np.sqrt(h) * rng.standard_normal((size, n_fine))
+        # the stream's sample-major draw, held step-major: row i holds every sample's step i
+        dw = np.multiply(rng.standard_normal((size, n_fine)).T, np.sqrt(h), order="C")
         # the Euler step x + a x h + s x dW is x (1 + a h + s dW), so a path is a product
-        xf = x0 * np.prod(1.0 + self.drift * h + self.diffusion * dw, axis=1)
+        xf = x0 * np.multiply.reduce(1.0 + self.drift * h + self.diffusion * dw, axis=0)
         if k == 1:  # F_1 - F_0 = F_1 with the convention F_0 = 0
             return (self.target - xf)[:, None]
         hc = self.T / (n_fine // self.M)
-        dwc = dw.reshape(size, n_fine // self.M, self.M).sum(axis=2)
-        xc = x0 * np.prod(1.0 + self.drift * hc + self.diffusion * dwc, axis=1)
+        dwc = dw.reshape(n_fine // self.M, self.M, size).sum(axis=1)  # left to right per group
+        xc = x0 * np.multiply.reduce(1.0 + self.drift * hc + self.diffusion * dwc, axis=0)
         return ((self.target - xf) - (self.target - xc))[:, None]

@@ -275,6 +275,24 @@ def test_aborted_row_stays_frozen(slow_params, cost_model, identity):
     assert np.all(np.isfinite(rec.theta[:, 0])) and rec.theta[2, 0, 0] != rec.theta[1, 0, 0]
 
 
+def test_overflowing_block_sum_aborts_nothing(slow_params, cost_model):
+    # H = 1 repels and the box clamps at 1e308: both rows stay finite, but from n = 1
+    # the block's entries sum past the float range, so the one-sum fast check fails
+    # every iteration and the exact per-row test must find nothing to abort.  Noise is
+    # zero, so each row alone (whose sum stays finite) is the reference for its records
+    fam = make_scalar_family(H=1.0, mu=0.0, noise=0.0)
+    args = (RunPlan(slow_params, cost_model, 8), fam, BoxProjection([-1e308], [1e308]))
+    theta0, cps = [[9e307], [1e308]], tuple(range(1, 9))
+    rec = run(*args, theta0, cps, 5, replicas=2)
+    assert rec.abort_iteration.tolist() == [0, 0]
+    # finite rows of at least 9e307 each: every checkpoint's sum passes the float maximum
+    assert np.all(np.isfinite(rec.theta)) and np.all(rec.theta >= 9e307)
+    for r in range(2):
+        alone = run(*args, theta0[r], cps, 5)
+        assert csv_lines(row[1:] for row in rec.csv_rows() if row[0] == r) == \
+            csv_lines(row[1:] for row in alone.csv_rows())
+
+
 def test_run_rejects_bad_checkpoints(slow_params, slow_family, cost_model, identity):
     with pytest.raises(ValueError):
         run(RunPlan(slow_params, cost_model, 10), slow_family, identity,

@@ -126,21 +126,65 @@ def test_generic_estimate_matches_collapse_at_zero_noise():
 
 
 def test_euler_product_matches_step_loop():
-    fam = EulerSdeFamily(drift=0.05, diffusion=0.2, target=1.0)
     theta, size = np.array([0.9]), 500
-    for k in (1, 3, 6):
-        vals = fam.sample_level_diff_batch(theta, k, size, np.random.default_rng(k))[:, 0]
-        # reference: the Euler recursion step by step on the same draws
-        n_fine = 2 ** k
-        dw = np.sqrt(1.0 / n_fine) * np.random.default_rng(k).standard_normal((size, n_fine))
+    for M, ks in ((2, (1, 3, 6)), (3, (1, 2, 4))):
+        fam = EulerSdeFamily(drift=0.05, diffusion=0.2, target=1.0, M=M)
+        for k in ks:
+            vals = fam.sample_level_diff_batch(theta, k, size, np.random.default_rng(k))[:, 0]
+            # reference: the Euler recursion step by step on the same draws
+            n_fine = M ** k
+            dw = np.sqrt(1.0 / n_fine) * np.random.default_rng(k).standard_normal((size, n_fine))
 
-        def euler(increments, h):
-            x = np.full(size, 0.9)
-            for i in range(increments.shape[1]):
-                x = x + 0.05 * x * h + 0.2 * x * increments[:, i]
-            return x
+            def euler(increments, h):
+                x = np.full(size, 0.9)
+                for i in range(increments.shape[1]):
+                    x = x + 0.05 * x * h + 0.2 * x * increments[:, i]
+                return x
 
-        ref = 1.0 - euler(dw, 1.0 / n_fine)
-        if k > 1:
-            ref -= 1.0 - euler(dw.reshape(size, n_fine // 2, 2).sum(axis=2), 2.0 / n_fine)
-        np.testing.assert_allclose(vals, ref, rtol=1e-12, atol=1e-14)
+            ref = 1.0 - euler(dw, 1.0 / n_fine)
+            if k > 1:  # coarse step j sums the fine steps jM .. jM + M - 1
+                coarse = sum(dw[:, i::M] for i in range(M))
+                ref -= 1.0 - euler(coarse, M / n_fine)
+            np.testing.assert_allclose(vals, ref, rtol=1e-12, atol=1e-14)
+
+
+def sample_major_level_diff(fam, x0, k, size, rng):
+    """The level-k difference with the increments held sample-major, one
+    (size, n_fine) row per sample: the layout the step-major kernel replaced."""
+    n_fine = fam.M ** k
+    h = fam.T / n_fine
+    dw = np.sqrt(h) * rng.standard_normal((size, n_fine))
+    xf = x0 * np.prod(1.0 + fam.drift * h + fam.diffusion * dw, axis=1)
+    if k == 1:
+        return (fam.target - xf)[:, None]
+    hc = fam.T / (n_fine // fam.M)
+    dwc = dw.reshape(size, n_fine // fam.M, fam.M).sum(axis=2)
+    xc = x0 * np.prod(1.0 + fam.drift * hc + fam.diffusion * dwc, axis=1)
+    return ((fam.target - xf) - (fam.target - xc))[:, None]
+
+
+def test_euler_step_major_kernel_is_bit_exact():
+    # the same draws, products taken left to right over the same doubles, and coarse
+    # sums left to right, which is numpy's own grouping of fewer than 8 terms
+    cases = [(M, k, size) for M in (2, 3, 7) for k in range(1, 7) for size in (1, 2, 500)
+             if M ** k * size <= 2 ** 22]
+    cases += [(2, k, size) for k in range(7, 13) for size in (1, 2, 17)]
+    for M, k, size in cases:
+        fam = EulerSdeFamily(drift=0.05, diffusion=0.2, target=1.0, M=M)
+        seed = [M, k, size]
+        got = fam.sample_level_diff_batch(np.array([0.9]), k, size, np.random.default_rng(seed))
+        ref = sample_major_level_diff(fam, 0.9, k, size, np.random.default_rng(seed))
+        assert got.shape == (size, 1)
+        assert np.array_equal(got, ref), (M, k, size)
+
+
+def test_euler_step_major_kernel_at_eight_term_groups():
+    # from M = 8 numpy sums a contiguous group in 8 partial sums, while the kernel
+    # sums left to right: each coarse increment moves by about an ulp, and the level
+    # difference by a few ulps of its O(1) paths, far below this fixed bound
+    fam = EulerSdeFamily(drift=0.05, diffusion=0.2, target=1.0, M=8)
+    for k in (1, 2, 3):
+        for size in (1, 2, 500):
+            got = fam.sample_level_diff_batch(np.array([0.9]), k, size, np.random.default_rng(k))
+            ref = sample_major_level_diff(fam, 0.9, k, size, np.random.default_rng(k))
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14)
