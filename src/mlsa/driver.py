@@ -98,9 +98,9 @@ class RunRecord:
 
     ``theta``, ``theta_bar`` (c, R, d) and ``in_ball`` (c, R; None without a
     ``ball`` monitor) hold all rows after iteration ``ns[j]``; ``cost`` (c,) is
-    shared, the cost model being theta-free.  A row that turned non-finite at
-    iteration ``abort_iteration[r]`` (0: it completed) is frozen from then on
-    and its later checkpoints are not part of the record.
+    shared, the cost model being theta-free.  A row whose state or average
+    turned non-finite at iteration ``abort_iteration[r]`` (0: it completed) is
+    frozen from then on and its later checkpoints are not part of the record.
     """
 
     ns: np.ndarray
@@ -171,12 +171,14 @@ def run(plan: RunPlan, family: LevelFamily, projection, theta0, checkpoints: Seq
     """Run a block of ``replicas`` replicas in lockstep for ``plan.n_final`` iterations.
 
     The plan is the run's only schedule input.  The states are the rows of
-    one (replicas, d) array started at ``theta0``; each iteration makes one
-    ``ml_estimate`` call for all rows on the stream ``default_rng(seed)`` (an
-    int or a SeedSequence seed).  The whole block is recorded after each
-    iteration in ``checkpoints``.  A row whose state turns non-finite aborts
-    alone; it stays in the block, frozen, so the other rows draw and record
-    exactly as before.
+    one (replicas, d) array started at ``theta0``, on the stream
+    ``default_rng(seed)`` (an int or a SeedSequence seed).  The iterations run
+    in chunks of equal s_n: ``family.draw`` takes a chunk's random input, then
+    each iteration makes one ``ml_estimate`` call for all rows with its entry.
+    The whole block is recorded after each iteration in ``checkpoints``, the
+    ball flags once per chunk.  A row whose state or average turns non-finite
+    aborts alone; it stays in the block, frozen, so the other rows draw and
+    record exactly as before.
     """
     n_final = plan.n_final
     ns = np.array(sorted({int(c) for c in checkpoints}), dtype=np.int64)
@@ -195,32 +197,42 @@ def run(plan: RunPlan, family: LevelFamily, projection, theta0, checkpoints: Seq
     rec_ball = None if ball is None else np.empty((len(ns), replicas), dtype=bool)
     at = dict(zip(ns.tolist(), range(len(ns))))  # checkpoint n -> its slot
     # Python scalars: the same doubles, without numpy scalar dispatch per iteration
-    gamma, b, s, counts = plan.gamma.tolist(), plan.b.tolist(), plan.s.tolist(), plan.counts
+    gamma, b, s = plan.gamma.tolist(), plan.b.tolist(), plan.s.tolist()
+    run_ends = (np.flatnonzero(np.diff(plan.s)) + 1).tolist() + [n_final]  # where s_n changes
+    i = 0
     # non-finite states are expected here: they are detected and abort their row
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n_final):
-            n = i + 1
-            if ball is not None and n - 1 >= ball.n0:
-                x = theta - ball.center  # np.linalg.norm(x, axis=1), without its wrapper
-                in_ball &= np.sqrt(np.add.reduce(x * x, axis=1)) <= ball.eps
-            z = family.ml_estimate(theta, counts[i, :s[i]], rng)
-            theta_new = projection(theta + gamma[i] * z)
-            b_bar_new = b_bar + b[i]
-            bar_new = (b_bar * theta_bar + b[i] * theta_new) / b_bar_new
-            # one sum is non-finite if any entry is; if finite rows overflow it, none aborts
-            if not (all_live and math.isfinite(np.add.reduce(theta_new, axis=None))):
-                failed = live & ~np.isfinite(theta_new).all(axis=1)
-                abort_iteration[failed] = n
-                live &= ~failed
-                all_live = bool(live.all())
-                theta_new = np.where(live[:, None], theta_new, theta)
-                bar_new = np.where(live[:, None], bar_new, theta_bar)
-            theta, theta_bar, b_bar = theta_new, bar_new, b_bar_new
-            j = at.get(n)
-            if j is not None:
-                rec_theta[j], rec_bar[j] = theta, theta_bar
-                if rec_ball is not None:
-                    rec_ball[j] = in_ball
+        for end in run_ends:
+            while i < end:  # one chunk: the iterations of one draw
+                block, first, starts = plan.counts[i:end, :s[i]], i, []
+                for counts, entry in zip(block, family.draw(block, replicas, rng)):
+                    starts.append(theta)
+                    z = family.ml_estimate(theta, counts, entry)
+                    theta_new = projection(theta + gamma[i] * z)
+                    b_bar_new = b_bar + b[i]
+                    bar_new = (b_bar * theta_bar + b[i] * theta_new) / b_bar_new
+                    # theta_bar_n weighs in theta_n, so is non-finite whenever theta_n is; one
+                    # sum is non-finite if any entry is, and if finite rows overflow it, none aborts
+                    if not (all_live and math.isfinite(np.add.reduce(bar_new, axis=None))):
+                        failed = live & ~np.isfinite(bar_new).all(axis=1)
+                        abort_iteration[failed] = i + 1
+                        live &= ~failed
+                        all_live = bool(live.all())
+                        theta_new = np.where(live[:, None], theta_new, theta)
+                        bar_new = np.where(live[:, None], bar_new, theta_bar)
+                    theta, theta_bar, b_bar = theta_new, bar_new, b_bar_new
+                    i += 1
+                    j = at.get(i)
+                    if j is not None:
+                        rec_theta[j], rec_bar[j] = theta, theta_bar
+                if ball is not None:  # iteration n tests theta_{n-1} once n - 1 >= n0
+                    x = np.stack(starts) - ball.center  # np.linalg.norm(x, axis=2), unwrapped
+                    ok = np.sqrt(np.add.reduce(x * x, axis=2)) <= ball.eps
+                    ok |= (np.arange(first, i) < ball.n0)[:, None]
+                    # row t: the flags after iteration first + t, row 0 the carried ones
+                    flags = np.logical_and.accumulate(np.vstack([in_ball, ok]))
+                    lo, hi = np.searchsorted(ns, [first + 1, i + 1])
+                    rec_ball[lo:hi], in_ball = flags[ns[lo:hi] - first], flags[-1]
     # the cost of iterations 1..n, summed in iteration order
     return RunRecord(ns=ns, theta=rec_theta, theta_bar=rec_bar,
                      cost=np.cumsum(plan.cost_inc)[ns - 1], in_ball=rec_ball, ball=ball,

@@ -23,6 +23,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+_DRAW_CAP = 1 << 16  # most standard normals in one SyntheticGaussianFamily.draw (512 KB)
+
 
 @dataclass(frozen=True)
 class GeometricCostModel:
@@ -50,7 +52,8 @@ class LevelFamily(abc.ABC):
 
     Subclasses fix the dimension ``d`` and implement ``sample_level_diff_batch``.
     Sampling requires an exclusively owned random stream per caller; family
-    descriptions themselves are immutable.
+    descriptions themselves are immutable, save memos of theta-free terms.  ``draw``
+    takes a block of iterations' random input, ``ml_estimate`` one iteration's estimate.
     """
 
     d: int
@@ -64,6 +67,12 @@ class LevelFamily(abc.ABC):
     @abc.abstractmethod
     def sample_level_diff_batch(self, theta, k: int, size: int, rng) -> np.ndarray:
         """``size`` independent samples of F_k(theta, U) - F_{k-1}(theta, U), shape (size, d)."""
+
+    def draw(self, counts: np.ndarray, replicas: int, rng: np.random.Generator) -> Sequence:
+        """One entry each for the leading T' >= 1 of the iterations whose counts
+        are the rows of the (T, s) block ``counts``, drawing only theirs from ``rng``.
+        Here T' = 1 and the entry is ``rng``: ``ml_estimate`` draws as it goes."""
+        return [rng]
 
     def ml_estimate(self, theta: np.ndarray, counts: Sequence[int], rng: np.random.Generator) -> np.ndarray:
         """Multilevel estimates for the rows of ``theta`` (shape (R, d)), shape (R, d).
@@ -98,8 +107,8 @@ class SyntheticGaussianFamily(LevelFamily):
 
     f(theta) = H(theta-theta*) is linear, so with the identity projection a run
     is the averaged linear-Gaussian recursion.  One sample of a level
-    difference consumes exactly d standard normals; ``ml_estimate`` consumes
-    s*d per row (one draw per level).
+    difference consumes exactly d standard normals; ``draw`` consumes s*d per
+    row and iteration (one per level) and ``ml_estimate`` none.
     """
 
     def __init__(self, theta_star, H, mu, noise_factor, alpha: float, beta: float, M: float):
@@ -119,7 +128,7 @@ class SyntheticGaussianFamily(LevelFamily):
             if a.shape != shape or not np.all(np.isfinite(a)):
                 raise ValueError(f"{name} must be a finite array of shape {shape}")
         self.Gamma = self.A @ self.A.T
-        self._noise_scale = {}  # s -> M^(-beta k/2) for k = 1..s, built once per level count
+        self._level_terms = {}  # s -> (M^(-beta k/2) for k = 1..s, mu M^(-alpha s))
 
     def f(self, theta):
         """f at theta of shape (d,) or at each row of theta of shape (R, d)."""
@@ -139,21 +148,30 @@ class SyntheticGaussianFamily(LevelFamily):
             out = out + self.f(theta)
         return out
 
-    def ml_estimate(self, theta, counts, rng):
-        """Exact collapse: the mean of N iid Gaussians is Gaussian with 1/N
-        the covariance, so one draw per level reproduces the estimator's law.
+    def _terms(self, s: int):
+        terms = self._level_terms.get(s)
+        if terms is None:  # scales built at length s: each has the bits of the plain expression
+            terms = self._level_terms[s] = (self.M ** (-self.beta * np.arange(1, s + 1) / 2.0),
+                                            self.mu * self.M ** (-self.alpha * s))
+        return terms
 
-        Consumes one (R, s, d) standard-normal block: rows in order, levels
-        in order within a row.
+    def draw(self, counts, replicas, rng):
+        """Exact collapse: the mean of N iid Gaussians is Gaussian with 1/N
+        the covariance, so one normal per level reproduces the estimator's law.
+
+        The entries are the noise terms (T', R, d) of one (T', R, s, d) normal
+        draw of at most _DRAW_CAP normals (T' = 1 past it), the values of T'
+        successive (R, s, d) draws: rows in order, levels in order within a row.
         """
-        s = len(counts)
-        g = rng.standard_normal((len(theta), s, self.d))
-        scale = self._noise_scale.get(s)
-        if scale is None:  # built at length s, so each entry has the bits of the plain expression
-            scale = self._noise_scale[s] = self.M ** (-self.beta * np.arange(1, s + 1) / 2.0)
-        coef = scale / np.sqrt(counts)
-        noise = _rowmap(self.A, coef @ g)
-        return self.f(theta) + self.mu * self.M ** (-self.alpha * s) + noise
+        s = counts.shape[1]
+        T = max(1, min(len(counts), _DRAW_CAP // (replicas * s * self.d)))
+        g = rng.standard_normal((T, replicas, s, self.d))
+        coef = self._terms(s)[0] / np.sqrt(counts[:T])
+        return _rowmap(self.A, (coef[:, None, None, :] @ g)[:, :, 0, :])
+
+    def ml_estimate(self, theta, counts, noise):
+        """f(theta) + mu M^(-alpha s) + noise, with ``noise`` the entry from ``draw``."""
+        return self.f(theta) + self._terms(len(counts))[1] + noise
 
 
 class EulerSdeFamily(LevelFamily):

@@ -77,6 +77,15 @@ def identity():
     return IdentityProjection()
 
 
+def estimate(fam, theta, counts, rng):
+    """One iteration's multilevel estimate for the rows of ``theta``, as the
+    driver makes it: the family's ``draw`` for that iteration alone, then
+    ``ml_estimate`` with the entry it returned."""
+    counts = np.asarray(counts)
+    (entry,) = fam.draw(counts[None], len(theta), rng)
+    return fam.ml_estimate(theta, counts, entry)
+
+
 def reference_counts(params, s, K):
     """Scalar reference for replication_counts: (N_1, ..., N_s) as Python ints,
     N_k = ceil((K / M^s) M^((beta+1)/2 (s-k))) after snapping values within

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import math
 import pickle
 
@@ -13,7 +14,7 @@ from mlsa import (BallMonitor, BoxProjection, EulerSdeFamily, GeometricCostModel
 from mlsa.driver import RunPlan, csv_header, csv_lines
 from mlsa.families import LevelFamily
 
-from conftest import (CRITICAL_DEFAULT, GAMMA2, SLOW_PINNED, make_scalar_family,
+from conftest import (CRITICAL_DEFAULT, GAMMA2, SLOW_PINNED, estimate, make_scalar_family,
                       make_slow_family, reference_counts)
 
 
@@ -79,11 +80,62 @@ def per_iteration_stream_run(family, plan, theta0, n_final, stream):
     theta, bar, b_bar = np.array(theta0, dtype=float), np.zeros(family.d), 0.0
     for i, child in enumerate(stream.spawn(n_final)):
         counts = plan.counts[i, :plan.s[i]]
-        z = family.ml_estimate(theta[None], counts, np.random.default_rng(child))[0]
+        z = estimate(family, theta[None], counts, np.random.default_rng(child))[0]
         theta = theta + plan.gamma[i] * z
         bar = (b_bar * bar + plan.b[i] * theta) / (b_bar + plan.b[i])
         b_bar += plan.b[i]
     return bar
+
+
+def parent_noise(family, counts, g):
+    """A SyntheticGaussianFamily iteration's noise term from its (R, s, d) normals
+    ``g``, by the per-iteration expression the chunked draw replaced."""
+    s = len(counts)
+    coef = family.M ** (-family.beta * np.arange(1, s + 1) / 2.0) / np.sqrt(counts)
+    v = coef @ g
+    out = v[:, :1] * family.A[:, 0]
+    for j in range(1, family.d):
+        out = out + v[:, j:j + 1] * family.A[:, j]
+    return out
+
+
+def parent_run(plan, family, projection, theta0, checkpoints, seed, replicas, ball=None):
+    """The per-iteration loop that run() replaced, on the same RunPlan arrays: the
+    ball tested before each step, one ml_estimate per iteration and, for the
+    synthetic family, one (replicas, s, d) draw per iteration.  Its abort test
+    reads the average, as run()'s does.  Returns (theta, theta_bar, in_ball,
+    abort_iteration) with run()'s record layout."""
+    ns = sorted(set(checkpoints))
+    rng = np.random.default_rng(seed)
+    theta = np.array(np.broadcast_to(np.asarray(theta0, dtype=float), (replicas, family.d)))
+    theta_bar, b_bar = np.zeros_like(theta), 0.0
+    live, in_ball = np.ones(replicas, dtype=bool), np.ones(replicas, dtype=bool)
+    abort_iteration = np.zeros(replicas, dtype=np.int64)
+    rec = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(plan.n_final):
+            n, counts = i + 1, plan.counts[i, :plan.s[i]]
+            if ball is not None and n - 1 >= ball.n0:
+                in_ball &= np.linalg.norm(theta - ball.center, axis=1) <= ball.eps
+            if isinstance(family, SyntheticGaussianFamily):
+                g = rng.standard_normal((replicas, len(counts), family.d))
+                z = (family.f(theta) + family.mu * family.M ** (-family.alpha * len(counts))
+                     + parent_noise(family, counts, g))
+            else:
+                z = family.ml_estimate(theta, counts, rng)
+            theta_new = projection(theta + plan.gamma[i] * z)
+            b_bar_new = b_bar + plan.b[i]
+            bar_new = (b_bar * theta_bar + plan.b[i] * theta_new) / b_bar_new
+            failed = live & ~np.isfinite(bar_new).all(axis=1)
+            abort_iteration[failed] = n
+            live &= ~failed
+            theta = np.where(live[:, None], theta_new, theta)
+            theta_bar = np.where(live[:, None], bar_new, theta_bar)
+            b_bar = b_bar_new
+            if n in ns:
+                rec.append((theta, theta_bar, in_ball.copy()))
+    theta, theta_bar, flags = (np.array(x) for x in zip(*rec))
+    return theta, theta_bar, flags if ball is not None else None, abort_iteration
 
 
 def test_first_step_is_linear_contraction(slow_params_pinned, cost_model):
@@ -275,22 +327,37 @@ def test_aborted_row_stays_frozen(slow_params, cost_model, identity):
     assert np.all(np.isfinite(rec.theta[:, 0])) and rec.theta[2, 0, 0] != rec.theta[1, 0, 0]
 
 
-def test_overflowing_block_sum_aborts_nothing(slow_params, cost_model):
-    # H = 1 repels and the box clamps at 1e308: both rows stay finite, but from n = 1
-    # the block's entries sum past the float range, so the one-sum fast check fails
-    # every iteration and the exact per-row test must find nothing to abort.  Noise is
-    # zero, so each row alone (whose sum stays finite) is the reference for its records
-    fam = make_scalar_family(H=1.0, mu=0.0, noise=0.0)
-    args = (RunPlan(slow_params, cost_model, 8), fam, BoxProjection([-1e308], [1e308]))
-    theta0, cps = [[9e307], [1e308]], tuple(range(1, 9))
-    rec = run(*args, theta0, cps, 5, replicas=2)
-    assert rec.abort_iteration.tolist() == [0, 0]
-    # finite rows of at least 9e307 each: every checkpoint's sum passes the float maximum
-    assert np.all(np.isfinite(rec.theta)) and np.all(rec.theta >= 9e307)
-    for r in range(2):
+def test_overflowing_block_sum_aborts_nothing(slow_params, cost_model, identity):
+    # H = 0.25 repels gently: 100 rows near 2e306 and their averages stay finite over 4
+    # iterations, but the block's averages sum past the float range at every iteration,
+    # so the one-sum fast check fails each time and the exact per-row test must find
+    # nothing to abort.  Noise is zero, so each row alone (whose sum stays finite) is
+    # the reference for its records
+    fam = make_scalar_family(H=0.25, mu=0.0, noise=0.0)
+    args = (RunPlan(slow_params, cost_model, 4), fam, identity)
+    theta0, cps = np.linspace(1.9e306, 2e306, 100)[:, None], (1, 2, 3, 4)
+    rec = run(*args, theta0, cps, 5, replicas=100)
+    assert rec.abort_iteration.tolist() == [0] * 100
+    assert np.all(np.isfinite(rec.theta)) and np.all(np.isfinite(rec.theta_bar))
+    assert np.all(rec.theta_bar >= 1.9e306)  # every checkpoint's sum passes the float maximum
+    for r in range(100):
         alone = run(*args, theta0[r], cps, 5)
         assert csv_lines(row[1:] for row in rec.csv_rows() if row[0] == r) == \
             csv_lines(row[1:] for row in alone.csv_rows())
+
+
+def test_overflowing_average_aborts_its_row(slow_params, cost_model):
+    # the box holds row 1 at 1e308, a finite state, but at n = 2 its average's weighted
+    # sum b_1 theta_1 + b_2 theta_2 = 5e308 overflows: the row aborts there, and
+    # records no infinite average
+    fam = make_scalar_family(H=1.0, mu=0.0, noise=0.0)
+    args = (RunPlan(slow_params, cost_model, 6), fam, BoxProjection([-1e308], [1e308]))
+    rec = run(*args, [[0.5], [1e308]], (1, 2, 6), 3, replicas=2)
+    assert rec.abort_iteration.tolist() == [0, 2]
+    assert rec.theta[:, 1, 0].tolist() == [1e308] * 3 and rec.theta_bar[0, 1, 0] == 1e308
+    assert np.all(np.isfinite(rec.theta_bar))
+    alone = run(*args, [0.5], (1, 2, 6), 3)
+    assert rec.csv_rows() == alone.csv_rows() + [[1, 1, 1e308, 1e308, rec.cost[0]]]
 
 
 def test_run_rejects_bad_checkpoints(slow_params, slow_family, cost_model, identity):
@@ -330,7 +397,7 @@ def test_ml_estimate_level_scale_memo_is_bit_exact(slow_params, critical_params,
                 fam = pickle.loads(pickle.dumps(fam))
             for s in levels.tolist():
                 counts = all_counts[s - 1, :s]
-                z = fam.ml_estimate(theta, counts, np.random.default_rng(s))
+                z = estimate(fam, theta, counts, np.random.default_rng(s))
                 g = np.random.default_rng(s).standard_normal((len(theta), s, 2))
                 ref = [synthetic_estimate(fam, row, counts, gr) for row, gr in zip(theta, g)]
                 assert np.array_equal(z, np.array(ref)), (params.regime, call, s)
@@ -379,3 +446,85 @@ def test_csv_lines_match_csv_writer(slow_params, cost_model):
                [None, None]]
     for rows in (record_rows, numbers):
         assert csv_lines(rows) == reference(rows)
+
+
+def test_chunked_draw_matches_per_iteration_draws(slow_params, critical_params, cost_model):
+    # every run of equal s_n of a slow and a critical plan (s = 1..17), drawn chunk by
+    # chunk: each chunk holds min(T, 2^16 // (R s d)) iterations and its entries are
+    # exactly the noise of that many successive (R, s, d) draws and of as many
+    # one-iteration draws, and the stream ends where they leave it
+    for params, n_final in ((slow_params, 4000), (critical_params, 1500)):
+        plan = RunPlan(params, cost_model, n_final)
+        starts = np.flatnonzero(np.diff(plan.s, prepend=0)).tolist() + [n_final]
+        for R, d in itertools.product((1, 9, 100), (1, 2, 3)):
+            fam = SyntheticGaussianFamily(theta_star=np.zeros(d), H=-np.eye(d), mu=np.ones(d),
+                                          noise_factor=np.tril(np.ones((d, d))) / d,
+                                          alpha=params.alpha, beta=params.beta, M=params.M)
+            rng, ref, one = (np.random.default_rng(R * d) for _ in range(3))
+            for a, e in zip(starts, starts[1:]):
+                block = plan.counts[a:e, :plan.s[a]]
+                while len(block):
+                    entries = fam.draw(block, R, rng)
+                    s = block.shape[1]
+                    assert len(entries) == min(len(block), max(1, 2 ** 16 // (R * s * d)))
+                    for counts, entry in zip(block, entries):
+                        g = ref.standard_normal((R, s, d))
+                        assert np.array_equal(entry, parent_noise(fam, counts, g))
+                        assert np.array_equal(entry, fam.draw(counts[None], R, one)[0])
+                    block = block[len(entries):]
+            assert rng.standard_normal() == ref.standard_normal() == one.standard_normal()
+
+
+def chunk_starts(plan, replicas, d):
+    """The first iteration index of each chunk run() makes on a synthetic family."""
+    runs = np.flatnonzero(np.diff(plan.s, prepend=0)).tolist() + [plan.n_final]
+    return [i for a, e in zip(runs, runs[1:])
+            for i in range(a, e, max(1, 2 ** 16 // (replicas * int(plan.s[a]) * d)))]
+
+
+def test_chunked_run_matches_per_iteration_loop(slow_params, critical_params, cost_model):
+    # run() against the per-iteration loop on the same plan, bit for bit, over 2,000
+    # iterations: chunks capped at 2^16 / (200 s) iterations (100 rows, d = 2) and
+    # uncapped ones, sparse and dense checkpoints, a ball whose n0 falls inside a chunk and whose
+    # rows leave it at different times, and a row that aborts mid-chunk
+    n_final, n0 = 2000, 1001
+    slow = RunPlan(slow_params, cost_model, n_final)
+    fam, repel = make_slow_family(), SyntheticGaussianFamily(
+        theta_star=[0.0, 0.0], H=np.diag([0.5, -1.0]), mu=[1.0, 0.0],
+        noise_factor=np.linalg.cholesky(GAMMA2), alpha=1.0, beta=0.5, M=2.0)
+    dense = tuple(range(1, n_final + 1))
+    free = run(slow, fam, IdentityProjection(), default_theta0(fam), dense, 11, replicas=100)
+    # eps: the median over rows of the largest distance of theta_m, m in [n0, n_final - 1]
+    dist = np.linalg.norm(free.theta[n0 - 1:n_final - 1] - fam.theta_star, axis=2)
+    eps = float(np.median(dist.max(axis=0)))
+    blow_up = np.tile(default_theta0(fam), (9, 1))
+    blow_up[4] = [1e292, 0.0]  # grows by about (1 + gamma_n / 2) per step; its average overflows
+    cases = [
+        (slow, fam, IdentityProjection(), default_theta0(fam), 100,
+         geometric_checkpoints(n_final) + (n0 - 1, n0, n0 + 1), 11,
+         BallMonitor(center=fam.theta_star, eps=eps, n0=n0)),
+        (slow, repel, IdentityProjection(), blow_up, 9, dense, 12,
+         BallMonitor(center=np.zeros(2), eps=1e3, n0=40)),
+        (RunPlan(critical_params, cost_model, n_final), make_scalar_family(beta=1.0),
+         BoxProjection([0.2], [1.5]), [1.4], 20, dense[::7], 13,
+         BallMonitor(center=np.full(1, 0.5), eps=0.3, n0=1)),
+        (RunPlan(slow_params, cost_model, 30), EulerSdeFamily(drift=0.05, diffusion=0.2),
+         BoxProjection([0.0], [5.0]), [1.5], 3, dense[:30], 14,
+         BallMonitor(center=np.full(1, np.exp(-0.05)), eps=0.4, n0=3)),
+    ]
+    recs = []
+    for plan, family, proj, theta0, R, cps, seed, ball in cases:
+        rec = run(plan, family, proj, theta0, cps, seed, replicas=R, ball=ball)
+        ref = parent_run(plan, family, proj, theta0, cps, seed, R, ball)
+        for got, want in zip((rec.theta, rec.theta_bar, rec.in_ball, rec.abort_iteration), ref):
+            assert np.array_equal(got, want)
+        recs.append(rec)
+    starts = chunk_starts(slow, 100, 2)
+    assert n0 - 1 not in starts and n0 not in starts  # iteration n0 + 1 tests theta_n0 mid-chunk
+    assert len(starts) > 2 * len(chunk_starts(slow, 1, 1))  # most chunks are capped runs
+    inside = recs[0].in_ball.sum(axis=1)[recs[0].ns > n0]
+    assert inside[-1] == 50 and len(set(inside.tolist())) >= 3  # rows leave at different times
+    a = int(recs[1].abort_iteration[4])
+    assert recs[1].abort_iteration.tolist() == [0] * 4 + [a] + [0] * 4
+    assert a - 1 not in chunk_starts(slow, 9, 2)  # iteration a is not a chunk's first
+    assert np.isfinite(recs[1].theta[a - 1, 4]).all()  # the average overflowed, not the state
