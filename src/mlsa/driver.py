@@ -16,6 +16,8 @@ replicas runs in lockstep as one (R, d) state on a random stream it owns.
 from __future__ import annotations
 
 import math
+import queue
+import threading
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -173,12 +175,14 @@ def run(plan: RunPlan, family: LevelFamily, projection, theta0, checkpoints: Seq
     The plan is the run's only schedule input.  The states are the rows of
     one (replicas, d) array started at ``theta0``, on the stream
     ``default_rng(seed)`` (an int or a SeedSequence seed).  The iterations run
-    in chunks of equal s_n: ``family.draw`` takes a chunk's random input, then
-    each iteration makes one ``ml_estimate`` call for all rows with its entry.
-    The whole block is recorded after each iteration in ``checkpoints``, the
-    ball flags once per chunk.  A row whose state or average turns non-finite
-    aborts alone; it stays in the block, frozen, so the other rows draw and
-    record exactly as before.
+    in chunks of equal s_n: a producer thread, the only caller of ``family.draw``,
+    draws the chunks' random input in order, up to two chunks ahead, under this
+    function's ``np.errstate``; each iteration makes one ``ml_estimate`` call for
+    all rows with its entry.  The producer is joined on every exit, and an
+    exception it raises reaches the caller.  The whole block is recorded after
+    each iteration in ``checkpoints``, the ball flags once per chunk.  A row
+    whose state or average turns non-finite aborts alone; it stays in the
+    block, frozen, so the other rows draw and record exactly as before.
     """
     n_final = plan.n_final
     ns = np.array(sorted({int(c) for c in checkpoints}), dtype=np.int64)
@@ -199,13 +203,30 @@ def run(plan: RunPlan, family: LevelFamily, projection, theta0, checkpoints: Seq
     # Python scalars: the same doubles, without numpy scalar dispatch per iteration
     gamma, b, s = plan.gamma.tolist(), plan.b.tolist(), plan.s.tolist()
     run_ends = (np.flatnonzero(np.diff(plan.s)) + 1).tolist() + [n_final]  # where s_n changes
+    chunks, stop = queue.Queue(maxsize=2), threading.Event()
+    def draw_ahead():  # puts each chunk's counts and entries, or the exception that ended it
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):  # numpy's is per thread
+                n = 0
+                for end in run_ends:
+                    while n < end and not stop.is_set():
+                        block = plan.counts[n:end, :s[n]]
+                        entries = family.draw(block, replicas, rng)
+                        chunks.put((block, entries))
+                        n += len(entries)
+        except BaseException as exc:  # raised again below
+            chunks.put(exc)
+    producer = threading.Thread(target=draw_ahead, daemon=True)
+    producer.start()
     i = 0
-    # non-finite states are expected here: they are detected and abort their row
-    with np.errstate(over="ignore", invalid="ignore"):
-        for end in run_ends:
-            while i < end:  # one chunk: the iterations of one draw
-                block, first, starts = plan.counts[i:end, :s[i]], i, []
-                for counts, entry in zip(block, family.draw(block, replicas, rng)):
+    try:
+        # non-finite states are expected here: they are detected and abort their row
+        with np.errstate(over="ignore", invalid="ignore"):
+            while i < n_final:  # one chunk: the iterations of one draw
+                if isinstance(item := chunks.get(), BaseException):
+                    raise item
+                first, starts = i, []
+                for counts, entry in zip(*item):
                     starts.append(theta)
                     z = family.ml_estimate(theta, counts, entry)
                     theta_new = projection(theta + gamma[i] * z)
@@ -233,6 +254,11 @@ def run(plan: RunPlan, family: LevelFamily, projection, theta0, checkpoints: Seq
                     flags = np.logical_and.accumulate(np.vstack([in_ball, ok]))
                     lo, hi = np.searchsorted(ns, [first + 1, i + 1])
                     rec_ball[lo:hi], in_ball = flags[ns[lo:hi] - first], flags[-1]
+    finally:  # once stopped the producer puts at most once more, so emptying the queue frees it
+        stop.set()
+        while not chunks.empty():
+            chunks.get_nowait()
+        producer.join()
     # the cost of iterations 1..n, summed in iteration order
     return RunRecord(ns=ns, theta=rec_theta, theta_bar=rec_bar,
                      cost=np.cumsum(plan.cost_inc)[ns - 1], in_ball=rec_ball, ball=ball,

@@ -71,8 +71,11 @@ class LevelFamily(abc.ABC):
     def draw(self, counts: np.ndarray, replicas: int, rng: np.random.Generator) -> Sequence:
         """One entry each for the leading T' >= 1 of the iterations whose counts
         are the rows of the (T, s) block ``counts``, drawing only theirs from ``rng``.
-        Here T' = 1 and the entry is ``rng``: ``ml_estimate`` draws as it goes."""
-        return [rng]
+        ``driver.run`` calls it on a producer thread, ahead of ``ml_estimate``, so only
+        one of the two may draw.  Here T' = T, every entry is ``rng`` and ``ml_estimate``
+        draws on the calling thread: Euler's hundreds of short numpy calls per
+        iteration would contend with the recursion for the GIL on the producer."""
+        return [rng] * len(counts)
 
     def ml_estimate(self, theta: np.ndarray, counts: Sequence[int], rng: np.random.Generator) -> np.ndarray:
         """Multilevel estimates for the rows of ``theta`` (shape (R, d)), shape (R, d).

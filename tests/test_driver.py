@@ -3,6 +3,9 @@ import io
 import itertools
 import math
 import pickle
+import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -528,3 +531,133 @@ def test_chunked_run_matches_per_iteration_loop(slow_params, critical_params, co
     assert recs[1].abort_iteration.tolist() == [0] * 4 + [a] + [0] * 4
     assert a - 1 not in chunk_starts(slow, 9, 2)  # iteration a is not a chunk's first
     assert np.isfinite(recs[1].theta[a - 1, 4]).all()  # the average overflowed, not the state
+
+
+def recast(family, cls, **attrs):
+    """A copy of ``family`` as an instance of its subclass ``cls``, with ``attrs`` set."""
+    out = object.__new__(cls)
+    out.__dict__.update(family.__dict__, _level_terms={}, **attrs)
+    return out
+
+
+class _DrawFailed(Exception):
+    pass
+
+
+class _EstimateFailed(Exception):
+    pass
+
+
+class _ScriptedFamily(SyntheticGaussianFamily):
+    """Counts its finished draws; its ``draw`` call ``draw_fails`` raises, and its
+    ``ml_estimate`` call ``estimate_fails`` raises once ``wait_draws`` draws are done."""
+
+    draw_fails = estimate_fails = None
+    wait_draws = 0
+
+    def draw(self, counts, replicas, rng):
+        if self.draws + 1 == self.draw_fails:
+            raise _DrawFailed
+        entries = super().draw(counts, replicas, rng)
+        with self.drawn:
+            self.draws += 1
+            self.drawn.notify_all()
+        return entries
+
+    def ml_estimate(self, theta, counts, noise):
+        self.estimates += 1
+        if self.estimates == self.estimate_fails:
+            with self.drawn:
+                self.waited = self.drawn.wait_for(lambda: self.draws >= self.wait_draws, 10.0)
+            time.sleep(0.05)  # time for the producer to block in its put
+            self.threads_at_failure = threading.active_count()
+            raise _EstimateFailed
+        return super().ml_estimate(theta, counts, noise)
+
+
+def test_draw_ahead_thread_never_outlives_run(slow_params, cost_model, identity):
+    # a normal run, a run whose third draw raises and a run whose estimator raises
+    # mid-chunk while the producer, two chunks queued, is blocked putting a third:
+    # each ends with the producer joined, and a failure reaches the caller by type
+    plan = RunPlan(slow_params, cost_model, 2000)
+    starts = chunk_starts(plan, 100, 2)
+    k = next(k for k, (a, e) in enumerate(zip(starts, starts[1:])) if e - a >= 2)
+    assert k + 4 < len(starts)
+    args = (plan, make_slow_family(), identity, np.zeros(2), (1, 2000), 3)
+    before = threading.active_count()
+    families = []
+    for fails in ({}, {"draw_fails": 3},
+                  {"estimate_fails": starts[k] + 2, "wait_draws": k + 4}):
+        fam = recast(args[1], _ScriptedFamily, draws=0, estimates=0,
+                     drawn=threading.Condition(), **fails)
+        families.append(fam)
+        if not fails:
+            run(plan, fam, *args[2:], replicas=100)
+        else:
+            with pytest.raises(_DrawFailed if "draw_fails" in fails else _EstimateFailed):
+                run(plan, fam, *args[2:], replicas=100)
+        assert threading.active_count() == before
+    normal, draw_failed, estimate_failed = families
+    assert normal.draws == len(starts) and normal.estimates == 2000
+    assert draw_failed.draws == 2 and draw_failed.estimates == starts[2]
+    # the estimator failed inside chunk k + 1, with chunks k + 2 and k + 3 queued
+    # and k + 4 drawn, and the producer was still alive then
+    assert estimate_failed.waited and estimate_failed.draws == k + 4
+    assert estimate_failed.threads_at_failure == before + 1
+
+
+class _OverflowingDraw(SyntheticGaussianFamily):
+    def draw(self, counts, replicas, rng):
+        np.add.reduce(np.full(2, 1e308))  # overflows: numpy warns unless over="ignore"
+        return super().draw(counts, replicas, rng)
+
+
+def test_draw_ahead_keeps_the_drivers_errstate(slow_params, cost_model, identity):
+    # numpy's errstate does not follow a new thread, so the producer sets the
+    # driver's own: an overflow in draw warns no more than it did on this thread
+    fam = make_slow_family()
+    args = (RunPlan(slow_params, cost_model, 300), identity, np.zeros(2), (1, 300), 4)
+    want = run(args[0], fam, *args[1:], replicas=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = run(args[0], recast(fam, _OverflowingDraw), *args[1:], replicas=5)
+    assert np.array_equal(got.theta, want.theta)
+    assert np.array_equal(got.theta_bar, want.theta_bar)
+
+
+class _SleepyDraw(SyntheticGaussianFamily):
+    def draw(self, counts, replicas, rng):
+        time.sleep(1e-3)
+        return super().draw(counts, replicas, rng)
+
+
+def test_draw_ahead_results_do_not_depend_on_thread_timing(slow_params, cost_model):
+    # 100 rows x 2,000 slow iterations in capped chunks, against the per-iteration
+    # loop: a producer slowed by 1 ms per draw and ten repeats at full speed give
+    # the same bits, with a ball whose n0 falls inside a chunk and a row whose
+    # average overflows mid-chunk
+    n_final, n0, R = 2000, 1001, 100
+    plan = RunPlan(slow_params, cost_model, n_final)
+    repel = SyntheticGaussianFamily(
+        theta_star=[0.0, 0.0], H=np.diag([0.5, -1.0]), mu=[1.0, 0.0],
+        noise_factor=np.linalg.cholesky(GAMMA2), alpha=1.0, beta=0.5, M=2.0)
+    theta0 = np.tile(default_theta0(repel), (R, 1))
+    theta0[4] = [1e292, 0.0]
+    cps = geometric_checkpoints(n_final) + (n0 - 1, n0, n0 + 1)
+    # eps: the median over rows of the largest |theta_m|, m in [n0, n_final - 1]
+    free = parent_run(plan, repel, IdentityProjection(), theta0, range(n0, n_final), 15, R)
+    with np.errstate(over="ignore"):  # the overflowing row's norm is inf
+        eps = float(np.median(np.linalg.norm(free[0], axis=2).max(axis=0)))
+    ball = BallMonitor(center=np.zeros(2), eps=eps, n0=n0)
+    starts = chunk_starts(plan, R, 2)
+    assert n0 - 1 not in starts and n0 not in starts and len(starts) > 2 * len(
+        chunk_starts(plan, 1, 1))
+    ref = parent_run(plan, repel, IdentityProjection(), theta0, cps, 15, R, ball)
+    a = int(ref[3][4])
+    assert ref[3].tolist() == [0] * 4 + [a] + [0] * (R - 5) and a - 1 not in starts
+    inside = ref[2].sum(axis=1)[np.array(sorted(set(cps))) > n0]
+    assert inside[-1] == R // 2 and len(set(inside.tolist())) >= 3  # rows leave at different times
+    for fam in [recast(repel, _SleepyDraw)] + [repel] * 10:
+        rec = run(plan, fam, IdentityProjection(), theta0, cps, 15, replicas=R, ball=ball)
+        for got, want in zip((rec.theta, rec.theta_bar, rec.in_ball, rec.abort_iteration), ref):
+            assert np.array_equal(got, want)
