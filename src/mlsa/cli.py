@@ -26,7 +26,7 @@ from .asymptotics import predictions_csv, rates
 from .config import (ConfigError, build_cost_model, build_family, build_projection,
                      config_from_dict, load_config)
 from .driver import BallMonitor, csv_header, csv_lines, default_theta0
-from .params import SLOW, InvalidParameters
+from .params import CRITICAL, SLOW, InvalidParameters
 
 
 def cmd_validate(args) -> int:
@@ -70,7 +70,7 @@ def cmd_predict(args) -> int:
     cfg, rc = _load_or_report(args.config)
     if cfg is None:
         return rc
-    ns = sorted(n for n in cfg.replication.checkpoints if cfg.params.regime != "critical" or n >= 2)
+    ns = sorted(n for n in cfg.replication.checkpoints if cfg.params.regime != CRITICAL or n >= 2)
     table = predictions_csv(cfg.params, ns)
     if args.out:
         if not _make_out_dir(args.out):

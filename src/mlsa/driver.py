@@ -16,8 +16,6 @@ replicas runs in lockstep as one (R, d) state on a random stream it owns.
 from __future__ import annotations
 
 import math
-import queue
-import threading
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -29,6 +27,7 @@ from .params import ParameterSet, schedule_arrays
 # snap near-integer count values before the ceiling so exact ratios such as
 # K/M^s = 8 are not pushed up by float noise from pow/log round-trips
 _INT_SNAP = 1e-9
+_DRAW_CAP = 1 << 16  # most standard normals in one chunk's synthetic draw (512 KB)
 
 
 def replication_counts(params: ParameterSet, s, K) -> np.ndarray:
@@ -175,15 +174,19 @@ def run(plan: RunPlan, family: LevelFamily, projection, theta0, checkpoints: Seq
     The plan is the run's only schedule input.  The states are the rows of
     one (replicas, d) array started at ``theta0``, on the stream
     ``default_rng(seed)`` (an int or a SeedSequence seed).  The iterations run
-    in chunks of equal s_n: a producer thread, the only caller of ``family.draw``,
-    draws the chunks' random input in order, up to two chunks ahead, under this
-    function's ``np.errstate``; each iteration makes one ``ml_estimate`` call for
-    all rows with its entry.  The producer is joined on every exit, and an
-    exception it raises reaches the caller.  The whole block is recorded after
-    each iteration in ``checkpoints``, the ball flags once per chunk.  A row
-    whose state or average turns non-finite aborts alone; it stays in the
-    block, frozen, so the other rows draw and record exactly as before.
+    in chunks: each run of equal s_n is cut every max(1, 2^16 // (replicas s d))
+    iterations.  A one-thread executor, the only caller of ``family.draw``, draws
+    the chunks' random input in order, one entry per counts row, up to three
+    chunks ahead, under this function's ``np.errstate``; each iteration makes one
+    ``ml_estimate`` call for all rows with its entry.  The thread is joined on
+    every exit, and an exception a draw raises reaches the caller.  The whole
+    block is recorded after each iteration in ``checkpoints``, the ball flags
+    once per chunk.  A row whose state or average turns non-finite aborts alone;
+    it stays in the block, frozen, so the other rows draw and record exactly as
+    before.
     """
+    from concurrent.futures import ThreadPoolExecutor  # not at import: it loads logging
+
     n_final = plan.n_final
     ns = np.array(sorted({int(c) for c in checkpoints}), dtype=np.int64)
     if ns.size and (ns[0] < 1 or ns[-1] > n_final):
@@ -202,63 +205,52 @@ def run(plan: RunPlan, family: LevelFamily, projection, theta0, checkpoints: Seq
     at = dict(zip(ns.tolist(), range(len(ns))))  # checkpoint n -> its slot
     # Python scalars: the same doubles, without numpy scalar dispatch per iteration
     gamma, b, s = plan.gamma.tolist(), plan.b.tolist(), plan.s.tolist()
-    run_ends = (np.flatnonzero(np.diff(plan.s)) + 1).tolist() + [n_final]  # where s_n changes
-    chunks, stop = queue.Queue(maxsize=2), threading.Event()
-    def draw_ahead():  # puts each chunk's counts and entries, or the exception that ended it
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):  # numpy's is per thread
-                n = 0
-                for end in run_ends:
-                    while n < end and not stop.is_set():
-                        block = plan.counts[n:end, :s[n]]
-                        entries = family.draw(block, replicas, rng)
-                        chunks.put((block, entries))
-                        n += len(entries)
-        except BaseException as exc:  # raised again below
-            chunks.put(exc)
-    producer = threading.Thread(target=draw_ahead, daemon=True)
-    producer.start()
-    i = 0
-    try:
-        # non-finite states are expected here: they are detected and abort their row
+    runs = np.flatnonzero(np.diff(plan.s, prepend=0)).tolist() + [n_final]  # where s_n changes
+    cuts = [n for a, e in zip(runs, runs[1:])
+            for n in range(a, e, max(1, _DRAW_CAP // (replicas * s[a] * family.d)))]
+    blocks = [plan.counts[a:e, :s[a]] for a, e in zip(cuts, cuts[1:] + [n_final])]
+
+    def draw(block):  # numpy's errstate is per thread
         with np.errstate(over="ignore", invalid="ignore"):
-            while i < n_final:  # one chunk: the iterations of one draw
-                if isinstance(item := chunks.get(), BaseException):
-                    raise item
-                first, starts = i, []
-                for counts, entry in zip(*item):
-                    starts.append(theta)
-                    z = family.ml_estimate(theta, counts, entry)
-                    theta_new = projection(theta + gamma[i] * z)
-                    b_bar_new = b_bar + b[i]
-                    bar_new = (b_bar * theta_bar + b[i] * theta_new) / b_bar_new
-                    # theta_bar_n weighs in theta_n, so is non-finite whenever theta_n is; one
-                    # sum is non-finite if any entry is, and if finite rows overflow it, none aborts
-                    if not (all_live and math.isfinite(np.add.reduce(bar_new, axis=None))):
-                        failed = live & ~np.isfinite(bar_new).all(axis=1)
-                        abort_iteration[failed] = i + 1
-                        live &= ~failed
-                        all_live = bool(live.all())
-                        theta_new = np.where(live[:, None], theta_new, theta)
-                        bar_new = np.where(live[:, None], bar_new, theta_bar)
-                    theta, theta_bar, b_bar = theta_new, bar_new, b_bar_new
-                    i += 1
-                    j = at.get(i)
-                    if j is not None:
-                        rec_theta[j], rec_bar[j] = theta, theta_bar
-                if ball is not None:  # iteration n tests theta_{n-1} once n - 1 >= n0
-                    x = np.stack(starts) - ball.center  # np.linalg.norm(x, axis=2), unwrapped
-                    ok = np.sqrt(np.add.reduce(x * x, axis=2)) <= ball.eps
-                    ok |= (np.arange(first, i) < ball.n0)[:, None]
-                    # row t: the flags after iteration first + t, row 0 the carried ones
-                    flags = np.logical_and.accumulate(np.vstack([in_ball, ok]))
-                    lo, hi = np.searchsorted(ns, [first + 1, i + 1])
-                    rec_ball[lo:hi], in_ball = flags[ns[lo:hi] - first], flags[-1]
-    finally:  # once stopped the producer puts at most once more, so emptying the queue frees it
-        stop.set()
-        while not chunks.empty():
-            chunks.get_nowait()
-        producer.join()
+            return family.draw(block, replicas, rng)
+
+    i = 0
+    # non-finite states are expected here: they are detected and abort their row
+    with ThreadPoolExecutor(max_workers=1) as pool, np.errstate(over="ignore", invalid="ignore"):
+        ahead = [pool.submit(draw, block) for block in blocks[:3]]
+        for c, block in enumerate(blocks):  # one chunk: the iterations of one draw
+            entries = ahead.pop(0).result()
+            if c + 3 < len(blocks):
+                ahead.append(pool.submit(draw, blocks[c + 3]))
+            first, starts = i, []
+            for counts, entry in zip(block, entries):
+                starts.append(theta)
+                z = family.ml_estimate(theta, counts, entry)
+                theta_new = projection(theta + gamma[i] * z)
+                b_bar_new = b_bar + b[i]
+                bar_new = (b_bar * theta_bar + b[i] * theta_new) / b_bar_new
+                # theta_bar_n weighs in theta_n, so is non-finite whenever theta_n is; one
+                # sum is non-finite if any entry is, and if finite rows overflow it, none aborts
+                if not (all_live and math.isfinite(np.add.reduce(bar_new, axis=None))):
+                    failed = live & ~np.isfinite(bar_new).all(axis=1)
+                    abort_iteration[failed] = i + 1
+                    live &= ~failed
+                    all_live = bool(live.all())
+                    theta_new = np.where(live[:, None], theta_new, theta)
+                    bar_new = np.where(live[:, None], bar_new, theta_bar)
+                theta, theta_bar, b_bar = theta_new, bar_new, b_bar_new
+                i += 1
+                j = at.get(i)
+                if j is not None:
+                    rec_theta[j], rec_bar[j] = theta, theta_bar
+            if ball is not None:  # iteration n tests theta_{n-1} once n - 1 >= n0
+                x = np.stack(starts) - ball.center  # np.linalg.norm(x, axis=2), unwrapped
+                ok = np.sqrt(np.add.reduce(x * x, axis=2)) <= ball.eps
+                ok |= (np.arange(first, i) < ball.n0)[:, None]
+                # row t: the flags after iteration first + t, row 0 the carried ones
+                flags = np.logical_and.accumulate(np.vstack([in_ball, ok]))
+                lo, hi = np.searchsorted(ns, [first + 1, i + 1])
+                rec_ball[lo:hi], in_ball = flags[ns[lo:hi] - first], flags[-1]
     # the cost of iterations 1..n, summed in iteration order
     return RunRecord(ns=ns, theta=rec_theta, theta_bar=rec_bar,
                      cost=np.cumsum(plan.cost_inc)[ns - 1], in_ball=rec_ball, ball=ball,

@@ -23,8 +23,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-_DRAW_CAP = 1 << 16  # most standard normals in one SyntheticGaussianFamily.draw (512 KB)
-
 
 @dataclass(frozen=True)
 class GeometricCostModel:
@@ -69,12 +67,12 @@ class LevelFamily(abc.ABC):
         """``size`` independent samples of F_k(theta, U) - F_{k-1}(theta, U), shape (size, d)."""
 
     def draw(self, counts: np.ndarray, replicas: int, rng: np.random.Generator) -> Sequence:
-        """One entry each for the leading T' >= 1 of the iterations whose counts
-        are the rows of the (T, s) block ``counts``, drawing only theirs from ``rng``.
-        ``driver.run`` calls it on a producer thread, ahead of ``ml_estimate``, so only
-        one of the two may draw.  Here T' = T, every entry is ``rng`` and ``ml_estimate``
-        draws on the calling thread: Euler's hundreds of short numpy calls per
-        iteration would contend with the recursion for the GIL on the producer."""
+        """One entry for each iteration whose counts are a row of the (T, s) block
+        ``counts``, T entries in all, drawing only theirs from ``rng``.  ``driver.run``
+        calls it on a one-thread executor, ahead of ``ml_estimate``, so only one of the
+        two may draw.  Here every entry is ``rng`` and ``ml_estimate`` draws on the
+        calling thread: Euler's hundreds of short numpy calls per iteration would
+        contend with the recursion for the GIL on the draw thread."""
         return [rng] * len(counts)
 
     def ml_estimate(self, theta: np.ndarray, counts: Sequence[int], rng: np.random.Generator) -> np.ndarray:
@@ -162,14 +160,13 @@ class SyntheticGaussianFamily(LevelFamily):
         """Exact collapse: the mean of N iid Gaussians is Gaussian with 1/N
         the covariance, so one normal per level reproduces the estimator's law.
 
-        The entries are the noise terms (T', R, d) of one (T', R, s, d) normal
-        draw of at most _DRAW_CAP normals (T' = 1 past it), the values of T'
-        successive (R, s, d) draws: rows in order, levels in order within a row.
+        The entries are the noise terms (T, R, d) of one (T, R, s, d) normal
+        draw, the values of T successive (R, s, d) draws: rows in order, levels
+        in order within a row.  ``driver.run`` cuts its blocks at 2^16 normals.
         """
         s = counts.shape[1]
-        T = max(1, min(len(counts), _DRAW_CAP // (replicas * s * self.d)))
-        g = rng.standard_normal((T, replicas, s, self.d))
-        coef = self._terms(s)[0] / np.sqrt(counts[:T])
+        g = rng.standard_normal((len(counts), replicas, s, self.d))
+        coef = self._terms(s)[0] / np.sqrt(counts)
         return _rowmap(self.A, (coef[:, None, None, :] @ g)[:, :, 0, :])
 
     def ml_estimate(self, theta, counts, noise):

@@ -213,20 +213,13 @@ def clt_report(record: RunRecord, params: ParameterSet, family: LevelFamily,
     if params.regime == SLOW:
         center = center + pred.eps_bias * (H_inv @ family.mu)
     zeta = center / pred.eps_diff
-    stats = normalized_sample_stats(zeta, target, CLT_LEVEL)
     return CltReport(
         checkpoint=checkpoint,
         replicas_total=R,
         replicas_screened=n_kept,
         screened_fraction=n_kept / R,
         zeta=zeta,
-        mean=stats["mean"],
-        cov=stats["cov"],
         target_cov=target,
-        frobenius_rel=stats["frobenius_rel"],
-        ks_stats=stats["ks_stats"],
-        ks_critical=stats["ks_critical"],
-        ks_pass=stats["ks_pass"],
         level=CLT_LEVEL,
         eps_bias=pred.eps_bias,
         eps_diff=pred.eps_diff,
@@ -234,6 +227,7 @@ def clt_report(record: RunRecord, params: ParameterSet, family: LevelFamily,
         underpowered=n_kept < 100,
         inputs={"params": params.to_dict(), "divergence_radius": divergence_radius,
                 **(inputs or {})},
+        **normalized_sample_stats(zeta, target, CLT_LEVEL),
     )
 
 

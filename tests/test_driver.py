@@ -451,38 +451,66 @@ def test_csv_lines_match_csv_writer(slow_params, cost_model):
         assert csv_lines(rows) == reference(rows)
 
 
-def test_chunked_draw_matches_per_iteration_draws(slow_params, critical_params, cost_model):
-    # every run of equal s_n of a slow and a critical plan (s = 1..17), drawn chunk by
-    # chunk: each chunk holds min(T, 2^16 // (R s d)) iterations and its entries are
-    # exactly the noise of that many successive (R, s, d) draws and of as many
-    # one-iteration draws, and the stream ends where they leave it
-    for params, n_final in ((slow_params, 4000), (critical_params, 1500)):
-        plan = RunPlan(params, cost_model, n_final)
-        starts = np.flatnonzero(np.diff(plan.s, prepend=0)).tolist() + [n_final]
-        for R, d in itertools.product((1, 9, 100), (1, 2, 3)):
-            fam = SyntheticGaussianFamily(theta_star=np.zeros(d), H=-np.eye(d), mu=np.ones(d),
-                                          noise_factor=np.tril(np.ones((d, d))) / d,
-                                          alpha=params.alpha, beta=params.beta, M=params.M)
-            rng, ref, one = (np.random.default_rng(R * d) for _ in range(3))
-            for a, e in zip(starts, starts[1:]):
-                block = plan.counts[a:e, :plan.s[a]]
-                while len(block):
-                    entries = fam.draw(block, R, rng)
-                    s = block.shape[1]
-                    assert len(entries) == min(len(block), max(1, 2 ** 16 // (R * s * d)))
-                    for counts, entry in zip(block, entries):
-                        g = ref.standard_normal((R, s, d))
-                        assert np.array_equal(entry, parent_noise(fam, counts, g))
-                        assert np.array_equal(entry, fam.draw(counts[None], R, one)[0])
-                    block = block[len(entries):]
-            assert rng.standard_normal() == ref.standard_normal() == one.standard_normal()
-
-
 def chunk_starts(plan, replicas, d):
     """The first iteration index of each chunk run() makes on a synthetic family."""
     runs = np.flatnonzero(np.diff(plan.s, prepend=0)).tolist() + [plan.n_final]
     return [i for a, e in zip(runs, runs[1:])
             for i in range(a, e, max(1, 2 ** 16 // (replicas * int(plan.s[a]) * d)))]
+
+
+def chunk_blocks(plan, replicas, d):
+    """The counts block of each chunk run() makes on a synthetic family, in order."""
+    starts = chunk_starts(plan, replicas, d)
+    return [plan.counts[a:e, :plan.s[a]] for a, e in zip(starts, starts[1:] + [plan.n_final])]
+
+
+def test_chunked_draw_matches_per_iteration_draws(slow_params, critical_params, cost_model):
+    # every run of equal s_n of a slow and a critical plan (s = 1..17), drawn in the
+    # chunks run() cuts, whole or capped at 2^16 // (R s d) iterations: each draw
+    # returns one entry per counts row, exactly the noise of as many successive
+    # (R, s, d) draws and of as many one-iteration draws, and the stream ends where
+    # they leave it
+    for params, n_final in ((slow_params, 4000), (critical_params, 1500)):
+        plan = RunPlan(params, cost_model, n_final)
+        for R, d in itertools.product((1, 9, 100), (1, 2, 3)):
+            fam = SyntheticGaussianFamily(theta_star=np.zeros(d), H=-np.eye(d), mu=np.ones(d),
+                                          noise_factor=np.tril(np.ones((d, d))) / d,
+                                          alpha=params.alpha, beta=params.beta, M=params.M)
+            rng, ref, one = (np.random.default_rng(R * d) for _ in range(3))
+            for block in chunk_blocks(plan, R, d):
+                entries = fam.draw(block, R, rng)
+                assert len(entries) == len(block)
+                for counts, entry in zip(block, entries):
+                    g = ref.standard_normal((R, block.shape[1], d))
+                    assert np.array_equal(entry, parent_noise(fam, counts, g))
+                    assert np.array_equal(entry, fam.draw(counts[None], R, one)[0])
+            assert rng.standard_normal() == ref.standard_normal() == one.standard_normal()
+
+
+class _RecordingDraw(SyntheticGaussianFamily):
+    def draw(self, counts, replicas, rng):
+        self.blocks.append((counts, replicas))
+        return super().draw(counts, replicas, rng)
+
+
+def test_run_cuts_the_chunks_it_draws(slow_params, cost_model, identity):
+    # run() hands draw the blocks chunk_starts predicts, in order, none above 2^16
+    # normals: whole runs of equal s_n at 1 row, capped ones at 9 and 100 rows and
+    # in the 50-row tail block of 150 replicas
+    plan = RunPlan(slow_params, cost_model, 2000)
+    spec = ReplicationSpec(replicas=150, n_final=2000, checkpoints=(2000,), master_seed=6)
+    for sizes in ([1], [9], [100], [100, 50]):
+        fam = recast(make_slow_family(), _RecordingDraw, blocks=[])
+        if len(sizes) == 1:
+            run(plan, fam, identity, np.zeros(2), (2000,), 6, replicas=sizes[0])
+        else:  # 150 replicas: a 100-row block, then the 50-row tail block
+            run_replicas(spec, slow_params, fam, cost_model, identity, np.zeros(2))
+        want = [(block, r) for r in sizes for block in chunk_blocks(plan, r, 2)]
+        assert len(fam.blocks) == len(want)
+        for (got, r), (block, size) in zip(fam.blocks, want):
+            assert r == size and np.array_equal(got, block) and got.size * r * 2 <= 2 ** 16
+    assert len(chunk_blocks(plan, 1, 2)) == len(np.unique(plan.s))  # whole runs
+    assert len(chunk_blocks(plan, 50, 2)) > len(chunk_blocks(plan, 9, 2)) > len(np.unique(plan.s))
 
 
 def test_chunked_run_matches_per_iteration_loop(slow_params, critical_params, cost_model):
@@ -569,7 +597,7 @@ class _ScriptedFamily(SyntheticGaussianFamily):
         if self.estimates == self.estimate_fails:
             with self.drawn:
                 self.waited = self.drawn.wait_for(lambda: self.draws >= self.wait_draws, 10.0)
-            time.sleep(0.05)  # time for the producer to block in its put
+            time.sleep(0.05)  # time for the draw thread to run any further draw
             self.threads_at_failure = threading.active_count()
             raise _EstimateFailed
         return super().ml_estimate(theta, counts, noise)
