@@ -34,6 +34,7 @@ import numpy as np
 from .driver import BoxProjection, IdentityProjection, geometric_checkpoints
 from .families import EulerSdeFamily, GeometricCostModel, LevelFamily, SyntheticGaussianFamily
 from .harness import ReplicationSpec
+from .linear import spectral_abscissa
 from .params import CRITICAL, InvalidParameters, ParameterSet, Violation
 
 
@@ -204,6 +205,9 @@ def _check_experiment(cfg: ExperimentConfig):
         if min(np.linalg.matrix_rank(family.H), np.linalg.matrix_rank(family.A)) < d:
             _reject("nonsingular H and noise_factor",
                     "the CLT target H^-1 Gamma H^-T must be positive definite")
+        if spectral_abscissa(family.H) >= 0:
+            _reject("contracting H", f"spectral abscissa {spectral_abscissa(family.H):.6g} < 0 "
+                    "fails; the CLT needs every eigenvalue of H in Re < 0")
     if isinstance(projection, BoxProjection):
         for key in ("lower", "upper"):
             _check_type(getattr(projection, key).shape == (d,), "projection", key,

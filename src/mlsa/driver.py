@@ -99,9 +99,9 @@ class RunRecord:
 
     ``theta``, ``theta_bar`` (c, R, d) and ``in_ball`` (c, R; None without a
     ``ball`` monitor) hold all rows after iteration ``ns[j]``; ``cost`` (c,) is
-    shared, the cost model being theta-free.  A row whose state or average
-    turned non-finite at iteration ``abort_iteration[r]`` (0: it completed) is
-    frozen from then on and its later checkpoints are not part of the record.
+    shared, the cost model being theta-free.  A row whose average turned
+    non-finite at iteration ``abort_iteration[r]`` (0: it completed) aborted
+    there: its entries at checkpoints from then on are not part of the record.
     """
 
     ns: np.ndarray
@@ -179,11 +179,12 @@ def run(plan: RunPlan, family: LevelFamily, projection, theta0, checkpoints: Seq
     the chunks' random input in order, one entry per counts row, up to three
     chunks ahead, under this function's ``np.errstate``; each iteration makes one
     ``ml_estimate`` call for all rows with its entry.  The thread is joined on
-    every exit, and an exception a draw raises reaches the caller.  The whole
-    block is recorded after each iteration in ``checkpoints``, the ball flags
-    once per chunk.  A row whose state or average turns non-finite aborts alone;
-    it stays in the block, frozen, so the other rows draw and record exactly as
-    before.
+    every exit, and an exception a draw raises reaches the caller.  After each
+    chunk, the whole block is recorded at the chunk's ``checkpoints``, the ball
+    flags are updated, and each row whose average turned non-finite in the
+    chunk is flagged as aborted at its first such iteration.  Rows never mix,
+    so an aborted row keeps stepping and the other rows draw and record
+    exactly as they would without it.
     """
     from concurrent.futures import ThreadPoolExecutor  # not at import: it loads logging
 
@@ -195,14 +196,11 @@ def run(plan: RunPlan, family: LevelFamily, projection, theta0, checkpoints: Seq
     theta = np.array(np.broadcast_to(np.asarray(theta0, dtype=float), (replicas, family.d)))
     theta_bar = np.zeros_like(theta)
     b_bar = 0.0
-    live = np.ones(replicas, dtype=bool)
-    all_live = True
     in_ball = np.ones(replicas, dtype=bool)
     abort_iteration = np.zeros(replicas, dtype=np.int64)
     rec_theta = np.empty((len(ns),) + theta.shape)
     rec_bar = np.empty_like(rec_theta)
     rec_ball = None if ball is None else np.empty((len(ns), replicas), dtype=bool)
-    at = dict(zip(ns.tolist(), range(len(ns))))  # checkpoint n -> its slot
     # Python scalars: the same doubles, without numpy scalar dispatch per iteration
     gamma, b, s = plan.gamma.tolist(), plan.b.tolist(), plan.s.tolist()
     runs = np.flatnonzero(np.diff(plan.s, prepend=0)).tolist() + [n_final]  # where s_n changes
@@ -214,43 +212,38 @@ def run(plan: RunPlan, family: LevelFamily, projection, theta0, checkpoints: Seq
         with np.errstate(over="ignore", invalid="ignore"):
             return family.draw(block, replicas, rng)
 
-    i = 0
     # non-finite states are expected here: they are detected and abort their row
     with ThreadPoolExecutor(max_workers=1) as pool, np.errstate(over="ignore", invalid="ignore"):
         ahead = [pool.submit(draw, block) for block in blocks[:3]]
-        for c, block in enumerate(blocks):  # one chunk: the iterations of one draw
+        for c, (first, block) in enumerate(zip(cuts, blocks)):  # one chunk: one draw's iterations
             entries = ahead.pop(0).result()
             if c + 3 < len(blocks):
                 ahead.append(pool.submit(draw, blocks[c + 3]))
-            first, starts = i, []
-            for counts, entry in zip(block, entries):
-                starts.append(theta)
+            path, bars = [theta], [theta_bar]  # the states after iteration first + t
+            for i, (counts, entry) in enumerate(zip(block, entries), first):
                 z = family.ml_estimate(theta, counts, entry)
-                theta_new = projection(theta + gamma[i] * z)
-                b_bar_new = b_bar + b[i]
-                bar_new = (b_bar * theta_bar + b[i] * theta_new) / b_bar_new
-                # theta_bar_n weighs in theta_n, so is non-finite whenever theta_n is; one
-                # sum is non-finite if any entry is, and if finite rows overflow it, none aborts
-                if not (all_live and math.isfinite(np.add.reduce(bar_new, axis=None))):
-                    failed = live & ~np.isfinite(bar_new).all(axis=1)
-                    abort_iteration[failed] = i + 1
-                    live &= ~failed
-                    all_live = bool(live.all())
-                    theta_new = np.where(live[:, None], theta_new, theta)
-                    bar_new = np.where(live[:, None], bar_new, theta_bar)
-                theta, theta_bar, b_bar = theta_new, bar_new, b_bar_new
-                i += 1
-                j = at.get(i)
-                if j is not None:
-                    rec_theta[j], rec_bar[j] = theta, theta_bar
+                theta = projection(theta + gamma[i] * z)
+                theta_bar = (b_bar * theta_bar + b[i] * theta) / (b_bar + b[i])
+                b_bar += b[i]
+                path.append(theta)
+                bars.append(theta_bar)
+            # theta_bar_n weighs in theta_n (b_n > 0) and stays non-finite once it is, so
+            # the chunk's last average shows every row that failed in the chunk
+            failed = np.flatnonzero((abort_iteration == 0) & ~np.isfinite(theta_bar).all(axis=1))
+            if failed.size:
+                bad = ~np.isfinite(np.stack([x[failed] for x in bars])).all(axis=2)
+                abort_iteration[failed] = first + bad.argmax(axis=0)
+            lo, hi = np.searchsorted(ns, [first + 1, first + len(block) + 1])
+            at = (ns[lo:hi] - first).tolist()
+            if at:
+                rec_theta[lo:hi], rec_bar[lo:hi] = [path[t] for t in at], [bars[t] for t in at]
             if ball is not None:  # iteration n tests theta_{n-1} once n - 1 >= n0
-                x = np.stack(starts) - ball.center  # np.linalg.norm(x, axis=2), unwrapped
+                x = np.stack(path[:-1]) - ball.center  # np.linalg.norm(x, axis=2), unwrapped
                 ok = np.sqrt(np.add.reduce(x * x, axis=2)) <= ball.eps
-                ok |= (np.arange(first, i) < ball.n0)[:, None]
+                ok |= (np.arange(first, first + len(block)) < ball.n0)[:, None]
                 # row t: the flags after iteration first + t, row 0 the carried ones
                 flags = np.logical_and.accumulate(np.vstack([in_ball, ok]))
-                lo, hi = np.searchsorted(ns, [first + 1, i + 1])
-                rec_ball[lo:hi], in_ball = flags[ns[lo:hi] - first], flags[-1]
+                rec_ball[lo:hi], in_ball = flags[at], flags[-1]
     # the cost of iterations 1..n, summed in iteration order
     return RunRecord(ns=ns, theta=rec_theta, theta_bar=rec_bar,
                      cost=np.cumsum(plan.cost_inc)[ns - 1], in_ball=rec_ball, ball=ball,

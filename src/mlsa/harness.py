@@ -204,8 +204,9 @@ def clt_report(record: RunRecord, params: ParameterSet, family: LevelFamily,
     theta_star = family.theta_star
     pred = predictions(params, [checkpoint]).at(0)
     R = len(record.abort_iteration)
-    kept = ~record.aborted & (np.linalg.norm(record.theta[j] - theta_star, axis=1)
-                              <= divergence_radius)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed norm, inf, is screened out
+        kept = ~record.aborted & (np.linalg.norm(record.theta[j] - theta_star, axis=1)
+                                  <= divergence_radius)
     n_kept = int(kept.sum())
     if n_kept < 2:
         raise InsufficientReplicas(f"fewer than 2 of {R} replicas survive screening")
@@ -284,7 +285,8 @@ def l2_monitor(record: RunRecord, params: ParameterSet,
         raise ValueError("record lacks ball-monitor flags; rerun with ball tracking")
     ns = record.ns
     stay = record.in_ball[:, usable]  # checkpoint x replica
-    err2 = np.where(stay, ((record.theta[:, usable] - ball.center) ** 2).sum(axis=2), 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # rows outside the ball may overflow
+        err2 = np.where(stay, ((record.theta[:, usable] - ball.center) ** 2).sum(axis=2), 0.0)
     dn = l2_delta(params, ns)
     per_n = np.sqrt(err2.mean(axis=1)) / np.where(dn > 0.0, dn, 1.0)
     values: list[float] = []

@@ -98,6 +98,11 @@ def test_validate_reject_names_inequality(tmp_path, capsys):
                          "replication.checkpoints": [1]}), "checkpoint n >= 2"),
              (variant(**{"family.noise_factor": [[1.0, 0.0], [1.0, 0.0]]}),
               "nonsingular H and noise_factor"),
+             # the CLT needs a contracting H: a 1-d one, and a 2-d one with a negative
+             # diagonal whose eigenvalues are -1 +- sqrt(3), one of them positive
+             (variant(**{"family.theta_star": [0.0], "family.H": [[0.5]], "family.mu": [1.0],
+                         "family.noise_factor": [[1.0]]}), "contracting H"),
+             (variant(**{"family.H": [[-1.0, 3.0], [1.0, -1.0]]}), "contracting H"),
              # a regime string that names no regime; a regime that is no string exits 2
              (variant(**{"params.regime": "medium"}), "'medium' not in")]
     for i, (doc, name) in enumerate(cases):
@@ -333,11 +338,12 @@ def test_shipped_configs_are_valid(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # overflows are screened out quietly
 def test_too_few_surviving_replicas_fail_cleanly(tmp_path, capsys):
-    # H = 5 I repels from theta*: every replica leaves the screening ball, and
-    # over a longer horizon every replica overflows and aborts
-    doc = variant(**{"family.H": [[5.0, 0.0], [0.0, 5.0]], "params.psi": 0.3})
+    # H = -5000 I contracts, but the steps overshoot (|1 - 5000 gamma_n| > 1 while
+    # gamma_n > 4e-4): every replica leaves the screening ball, and over a longer
+    # horizon every replica overflows and aborts
+    doc = variant(**{"family.H": [[-5000.0, 0.0], [0.0, -5000.0]], "params.psi": 0.3})
     for n_final in (60, 1500):
         doc["replication"].update({"n_final": n_final, "checkpoints": [n_final // 2, n_final]})
         path = write_config(tmp_path, doc, name=f"diverge{n_final}.json")

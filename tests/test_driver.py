@@ -105,14 +105,14 @@ def parent_noise(family, counts, g):
 def parent_run(plan, family, projection, theta0, checkpoints, seed, replicas, ball=None):
     """The per-iteration loop that run() replaced, on the same RunPlan arrays: the
     ball tested before each step, one ml_estimate per iteration and, for the
-    synthetic family, one (replicas, s, d) draw per iteration.  Its abort test
-    reads the average, as run()'s does.  Returns (theta, theta_bar, in_ball,
-    abort_iteration) with run()'s record layout."""
+    synthetic family, one (replicas, s, d) draw per iteration.  A row aborts at
+    the first iteration its average is non-finite and keeps stepping.  Returns
+    (theta, theta_bar, in_ball, abort_iteration) with run()'s record layout."""
     ns = sorted(set(checkpoints))
     rng = np.random.default_rng(seed)
     theta = np.array(np.broadcast_to(np.asarray(theta0, dtype=float), (replicas, family.d)))
     theta_bar, b_bar = np.zeros_like(theta), 0.0
-    live, in_ball = np.ones(replicas, dtype=bool), np.ones(replicas, dtype=bool)
+    in_ball = np.ones(replicas, dtype=bool)
     abort_iteration = np.zeros(replicas, dtype=np.int64)
     rec = []
     with np.errstate(over="ignore", invalid="ignore"):
@@ -126,15 +126,11 @@ def parent_run(plan, family, projection, theta0, checkpoints, seed, replicas, ba
                      + parent_noise(family, counts, g))
             else:
                 z = family.ml_estimate(theta, counts, rng)
-            theta_new = projection(theta + plan.gamma[i] * z)
+            theta = projection(theta + plan.gamma[i] * z)
             b_bar_new = b_bar + plan.b[i]
-            bar_new = (b_bar * theta_bar + plan.b[i] * theta_new) / b_bar_new
-            failed = live & ~np.isfinite(bar_new).all(axis=1)
-            abort_iteration[failed] = n
-            live &= ~failed
-            theta = np.where(live[:, None], theta_new, theta)
-            theta_bar = np.where(live[:, None], bar_new, theta_bar)
+            theta_bar = (b_bar * theta_bar + plan.b[i] * theta) / b_bar_new
             b_bar = b_bar_new
+            abort_iteration[(abort_iteration == 0) & ~np.isfinite(theta_bar).all(axis=1)] = n
             if n in ns:
                 rec.append((theta, theta_bar, in_ball.copy()))
     theta, theta_bar, flags = (np.array(x) for x in zip(*rec))
@@ -318,24 +314,28 @@ def test_aborted_row_leaves_other_rows_unchanged(slow_params, cost_model):
         assert mixed.csv_rows() == [row for row in calm.csv_rows() if row[0] != 1]
 
 
-def test_aborted_row_stays_frozen(slow_params, cost_model, identity):
-    # H = 1 repels: 1e308 overflows at n = 1 (gamma_1 = 1) but would step to a
-    # finite 1.7e308 at n = 2 (gamma_2 = 2^-0.5), so only the freeze keeps it
+def test_abort_sticks(slow_params, cost_model, identity):
+    # H = 1 repels: 1e308 overflows at n = 1 (gamma_1 = 1), and the average of 1e304
+    # overflows at n = 11, inside the fifth of seven chunks.  The aborted row keeps
+    # stepping, non-finite, through the later chunks, which leave its abort where it
+    # is; the live row moves on, and the aborted one writes no CSV row
     fam = make_scalar_family(H=1.0, mu=0.0, noise=1e-3)
-    rec = run(RunPlan(slow_params, cost_model, 6), fam, identity, [[0.5], [1e308]],
-              (1, 2, 6), 3, replicas=2)
-    assert rec.abort_iteration.tolist() == [0, 1]
-    assert rec.theta[:, 1, 0].tolist() == [1e308] * 3
-    assert rec.theta_bar[:, 1, 0].tolist() == [0.0] * 3
-    assert np.all(np.isfinite(rec.theta[:, 0])) and rec.theta[2, 0, 0] != rec.theta[1, 0, 0]
+    for x0, n_final, a in ((1e308, 6, 1), (1e304, 40, 11)):
+        plan = RunPlan(slow_params, cost_model, n_final)
+        rec = run(plan, fam, identity, [[0.5], [x0]], (1, 2, n_final), 3, replicas=2)
+        assert rec.abort_iteration.tolist() == [0, a]
+        assert np.all(np.isfinite(rec.theta[:, 0])) and rec.theta[2, 0, 0] != rec.theta[1, 0, 0]
+        assert [row[:2] for row in rec.csv_rows()] == [[0, 1], [0, 2], [0, n_final]] + [
+            [1, n] for n in (1, 2) if n < a]
+    starts = chunk_starts(plan, 2, 1)
+    assert len(starts) == 7 and starts[4] < a - 1 < starts[5]  # mid-chunk, not in the last
 
 
 def test_overflowing_block_sum_aborts_nothing(slow_params, cost_model, identity):
     # H = 0.25 repels gently: 100 rows near 2e306 and their averages stay finite over 4
-    # iterations, but the block's averages sum past the float range at every iteration,
-    # so the one-sum fast check fails each time and the exact per-row test must find
-    # nothing to abort.  Noise is zero, so each row alone (whose sum stays finite) is
-    # the reference for its records
+    # iterations, though the block's averages sum past the float range at every
+    # iteration, and no row aborts.  Noise is zero, so each row alone (whose sum stays
+    # finite) is the reference for its records
     fam = make_scalar_family(H=0.25, mu=0.0, noise=0.0)
     args = (RunPlan(slow_params, cost_model, 4), fam, identity)
     theta0, cps = np.linspace(1.9e306, 2e306, 100)[:, None], (1, 2, 3, 4)
@@ -352,13 +352,13 @@ def test_overflowing_block_sum_aborts_nothing(slow_params, cost_model, identity)
 def test_overflowing_average_aborts_its_row(slow_params, cost_model):
     # the box holds row 1 at 1e308, a finite state, but at n = 2 its average's weighted
     # sum b_1 theta_1 + b_2 theta_2 = 5e308 overflows: the row aborts there, and
-    # records no infinite average
+    # records no infinite average at a checkpoint it reached
     fam = make_scalar_family(H=1.0, mu=0.0, noise=0.0)
     args = (RunPlan(slow_params, cost_model, 6), fam, BoxProjection([-1e308], [1e308]))
     rec = run(*args, [[0.5], [1e308]], (1, 2, 6), 3, replicas=2)
     assert rec.abort_iteration.tolist() == [0, 2]
-    assert rec.theta[:, 1, 0].tolist() == [1e308] * 3 and rec.theta_bar[0, 1, 0] == 1e308
-    assert np.all(np.isfinite(rec.theta_bar))
+    assert rec.theta[0, 1, 0] == rec.theta_bar[0, 1, 0] == 1e308
+    assert np.all(np.isfinite(rec.theta_bar[:, 0])) and np.isfinite(rec.theta_bar[0, 1])
     alone = run(*args, [0.5], (1, 2, 6), 3)
     assert rec.csv_rows() == alone.csv_rows() + [[1, 1, 1e308, 1e308, rec.cost[0]]]
 
@@ -548,7 +548,7 @@ def test_chunked_run_matches_per_iteration_loop(slow_params, critical_params, co
         rec = run(plan, family, proj, theta0, cps, seed, replicas=R, ball=ball)
         ref = parent_run(plan, family, proj, theta0, cps, seed, R, ball)
         for got, want in zip((rec.theta, rec.theta_bar, rec.in_ball, rec.abort_iteration), ref):
-            assert np.array_equal(got, want)
+            assert np.array_equal(got, want, equal_nan=True)
         recs.append(rec)
     starts = chunk_starts(slow, 100, 2)
     assert n0 - 1 not in starts and n0 not in starts  # iteration n0 + 1 tests theta_n0 mid-chunk
@@ -605,8 +605,8 @@ class _ScriptedFamily(SyntheticGaussianFamily):
 
 def test_draw_ahead_thread_never_outlives_run(slow_params, cost_model, identity):
     # a normal run, a run whose third draw raises and a run whose estimator raises
-    # mid-chunk while the producer, two chunks queued, is blocked putting a third:
-    # each ends with the producer joined, and a failure reaches the caller by type
+    # mid-chunk while the draw thread has drawn three chunks ahead: each ends with
+    # the draw thread joined, and a failure reaches the caller by type
     plan = RunPlan(slow_params, cost_model, 2000)
     starts = chunk_starts(plan, 100, 2)
     k = next(k for k, (a, e) in enumerate(zip(starts, starts[1:])) if e - a >= 2)
@@ -628,8 +628,8 @@ def test_draw_ahead_thread_never_outlives_run(slow_params, cost_model, identity)
     normal, draw_failed, estimate_failed = families
     assert normal.draws == len(starts) and normal.estimates == 2000
     assert draw_failed.draws == 2 and draw_failed.estimates == starts[2]
-    # the estimator failed inside chunk k + 1, with chunks k + 2 and k + 3 queued
-    # and k + 4 drawn, and the producer was still alive then
+    # the estimator failed inside chunk k + 1, with chunks k + 2 to k + 4 drawn,
+    # and the draw thread was still alive then
     assert estimate_failed.waited and estimate_failed.draws == k + 4
     assert estimate_failed.threads_at_failure == before + 1
 
@@ -641,7 +641,7 @@ class _OverflowingDraw(SyntheticGaussianFamily):
 
 
 def test_draw_ahead_keeps_the_drivers_errstate(slow_params, cost_model, identity):
-    # numpy's errstate does not follow a new thread, so the producer sets the
+    # numpy's errstate does not follow a new thread, so the draw thread sets the
     # driver's own: an overflow in draw warns no more than it did on this thread
     fam = make_slow_family()
     args = (RunPlan(slow_params, cost_model, 300), identity, np.zeros(2), (1, 300), 4)
@@ -661,7 +661,7 @@ class _SleepyDraw(SyntheticGaussianFamily):
 
 def test_draw_ahead_results_do_not_depend_on_thread_timing(slow_params, cost_model):
     # 100 rows x 2,000 slow iterations in capped chunks, against the per-iteration
-    # loop: a producer slowed by 1 ms per draw and ten repeats at full speed give
+    # loop: a draw thread slowed by 1 ms per draw and ten repeats at full speed give
     # the same bits, with a ball whose n0 falls inside a chunk and a row whose
     # average overflows mid-chunk
     n_final, n0, R = 2000, 1001, 100
@@ -674,8 +674,9 @@ def test_draw_ahead_results_do_not_depend_on_thread_timing(slow_params, cost_mod
     cps = geometric_checkpoints(n_final) + (n0 - 1, n0, n0 + 1)
     # eps: the median over rows of the largest |theta_m|, m in [n0, n_final - 1]
     free = parent_run(plan, repel, IdentityProjection(), theta0, range(n0, n_final), 15, R)
-    with np.errstate(over="ignore"):  # the overflowing row's norm is inf
-        eps = float(np.median(np.linalg.norm(free[0], axis=2).max(axis=0)))
+    with np.errstate(over="ignore", invalid="ignore"):  # the aborted row's norm is inf or nan
+        dist = np.linalg.norm(free[0], axis=2)
+    eps = float(np.median(np.where(np.isnan(dist), np.inf, dist).max(axis=0)))
     ball = BallMonitor(center=np.zeros(2), eps=eps, n0=n0)
     starts = chunk_starts(plan, R, 2)
     assert n0 - 1 not in starts and n0 not in starts and len(starts) > 2 * len(
@@ -688,4 +689,4 @@ def test_draw_ahead_results_do_not_depend_on_thread_timing(slow_params, cost_mod
     for fam in [recast(repel, _SleepyDraw)] + [repel] * 10:
         rec = run(plan, fam, IdentityProjection(), theta0, cps, 15, replicas=R, ball=ball)
         for got, want in zip((rec.theta, rec.theta_bar, rec.in_ball, rec.abort_iteration), ref):
-            assert np.array_equal(got, want)
+            assert np.array_equal(got, want, equal_nan=True)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mlsa import ParameterSet, replication_counts, schedule_arrays
+from mlsa.families import LevelFamily
 
 from conftest import (SLOW_PINNED, CRITICAL_DEFAULT, estimate, make_scalar_family,
                       reference_counts)
@@ -97,9 +98,8 @@ def test_estimator_variance_closed_form(slow_params_pinned):
 def test_generic_loop_agrees_with_collapse(slow_params_pinned):
     fam = make_scalar_family(H=-1.0, gamma_var=1.0, beta=0.5, M=2.0)
     counts = counts_row(slow_params_pinned, 3, 64.0)
-    base = type(fam).__mro__[1]
     rows = np.tile(fam.theta_star, (6000, 1))
-    zs = base.ml_estimate(fam, rows, counts, np.random.default_rng(77))[:, 0]
+    zs = LevelFamily.ml_estimate(fam, rows, counts, np.random.default_rng(77))[:, 0]
     assert np.var(zs, ddof=1) == pytest.approx(0.1106523, rel=0.10)
     assert np.mean(zs) == pytest.approx(2.0 ** -3, abs=4 * np.sqrt(0.11 / 6000))
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -158,6 +159,26 @@ def test_clt_report_screens_divergent(slow_params, cost_model, identity):
     early = clt_report(displaced(record, 0, 200, 100.0), slow_params, fam, 200,
                        divergence_radius=10.0)
     assert early.replicas_screened == 29
+
+
+def test_reports_screen_overflowing_replicas_without_warnings(slow_params, cost_model, identity):
+    # from n = 200, replica 0 sits at 2.2e303 and aborts later, and replica 1 stays
+    # live at 8.1e206, outside the ball: their squared distances overflow to inf,
+    # which screens them out (inf is not <= any radius) without a RuntimeWarning
+    fam = make_slow_family()
+    spec = ReplicationSpec(replicas=30, n_final=400, checkpoints=(200, 400), master_seed=5)
+    ball = BallMonitor(center=fam.theta_star, eps=10.0, n0=1)
+    record = run_replicas(spec, slow_params, fam, cost_model, identity, default_theta0(fam),
+                          ball=ball)
+    rec = displaced(displaced(record, 0, 200, 2.2e303), 1, 200, 8.1e206)
+    in_ball = rec.in_ball.copy()
+    in_ball[:, 1] = False
+    rec = dataclasses.replace(rec, in_ball=in_ball, abort_iteration=np.array([300] + [0] * 29))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = clt_report(rec, slow_params, fam, 200, divergence_radius=10.0)
+        monitor = l2_monitor(rec, slow_params, [(200, 200), (400, 400)])
+    assert report.replicas_screened == 28 and np.isfinite(monitor.values).all()
 
 
 def test_clt_report_rejects_zero_gamma(slow_params, cost_model, identity):
