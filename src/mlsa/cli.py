@@ -38,7 +38,7 @@ def cmd_validate(args) -> int:
     except InvalidParameters as exc:
         print("rejected")
         for v in exc.violations:
-            print(f"  violation {v.name}: {v.message}")
+            print(f"  violation {v.message}")
         return 1
     print("accepted")
     return 0
@@ -144,7 +144,7 @@ def cmd_run(args) -> int:
                                                 "master_seed": spec.master_seed})
             payload = harness.report_json(report)
         else:
-            payload = json.dumps({"config_hash": cfg_hash,
+            payload = json.dumps({"config_hash": cfg_hash, "master_seed": spec.master_seed,
                                   "skipped": "family has no ground truth"})
         write("clt_report.json", payload)
 

@@ -43,10 +43,10 @@ def critical_params_pinned():
     return ParameterSet(**CRITICAL_PINNED)
 
 
-def make_slow_family(mu=(1.0, -1.0)):
+def make_slow_family(mu=(1.0, -1.0), H_diag=(-1.0, -2.0)):
     return SyntheticGaussianFamily(
         theta_star=np.zeros(2),
-        H=np.diag([-1.0, -2.0]),
+        H=np.diag(H_diag),
         mu=np.asarray(mu, dtype=float),
         noise_factor=np.linalg.cholesky(GAMMA2),
         alpha=1.0, beta=0.5, M=2.0,
@@ -67,12 +67,13 @@ def slow_family():
     return make_slow_family()
 
 
-@pytest.fixture
+# immutable, so one instance serves every test, the module-scoped acceptance fixtures too
+@pytest.fixture(scope="session")
 def cost_model():
     return GeometricCostModel(kappa_C=1.0, M=2.0)
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")
 def identity():
     return IdentityProjection()
 

@@ -10,8 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from mlsa import (BallMonitor, ContractingMatrix, GeometricCostModel,
-                  IdentityProjection, ParameterSet, ReplicationSpec,
+from mlsa import (BallMonitor, ContractingMatrix, ParameterSet, ReplicationSpec,
                   averaged_operator, clt_report, cost_curve, default_theta0,
                   exp_product_gap, l2_monitor, linear_iterate, lyapunov_norm,
                   oracle_eps_bias, oracle_eps_diff, predict_critical, predict_slow,
@@ -31,37 +30,27 @@ def report(k, elapsed, budget, msg):
 
 
 @pytest.fixture(scope="module")
-def slow_clt(cost_model_mod, identity_mod):
+def slow_clt(cost_model, identity):
     params = ParameterSet(**SLOW_DEFAULT)
     family = make_slow_family()
     spec = ReplicationSpec(replicas=1000, n_final=4000, checkpoints=(4000,),
                            master_seed=20240501)
     t0 = time.perf_counter()
-    record = run_replicas(spec, params, family, cost_model_mod, identity_mod,
+    record = run_replicas(spec, params, family, cost_model, identity,
                           default_theta0(family), workers=WORKERS)
     return params, family, record, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
-def critical_clt(cost_model_mod, identity_mod):
+def critical_clt(cost_model, identity):
     params = ParameterSet(**CRITICAL_DEFAULT)
     family = make_scalar_family(H=-1.0, mu=0.05, gamma_var=1.0, beta=1.0)
     spec = ReplicationSpec(replicas=1000, n_final=4000, checkpoints=(4000,),
                            master_seed=20240502)
     t0 = time.perf_counter()
-    record = run_replicas(spec, params, family, cost_model_mod, identity_mod,
+    record = run_replicas(spec, params, family, cost_model, identity,
                           default_theta0(family), workers=WORKERS)
     return params, family, record, time.perf_counter() - t0
-
-
-@pytest.fixture(scope="module")
-def cost_model_mod():
-    return GeometricCostModel(kappa_C=1.0, M=2.0)
-
-
-@pytest.fixture(scope="module")
-def identity_mod():
-    return IdentityProjection()
 
 
 def test_criterion_01_psi_periodicity():
@@ -108,7 +97,7 @@ def test_criterion_03_critical_formula_vs_oracle():
     report(3, time.perf_counter() - t0, 10.0, f"diff ratio {ratio:.5f} at n=1e6")
 
 
-def test_criterion_04_cost_law_both_regimes(cost_model_mod, identity_mod):
+def test_criterion_04_cost_law_both_regimes(cost_model, identity):
     t0 = time.perf_counter()
     n = 10 ** 4
     ratios = {}
@@ -118,7 +107,7 @@ def test_criterion_04_cost_law_both_regimes(cost_model_mod, identity_mod):
              make_scalar_family(H=-1.0, mu=0.05, gamma_var=1.0, beta=1.0))):
         params = ParameterSet(**cfg)
         spec = ReplicationSpec(replicas=2, n_final=n, checkpoints=(n,), master_seed=7)
-        record = run_replicas(spec, params, fam, cost_model_mod, identity_mod,
+        record = run_replicas(spec, params, fam, cost_model, identity,
                               default_theta0(fam))
         row = cost_curve(record, params)[-1]
         ratios[name] = row["ratio"]
@@ -230,7 +219,7 @@ def test_criterion_08_linear_averaging_limits():
            f"drift limit ratio {part1:.4f}, replica variance {var:.4f}")
 
 
-def test_criterion_09_l2_bound_monitor(cost_model_mod, identity_mod):
+def test_criterion_09_l2_bound_monitor(cost_model, identity):
     t0 = time.perf_counter()
     params = ParameterSet(**SLOW_DEFAULT)
     family = make_slow_family()
@@ -239,7 +228,7 @@ def test_criterion_09_l2_bound_monitor(cost_model_mod, identity_mod):
     spec = ReplicationSpec(replicas=500, n_final=8000, checkpoints=cps,
                            master_seed=20240509)
     ball = BallMonitor(center=family.theta_star, eps=0.25, n0=100)
-    record = run_replicas(spec, params, family, cost_model_mod, identity_mod,
+    record = run_replicas(spec, params, family, cost_model, identity,
                           theta0, workers=WORKERS, ball=ball)
     mon = l2_monitor(record, params, [(500, 1000), (4000, 8000)])
     assert not any(mon.flagged)
@@ -249,7 +238,7 @@ def test_criterion_09_l2_bound_monitor(cost_model_mod, identity_mod):
            f"(values {mon.values[0]:.3f} -> {mon.values[1]:.3f})")
 
 
-def test_criterion_10_determinism(cost_model_mod, identity_mod):
+def test_criterion_10_determinism(cost_model, identity):
     t0 = time.perf_counter()
     params = ParameterSet(**SLOW_DEFAULT)
     family = make_slow_family()
@@ -258,7 +247,7 @@ def test_criterion_10_determinism(cost_model_mod, identity_mod):
                            master_seed=31415)
 
     def artifacts(workers):
-        record = run_replicas(spec, params, family, cost_model_mod, identity_mod,
+        record = run_replicas(spec, params, family, cost_model, identity,
                               theta0, workers=workers)
         rep = clt_report(record, params, family, 400, divergence_radius=10.0)
         curve = cost_curve(record, params)

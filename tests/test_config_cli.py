@@ -88,7 +88,7 @@ def test_validate_reject_names_inequality(tmp_path, capsys):
     assert rc == 1
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "rejected"
-    assert "beta < 1" in out
+    assert "  violation beta < 1: 1.2 < 1 fails" in out.splitlines()
     # domain errors outside the regime inequalities: same exit code, and `run`
     # refuses them with one line on stderr before writing anything
     euler_m = euler_doc()
@@ -104,12 +104,13 @@ def test_validate_reject_names_inequality(tmp_path, capsys):
                          "family.noise_factor": [[1.0]]}), "contracting H"),
              (variant(**{"family.H": [[-1.0, 3.0], [1.0, -1.0]]}), "contracting H"),
              # a regime string that names no regime; a regime that is no string exits 2
-             (variant(**{"params.regime": "medium"}), "'medium' not in")]
+             (variant(**{"params.regime": "medium"}), "regime: 'medium' not in")]
     for i, (doc, name) in enumerate(cases):
         path = write_config(tmp_path, doc, name=f"domain{i}.json")
         assert main(["validate", path]) == 1
-        out = capsys.readouterr().out
-        assert out.splitlines()[0] == "rejected" and name in out
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "rejected" and len(out) == 2 and out[1].startswith(f"  violation {name}")
+        assert out[1].count(name) == 1  # the violation is named once
         out_dir = str(tmp_path / f"domain{i}")
         assert main(["run", path, "--out", out_dir]) == 1
         err = capsys.readouterr().err
@@ -446,6 +447,7 @@ def test_run_euler_family_without_ground_truth(tmp_path):
     out_dir = run_dir_of(tmp_path, doc, "euler")
     report = json.loads(open(os.path.join(out_dir, "clt_report.json")).read())
     assert "skipped" in report  # no (mu, Gamma): the CLT report does not apply
+    assert report["master_seed"] == doc["replication"]["master_seed"]
     assert main(["plot", out_dir]) == 0
 
 

@@ -13,7 +13,7 @@ import pytest
 from mlsa import (BallMonitor, BoxProjection, EulerSdeFamily, GeometricCostModel,
                   IdentityProjection, ParameterSet, ReplicationSpec, SyntheticGaussianFamily,
                   default_theta0, geometric_checkpoints, replication_counts, run,
-                  run_replicas)
+                  run_replicas, schedule_arrays)
 from mlsa.driver import RunPlan, csv_header, csv_lines
 from mlsa.families import LevelFamily
 
@@ -21,60 +21,78 @@ from conftest import (CRITICAL_DEFAULT, GAMMA2, SLOW_PINNED, estimate, make_scal
                       make_slow_family, reference_counts)
 
 
-def synthetic_estimate(family, theta, counts, g):
-    """One row's SyntheticGaussianFamily estimate from its (s, d) normals ``g``,
-    with f and the noise factor applied in plain Python and the level scale
-    built by the expression the family's memo replaced."""
-    s, d = len(counts), family.d
-    coef = family.M ** (-family.beta * np.arange(1, s + 1) / 2.0) / np.sqrt(
-        np.asarray(counts, dtype=float))
-    v = coef @ g  # the level sum of this row's normals
-
-    def apply(A, x):  # A @ x, column by column
-        out = [x[0] * A[i, 0] for i in range(d)]
-        for j in range(1, d):
-            out = [out[i] + x[j] * A[i, j] for i in range(d)]
-        return out
-
-    e = [theta[i] - family.theta_star[i] for i in range(d)]
-    f, noise = apply(family.H, e), apply(family.A, v)
-    bias = family.M ** (-family.alpha * s)
-    return np.array([f[i] + family.mu[i] * bias + noise[i] for i in range(d)])
-
-
-def reference_run(params, family, cost_model, projection, theta0, n_final, seed, replicas):
-    """Plain-Python reference for run() on one block: a plain-Python schedule,
-    the block's one stream default_rng(seed), one (replicas, s, d) draw per
-    iteration, and every row stepped on its own.
-
-    Returns, per row, the list of (theta_n, theta_bar_n, cost_n) after each
-    iteration n.
-    """
-    p = params
-    rng = np.random.default_rng(seed)
-    thetas = [np.array(theta0, dtype=float)] * replicas
-    bars = [np.zeros(family.d)] * replicas
-    b_bar, K_bar, cost, out = 0.0, 0.0, 0.0, [[] for _ in range(replicas)]
-    for n in range(1, n_final + 1):
-        K = p.kappa_K * (p.phi + 1.0) * float(n) ** p.phi
-        K_bar += K
-        if p.regime == "slow":
-            raw = math.log(p.kappa_s * K_bar ** (1.0 / (2 * p.alpha - p.beta + 1))) / math.log(p.M)
-            s = max(math.floor(raw), 1)
-        else:
-            raw = (1.0 / p.alpha) * ((p.phi + 1) / 2.0) * math.log(n) / math.log(p.M)
-            s = max(math.ceil(raw), 1)
-        counts = reference_counts(p, s, K)
-        g = rng.standard_normal((replicas, s, family.d))
-        cost += sum(n_k * cost_model.level_cost(k) for k, n_k in enumerate(counts, 1))
-        b = float(n) ** p.rho
-        for r in range(replicas):
-            z = synthetic_estimate(family, thetas[r], counts, g[r])
-            thetas[r] = projection(thetas[r] + float(n) ** (-p.psi) * z)
-            bars[r] = (b_bar * bars[r] + b * thetas[r]) / (b_bar + b)
-            out[r].append((thetas[r], bars[r], cost))
-        b_bar += b
+def noise(family, counts, g):
+    """SyntheticGaussianFamily noise A v of each row of the (..., s, d) normals ``g``, rows
+    never mixing: v = sum_k M^(-beta k / 2) g_k / sqrt(N_k), A v summed column by column."""
+    v = family.M ** (-family.beta * np.arange(1, len(counts) + 1) / 2.0) / np.sqrt(counts) @ g
+    out = v[..., :1] * family.A[:, 0]
+    for j in range(1, family.d):
+        out = out + v[..., j:j + 1] * family.A[:, j]
     return out
+
+
+def reference_run(family, schedule, theta0, checkpoints, seed, R, box=None, ball=None):
+    """run()'s (theta, theta_bar, cost, in_ball, abort_iteration) in plain Python for R rows
+    held as component lists that never mix, from ``schedule`` = (gamma_n, b_n, counts N_k,
+    level costs C_k) and default_rng(seed): a SyntheticGaussianFamily draws one (R, s, d)
+    normal block per iteration, any other family estimates row by row.  ``box``: (lower, upper)."""
+    gammas, bs, counts, level_cost = schedule
+    d, rng, ns, rec = family.d, np.random.default_rng(seed), set(checkpoints), []
+    thetas = np.broadcast_to(np.asarray(theta0, dtype=float), (R, d)).T.tolist()
+    bars, b_bar, cost, in_ball, abort = [[0.0] * R] * d, 0.0, 0.0, [True] * R, [0] * R
+    for n, (gamma, b, c) in enumerate(zip(gammas, bs, counts), 1):
+        if ball is not None and n - 1 >= ball.n0:  # iteration n tests theta_{n-1}
+            sq = [0.0] * R  # |theta - center|^2, summed left to right
+            for col, y in zip(thetas, np.asarray(ball.center, dtype=float).tolist()):
+                sq = [a + (x - y) * (x - y) for a, x in zip(sq, col)]
+            in_ball = [ok and math.sqrt(a) <= ball.eps for ok, a in zip(in_ball, sq)]
+        cost += sum(n_k * c_k for n_k, c_k in zip(c, level_cost))  # integer-valued: exact
+        if isinstance(family, SyntheticGaussianFamily):  # H (theta - theta*) column by column
+            e = [[x - y for x in col] for col, y in zip(thetas, family.theta_star.tolist())]
+            mu_bias = (family.mu * family.M ** (-family.alpha * len(c))).tolist()
+            zs = noise(family, c, rng.standard_normal((R, len(c), d))).T.tolist()
+            for i, h in enumerate(family.H.tolist()):
+                f = [x * h[0] for x in e[0]]
+                for e_j, h_j in zip(e[1:], h[1:]):
+                    f = [a + x * h_j for a, x in zip(f, e_j)]
+                zs[i] = [a + mu_bias[i] + y for a, y in zip(f, zs[i])]
+        else:  # the family's own estimator, rows in order
+            zs = family.ml_estimate(np.array(thetas).T, c, rng).T.tolist()
+        thetas = [[x + gamma * y for x, y in zip(col, z)] for col, z in zip(thetas, zs)]
+        if box is not None:
+            thetas = [[min(max(x, lo), hi) for x in col] for col, lo, hi in zip(thetas, *box)]
+        bars = [[(b_bar * x_bar + b * x) / (b_bar + b) for x_bar, x in zip(col_bar, col)]
+                for col_bar, col in zip(bars, thetas)]
+        b_bar += b
+        for col in bars:  # a row aborts at its first non-finite average and keeps stepping
+            abort = [a or (0 if math.isfinite(x) else n) for a, x in zip(abort, col)]
+        if n in ns:
+            rec.append((list(zip(*thetas)), list(zip(*bars)), cost, in_ball))
+    theta, theta_bar, cost, flags = (np.array(x) for x in zip(*rec))
+    return theta, theta_bar, cost, flags if ball is not None else None, np.array(abort)
+
+
+def plan_schedule(params, n_final):
+    """run()'s schedule from schedule_arrays, replication_counts and kappa_C M^k."""
+    arr = schedule_arrays(params, n_final)
+    counts = [row[row > 0].tolist() for row in replication_counts(params, arr["s"], arr["K"])]
+    return (arr["gamma"].tolist(), arr["b"].tolist(), counts,
+            [params.kappa_C * params.M ** k for k in range(1, max(map(len, counts)) + 1)])
+
+
+def scalar_schedule(p, n_final):
+    """The same schedule by the paper's formulas in plain Python, one n at a time."""
+    n = range(1, n_final + 1)
+    K = [p.kappa_K * (p.phi + 1.0) * float(m) ** p.phi for m in n]
+    if p.regime == "slow":
+        s = [max(math.floor(math.log(p.kappa_s * K_bar ** (1.0 / (2 * p.alpha - p.beta + 1)))
+                            / math.log(p.M)), 1) for K_bar in itertools.accumulate(K)]
+    else:
+        s = [max(math.ceil((1.0 / p.alpha) * ((p.phi + 1) / 2.0) * math.log(m) / math.log(p.M)), 1)
+             for m in n]
+    return ([float(m) ** (-p.psi) for m in n], [float(m) ** p.rho for m in n],
+            [reference_counts(p, *sK) for sK in zip(s, K)],
+            [p.kappa_C * p.M ** k for k in range(1, max(s) + 1)])
 
 
 def per_iteration_stream_run(family, plan, theta0, n_final, stream):
@@ -88,53 +106,6 @@ def per_iteration_stream_run(family, plan, theta0, n_final, stream):
         bar = (b_bar * bar + plan.b[i] * theta) / (b_bar + plan.b[i])
         b_bar += plan.b[i]
     return bar
-
-
-def parent_noise(family, counts, g):
-    """A SyntheticGaussianFamily iteration's noise term from its (R, s, d) normals
-    ``g``, by the per-iteration expression the chunked draw replaced."""
-    s = len(counts)
-    coef = family.M ** (-family.beta * np.arange(1, s + 1) / 2.0) / np.sqrt(counts)
-    v = coef @ g
-    out = v[:, :1] * family.A[:, 0]
-    for j in range(1, family.d):
-        out = out + v[:, j:j + 1] * family.A[:, j]
-    return out
-
-
-def parent_run(plan, family, projection, theta0, checkpoints, seed, replicas, ball=None):
-    """The per-iteration loop that run() replaced, on the same RunPlan arrays: the
-    ball tested before each step, one ml_estimate per iteration and, for the
-    synthetic family, one (replicas, s, d) draw per iteration.  A row aborts at
-    the first iteration its average is non-finite and keeps stepping.  Returns
-    (theta, theta_bar, in_ball, abort_iteration) with run()'s record layout."""
-    ns = sorted(set(checkpoints))
-    rng = np.random.default_rng(seed)
-    theta = np.array(np.broadcast_to(np.asarray(theta0, dtype=float), (replicas, family.d)))
-    theta_bar, b_bar = np.zeros_like(theta), 0.0
-    in_ball = np.ones(replicas, dtype=bool)
-    abort_iteration = np.zeros(replicas, dtype=np.int64)
-    rec = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(plan.n_final):
-            n, counts = i + 1, plan.counts[i, :plan.s[i]]
-            if ball is not None and n - 1 >= ball.n0:
-                in_ball &= np.linalg.norm(theta - ball.center, axis=1) <= ball.eps
-            if isinstance(family, SyntheticGaussianFamily):
-                g = rng.standard_normal((replicas, len(counts), family.d))
-                z = (family.f(theta) + family.mu * family.M ** (-family.alpha * len(counts))
-                     + parent_noise(family, counts, g))
-            else:
-                z = family.ml_estimate(theta, counts, rng)
-            theta = projection(theta + plan.gamma[i] * z)
-            b_bar_new = b_bar + plan.b[i]
-            theta_bar = (b_bar * theta_bar + plan.b[i] * theta) / b_bar_new
-            b_bar = b_bar_new
-            abort_iteration[(abort_iteration == 0) & ~np.isfinite(theta_bar).all(axis=1)] = n
-            if n in ns:
-                rec.append((theta, theta_bar, in_ball.copy()))
-    theta, theta_bar, flags = (np.array(x) for x in zip(*rec))
-    return theta, theta_bar, flags if ball is not None else None, abort_iteration
 
 
 def test_first_step_is_linear_contraction(slow_params_pinned, cost_model):
@@ -261,30 +232,6 @@ def test_geometric_checkpoints_shape():
     assert all(a < b for a, b in zip(cps, cps[1:]))
 
 
-def test_run_matches_scalar_reference(slow_params, critical_params, cost_model):
-    cases = [(slow_params, make_slow_family(), IdentityProjection()),
-             (slow_params, make_slow_family(), BoxProjection([0.0, 0.0], [0.9, 0.9])),
-             (critical_params, make_scalar_family(beta=1.0), IdentityProjection()),
-             (critical_params, make_scalar_family(beta=1.0), BoxProjection([0.2], [1.5]))]
-    replicas = 9  # enough rows that a BLAS product would group some differently
-    for params, fam, proj in cases:
-        theta0 = default_theta0(fam)
-        # numpy's vectorised power may differ from libm pow by an ulp beyond n = 10
-        # on some CPUs, so the bitwise check runs 10 iterations and a longer run
-        # is held to a relative tolerance of a few hundred ulps
-        for n_final, rtol in ((10, 0.0), (200, 1e-13)):
-            ref = reference_run(params, fam, cost_model, proj, theta0, n_final, 55, replicas)
-            rec = run(RunPlan(params, cost_model, n_final), fam, proj, theta0,
-                      tuple(range(1, n_final + 1)), 55, replicas=replicas)
-            assert len(ref) == rec.theta.shape[1]
-            for r, ref_rows in enumerate(ref):
-                assert len(ref_rows) == len(rec.ns)
-                for j, (theta, theta_bar, cost) in enumerate(ref_rows):
-                    np.testing.assert_allclose(rec.theta[j, r], theta, rtol=rtol, atol=0)
-                    np.testing.assert_allclose(rec.theta_bar[j, r], theta_bar, rtol=rtol, atol=0)
-                    assert rec.cost[j] == cost  # integer-valued sums are exact in any order
-
-
 def test_block_streams_match_per_iteration_streams_in_law(slow_params, cost_model, identity):
     from scipy.stats import ks_2samp
 
@@ -402,8 +349,8 @@ def test_ml_estimate_level_scale_memo_is_bit_exact(slow_params, critical_params,
                 counts = all_counts[s - 1, :s]
                 z = estimate(fam, theta, counts, np.random.default_rng(s))
                 g = np.random.default_rng(s).standard_normal((len(theta), s, 2))
-                ref = [synthetic_estimate(fam, row, counts, gr) for row, gr in zip(theta, g)]
-                assert np.array_equal(z, np.array(ref)), (params.regime, call, s)
+                ref = fam.f(theta) + fam.mu * fam.M ** (-fam.alpha * s) + noise(fam, counts, g)
+                assert np.array_equal(z, ref), (params.regime, call, s)
 
 
 def test_dense_ball_flags_match_the_norm_definition(slow_params, cost_model, identity):
@@ -482,14 +429,14 @@ def test_chunked_draw_matches_per_iteration_draws(slow_params, critical_params, 
                 assert len(entries) == len(block)
                 for counts, entry in zip(block, entries):
                     g = ref.standard_normal((R, block.shape[1], d))
-                    assert np.array_equal(entry, parent_noise(fam, counts, g))
+                    assert np.array_equal(entry, noise(fam, counts, g))
                     assert np.array_equal(entry, fam.draw(counts[None], R, one)[0])
             assert rng.standard_normal() == ref.standard_normal() == one.standard_normal()
 
 
-class _RecordingDraw(SyntheticGaussianFamily):
+class _HookedDraw(SyntheticGaussianFamily):
     def draw(self, counts, replicas, rng):
-        self.blocks.append((counts, replicas))
+        self.hook((counts, replicas))  # on the draw thread
         return super().draw(counts, replicas, rng)
 
 
@@ -500,65 +447,18 @@ def test_run_cuts_the_chunks_it_draws(slow_params, cost_model, identity):
     plan = RunPlan(slow_params, cost_model, 2000)
     spec = ReplicationSpec(replicas=150, n_final=2000, checkpoints=(2000,), master_seed=6)
     for sizes in ([1], [9], [100], [100, 50]):
-        fam = recast(make_slow_family(), _RecordingDraw, blocks=[])
+        blocks = []
+        fam = recast(make_slow_family(), _HookedDraw, hook=blocks.append)
         if len(sizes) == 1:
             run(plan, fam, identity, np.zeros(2), (2000,), 6, replicas=sizes[0])
         else:  # 150 replicas: a 100-row block, then the 50-row tail block
             run_replicas(spec, slow_params, fam, cost_model, identity, np.zeros(2))
         want = [(block, r) for r in sizes for block in chunk_blocks(plan, r, 2)]
-        assert len(fam.blocks) == len(want)
-        for (got, r), (block, size) in zip(fam.blocks, want):
+        assert len(blocks) == len(want)
+        for (got, r), (block, size) in zip(blocks, want):
             assert r == size and np.array_equal(got, block) and got.size * r * 2 <= 2 ** 16
     assert len(chunk_blocks(plan, 1, 2)) == len(np.unique(plan.s))  # whole runs
     assert len(chunk_blocks(plan, 50, 2)) > len(chunk_blocks(plan, 9, 2)) > len(np.unique(plan.s))
-
-
-def test_chunked_run_matches_per_iteration_loop(slow_params, critical_params, cost_model):
-    # run() against the per-iteration loop on the same plan, bit for bit, over 2,000
-    # iterations: chunks capped at 2^16 / (200 s) iterations (100 rows, d = 2) and
-    # uncapped ones, sparse and dense checkpoints, a ball whose n0 falls inside a chunk and whose
-    # rows leave it at different times, and a row that aborts mid-chunk
-    n_final, n0 = 2000, 1001
-    slow = RunPlan(slow_params, cost_model, n_final)
-    fam, repel = make_slow_family(), SyntheticGaussianFamily(
-        theta_star=[0.0, 0.0], H=np.diag([0.5, -1.0]), mu=[1.0, 0.0],
-        noise_factor=np.linalg.cholesky(GAMMA2), alpha=1.0, beta=0.5, M=2.0)
-    dense = tuple(range(1, n_final + 1))
-    free = run(slow, fam, IdentityProjection(), default_theta0(fam), dense, 11, replicas=100)
-    # eps: the median over rows of the largest distance of theta_m, m in [n0, n_final - 1]
-    dist = np.linalg.norm(free.theta[n0 - 1:n_final - 1] - fam.theta_star, axis=2)
-    eps = float(np.median(dist.max(axis=0)))
-    blow_up = np.tile(default_theta0(fam), (9, 1))
-    blow_up[4] = [1e292, 0.0]  # grows by about (1 + gamma_n / 2) per step; its average overflows
-    cases = [
-        (slow, fam, IdentityProjection(), default_theta0(fam), 100,
-         geometric_checkpoints(n_final) + (n0 - 1, n0, n0 + 1), 11,
-         BallMonitor(center=fam.theta_star, eps=eps, n0=n0)),
-        (slow, repel, IdentityProjection(), blow_up, 9, dense, 12,
-         BallMonitor(center=np.zeros(2), eps=1e3, n0=40)),
-        (RunPlan(critical_params, cost_model, n_final), make_scalar_family(beta=1.0),
-         BoxProjection([0.2], [1.5]), [1.4], 20, dense[::7], 13,
-         BallMonitor(center=np.full(1, 0.5), eps=0.3, n0=1)),
-        (RunPlan(slow_params, cost_model, 30), EulerSdeFamily(drift=0.05, diffusion=0.2),
-         BoxProjection([0.0], [5.0]), [1.5], 3, dense[:30], 14,
-         BallMonitor(center=np.full(1, np.exp(-0.05)), eps=0.4, n0=3)),
-    ]
-    recs = []
-    for plan, family, proj, theta0, R, cps, seed, ball in cases:
-        rec = run(plan, family, proj, theta0, cps, seed, replicas=R, ball=ball)
-        ref = parent_run(plan, family, proj, theta0, cps, seed, R, ball)
-        for got, want in zip((rec.theta, rec.theta_bar, rec.in_ball, rec.abort_iteration), ref):
-            assert np.array_equal(got, want, equal_nan=True)
-        recs.append(rec)
-    starts = chunk_starts(slow, 100, 2)
-    assert n0 - 1 not in starts and n0 not in starts  # iteration n0 + 1 tests theta_n0 mid-chunk
-    assert len(starts) > 2 * len(chunk_starts(slow, 1, 1))  # most chunks are capped runs
-    inside = recs[0].in_ball.sum(axis=1)[recs[0].ns > n0]
-    assert inside[-1] == 50 and len(set(inside.tolist())) >= 3  # rows leave at different times
-    a = int(recs[1].abort_iteration[4])
-    assert recs[1].abort_iteration.tolist() == [0] * 4 + [a] + [0] * 4
-    assert a - 1 not in chunk_starts(slow, 9, 2)  # iteration a is not a chunk's first
-    assert np.isfinite(recs[1].theta[a - 1, 4]).all()  # the average overflowed, not the state
 
 
 def recast(family, cls, **attrs):
@@ -634,12 +534,6 @@ def test_draw_ahead_thread_never_outlives_run(slow_params, cost_model, identity)
     assert estimate_failed.threads_at_failure == before + 1
 
 
-class _OverflowingDraw(SyntheticGaussianFamily):
-    def draw(self, counts, replicas, rng):
-        np.add.reduce(np.full(2, 1e308))  # overflows: numpy warns unless over="ignore"
-        return super().draw(counts, replicas, rng)
-
-
 def test_draw_ahead_keeps_the_drivers_errstate(slow_params, cost_model, identity):
     # numpy's errstate does not follow a new thread, so the draw thread sets the
     # driver's own: an overflow in draw warns no more than it did on this thread
@@ -648,45 +542,71 @@ def test_draw_ahead_keeps_the_drivers_errstate(slow_params, cost_model, identity
     want = run(args[0], fam, *args[1:], replicas=5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = run(args[0], recast(fam, _OverflowingDraw), *args[1:], replicas=5)
+        # the sum overflows, and numpy warns unless over="ignore"
+        overflow = recast(fam, _HookedDraw, hook=lambda _: np.add.reduce(np.full(2, 1e308)))
+        got = run(args[0], overflow, *args[1:], replicas=5)
     assert np.array_equal(got.theta, want.theta)
     assert np.array_equal(got.theta_bar, want.theta_bar)
 
 
-class _SleepyDraw(SyntheticGaussianFamily):
-    def draw(self, counts, replicas, rng):
-        time.sleep(1e-3)
-        return super().draw(counts, replicas, rng)
+def test_run_matches_reference_engine(slow_params, critical_params, cost_model, identity):
+    # run() bit for bit against reference_run on plan_schedule: capped (100 rows, d = 2) and
+    # whole chunks, sparse and dense checkpoints, boxes, Euler, balls whose n0 falls in a chunk
+    # and whose rows leave at different times, averages that overflow mid-chunk, a draw thread
+    # slowed by 1 ms per draw and ten repeats at full speed.  scalar_schedule's libm pow may
+    # differ from numpy's by an ulp beyond n = 10: 10 iterations to the bit, 200 to 1e-13
+    n_final, n0 = 2000, 1001
+    slow, dense = RunPlan(slow_params, cost_model, n_final), tuple(range(1, n_final + 1))
+    sparse = geometric_checkpoints(n_final) + (n0 - 1, n0, n0 + 1)
+    fam, scalar = make_slow_family(), make_scalar_family(beta=1.0)
+    repel = make_slow_family(mu=(1.0, 0.0), H_diag=(0.5, -1.0))  # repels along the first axis
+    blow_up = np.tile(default_theta0(fam), (100, 1))
+    blow_up[4] = [1e292, 0.0]  # grows by about (1 + gamma_n / 2) per step; its average overflows
+    sleepy = recast(repel, _HookedDraw, hook=lambda _: time.sleep(1e-3))  # 1 ms per draw
 
+    def median_ball(family, theta0, seed):  # eps: the median over rows of max |theta_m - theta*|
+        free = run(slow, family, identity, theta0, range(n0, n_final), seed, replicas=100).theta
+        with np.errstate(over="ignore", invalid="ignore"):  # an aborted row's norm is inf or nan
+            dist = np.nan_to_num(np.linalg.norm(free - family.theta_star, axis=2), nan=np.inf)
+        return BallMonitor(family.theta_star, float(np.median(dist.max(axis=0))), n0)
 
-def test_draw_ahead_results_do_not_depend_on_thread_timing(slow_params, cost_model):
-    # 100 rows x 2,000 slow iterations in capped chunks, against the per-iteration
-    # loop: a draw thread slowed by 1 ms per draw and ten repeats at full speed give
-    # the same bits, with a ball whose n0 falls inside a chunk and a row whose
-    # average overflows mid-chunk
-    n_final, n0, R = 2000, 1001, 100
-    plan = RunPlan(slow_params, cost_model, n_final)
-    repel = SyntheticGaussianFamily(
-        theta_star=[0.0, 0.0], H=np.diag([0.5, -1.0]), mu=[1.0, 0.0],
-        noise_factor=np.linalg.cholesky(GAMMA2), alpha=1.0, beta=0.5, M=2.0)
-    theta0 = np.tile(default_theta0(repel), (R, 1))
-    theta0[4] = [1e292, 0.0]
-    cps = geometric_checkpoints(n_final) + (n0 - 1, n0, n0 + 1)
-    # eps: the median over rows of the largest |theta_m|, m in [n0, n_final - 1]
-    free = parent_run(plan, repel, IdentityProjection(), theta0, range(n0, n_final), 15, R)
-    with np.errstate(over="ignore", invalid="ignore"):  # the aborted row's norm is inf or nan
-        dist = np.linalg.norm(free[0], axis=2)
-    eps = float(np.median(np.where(np.isnan(dist), np.inf, dist).max(axis=0)))
-    ball = BallMonitor(center=np.zeros(2), eps=eps, n0=n0)
-    starts = chunk_starts(plan, R, 2)
-    assert n0 - 1 not in starts and n0 not in starts and len(starts) > 2 * len(
-        chunk_starts(plan, 1, 1))
-    ref = parent_run(plan, repel, IdentityProjection(), theta0, cps, 15, R, ball)
-    a = int(ref[3][4])
-    assert ref[3].tolist() == [0] * 4 + [a] + [0] * (R - 5) and a - 1 not in starts
-    inside = ref[2].sum(axis=1)[np.array(sorted(set(cps))) > n0]
-    assert inside[-1] == R // 2 and len(set(inside.tolist())) >= 3  # rows leave at different times
-    for fam in [recast(repel, _SleepyDraw)] + [repel] * 10:
-        rec = run(plan, fam, IdentityProjection(), theta0, cps, 15, replicas=R, ball=ball)
-        for got, want in zip((rec.theta, rec.theta_bar, rec.in_ball, rec.abort_iteration), ref):
-            assert np.array_equal(got, want, equal_nan=True)
+    # params, n_final, run()'s families, box, theta0, R, checkpoints, seed, ball, schedules
+    cases = [
+        (slow_params, n_final, [fam], None, default_theta0(fam), 100, sparse, 11,
+         median_ball(fam, default_theta0(fam), 11), {plan_schedule: 0.0}),
+        (slow_params, n_final, [repel], None, blow_up[:9], 9, dense, 12,
+         BallMonitor(center=np.zeros(2), eps=1e3, n0=40), {plan_schedule: 0.0}),
+        (critical_params, n_final, [scalar], ([0.2], [1.5]), [1.4], 20, dense[::7], 13,
+         BallMonitor(center=np.full(1, 0.5), eps=0.3, n0=1), {plan_schedule: 0.0}),
+        (slow_params, 30, [EulerSdeFamily(drift=0.05, diffusion=0.2)], ([0.0], [5.0]), [1.5], 3,
+         dense[:30], 14, BallMonitor(np.full(1, np.exp(-0.05)), 0.4, 3), {plan_schedule: 0.0}),
+        (slow_params, n_final, [sleepy] + [repel] * 10, None, blow_up, 100, sparse, 15,
+         median_ball(repel, blow_up, 15), {plan_schedule: 0.0}),
+        *[(params, n, [family], box, default_theta0(family), 9, dense[:n], 55, None,
+           {plan_schedule: 0.0, scalar_schedule: rtol})  # 9 rows a BLAS product would group
+          for params, family, box in ((slow_params, fam, None), (critical_params, scalar, None),
+                                      (slow_params, fam, ([0.0, 0.0], [0.9, 0.9])),
+                                      (critical_params, scalar, ([0.2], [1.5])))
+          for n, rtol in ((10, 0.0), (200, 1e-13))],
+    ]
+    recs = []
+    for params, n, families, box, theta0, R, cps, seed, ball, schedules in cases:
+        refs = [(reference_run(families[0], schedule(params, n), theta0, cps, seed, R, box, ball),
+                 rtol) for schedule, rtol in schedules.items()]
+        for family in families:
+            rec = run(RunPlan(params, cost_model, n), family, BoxProjection(*box) if box
+                      else identity, theta0, cps, seed, replicas=R, ball=ball)
+            for (theta, theta_bar, *rest), rtol in refs:  # costs sum integers: exact
+                np.testing.assert_allclose([rec.theta, rec.theta_bar], [theta, theta_bar], rtol, 0)
+                np.testing.assert_equal([rec.cost, rec.in_ball, rec.abort_iteration], rest)
+        recs.append(rec)
+    starts = chunk_starts(slow, 100, 2)  # mostly capped; iteration n0 + 1 tests theta_n0 mid-chunk
+    assert {n0 - 1, n0}.isdisjoint(starts) and len(starts) > 2 * len(chunk_starts(slow, 1, 1))
+    for rec in (recs[0], recs[4]):
+        inside = rec.in_ball.sum(axis=1)[rec.ns > n0]
+        assert inside[-1] == 50 and len(set(inside.tolist())) >= 3  # rows leave at different times
+    for rec in (recs[1], recs[4]):
+        R, a = len(rec.abort_iteration), int(rec.abort_iteration[4])
+        assert rec.abort_iteration.tolist() == [0] * 4 + [a] + [0] * (R - 5)
+        assert a - 1 not in chunk_starts(slow, R, 2)  # iteration a is not a chunk's first
+        assert np.isfinite(rec.theta[rec.ns == a, 4]).all()  # the average overflowed, not theta
