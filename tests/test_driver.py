@@ -549,46 +549,20 @@ def test_draw_ahead_keeps_the_drivers_errstate(slow_params, cost_model, identity
     assert np.array_equal(got.theta_bar, want.theta_bar)
 
 
-def test_run_matches_reference_engine(slow_params, critical_params, cost_model, identity):
-    # run() bit for bit against reference_run on plan_schedule: capped (100 rows, d = 2) and
-    # whole chunks, sparse and dense checkpoints, boxes, Euler, balls whose n0 falls in a chunk
-    # and whose rows leave at different times, averages that overflow mid-chunk, a draw thread
-    # slowed by 1 ms per draw and ten repeats at full speed.  scalar_schedule's libm pow may
-    # differ from numpy's by an ulp beyond n = 10: 10 iterations to the bit, 200 to 1e-13
-    n_final, n0 = 2000, 1001
-    slow, dense = RunPlan(slow_params, cost_model, n_final), tuple(range(1, n_final + 1))
-    sparse = geometric_checkpoints(n_final) + (n0 - 1, n0, n0 + 1)
-    fam, scalar = make_slow_family(), make_scalar_family(beta=1.0)
-    repel = make_slow_family(mu=(1.0, 0.0), H_diag=(0.5, -1.0))  # repels along the first axis
-    blow_up = np.tile(default_theta0(fam), (100, 1))
-    blow_up[4] = [1e292, 0.0]  # grows by about (1 + gamma_n / 2) per step; its average overflows
-    sleepy = recast(repel, _HookedDraw, hook=lambda _: time.sleep(1e-3))  # 1 ms per draw
+def median_ball(plan, family, identity, theta0, seed, n0):
+    """A ball about theta* from n0 on whose eps is the median over 100 rows of the largest
+    |theta_m - theta*|, m in [n0, n_final - 1]: about half the rows leave it."""
+    free = run(plan, family, identity, theta0, range(n0, plan.n_final), seed, replicas=100).theta
+    with np.errstate(over="ignore", invalid="ignore"):  # an aborted row's norm is inf or nan
+        dist = np.nan_to_num(np.linalg.norm(free - family.theta_star, axis=2), nan=np.inf)
+    return BallMonitor(family.theta_star, float(np.median(dist.max(axis=0))), n0)
 
-    def median_ball(family, theta0, seed):  # eps: the median over rows of max |theta_m - theta*|
-        free = run(slow, family, identity, theta0, range(n0, n_final), seed, replicas=100).theta
-        with np.errstate(over="ignore", invalid="ignore"):  # an aborted row's norm is inf or nan
-            dist = np.nan_to_num(np.linalg.norm(free - family.theta_star, axis=2), nan=np.inf)
-        return BallMonitor(family.theta_star, float(np.median(dist.max(axis=0))), n0)
 
-    # params, n_final, run()'s families, box, theta0, R, checkpoints, seed, ball, schedules
-    cases = [
-        (slow_params, n_final, [fam], None, default_theta0(fam), 100, sparse, 11,
-         median_ball(fam, default_theta0(fam), 11), {plan_schedule: 0.0}),
-        (slow_params, n_final, [repel], None, blow_up[:9], 9, dense, 12,
-         BallMonitor(center=np.zeros(2), eps=1e3, n0=40), {plan_schedule: 0.0}),
-        (critical_params, n_final, [scalar], ([0.2], [1.5]), [1.4], 20, dense[::7], 13,
-         BallMonitor(center=np.full(1, 0.5), eps=0.3, n0=1), {plan_schedule: 0.0}),
-        (slow_params, 30, [EulerSdeFamily(drift=0.05, diffusion=0.2)], ([0.0], [5.0]), [1.5], 3,
-         dense[:30], 14, BallMonitor(np.full(1, np.exp(-0.05)), 0.4, 3), {plan_schedule: 0.0}),
-        (slow_params, n_final, [sleepy] + [repel] * 10, None, blow_up, 100, sparse, 15,
-         median_ball(repel, blow_up, 15), {plan_schedule: 0.0}),
-        *[(params, n, [family], box, default_theta0(family), 9, dense[:n], 55, None,
-           {plan_schedule: 0.0, scalar_schedule: rtol})  # 9 rows a BLAS product would group
-          for params, family, box in ((slow_params, fam, None), (critical_params, scalar, None),
-                                      (slow_params, fam, ([0.0, 0.0], [0.9, 0.9])),
-                                      (critical_params, scalar, ([0.2], [1.5])))
-          for n, rtol in ((10, 0.0), (200, 1e-13))],
-    ]
+def check_against_reference(cases, cost_model, identity):
+    """run() against reference_run on each case's schedules, theta and theta_bar within
+    each schedule's rtol (0: bit for bit), costs, ball flags and aborts exactly, for
+    every family of the case; returns each case's last record.  A case: params, n_final,
+    run()'s families, box, theta0, R, checkpoints, seed, ball, {schedule: rtol}."""
     recs = []
     for params, n, families, box, theta0, R, cps, seed, ball, schedules in cases:
         refs = [(reference_run(families[0], schedule(params, n), theta0, cps, seed, R, box, ball),
@@ -600,13 +574,87 @@ def test_run_matches_reference_engine(slow_params, critical_params, cost_model, 
                 np.testing.assert_allclose([rec.theta, rec.theta_bar], [theta, theta_bar], rtol, 0)
                 np.testing.assert_equal([rec.cost, rec.in_ball, rec.abort_iteration], rest)
         recs.append(rec)
+    return recs
+
+
+def assert_rows_leave_the_ball(rec, n0):
+    inside = rec.in_ball.sum(axis=1)[rec.ns > n0]
+    assert inside[-1] == 50 and len(set(inside.tolist())) >= 3  # rows leave at different times
+
+
+def assert_row_4_aborts_mid_chunk(rec, plan):
+    R, a = len(rec.abort_iteration), int(rec.abort_iteration[4])
+    assert rec.abort_iteration.tolist() == [0] * 4 + [a] + [0] * (R - 5)
+    assert a - 1 not in chunk_starts(plan, R, 2)  # iteration a is not a chunk's first
+    assert np.isfinite(rec.theta[rec.ns == a, 4]).all()  # the average overflowed, not theta
+
+
+def blow_up_theta0(family, R):
+    """default_theta0 on R rows but row 4 at (1e292, 0), which grows by about (1 + gamma_n / 2)
+    per step on a family that repels along the first axis: its average overflows."""
+    theta0 = np.tile(default_theta0(family), (R, 1))
+    theta0[4] = [1e292, 0.0]
+    return theta0
+
+
+def test_run_matches_scalar_reference(slow_params, critical_params, cost_model, identity):
+    # run() against reference_run on the paper's formulas one n at a time and on the
+    # library's schedule, slow and critical, with and without a box, 9 rows a BLAS
+    # product would group.  scalar_schedule's libm pow may differ from numpy's by an
+    # ulp beyond n = 10: 10 iterations to the bit, 200 to 1e-13
+    fam, scalar = make_slow_family(), make_scalar_family(beta=1.0)
+    dense = tuple(range(1, 201))
+    check_against_reference([
+        (params, n, [family], box, default_theta0(family), 9, dense[:n], 55, None,
+         {plan_schedule: 0.0, scalar_schedule: rtol})
+        for params, family, box in ((slow_params, fam, None), (critical_params, scalar, None),
+                                    (slow_params, fam, ([0.0, 0.0], [0.9, 0.9])),
+                                    (critical_params, scalar, ([0.2], [1.5])))
+        for n, rtol in ((10, 0.0), (200, 1e-13))], cost_model, identity)
+
+
+def test_chunked_run_matches_per_iteration_loop(slow_params, critical_params, cost_model,
+                                                identity):
+    # run() bit for bit against the row-by-row reference_run over 2,000 iterations:
+    # capped chunks (100 rows, d = 2) and whole ones, sparse and dense checkpoints,
+    # boxes, Euler, balls whose n0 falls in a chunk and whose rows leave at different
+    # times, and a row whose average overflows mid-chunk
+    n_final, n0 = 2000, 1001
+    slow, dense = RunPlan(slow_params, cost_model, n_final), tuple(range(1, n_final + 1))
+    sparse = geometric_checkpoints(n_final) + (n0 - 1, n0, n0 + 1)
+    fam, scalar = make_slow_family(), make_scalar_family(beta=1.0)
+    repel = make_slow_family(mu=(1.0, 0.0), H_diag=(0.5, -1.0))  # repels along the first axis
+    recs = check_against_reference([
+        (slow_params, n_final, [fam], None, default_theta0(fam), 100, sparse, 11,
+         median_ball(slow, fam, identity, default_theta0(fam), 11, n0), {plan_schedule: 0.0}),
+        (slow_params, n_final, [repel], None, blow_up_theta0(repel, 9), 9, dense, 12,
+         BallMonitor(center=np.zeros(2), eps=1e3, n0=40), {plan_schedule: 0.0}),
+        (critical_params, n_final, [scalar], ([0.2], [1.5]), [1.4], 20, dense[::7], 13,
+         BallMonitor(center=np.full(1, 0.5), eps=0.3, n0=1), {plan_schedule: 0.0}),
+        (slow_params, 30, [EulerSdeFamily(drift=0.05, diffusion=0.2)], ([0.0], [5.0]), [1.5], 3,
+         dense[:30], 14, BallMonitor(np.full(1, np.exp(-0.05)), 0.4, 3), {plan_schedule: 0.0}),
+    ], cost_model, identity)
     starts = chunk_starts(slow, 100, 2)  # mostly capped; iteration n0 + 1 tests theta_n0 mid-chunk
     assert {n0 - 1, n0}.isdisjoint(starts) and len(starts) > 2 * len(chunk_starts(slow, 1, 1))
-    for rec in (recs[0], recs[4]):
-        inside = rec.in_ball.sum(axis=1)[rec.ns > n0]
-        assert inside[-1] == 50 and len(set(inside.tolist())) >= 3  # rows leave at different times
-    for rec in (recs[1], recs[4]):
-        R, a = len(rec.abort_iteration), int(rec.abort_iteration[4])
-        assert rec.abort_iteration.tolist() == [0] * 4 + [a] + [0] * (R - 5)
-        assert a - 1 not in chunk_starts(slow, R, 2)  # iteration a is not a chunk's first
-        assert np.isfinite(rec.theta[rec.ns == a, 4]).all()  # the average overflowed, not theta
+    assert_rows_leave_the_ball(recs[0], n0)
+    assert_row_4_aborts_mid_chunk(recs[1], slow)
+
+
+def test_draw_ahead_results_do_not_depend_on_thread_timing(slow_params, cost_model, identity):
+    # 100 rows x 2,000 slow iterations in capped chunks, bit for bit against
+    # reference_run: a draw thread slowed by 1 ms per draw and ten repeats at full
+    # speed give the same bits, with a ball whose n0 falls inside a chunk and a row
+    # whose average overflows mid-chunk
+    n_final, n0 = 2000, 1001
+    slow = RunPlan(slow_params, cost_model, n_final)
+    repel = make_slow_family(mu=(1.0, 0.0), H_diag=(0.5, -1.0))  # repels along the first axis
+    sleepy = recast(repel, _HookedDraw, hook=lambda _: time.sleep(1e-3))  # 1 ms per draw
+    theta0, cps = blow_up_theta0(repel, 100), geometric_checkpoints(n_final) + (n0 - 1, n0, n0 + 1)
+    rec, = check_against_reference([
+        (slow_params, n_final, [sleepy] + [repel] * 10, None, theta0, 100, cps, 15,
+         median_ball(slow, repel, identity, theta0, 15, n0), {plan_schedule: 0.0}),
+    ], cost_model, identity)
+    starts = chunk_starts(slow, 100, 2)
+    assert {n0 - 1, n0}.isdisjoint(starts)
+    assert_rows_leave_the_ball(rec, n0)
+    assert_row_4_aborts_mid_chunk(rec, slow)
