@@ -37,8 +37,8 @@ def cmd_validate(args) -> int:
         return 2
     except InvalidParameters as exc:
         print("rejected")
-        for v in exc.violations:
-            print(f"  violation {v.message}")
+        for message in exc.violations:
+            print(f"  violation {message}")
         return 1
     print("accepted")
     return 0

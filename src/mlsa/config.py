@@ -35,7 +35,7 @@ from .driver import BoxProjection, IdentityProjection, geometric_checkpoints
 from .families import EulerSdeFamily, GeometricCostModel, LevelFamily, SyntheticGaussianFamily
 from .harness import ReplicationSpec
 from .linear import spectral_abscissa
-from .params import CRITICAL, InvalidParameters, ParameterSet, Violation
+from .params import CRITICAL, InvalidParameters, ParameterSet
 
 
 class ConfigError(ValueError):
@@ -185,7 +185,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 
 
 def _reject(name: str, detail: str):
-    raise InvalidParameters((Violation(name, f"{name}: {detail}"),))
+    raise InvalidParameters((f"{name}: {detail}",))
 
 
 def _check_experiment(cfg: ExperimentConfig):

@@ -4,9 +4,9 @@ One iteration advances
 
     theta_n = Pi( theta_{n-1} + gamma_n * Z(U_n; theta_{n-1}, s_n, K_n) )
 
-and maintains the weighted average theta_bar_n = (b_bar_{n-1} theta_bar_{n-1}
-+ b_n theta_n) / b_bar_n (the average starts at n = 1, excluding theta_0) plus
-the exact cumulative cost sum_m sum_k N_k(s_m, K_m) C_k(theta_{m-1}).
+and maintains the weighted average theta_bar_n = b_bar_n^-1 sum_{k<=n} b_k theta_k
+(the average starts at n = 1, excluding theta_0) as one running sum of b_k theta_k,
+plus the exact cumulative cost sum_m sum_k N_k(s_m, K_m) C_k(theta_{m-1}).
 
 Per-iteration schedule and plan data are theta-independent, so they are
 precomputed once in a :class:`RunPlan` and shared across replicas; a block of
@@ -139,7 +139,7 @@ class RunPlan:
         self.n_final = int(n_final)
         arr = schedule_arrays(params, n_final)
         self.gamma = arr["gamma"]
-        self.b = arr["b"]
+        self.b, self.b_bar = arr["b"], arr["b_bar"]
         self.s = arr["s"]
         self.counts = replication_counts(params, self.s, arr["K"])
         costs = np.array([cost_model.level_cost(k)
@@ -178,13 +178,14 @@ def run(plan: RunPlan, family: LevelFamily, projection, theta0, checkpoints: Seq
     iterations.  A one-thread executor, the only caller of ``family.draw``, draws
     the chunks' random input in order, one entry per counts row, up to three
     chunks ahead, under this function's ``np.errstate``; each iteration makes one
-    ``ml_estimate`` call for all rows with its entry.  The thread is joined on
-    every exit, and an exception a draw raises reaches the caller.  After each
-    chunk, the whole block is recorded at the chunk's ``checkpoints``, the ball
-    flags are updated, and each row whose average turned non-finite in the
-    chunk is flagged as aborted at its first such iteration.  Rows never mix,
-    so an aborted row keeps stepping and the other rows draw and record
-    exactly as they would without it.
+    ``ml_estimate`` call for all rows with its entry, and the iterations only step.
+    The thread is joined on every exit, and an exception a draw raises reaches the
+    caller.  After each chunk, one cumulative sum takes the chunk's b_n theta_n into
+    the running sum S_n carried over, and theta_bar_n = S_n / b_bar_n; the whole
+    block is recorded at the chunk's ``checkpoints``, the ball flags are updated,
+    and each row whose average turned non-finite in the chunk is flagged as aborted
+    at its first such iteration.  Rows never mix, so an aborted row keeps stepping
+    and the other rows draw and record exactly as they would without it.
     """
     from concurrent.futures import ThreadPoolExecutor  # not at import: it loads logging
 
@@ -194,15 +195,14 @@ def run(plan: RunPlan, family: LevelFamily, projection, theta0, checkpoints: Seq
         raise ValueError("checkpoints must lie in [1, n_final]")
     rng = np.random.default_rng(seed)
     theta = np.array(np.broadcast_to(np.asarray(theta0, dtype=float), (replicas, family.d)))
-    theta_bar = np.zeros_like(theta)
-    b_bar = 0.0
+    wsum = np.zeros_like(theta)  # sum_{k<=n} b_k theta_k, added in iteration order
     in_ball = np.ones(replicas, dtype=bool)
     abort_iteration = np.zeros(replicas, dtype=np.int64)
     rec_theta = np.empty((len(ns),) + theta.shape)
     rec_bar = np.empty_like(rec_theta)
     rec_ball = None if ball is None else np.empty((len(ns), replicas), dtype=bool)
     # Python scalars: the same doubles, without numpy scalar dispatch per iteration
-    gamma, b, s = plan.gamma.tolist(), plan.b.tolist(), plan.s.tolist()
+    gamma, s = plan.gamma.tolist(), plan.s.tolist()
     runs = np.flatnonzero(np.diff(plan.s, prepend=0)).tolist() + [n_final]  # where s_n changes
     cuts = [n for a, e in zip(runs, runs[1:])
             for n in range(a, e, max(1, _DRAW_CAP // (replicas * s[a] * family.d)))]
@@ -219,28 +219,32 @@ def run(plan: RunPlan, family: LevelFamily, projection, theta0, checkpoints: Seq
             entries = ahead.pop(0).result()
             if c + 3 < len(blocks):
                 ahead.append(pool.submit(draw, blocks[c + 3]))
-            path, bars = [theta], [theta_bar]  # the states after iteration first + t
+            path = [theta]
             for i, (counts, entry) in enumerate(zip(block, entries), first):
                 z = family.ml_estimate(theta, counts, entry)
                 theta = projection(theta + gamma[i] * z)
-                theta_bar = (b_bar * theta_bar + b[i] * theta) / (b_bar + b[i])
-                b_bar += b[i]
                 path.append(theta)
-                bars.append(theta_bar)
-            # theta_bar_n weighs in theta_n (b_n > 0) and stays non-finite once it is, so
-            # the chunk's last average shows every row that failed in the chunk
-            failed = np.flatnonzero((abort_iteration == 0) & ~np.isfinite(theta_bar).all(axis=1))
+            last = first + len(block)
+            states = np.stack(path)  # row t: the states after iteration first + t
+            # row t: the sums and averages after iteration first + t + 1; the carried sum
+            # goes into the first term, so the chunk's cuts leave every bit as it is
+            sums = plan.b[first:last, None, None] * states[1:]
+            sums[0] += wsum
+            sums = np.cumsum(sums, axis=0)
+            wsum, bars = sums[-1], sums / plan.b_bar[first:last, None, None]
+            # the sum stays non-finite once it is, so the chunk's last average shows
+            # every row that failed in the chunk
+            failed = np.flatnonzero((abort_iteration == 0) & ~np.isfinite(bars[-1]).all(axis=1))
             if failed.size:
-                bad = ~np.isfinite(np.stack([x[failed] for x in bars])).all(axis=2)
-                abort_iteration[failed] = first + bad.argmax(axis=0)
-            lo, hi = np.searchsorted(ns, [first + 1, first + len(block) + 1])
-            at = (ns[lo:hi] - first).tolist()
-            if at:
-                rec_theta[lo:hi], rec_bar[lo:hi] = [path[t] for t in at], [bars[t] for t in at]
+                bad = ~np.isfinite(bars[:, failed]).all(axis=2)
+                abort_iteration[failed] = first + 1 + bad.argmax(axis=0)
+            lo, hi = np.searchsorted(ns, [first + 1, last + 1])
+            at = ns[lo:hi] - first
+            rec_theta[lo:hi], rec_bar[lo:hi] = states[at], bars[at - 1]
             if ball is not None:  # iteration n tests theta_{n-1} once n - 1 >= n0
-                x = np.stack(path[:-1]) - ball.center  # np.linalg.norm(x, axis=2), unwrapped
+                x = states[:-1] - ball.center  # np.linalg.norm(x, axis=2), unwrapped
                 ok = np.sqrt(np.add.reduce(x * x, axis=2)) <= ball.eps
-                ok |= (np.arange(first, first + len(block)) < ball.n0)[:, None]
+                ok |= (np.arange(first, last) < ball.n0)[:, None]
                 # row t: the flags after iteration first + t, row 0 the carried ones
                 flags = np.logical_and.accumulate(np.vstack([in_ball, ok]))
                 rec_ball[lo:hi], in_ball = flags[at], flags[-1]

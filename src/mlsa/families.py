@@ -130,6 +130,7 @@ class SyntheticGaussianFamily(LevelFamily):
                 raise ValueError(f"{name} must be a finite array of shape {shape}")
         self.Gamma = self.A @ self.A.T
         self._level_terms = {}  # s -> (M^(-beta k/2) for k = 1..s, mu M^(-alpha s))
+        self._block_terms = {}  # (block shape, s) -> ml_estimate's operands at that shape
 
     def f(self, theta):
         """f at theta of shape (d,) or at each row of theta of shape (R, d)."""
@@ -170,8 +171,20 @@ class SyntheticGaussianFamily(LevelFamily):
         return _rowmap(self.A, (coef[:, None, None, :] @ g)[:, :, 0, :])
 
     def ml_estimate(self, theta, counts, noise):
-        """f(theta) + mu M^(-alpha s) + noise, with ``noise`` the entry from ``draw``."""
-        return self.f(theta) + self._terms(len(counts))[1] + noise
+        """f(theta) + mu M^(-alpha s) + noise, with ``noise`` the entry from ``draw``: f's steps,
+        in its order, on theta*, H's columns and the bias memoised at theta's (R, d) shape."""
+        key = theta.shape, len(counts)
+        ops = self._block_terms.get(key)
+        if ops is None:  # same-shape operands skip numpy's slower broadcasting loops
+            shaped = [np.array(np.broadcast_to(x, theta.shape))
+                      for x in (self.theta_star, *self.H.T, self._terms(len(counts))[1])]
+            ops = self._block_terms[key] = shaped[0], tuple(shaped[1:-1]), shaped[-1]
+        theta_star, columns, bias = ops
+        x = theta - theta_star
+        out = x[:, :1] * columns[0]
+        for j in range(1, self.d):
+            out = out + x[:, j:j + 1] * columns[j]
+        return out + bias + noise
 
 
 class EulerSdeFamily(LevelFamily):

@@ -196,16 +196,15 @@ def linear_iterate(H: np.ndarray, gamma: ScheduleLike, b: ScheduleLike,
     """
     Ht = np.asarray(H, dtype=float).T
     g, bv = _sched_values(gamma, 1, n), _sched_values(b, 1, n)
-    b_bar = np.cumsum(np.concatenate(([0.0], bv))).tolist()  # 0, b_1, b_1 + b_2, ... in index order
     theta = np.zeros(Ht.shape[0]) if theta0 is None else np.array(theta0, dtype=float)
-    theta_bar = np.zeros_like(theta)
+    wsum = np.zeros_like(theta)  # sum_{k<=n} b_k theta_k, added in index order
     # np.dot gives the products of ``@`` bit for bit and skips matmul's slow
     # path for an (R, 1) state, about ten times slower at R = 2000
-    for k, gk, bk, b_old, b_new in zip(range(1, n + 1), g.tolist(), bv.tolist(), b_bar, b_bar[1:]):
+    for k, gk, bk in zip(range(1, n + 1), g.tolist(), bv.tolist()):
         theta = theta + gk * (np.dot(theta, Ht) + upsilon_source(k))
-        theta_bar = (b_old * theta_bar + bk * theta) / b_new
+        wsum = wsum + bk * theta
         if k % 4096 == 0 and not np.all(np.isfinite(theta)):
             raise RuntimeError(f"non-finite state at iteration {k}")
     if not np.all(np.isfinite(theta)):
         raise RuntimeError("non-finite final state")
-    return theta, theta_bar
+    return theta, wsum / np.cumsum(bv)[-1]  # b_bar_n, summed in index order

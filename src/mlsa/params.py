@@ -28,17 +28,11 @@ REGIMES = (SLOW, CRITICAL)
 
 
 class InvalidParameters(ValueError):
-    """Raised with the ``violations`` that reject a parameter set or experiment."""
+    """Raised with the ``violations`` that reject a parameter set or experiment, as messages."""
 
-    def __init__(self, violations: tuple[Violation, ...]):
+    def __init__(self, violations: tuple[str, ...]):
         self.violations = violations
-        super().__init__("; ".join(v.message for v in violations))
-
-
-@dataclass(frozen=True)
-class Violation:
-    name: str
-    message: str
+        super().__init__("; ".join(violations))
 
 
 @dataclass(frozen=True)
@@ -76,13 +70,13 @@ class ParameterSet:
 
 def _check(violations: list, name: str, ok: bool, lhs: float, op: str, rhs: float):
     if not ok:
-        violations.append(Violation(name, f"{name}: {lhs:.6g} {op} {rhs:.6g} fails"))
+        violations.append(f"{name}: {lhs:.6g} {op} {rhs:.6g} fails")
 
 
-def validate(v: Mapping) -> tuple[Violation, ...]:
+def validate(v: Mapping) -> tuple[str, ...]:
     """Evaluate every regime feasibility inequality of the mapping ``v``
-    (the fields of a :class:`ParameterSet`), strictly; returns the violations,
-    empty when the set is accepted.
+    (the fields of a :class:`ParameterSet`), strictly; returns the violation
+    messages, each led by its inequality's name, empty when the set is accepted.
 
     Pure: a function of the field values only.  Equality in any strict
     inequality counts as a violation.  Non-finite fields reject with a single
@@ -90,14 +84,14 @@ def validate(v: Mapping) -> tuple[Violation, ...]:
     """
     regime = v.get("regime")
     if regime not in REGIMES:
-        return (Violation("regime", f"regime: {regime!r} not in {REGIMES}"),)
+        return (f"regime: {regime!r} not in {REGIMES}",)
     if not all(math.isfinite(float(x)) for k, x in v.items() if k != "regime"):
-        return (Violation("non-finite", "non-finite: all fields must be finite"),)
+        return ("non-finite: all fields must be finite",)
 
     alpha, beta, M = float(v["alpha"]), float(v["beta"]), float(v["M"])
     phi, rho, psi = float(v["phi"]), float(v["rho"]), float(v["psi"])
     lam = float(v["lam"])
-    violations: list[Violation] = []
+    violations: list[str] = []
     _check(violations, "alpha > 0", alpha > 0, alpha, ">", 0)
     _check(violations, "beta > 0", beta > 0, beta, ">", 0)
     _check(violations, "M > 1", M > 1, M, ">", 1)

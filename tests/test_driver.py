@@ -6,6 +6,7 @@ import pickle
 import threading
 import time
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ def reference_run(family, schedule, theta0, checkpoints, seed, R, box=None, ball
     gammas, bs, counts, level_cost = schedule
     d, rng, ns, rec = family.d, np.random.default_rng(seed), set(checkpoints), []
     thetas = np.broadcast_to(np.asarray(theta0, dtype=float), (R, d)).T.tolist()
-    bars, b_bar, cost, in_ball, abort = [[0.0] * R] * d, 0.0, 0.0, [True] * R, [0] * R
+    sums, b_bar, cost, in_ball, abort = [[0.0] * R] * d, 0.0, 0.0, [True] * R, [0] * R
     for n, (gamma, b, c) in enumerate(zip(gammas, bs, counts), 1):
         if ball is not None and n - 1 >= ball.n0:  # iteration n tests theta_{n-1}
             sq = [0.0] * R  # |theta - center|^2, summed left to right
@@ -61,9 +62,10 @@ def reference_run(family, schedule, theta0, checkpoints, seed, R, box=None, ball
         thetas = [[x + gamma * y for x, y in zip(col, z)] for col, z in zip(thetas, zs)]
         if box is not None:
             thetas = [[min(max(x, lo), hi) for x in col] for col, lo, hi in zip(thetas, *box)]
-        bars = [[(b_bar * x_bar + b * x) / (b_bar + b) for x_bar, x in zip(col_bar, col)]
-                for col_bar, col in zip(bars, thetas)]
+        # theta_bar_n = b_bar_n^-1 sum_{k<=n} b_k theta_k, both sums running
+        sums = [[w + b * x for w, x in zip(col_sum, col)] for col_sum, col in zip(sums, thetas)]
         b_bar += b
+        bars = [[w / b_bar for w in col] for col in sums]
         for col in bars:  # a row aborts at its first non-finite average and keeps stepping
             abort = [a or (0 if math.isfinite(x) else n) for a, x in zip(abort, col)]
         if n in ns:
@@ -98,14 +100,14 @@ def scalar_schedule(p, n_final):
 def per_iteration_stream_run(family, plan, theta0, n_final, stream):
     """The earlier stream layout, kept as an in-law reference: one replica
     alone, iteration n drawing from default_rng(stream.spawn(n_final)[n-1])."""
-    theta, bar, b_bar = np.array(theta0, dtype=float), np.zeros(family.d), 0.0
+    theta, wsum, b_bar = np.array(theta0, dtype=float), np.zeros(family.d), 0.0
     for i, child in enumerate(stream.spawn(n_final)):
         counts = plan.counts[i, :plan.s[i]]
         z = estimate(family, theta[None], counts, np.random.default_rng(child))[0]
         theta = theta + plan.gamma[i] * z
-        bar = (b_bar * bar + plan.b[i] * theta) / (b_bar + plan.b[i])
+        wsum = wsum + plan.b[i] * theta
         b_bar += plan.b[i]
-    return bar
+    return wsum / b_bar
 
 
 def test_first_step_is_linear_contraction(slow_params_pinned, cost_model):
@@ -171,6 +173,33 @@ def test_streaming_average_matches_direct_sum(slow_params, slow_family, cost_mod
     b = np.arange(1, n + 1, dtype=float) ** slow_params.rho
     direct = (b[:, None] * rec.theta[:, 0]).sum(axis=0) / b.sum()
     np.testing.assert_allclose(rec.theta_bar[-1, 0], direct, rtol=1e-10)
+
+
+def test_running_average_within_recursive_summation_bound(slow_params, cost_model, identity):
+    # theta_bar_n at every n of 100 rows in capped chunks, against the exact rational
+    # average b_bar_n^-1 sum_k b_k theta_k of the recorded theta_k: n rounded products
+    # summed left to right and one rounded quotient err by at most
+    # gamma_{n+1} sum_k b_k |theta_k| / b_bar_n, gamma_m = m u / (1 - m u), u the unit
+    # roundoff (Higham, Accuracy and Stability of Numerical Algorithms, section 4.2);
+    # b_n = n^2 keeps the float b_bar_n exact
+    n_final, R, u = 200, 100, Fraction(1, 2 ** 53)
+    plan = RunPlan(slow_params, cost_model, n_final)
+    assert len(chunk_starts(plan, R, 2)) > 5
+    fam = make_slow_family()
+    rec = run(plan, fam, identity, default_theta0(fam), range(1, n_final + 1), 21, replicas=R)
+    arr = schedule_arrays(slow_params, n_final)
+    bs = [Fraction(x) for x in arr["b"].tolist()]
+    b_bars = list(itertools.accumulate(bs))
+    assert b_bars == [Fraction(x) for x in arr["b_bar"].tolist()]
+    thetas, bars = (x.reshape(n_final, R * 2).tolist() for x in (rec.theta, rec.theta_bar))
+    wsum, abs_sum = [Fraction(0)] * (R * 2), [Fraction(0)] * (R * 2)
+    for n, (b, b_bar, theta, theta_bar) in enumerate(zip(bs, b_bars, thetas, bars), 1):
+        terms = [b * Fraction(x) for x in theta]
+        wsum = [w + t for w, t in zip(wsum, terms)]
+        abs_sum = [a + abs(t) for a, t in zip(abs_sum, terms)]
+        gamma = (n + 1) * u / (1 - (n + 1) * u)
+        for x, w, a in zip(theta_bar, wsum, abs_sum):
+            assert abs(Fraction(x) - w / b_bar) <= gamma * a / b_bar, n
 
 
 def test_cost_strictly_increasing(slow_params, slow_family, cost_model, identity):
@@ -464,7 +493,7 @@ def test_run_cuts_the_chunks_it_draws(slow_params, cost_model, identity):
 def recast(family, cls, **attrs):
     """A copy of ``family`` as an instance of its subclass ``cls``, with ``attrs`` set."""
     out = object.__new__(cls)
-    out.__dict__.update(family.__dict__, _level_terms={}, **attrs)
+    out.__dict__.update(family.__dict__, _level_terms={}, _block_terms={}, **attrs)
     return out
 
 

@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from mlsa import EulerSdeFamily, GeometricCostModel
+from mlsa import EulerSdeFamily, GeometricCostModel, SyntheticGaussianFamily
 
 from conftest import estimate, make_scalar_family, make_slow_family
 
@@ -123,6 +125,23 @@ def test_generic_estimate_matches_collapse_at_zero_noise():
     z_fast = estimate(fam, theta, counts, rng)
     z_slow = super(type(fam), fam).ml_estimate(theta, counts, np.random.default_rng(1))
     np.testing.assert_allclose(z_fast, z_slow, rtol=0, atol=1e-15)
+
+
+def test_ml_estimate_block_operand_memo_is_bit_exact():
+    # one family per d, called in turn on a 100-row block and a 7-row tail block, its
+    # operand memo built and hit at several s: ml_estimate is f(theta) + mu M^(-alpha s)
+    # + noise bit for bit, the operations of f in its order
+    rng = np.random.default_rng(41)
+    for d in (1, 2, 3):
+        fam = SyntheticGaussianFamily(theta_star=rng.standard_normal(d),
+                                      H=0.5 * rng.standard_normal((d, d)) - np.eye(d),
+                                      mu=rng.standard_normal(d), noise_factor=np.eye(d),
+                                      alpha=1.0, beta=0.5, M=2.0)
+        for s, R in itertools.product((1, 4, 9, 4, 1), (100, 7)):
+            theta, noise = rng.standard_normal((2, R, d)) * 10.0 ** rng.uniform(-3, 3, (2, R, d))
+            want = fam.f(theta) + fam.mu * fam.M ** (-fam.alpha * s) + noise
+            assert np.array_equal(fam.ml_estimate(theta, np.ones(s, dtype=np.int64), noise),
+                                  want), (d, s, R)
 
 
 def test_euler_product_matches_step_loop():

@@ -73,15 +73,13 @@ def reference_averaged_operator(H, gamma, b, l, n):
 def reference_linear_iterate(H, gamma, b, upsilon_source, n, theta0=None):
     g, bf = scalar_schedule(gamma), scalar_schedule(b)
     theta = np.zeros(H.shape[0]) if theta0 is None else np.array(theta0, dtype=float)
-    theta_bar = np.zeros_like(theta)
-    b_bar = 0.0
+    wsum, b_bar = np.zeros_like(theta), 0.0  # theta_bar_n = b_bar_n^-1 sum_{k<=n} b_k theta_k
     for k in range(1, n + 1):
         ups = upsilon_source(k)
         theta = theta + g(k) * (theta @ H.T + ups)
-        b_bar_new = b_bar + bf(k)
-        theta_bar = (b_bar * theta_bar + bf(k) * theta) / b_bar_new
-        b_bar = b_bar_new
-    return theta, theta_bar
+        wsum = wsum + bf(k) * theta
+        b_bar = b_bar + bf(k)
+    return theta, wsum / b_bar
 
 
 def test_contracting_matrix_validation():
