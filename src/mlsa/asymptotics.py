@@ -209,5 +209,5 @@ def predictions_csv(params: ParameterSet, ns: Sequence[int]) -> str:
     a = predictions(params, ns)
     cols = [getattr(a, f.name) for f in fields(a)]
     cols[-1] = a.pre_asymptotic.astype(np.int64)
-    return csv_lines([[f.name for f in fields(a)],
-                      *zip(*([None] * len(a.n) if c is None else c.tolist() for c in cols))])
+    return csv_lines([f.name, *([""] * len(a.n) if c is None else map(str, c.tolist()))]
+                     for f, c in zip(fields(a), cols))

@@ -129,12 +129,12 @@ def cmd_run(args) -> int:
             fh.write(data)
         files[name] = hashlib.sha256(data).hexdigest()
 
-    def csv_text(header: list, rows) -> str:
+    def csv_text(header: list, columns: list) -> str:
         return (f"# config_hash={cfg_hash} master_seed={spec.master_seed}\n"
-                + csv_lines([header]) + csv_lines(rows))
+                + csv_lines([name, *col] for name, col in zip(header, columns, strict=True)))
 
     try:
-        write("records.csv", csv_text(["replica"] + csv_header(family.d), record.csv_rows()))
+        write("records.csv", csv_text(["replica"] + csv_header(family.d), record.csv_columns()))
 
         checkpoint = max(spec.checkpoints)
         if family.has_ground_truth():
@@ -149,9 +149,8 @@ def cmd_run(args) -> int:
         write("clt_report.json", payload)
 
         rows = harness.cost_curve(record, cfg.params)
-        write("cost_table.csv", csv_text(
-            ["n", "mean_cost", "predicted_cost", "ratio"],
-            ([r["n"], r["mean_cost"], r["predicted_cost"], r["ratio"]] for r in rows)))
+        names = ["n", "mean_cost", "predicted_cost", "ratio"]
+        write("cost_table.csv", csv_text(names, [[str(r[k]) for r in rows] for k in names]))
 
         lo = [c for c in spec.checkpoints if ball.n0 <= c <= spec.n_final // 2]
         hi = [c for c in spec.checkpoints if c > spec.n_final // 2]
@@ -227,16 +226,17 @@ def cmd_plot(args) -> int:
     with open(svg_path, "w", encoding="utf-8") as fh:
         fh.write(svg)
 
-    rows = [["component", "theoretical_quantile", "standardized_value"]]
+    qq = [["component"], ["theoretical_quantile"], ["standardized_value"]]
     bars = bar[n_col == ns[-1]]  # the largest checkpoint, as in the CLT report
     for j in range(bars.shape[1]):
         col = np.sort(bars[:, j])
         col = (col - col.mean()) / (col.std(ddof=1) or 1.0)
         q = scipy.special.ndtri((np.arange(1, len(col) + 1) - 0.5) / len(col))
-        rows += ([j, a, b] for a, b in zip(q, col))
+        for column, values in zip(qq, ([j] * len(col), q.tolist(), col.tolist())):
+            column += map(str, values)
     qq_path = os.path.join(run_dir, "qq_data.csv")
     with open(qq_path, "w", encoding="utf-8") as fh:
-        fh.write(f"# config_hash={cfg_hash}\n" + csv_lines(rows))
+        fh.write(f"# config_hash={cfg_hash}\n" + csv_lines(qq))
     print(f"wrote {svg_path} and {qq_path}")
     return 0
 

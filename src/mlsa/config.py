@@ -31,11 +31,11 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .driver import BoxProjection, IdentityProjection, geometric_checkpoints
+from .driver import BoxProjection, IdentityProjection, geometric_checkpoints, replication_counts
 from .families import EulerSdeFamily, GeometricCostModel, LevelFamily, SyntheticGaussianFamily
 from .harness import ReplicationSpec
 from .linear import spectral_abscissa
-from .params import CRITICAL, InvalidParameters, ParameterSet
+from .params import CRITICAL, InvalidParameters, ParameterSet, schedule_arrays
 
 
 class ConfigError(ValueError):
@@ -195,6 +195,11 @@ def _check_experiment(cfg: ExperimentConfig):
         _reject("integer M for euler_sde", f"M = {p.M:.6g} is not an integer")
     if p.regime == CRITICAL and max(cfg.replication.checkpoints) < 2:
         _reject("checkpoint n >= 2", "critical predictions need log n > 0")
+    arr = schedule_arrays(p, cfg.replication.n_final)  # the build RunPlan then reuses
+    if not np.isfinite(arr["K_bar"][-1]):  # s_n is then undefined
+        _reject("finite K_bar_n", f"the budget overflows a double by n = {cfg.replication.n_final}")
+    if arr["K"].max() > 2.0 ** 52:  # beta <= 1, so N_1 <= ceil(K_n / M) < 2^53 otherwise
+        replication_counts(p, arr["s"], arr["K"])  # rejects a count past 2^53
     try:
         family = build_family(cfg)
         projection = build_projection(cfg)

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .families import LevelFamily
-from .params import ParameterSet, schedule_arrays
+from .params import InvalidParameters, ParameterSet, schedule_arrays
 
 # snap near-integer count values before the ceiling so exact ratios such as
 # K/M^s = 8 are not pushed up by float noise from pow/log round-trips
@@ -36,7 +36,8 @@ def replication_counts(params: ParameterSet, s, K) -> np.ndarray:
 
     N_k(s, K) = ceil((K / M^s) * M^((beta+1)/2 * (s-k))), nonincreasing in k;
     for beta = 1 they reduce to ceil(K * M^-k), independent of s.  ``s`` and
-    ``K`` are equal-length sequences, or scalars for a single row.
+    ``K`` are equal-length sequences, or scalars for a single row.  Raises
+    :class:`InvalidParameters` when a count exceeds 2^53.
     """
     s = np.atleast_1d(np.asarray(s))
     K = np.atleast_1d(np.asarray(K, dtype=float))
@@ -49,7 +50,11 @@ def replication_counts(params: ParameterSet, s, K) -> np.ndarray:
     x = (K / M ** s)[:, None] * M ** (0.5 * (beta + 1) * (s[:, None] - k))
     r = np.round(x)
     counts = np.where(np.abs(x - r) <= _INT_SNAP * np.maximum(1.0, np.abs(x)), r, np.ceil(x))
-    return np.where(k <= s[:, None], np.maximum(counts, 1.0), 0.0).astype(np.int64)
+    counts = np.where(k <= s[:, None], np.maximum(counts, 1.0), 0.0)
+    n = int(np.argmax(counts[:, 0]))  # N_1 is a row's largest; doubles skip integers past 2^53
+    if not counts[n, 0] <= 2.0 ** 53:
+        raise InvalidParameters((f"N_1 <= 2^53: {counts[n, 0]:.6g} fails at n = {n + 1}",))
+    return counts.astype(np.int64)
 
 
 class IdentityProjection:
@@ -87,10 +92,10 @@ def csv_header(d: int) -> list[str]:
             + [f"theta_bar_{i}" for i in range(d)] + ["cost"])
 
 
-def csv_lines(rows) -> str:
-    """CSV lines of rows of numbers, plain names and None (an empty field): what
-    ``csv.writer(lineterminator="\\n")`` writes, save its quotes on a lone empty field."""
-    return "".join(",".join(["" if v is None else str(v) for v in row]) + "\n" for row in rows)
+def csv_lines(columns) -> str:
+    """CSV lines of equal-length columns of field strings: what ``csv.writer`` writes of
+    their rows with ``lineterminator="\\n"``, save its quotes on a lone empty field."""
+    return "\n".join([*map(",".join, zip(*columns)), ""])
 
 
 @dataclass(frozen=True)
@@ -116,15 +121,17 @@ class RunRecord:
     def aborted(self) -> np.ndarray:
         return self.abort_iteration > 0
 
-    def csv_rows(self) -> list[list]:
-        """Rows under ``["replica"] + csv_header(d)``, replica by replica, over the
-        checkpoints reached before any abort; the values are Python floats, so
-        :func:`csv_lines` writes each as its shortest round-trip repr."""
-        reached = ~self.aborted | (self.ns[:, None] < self.abort_iteration)
-        rep, j = np.nonzero(reached.T)
-        values = np.hstack([self.theta[j, rep], self.theta_bar[j, rep], self.cost[j, None]])
-        return [[r, n, *v] for r, n, v in zip(rep.tolist(), self.ns[j].tolist(),
-                                              values.tolist())]
+    def csv_columns(self) -> list[list[str]]:
+        """Columns of field strings under ``["replica"] + csv_header(d)``, replica by replica,
+        over the checkpoints reached before any abort: each value's ``str``, its shortest
+        round-trip repr, with each replica index and checkpoint n and cost formatted once."""
+        rep, j = np.nonzero((~self.aborted | (self.ns[:, None] < self.abort_iteration)).T)
+        values = [list(map(str, col)) for x in (self.theta, self.theta_bar)
+                  for col in x[j, rep].T.tolist()]
+        reps, ns, costs = (list(map(str, v)) for v in  # shared by many rows: each str'd once
+                           (range(len(self.aborted)), self.ns.tolist(), self.cost.tolist()))
+        rep, j = rep.tolist(), j.tolist()
+        return [[reps[r] for r in rep], [ns[i] for i in j], *values, [costs[i] for i in j]]
 
 
 class RunPlan:

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 
 from mlsa import (GeometricCostModel, IdentityProjection, ParameterSet,
                   SyntheticGaussianFamily)
+from mlsa.driver import csv_header
 
 # default experiment constants; chosen so the n = 4000 horizons of the
 # acceptance experiments are deep enough into the asymptotic regime
@@ -100,3 +103,19 @@ def reference_counts(params, s, K):
     base = K / params.M ** s
     return tuple(ceil_snapped(base * params.M ** (0.5 * (params.beta + 1) * (s - k)))
                  for k in range(1, s + 1))
+
+
+def csv_writer_text(rows):
+    """What ``csv.writer(lineterminator="\\n")`` writes of ``rows``."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def record_rows(rec):
+    """The header and the CSV rows of a record, as Python numbers: replica by replica,
+    the checkpoints each reached before any abort."""
+    return [["replica"] + csv_header(rec.theta.shape[2])] + [
+        [r, n, *rec.theta[j, r].tolist(), *rec.theta_bar[j, r].tolist(), rec.cost[j].item()]
+        for r in range(rec.theta.shape[1]) for j, n in enumerate(rec.ns.tolist())
+        if not rec.aborted[r] or n < rec.abort_iteration[r]]

@@ -251,7 +251,7 @@ def test_criterion_10_determinism(cost_model, identity):
                               theta0, workers=workers)
         rep = clt_report(record, params, family, 400, divergence_radius=10.0)
         curve = cost_curve(record, params)
-        rows = record.csv_rows()
+        rows = record.csv_columns()
         return rows, report_json(rep), curve
 
     a1 = artifacts(1)

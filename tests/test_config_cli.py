@@ -5,12 +5,20 @@ import io
 import json
 import os
 import tempfile
+import warnings
+from dataclasses import fields
 
+import numpy as np
 import pytest
+import scipy.special
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from mlsa import ConfigError, InvalidParameters, config_from_dict
+from mlsa import (ConfigError, InvalidParameters, build_cost_model, build_family,
+                  build_projection, config_from_dict, cost_curve, default_theta0, run_replicas)
+from mlsa.asymptotics import predictions
 from mlsa.cli import main
+
+from conftest import csv_writer_text, record_rows
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -245,6 +253,68 @@ def test_plot_outputs_svg_with_guide(tmp_path, capsys):
     assert main(["plot", out_dir]) == 0
     with open(os.path.join(out_dir, "qq_data.csv")) as fh:
         assert len(fh.read().splitlines()) == 2 + 3 * 2  # hash, header, 3 replicas x 2 components
+
+
+def test_csv_artifacts_match_csv_writer(tmp_path):
+    # every CSV artifact of run, plot and predict, byte for byte what csv.writer writes
+    # of the record and tables computed again in this process
+    docs = {"slow": variant(**{"replication.checkpoints": list(range(1, 61))}),
+            "critical": shipped("critical_default.json", replicas=3, n_final=40,
+                                checkpoints=list(range(1, 41)))}
+    for name, doc in docs.items():
+        path, out_dir = write_config(tmp_path, doc, name=f"{name}.json"), str(tmp_path / name)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["run", path, "--out", out_dir, "--workers", "1"]) == 0
+            assert main(["plot", out_dir]) == main(["predict", path, "--out", out_dir]) == 0
+        cfg = config_from_dict(doc)
+        spec, params, family = cfg.replication, cfg.params, build_family(cfg)
+        record = run_replicas(spec, params, family, build_cost_model(cfg), build_projection(cfg),
+                              default_theta0(family))
+        assert not record.aborted.any()
+        costs = ["n", "mean_cost", "predicted_cost", "ratio"]
+        qq = [["component", "theoretical_quantile", "standardized_value"]]
+        q = scipy.special.ndtri((np.arange(1, spec.replicas + 1) - 0.5) / spec.replicas)
+        for j in range(family.d):  # the largest checkpoint's averages, as mlsa plot reads them
+            col = np.sort(record.theta_bar[-1, :, j])
+            qq += ([j, x, y] for x, y in zip(q, (col - col.mean()) / col.std(ddof=1)))
+        a = predictions(params, [n for n in spec.checkpoints if n >= 2 or name == "slow"])
+        cols = [getattr(a, f.name) for f in fields(a)]
+        cols[-1] = a.pre_asymptotic.astype(int)
+        tag = f"# config_hash={cfg.config_hash()}"
+        expected = {
+            "records.csv": (f"{tag} master_seed={spec.master_seed}", record_rows(record)),
+            "cost_table.csv": (f"{tag} master_seed={spec.master_seed}", [costs] + [
+                [r[k] for k in costs] for r in cost_curve(record, params)]),
+            "qq_data.csv": (tag, qq),
+            "predictions.csv": (tag, [[f.name for f in fields(a)]] + list(zip(*(
+                [None] * len(a.n) if c is None else c.tolist() for c in cols)))),
+        }
+        for file, (first, rows) in expected.items():
+            with open(os.path.join(out_dir, file), encoding="utf-8", newline="") as fh:
+                assert fh.read() == first + "\n" + csv_writer_text(rows), (name, file)
+
+
+def test_counts_past_2_53_rejected(tmp_path, capsys):
+    # slow_default's parameters with phi = rho: at 5.2 the largest N_1 passes 2^53 at
+    # n = 2504 only, just before s_n steps up at n_final = 2505; at 10 it is N_1 at
+    # n_final = 4000; at 100 the budget K_bar_n itself overflows
+    cases = [(5.2, 2505, "N_1 <= 2^53: 9.58943e+15 fails at n = 2504"),
+             (10.0, 4000, "N_1 <= 2^53: 4.97803e+32 fails at n = 4000"),
+             (100.0, 4000, "finite K_bar_n: the budget overflows a double by n = 4000")]
+    for i, (phi, n_final, message) in enumerate(cases):
+        doc = shipped("slow_default.json", replicas=4, n_final=n_final)
+        doc["params"].update(phi=phi, rho=phi)
+        path, out_dir = write_config(tmp_path, doc, name=f"big{i}.json"), str(tmp_path / f"big{i}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the overflowing schedule's
+            assert main(["validate", path]) == 1
+            assert message in capsys.readouterr().out
+            assert main(["run", path, "--out", out_dir]) == 1
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(out_dir)
+    doc = shipped("slow_default.json", replicas=4, n_final=2504)
+    doc["params"].update(phi=5.1, rho=5.1)  # the largest N_1 stays below 2^53
+    assert main(["validate", write_config(tmp_path, doc)]) == 0
 
 
 def test_plot_empty_dir_exit_one(tmp_path, capsys):

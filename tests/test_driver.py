@@ -18,8 +18,8 @@ from mlsa import (BallMonitor, BoxProjection, EulerSdeFamily, GeometricCostModel
 from mlsa.driver import RunPlan, csv_header, csv_lines
 from mlsa.families import LevelFamily
 
-from conftest import (CRITICAL_DEFAULT, GAMMA2, SLOW_PINNED, estimate, make_scalar_family,
-                      make_slow_family, reference_counts)
+from conftest import (CRITICAL_DEFAULT, GAMMA2, SLOW_PINNED, csv_writer_text, estimate,
+                      make_scalar_family, make_slow_family, record_rows, reference_counts)
 
 
 def noise(family, counts, g):
@@ -97,6 +97,11 @@ def scalar_schedule(p, n_final):
             [p.kappa_C * p.M ** k for k in range(1, max(s) + 1)])
 
 
+def written_rows(record):
+    """The record's CSV rows as written, each a tuple of field strings."""
+    return list(zip(*record.csv_columns()))
+
+
 def per_iteration_stream_run(family, plan, theta0, n_final, stream):
     """The earlier stream layout, kept as an in-law reference: one replica
     alone, iteration n drawing from default_rng(stream.spawn(n_final)[n-1])."""
@@ -150,7 +155,7 @@ def test_run_is_deterministic(slow_params, slow_family, cost_model, identity):
     plan = RunPlan(slow_params, cost_model, 150)
     a = run(plan, slow_family, identity, theta0, (10, 150), 987)
     b = run(plan, slow_family, identity, theta0, (10, 150), 987)
-    assert a.csv_rows() == b.csv_rows()
+    assert a.csv_columns() == b.csv_columns()
     assert np.array_equal(a.theta[-1], b.theta[-1])
 
 
@@ -239,7 +244,7 @@ def test_abort_flags_partial_record(slow_params, cost_model, identity):
     rec = run(RunPlan(slow_params, cost_model, 20), fam, identity, [1.0], (3, 10), 0)
     assert rec.aborted[0]
     assert rec.abort_iteration[0] == 5
-    assert [row[:2] for row in rec.csv_rows()] == [[0, 3]]  # only pre-abort checkpoints
+    assert [row[:2] for row in written_rows(rec)] == [("0", "3")]  # only pre-abort checkpoints
 
 
 def test_ball_monitor_tracks_previous_iterates(slow_params, cost_model, identity):
@@ -285,9 +290,10 @@ def test_aborted_row_leaves_other_rows_unchanged(slow_params, cost_model):
         theta0[1] = blow_up
         mixed = run(*args, theta0, (3, 12), 8, replicas=4)
         assert mixed.abort_iteration.tolist() == [0, 1, 0, 0]
-        assert [row[:2] for row in calm.csv_rows()] == [[r, n] for r in range(4) for n in (3, 12)]
+        assert [row[:2] for row in written_rows(calm)] == [(str(r), str(n)) for r in range(4)
+                                                           for n in (3, 12)]
         # the aborted replica writes no row; the others write exactly what they did alone
-        assert mixed.csv_rows() == [row for row in calm.csv_rows() if row[0] != 1]
+        assert written_rows(mixed) == [row for row in written_rows(calm) if row[0] != "1"]
 
 
 def test_abort_sticks(slow_params, cost_model, identity):
@@ -301,8 +307,8 @@ def test_abort_sticks(slow_params, cost_model, identity):
         rec = run(plan, fam, identity, [[0.5], [x0]], (1, 2, n_final), 3, replicas=2)
         assert rec.abort_iteration.tolist() == [0, a]
         assert np.all(np.isfinite(rec.theta[:, 0])) and rec.theta[2, 0, 0] != rec.theta[1, 0, 0]
-        assert [row[:2] for row in rec.csv_rows()] == [[0, 1], [0, 2], [0, n_final]] + [
-            [1, n] for n in (1, 2) if n < a]
+        assert [row[:2] for row in written_rows(rec)] == [
+            ("0", "1"), ("0", "2"), ("0", str(n_final))] + [("1", str(n)) for n in (1, 2) if n < a]
     starts = chunk_starts(plan, 2, 1)
     assert len(starts) == 7 and starts[4] < a - 1 < starts[5]  # mid-chunk, not in the last
 
@@ -321,8 +327,8 @@ def test_overflowing_block_sum_aborts_nothing(slow_params, cost_model, identity)
     assert np.all(rec.theta_bar >= 1.9e306)  # every checkpoint's sum passes the float maximum
     for r in range(100):
         alone = run(*args, theta0[r], cps, 5)
-        assert csv_lines(row[1:] for row in rec.csv_rows() if row[0] == r) == \
-            csv_lines(row[1:] for row in alone.csv_rows())
+        assert [row[1:] for row in written_rows(rec) if row[0] == str(r)] == \
+            [row[1:] for row in written_rows(alone)]
 
 
 def test_overflowing_average_aborts_its_row(slow_params, cost_model):
@@ -336,7 +342,8 @@ def test_overflowing_average_aborts_its_row(slow_params, cost_model):
     assert rec.theta[0, 1, 0] == rec.theta_bar[0, 1, 0] == 1e308
     assert np.all(np.isfinite(rec.theta_bar[:, 0])) and np.isfinite(rec.theta_bar[0, 1])
     alone = run(*args, [0.5], (1, 2, 6), 3)
-    assert rec.csv_rows() == alone.csv_rows() + [[1, 1, 1e308, 1e308, rec.cost[0]]]
+    assert written_rows(rec) == written_rows(alone) + [
+        ("1", "1", "1e+308", "1e+308", str(rec.cost[0].item()))]
 
 
 def test_run_rejects_bad_checkpoints(slow_params, slow_family, cost_model, identity):
@@ -350,7 +357,7 @@ def test_record_serialization_roundtrip(slow_params, slow_family, cost_model, id
               default_theta0(slow_family), (10, 20), 3)
     assert csv_header(2) == ["n", "theta_0", "theta_1", "theta_bar_0", "theta_bar_1", "cost"]
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rec.csv_rows())
+    csv.writer(buf, lineterminator="\n").writerows(zip(*rec.csv_columns()))
     rows = list(csv.reader(io.StringIO(buf.getvalue())))
     assert [row[:2] for row in rows] == [["0", "10"], ["0", "20"]]
     for row in rows:
@@ -404,27 +411,32 @@ def test_dense_ball_flags_match_the_norm_definition(slow_params, cost_model, ide
 
 
 def test_csv_lines_match_csv_writer(slow_params, cost_model):
-    def reference(rows):
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(rows)
-        return buf.getvalue()
-
-    fam = make_slow_family()
-    theta0 = np.tile(default_theta0(fam), (3, 1))
-    theta0[1] = [1e308, 1e308]  # H e overflows at n = 1: replica 1 aborts
-    rec = run(RunPlan(slow_params, cost_model, 12), fam, IdentityProjection(), theta0,
-              (3, 12), 8, replicas=3)
-    assert rec.aborted.tolist() == [False, True, False]
-    record_rows = [["replica"] + csv_header(2)] + rec.csv_rows()
-    numbers = [[0, 7, 1.5, -3, 2 ** 70, np.int64(7), np.int32(-3), np.float64(2.25),
-                np.float32(0.1), np.float64(1e-5)],
-               [-0.0, 5e-324, 1e16, 0.1 + 0.2, np.float64(-0.0), np.float64(5e-324),
-                np.float64(1e16), np.float64(0.1) + np.float64(0.2)],
-               # predictions.csv: the critical regime has no bias columns
-               [10, 4, -0.25, None, 0.5, 123.0, None, 0.75, 0],
-               [None, None]]
-    for rows in (record_rows, numbers):
-        assert csv_lines(rows) == reference(rows)
+    # records at a checkpoint at every n, d = 1 and d = 2; component 0 repels, so replica
+    # 1 aborts at n = 1, before its first checkpoint, and replica 2 mid-run (as in
+    # test_abort_sticks)
+    for fam in (make_scalar_family(H=1.0, mu=0.0, noise=1e-3),
+                make_slow_family(H_diag=(1.0, -2.0))):
+        theta0 = np.full((4, fam.d), 0.5)
+        theta0[1, 0], theta0[2, 0] = 1e308, 1e304
+        rec = run(RunPlan(slow_params, cost_model, 40), fam, IdentityProjection(), theta0,
+                  range(1, 41), 8, replicas=4)
+        assert rec.abort_iteration[1] == 1 and 1 < rec.abort_iteration[2] < 40
+        assert not rec.aborted[[0, 3]].any()
+        header = ["replica"] + csv_header(fam.d)
+        assert csv_lines([name, *col] for name, col in zip(header, rec.csv_columns())) == \
+            csv_writer_text(record_rows(rec))
+    # tables of numbers: each value written as str writes it, a None as an empty field
+    tables = [[[0, 7, 1.5, -3, 2 ** 70, np.int64(7), np.int32(-3), np.float64(2.25),
+                np.float32(0.1), np.float64(1e-5)]],
+              [[-0.0, 5e-324, 1e16, 0.1 + 0.2, np.float64(-0.0), np.float64(5e-324),
+                np.float64(1e16), np.float64(0.1) + np.float64(0.2)]],
+              # predictions.csv: the critical regime has no bias columns
+              [[10, 4, -0.25, None, 0.5, 123.0, None, 0.75, 0],
+               [11, 5, 0.125, None, 1.5, 7.0, None, 0.5, 1]],
+              [[None, None]]]
+    for rows in tables:
+        columns = [["" if v is None else str(v) for v in col] for col in zip(*rows)]
+        assert csv_lines(columns) == csv_writer_text(rows)
 
 
 def chunk_starts(plan, replicas, d):

@@ -37,7 +37,7 @@ def test_run_replicas_deterministic_and_nondegenerate(slow_params, slow_family,
     theta0 = default_theta0(slow_family)
     a = run_replicas(small_spec(), slow_params, slow_family, cost_model, identity, theta0)
     b = run_replicas(small_spec(), slow_params, slow_family, cost_model, identity, theta0)
-    assert a.csv_rows() == b.csv_rows()
+    assert a.csv_columns() == b.csv_columns()
     finals = {tuple(row) for row in a.theta[-1]}
     assert len(finals) >= 2  # noise present: distinct seeds separate
 
@@ -49,7 +49,7 @@ def test_run_replicas_worker_count_invariance(slow_params, slow_family, cost_mod
     runs = [run_replicas(spec, slow_params, slow_family, cost_model, identity, theta0,
                          workers=w) for w in (1, 2, 3)]
     assert runs[0].theta.shape[1] == 2 * BLOCK + 3
-    assert runs[0].csv_rows() == runs[1].csv_rows() == runs[2].csv_rows()
+    assert runs[0].csv_columns() == runs[1].csv_columns() == runs[2].csv_columns()
 
 
 def test_kolmogorov_critical_against_scipy():

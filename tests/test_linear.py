@@ -6,6 +6,7 @@ import pytest
 from mlsa import (ContractingMatrix, IllConditionedError, LyapunovNorm, averaged_operator,
                   exp_product_gap, linear_iterate, lyapunov_norm, product_operator,
                   spectral_abscissa)
+from mlsa.linear import _expm
 
 
 def random_contracting(rng, d=None, margin=1.0):
@@ -225,6 +226,21 @@ def test_exp_product_gap_scalar_reference():
     assert actual == pytest.approx(abs(math.exp(-1.0) - 0.9 ** 10), rel=1e-10)
     assert actual == pytest.approx(0.019201, rel=1e-4)
     assert bound >= actual
+
+
+def test_expm_matches_scipy():
+    # random, strongly non-normal and Jordan-block matrices of d = 1..6, scaled to
+    # ||X||_1 from 1e-6 to 40: within 1e-11 of scipy.linalg.expm in relative 1-norm
+    import scipy.linalg
+    rng = np.random.default_rng(4)
+    for d in range(1, 7):
+        upper = 10.0 * np.triu(rng.standard_normal((d, d)), 1)  # far from normal
+        non_normal = np.diag(rng.uniform(-3.0, 1.0, d)) + upper
+        for X in (rng.standard_normal((d, d)), non_normal, np.eye(d, k=1) - np.eye(d)):
+            for norm in np.geomspace(1e-6, 40.0, 9):
+                Y = X * (norm / np.linalg.norm(X, 1))
+                ref = scipy.linalg.expm(Y)
+                assert np.linalg.norm(_expm(Y) - ref, 1) <= 1e-11 * np.linalg.norm(ref, 1)
 
 
 def test_exp_product_gap_empty():
