@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .driver import csv_lines
-from .params import CRITICAL, SLOW, ParameterSet, schedule_arrays
+from .params import CRITICAL, SLOW, WINDOW, ParameterSet, schedule_arrays
 
 
 def _psi_formula(u: float, v: float, M: float, z):
@@ -168,6 +168,11 @@ def predictions(params: ParameterSet, ns: Sequence[int]) -> Predictions:
 _MAX_ORACLE_N = 10 ** 7
 
 
+def _window_sum(terms, n: int) -> float:
+    """Sum of ``terms(lo, hi)`` (0-based lo..hi-1) over windows of 0..n-1, in window order."""
+    return sum(float(np.sum(terms(lo, min(lo + WINDOW, n)))) for lo in range(0, n, WINDOW))
+
+
 def oracle_eps_bias(params: ParameterSet, n: int) -> float:
     """Brute-force bias normalization b_bar_n^-1 sum_k b_k M^(-alpha s_k)."""
     if params.regime != SLOW:
@@ -175,8 +180,9 @@ def oracle_eps_bias(params: ParameterSet, n: int) -> float:
     if n > _MAX_ORACLE_N:
         raise ValueError("oracle restricted to n <= 1e7 (exact summation)")
     arr = schedule_arrays(params, n)
-    terms = arr["b"] * params.M ** (-params.alpha * arr["s"])
-    return float(np.sum(terms) / arr["b_bar"][-1])
+    b, s = arr["b"], arr["s"]
+    total = _window_sum(lambda lo, hi: b[lo:hi] * params.M ** (-params.alpha * s[lo:hi]), n)
+    return total / float(arr["b_bar"][-1])
 
 
 def oracle_eps_diff(params: ParameterSet, n: int) -> float:
@@ -194,13 +200,18 @@ def oracle_eps_diff(params: ParameterSet, n: int) -> float:
         raise ValueError("oracle restricted to n <= 1e7 (exact summation)")
     p = params
     arr = schedule_arrays(p, n)
-    k = arr["idx"]
-    if p.regime == SLOW:
-        d2 = p.M ** ((1.0 - p.beta) * arr["s"]) / k ** p.phi
-        conv = math.sqrt(p.kappa_K * (p.phi + 1) * (1.0 - p.M ** (-(1.0 - p.beta) / 2.0)))
-        return float(math.sqrt(np.sum(arr["b"] ** 2 * d2)) / arr["b_bar"][-1] / conv)
-    d2 = (2.0 * p.alpha * p.kappa_K) ** -1.0 * k ** (-p.phi) * np.log(k) / math.log(p.M)
-    return float(math.sqrt(np.sum(arr["b"] ** 2 * d2)) / arr["b_bar"][-1])
+    b, s = arr["b"], arr["s"]
+
+    def terms(lo, hi):  # (b_k d_k)^2 at k = lo+1..hi
+        k = np.arange(lo + 1, hi + 1, dtype=float)
+        if p.regime == SLOW:
+            return b[lo:hi] ** 2 * (p.M ** ((1.0 - p.beta) * s[lo:hi]) / k ** p.phi)
+        return b[lo:hi] ** 2 * ((2.0 * p.alpha * p.kappa_K) ** -1.0 * k ** (-p.phi) * np.log(k)
+                                / math.log(p.M))
+
+    conv = (1.0 if p.regime == CRITICAL else
+            math.sqrt(p.kappa_K * (p.phi + 1) * (1.0 - p.M ** (-(1.0 - p.beta) / 2.0))))
+    return math.sqrt(_window_sum(terms, n)) / float(arr["b_bar"][-1]) / conv
 
 
 def predictions_csv(params: ParameterSet, ns: Sequence[int]) -> str:

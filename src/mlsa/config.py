@@ -196,8 +196,9 @@ def _check_experiment(cfg: ExperimentConfig):
     if p.regime == CRITICAL and max(cfg.replication.checkpoints) < 2:
         _reject("checkpoint n >= 2", "critical predictions need log n > 0")
     arr = schedule_arrays(p, cfg.replication.n_final)  # the build RunPlan then reuses
-    if not np.isfinite(arr["K_bar"][-1]):  # s_n is then undefined
-        _reject("finite K_bar_n", f"the budget overflows a double by n = {cfg.replication.n_final}")
+    for key, what in (("K_bar", "the budget"), ("b_bar", "the weight sum")):  # s_n, theta_bar_n
+        if not np.isfinite(arr[key][-1]):
+            _reject(f"finite {key}_n", f"{what} overflows a double by n = {cfg.replication.n_final}")
     if arr["K"].max() > 2.0 ** 52:  # beta <= 1, so N_1 <= ceil(K_n / M) < 2^53 otherwise
         replication_counts(p, arr["s"], arr["K"])  # rejects a count past 2^53
     try:

@@ -128,15 +128,17 @@ def validate(v: Mapping) -> tuple[str, ...]:
 
 
 _latest: dict = {}  # {(params, n): arrays} of the latest build; ParameterSet hashes by value
+WINDOW = 2 ** 16  # indices per window of the schedule build and of the oracle sums
 
 
 def schedule_arrays(params: ParameterSet, n: int) -> dict[str, np.ndarray]:
     """Schedules for all indices 1..n: the single source of s_n, K_bar_n, xi_n.
 
-    Returns a new dict of arrays ``idx, gamma, b, b_bar, K, K_bar, s, xi``;
-    K_bar uses cumulative summation of the exact terms.  Calls with an equal
-    ``(params, n)`` share the latest build, so its arrays are read-only; it is
-    dropped before a new build starts, so two builds are never held at once.
+    Returns a new dict of arrays ``gamma, b, b_bar, K, K_bar, s, xi``, built
+    ``WINDOW`` indices at a time; K_bar and b_bar sum the exact terms in index
+    order.  Calls with an equal ``(params, n)`` share the latest build, so its
+    arrays are read-only; it is dropped before a new build starts, so two
+    builds are never held at once.  Overflow gives inf or nan, not warnings.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
@@ -144,27 +146,26 @@ def schedule_arrays(params: ParameterSet, n: int) -> dict[str, np.ndarray]:
         return dict(_latest[params, n])
     _latest.clear()
     p = params
-    idx = np.arange(1, n + 1, dtype=float)
-    K = p.kappa_K * (p.phi + 1.0) * idx ** p.phi
-    K_bar = np.cumsum(K)
-    if p.regime == SLOW:
-        raw = np.log(p.kappa_s * K_bar ** (1.0 / (2 * p.alpha - p.beta + 1))) / math.log(p.M)
-        s = np.maximum(np.floor(raw), 1.0)
-    else:
-        raw = (1.0 / p.alpha) * ((p.phi + 1) / 2.0) * np.log(idx) / math.log(p.M)
-        s = np.maximum(np.ceil(raw), 1.0)
-    b = idx ** p.rho
-    arrays = {
-        "idx": idx,
-        "gamma": idx ** (-p.psi),
-        "b": b,
-        "b_bar": np.cumsum(b),
-        "K": K,
-        "K_bar": K_bar,
-        "s": s.astype(np.int64),
-        "xi": raw - s,
-    }
-    for a in arrays.values():
-        a.flags.writeable = False
-    _latest[params, n] = arrays
-    return dict(arrays)
+    a = {k: np.empty(n, dtype=np.int64 if k == "s" else float)
+         for k in ("gamma", "b", "b_bar", "K", "K_bar", "s", "xi")}
+    base = np.arange(1, min(n, WINDOW) + 1, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, n, WINDOW):
+            w, run = slice(lo, lo + WINDOW), slice(max(lo - 1, 0), lo + WINDOW)
+            idx = base[:min(WINDOW, n - lo)] + lo
+            a["K"][w] = a["K_bar"][w] = p.kappa_K * (p.phi + 1.0) * idx ** p.phi
+            a["b"][w] = a["b_bar"][w] = idx ** p.rho
+            for total in (a["K_bar"][run], a["b_bar"][run]):  # on from the sum at lo - 1
+                np.cumsum(total, out=total)
+            if p.regime == SLOW:
+                raw = (np.log(p.kappa_s * a["K_bar"][w] ** (1.0 / (2 * p.alpha - p.beta + 1)))
+                       / math.log(p.M))
+                s = np.maximum(np.floor(raw), 1.0)
+            else:
+                raw = (1.0 / p.alpha) * ((p.phi + 1) / 2.0) * np.log(idx) / math.log(p.M)
+                s = np.maximum(np.ceil(raw), 1.0)
+            a["s"][w], a["xi"][w], a["gamma"][w] = s, raw - s, idx ** (-p.psi)
+    for v in a.values():
+        v.flags.writeable = False
+    _latest[params, n] = a
+    return dict(a)

@@ -119,6 +119,29 @@ def test_oracle_rejects_oversized_n(slow_params_pinned):
         oracle_eps_bias(slow_params_pinned, 10 ** 7 + 1)
 
 
+def fsum_oracles(p, n):
+    """(eps_bias or None, eps_diff) with each partial sum rounded once by math.fsum."""
+    k = np.arange(1, n + 1, dtype=float)
+    arr = schedule_arrays(p, n)
+    b, s, b_bar = arr["b"], arr["s"], math.fsum(arr["b"].tolist())
+    if p.regime == "critical":
+        d2 = (2.0 * p.alpha * p.kappa_K) ** -1.0 * k ** (-p.phi) * np.log(k) / math.log(p.M)
+        return None, math.sqrt(math.fsum((b ** 2 * d2).tolist())) / b_bar
+    bias = math.fsum((b * p.M ** (-p.alpha * s)).tolist()) / b_bar
+    d2 = p.M ** ((1.0 - p.beta) * s) / k ** p.phi
+    conv = math.sqrt(p.kappa_K * (p.phi + 1) * (1.0 - p.M ** (-(1.0 - p.beta) / 2.0)))
+    return bias, math.sqrt(math.fsum((b ** 2 * d2).tolist())) / b_bar / conv
+
+
+def test_windowed_oracles_match_fsum(slow_params_pinned, critical_params_pinned):
+    n = 3 * 2 ** 16 + 7  # three full windows and a tail
+    for p in (slow_params_pinned, critical_params_pinned):
+        bias, diff = fsum_oracles(p, n)
+        assert oracle_eps_diff(p, n) == pytest.approx(diff, rel=1e-13, abs=0)
+        if bias is not None:
+            assert oracle_eps_bias(p, n) == pytest.approx(bias, rel=1e-13, abs=0)
+
+
 def test_slow_predict_vs_oracle_midrange(slow_params_pinned):
     n = 10 ** 5
     assert predict_slow(slow_params_pinned, n).eps_bias / oracle_eps_bias(

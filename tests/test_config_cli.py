@@ -317,6 +317,34 @@ def test_counts_past_2_53_rejected(tmp_path, capsys):
     assert main(["validate", write_config(tmp_path, doc)]) == 0
 
 
+def test_overflowing_schedule_rejected_without_warnings(tmp_path, capsys):
+    # phi = rho = 100: the budget, the weights and s_n overflow while the schedule builds
+    doc = shipped("slow_default.json", replicas=4)
+    doc["params"].update(phi=100.0, rho=100.0)
+    path, out_dir = write_config(tmp_path, doc), str(tmp_path / "out")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["validate", path]) == 1
+        assert main(["run", path, "--out", out_dir]) == 1
+    captured = capsys.readouterr()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "RuntimeWarning" not in captured.err + captured.out
+    assert "finite K_bar_n" in captured.err and not os.path.exists(out_dir)
+
+
+def test_weight_sum_overflow_rejected(tmp_path, capsys):
+    # rho = 200: b_k = k^200 overflows past k = 34 while the budget stays finite
+    doc = shipped("slow_default.json", replicas=20, n_final=400)
+    doc["params"].update(rho=200.0)
+    path, out_dir = write_config(tmp_path, doc), str(tmp_path / "out")
+    message = "finite b_bar_n: the weight sum overflows a double by n = 400"
+    assert main(["validate", path]) == 1
+    assert message in capsys.readouterr().out
+    assert main(["run", path, "--out", out_dir]) == 1
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(out_dir)
+
+
 def test_plot_empty_dir_exit_one(tmp_path, capsys):
     rc = main(["plot", str(tmp_path / "nothing")])
     assert rc == 1

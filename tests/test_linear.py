@@ -296,6 +296,20 @@ def test_linear_iterate_matches_scalar_loop():
         linear_iterate(H, idx ** -0.5, idx, lambda k: noise[0], n + 1, theta0=theta0)
 
 
+def test_linear_iterate_broadcasts_default_start_to_batched_innovations():
+    # theta0 = None starts one (d,) state that step 1 broadcasts to the (R, d) innovations
+    n = 600
+    idx = np.arange(1, n + 1, dtype=float)
+    rng = np.random.default_rng(37)
+    for d in (1, 3):
+        H = random_contracting(rng, d=d)
+        noise = 0.3 * rng.standard_normal((n, 40, d))
+        got = linear_iterate(H, idx ** -0.5, idx ** 2.0, lambda k: noise[k - 1], n)
+        want = reference_linear_iterate(H, idx ** -0.5, idx ** 2.0, lambda k: noise[k - 1], n)
+        assert got[0].shape == got[1].shape == (40, d)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
 def test_linear_iterate_deterministic_drift_limit():
     # Upsilon_k = k^-0.3 mu: the normalized average approaches -H^-1 mu = mu
     n = 20000

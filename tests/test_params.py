@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -156,6 +157,56 @@ def test_schedule_arrays_match_exact_reference():
             assert abs(arr["xi"][n - 1] - xi) <= 1e-10, (overrides, n)
 
 
+WINDOWED_N = 3 * 2 ** 16 + 7  # three full 2^16-index windows and a tail
+
+
+def one_shot_schedule(p, n):
+    """The schedule keys by full-length expressions over indices 1..n at once."""
+    idx = np.arange(1, n + 1, dtype=float)
+    K = p.kappa_K * (p.phi + 1.0) * idx ** p.phi
+    K_bar = np.cumsum(K)
+    if p.regime == "slow":
+        raw = np.log(p.kappa_s * K_bar ** (1.0 / (2 * p.alpha - p.beta + 1))) / math.log(p.M)
+        s = np.maximum(np.floor(raw), 1.0)
+    else:
+        raw = (1.0 / p.alpha) * ((p.phi + 1) / 2.0) * np.log(idx) / math.log(p.M)
+        s = np.maximum(np.ceil(raw), 1.0)
+    b = idx ** p.rho
+    return {"gamma": idx ** (-p.psi), "b": b, "b_bar": np.cumsum(b), "K": K, "K_bar": K_bar,
+            "s": s.astype(np.int64), "xi": raw - s}
+
+
+@pytest.mark.parametrize("base, overrides", [(SLOW_PINNED, {}),
+                                             (SLOW_PINNED, {"kappa_s": 8.0, "psi": 0.5}),
+                                             (SLOW_PINNED, {"phi": 1.5, "rho": 1.5}),
+                                             (CRITICAL_DEFAULT, {})])
+def test_windowed_build_is_bitwise_one_shot(base, overrides):
+    p = ParameterSet(**make(overrides, base=base))
+    got, want = schedule_arrays(p, WINDOWED_N), one_shot_schedule(p, WINDOWED_N)
+    assert got.keys() == want.keys()
+    for k, v in want.items():
+        assert got[k].dtype == v.dtype and got[k].tobytes() == v.tobytes(), k
+
+
+def test_build_and_oracles_hold_no_full_length_temporaries(slow_params_pinned,
+                                                           critical_params_pinned):
+    n, slack = 10 ** 6, 4 * 2 ** 20
+    for p in (slow_params_pinned, critical_params_pinned):
+        schedule_arrays(p, 1)  # drop any memoised n build
+        tracemalloc.start()
+        try:
+            schedule_arrays(p, n)  # the memo keeps the build the oracles then read
+            held, peak = tracemalloc.get_traced_memory()
+            assert held >= 7 * 8 * n and peak <= 7 * 8 * n + slack
+            tracemalloc.reset_peak()
+            if p.regime == "slow":
+                oracle_eps_bias(p, n)
+            oracle_eps_diff(p, n)
+            assert tracemalloc.get_traced_memory()[1] <= held + slack
+        finally:
+            tracemalloc.stop()
+
+
 def test_params_from_dict_strictness():
     def doc(params):
         return {"params": params,
@@ -222,20 +273,20 @@ def test_one_schedule_build_per_params_and_n(monkeypatch, slow_params, slow_para
                                              slow_family, cost_model, identity):
     counter = BuildCounter()
     monkeypatch.setattr(mlsa.params, "np", counter)
-    n = 1237
-    predictions(slow_params_pinned, [10, n])
-    oracle_eps_bias(slow_params_pinned, n)
-    oracle_eps_diff(slow_params_pinned, n)
-    assert counter.builds == 1
-    predictions(slow_params_pinned, [n - 1])  # the key is exact: no prefix of the n build
-    assert counter.builds == 2
+    for i, n in enumerate((1237, WINDOWED_N)):  # one window, then four
+        predictions(slow_params_pinned, [10, n])
+        oracle_eps_bias(slow_params_pinned, n)
+        oracle_eps_diff(slow_params_pinned, n)
+        assert counter.builds == 2 * i + 1
+        predictions(slow_params_pinned, [n - 1])  # the key is exact: no prefix of the n build
+        assert counter.builds == 2 * i + 2
     # a run: RunPlan at n_final, clt_report at the last checkpoint and cost_curve
     spec = ReplicationSpec(replicas=20, n_final=60, checkpoints=(30, 60), master_seed=3)
     record = run_replicas(spec, slow_params, slow_family, cost_model, identity,
                           slow_family.theta_star + 0.5)
     clt_report(record, slow_params, slow_family, 60, divergence_radius=10.0)
     cost_curve(record, slow_params)
-    assert counter.builds == 3
+    assert counter.builds == 5
 
 
 def test_previous_schedule_build_is_released_before_the_next(monkeypatch, slow_params_pinned):
