@@ -28,12 +28,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .driver import csv_lines
-from .params import CRITICAL, SLOW, WINDOW, ParameterSet, schedule_arrays
+from .params import CRITICAL, SLOW, WINDOW, ParameterSet, schedule_windows
 
 
 def _psi_formula(u: float, v: float, M: float, z):
@@ -122,15 +123,17 @@ def predict_critical(params: ParameterSet, n: int) -> Predictions:
 
 
 def predictions(params: ParameterSet, ns: Sequence[int]) -> Predictions:
-    """Every closed form at each n in ``ns`` in one array pass over one schedule
-    build at max(ns).  A slow-regime s_n from the clamp branch (floor <= 0) is
-    flagged ``pre_asymptotic``, not refused: xi_n is then negative and the
-    formulas are evaluated as written.  The critical regime needs every n >= 2.
+    """Every closed form at each n in ``ns`` in one array pass over s_n and xi_n,
+    read from the schedule windows.  A slow-regime s_n from the clamp branch
+    (floor <= 0) is flagged ``pre_asymptotic``, not refused: xi_n is then negative
+    and the formulas are evaluated as written.  The critical regime needs n >= 2.
     """
     p = params
     n = np.asarray(ns, dtype=np.int64)
-    arr = schedule_arrays(p, int(n.max(initial=1)))
-    s, xi, x = arr["s"][n - 1], arr["xi"][n - 1], n.astype(float)
+    s, xi, x = np.zeros(n.shape, dtype=np.int64), np.zeros(n.shape), n.astype(float)
+    for lo, w in schedule_windows(p, int(n.max(initial=1)), ("s", "xi")):
+        at = (n > lo) & (n <= lo + WINDOW)
+        s[at], xi[at] = w["s"][n[at] - lo - 1], w["xi"][n[at] - lo - 1]
     if p.regime == SLOW:
         pre = xi < 0.0  # the max(. , 1) clamp was active
         rb = rates(p)
@@ -168,21 +171,38 @@ def predictions(params: ParameterSet, ns: Sequence[int]) -> Predictions:
 _MAX_ORACLE_N = 10 ** 7
 
 
-def _window_sum(terms, n: int) -> float:
-    """Sum of ``terms(lo, hi)`` (0-based lo..hi-1) over windows of 0..n-1, in window order."""
-    return sum(float(np.sum(terms(lo, min(lo + WINDOW, n)))) for lo in range(0, n, WINDOW))
+def _powers(M: float, c: float, s: np.ndarray) -> np.ndarray:
+    """M ** (c * s) from a table over the range of s: the bits of the elementwise power."""
+    lo, hi = int(s.min()), int(s.max())
+    return M ** (c * s) if hi - lo >= len(s) else (M ** (c * np.arange(lo, hi + 1)))[s - lo]
+
+
+@lru_cache(maxsize=1)
+def _oracles(params: ParameterSet, n: int) -> tuple[float, float]:
+    """(eps_bias, or 0 if critical; eps_diff) from one pass over the schedule windows
+    that serves both oracles: np.sum per window, then the window sums in order."""
+    if n > _MAX_ORACLE_N:
+        raise ValueError("oracle restricted to n <= 1e7 (exact summation)")
+    p, slow, bias, diff = params, params.regime == SLOW, 0.0, 0.0
+    for lo, w in schedule_windows(p, n, ("b", "b_bar", "s") if slow else ("b", "b_bar")):
+        b, k = w["b"], np.arange(lo + 1, lo + len(w["b"]) + 1, dtype=float)
+        if slow:
+            bias += float(np.sum(b * _powers(p.M, -p.alpha, w["s"])))
+            d2 = _powers(p.M, 1.0 - p.beta, w["s"]) / k ** p.phi
+        else:
+            d2 = (2.0 * p.alpha * p.kappa_K) ** -1.0 * k ** (-p.phi) * np.log(k) / math.log(p.M)
+        diff += float(np.sum(b ** 2 * d2))
+    b_bar = float(w["b_bar"][-1])
+    conv = (1.0 if not slow else
+            math.sqrt(p.kappa_K * (p.phi + 1) * (1.0 - p.M ** (-(1.0 - p.beta) / 2.0))))
+    return bias / b_bar, math.sqrt(diff) / b_bar / conv
 
 
 def oracle_eps_bias(params: ParameterSet, n: int) -> float:
     """Brute-force bias normalization b_bar_n^-1 sum_k b_k M^(-alpha s_k)."""
     if params.regime != SLOW:
         raise ValueError("the bias oracle applies to the slow regime")
-    if n > _MAX_ORACLE_N:
-        raise ValueError("oracle restricted to n <= 1e7 (exact summation)")
-    arr = schedule_arrays(params, n)
-    b, s = arr["b"], arr["s"]
-    total = _window_sum(lambda lo, hi: b[lo:hi] * params.M ** (-params.alpha * s[lo:hi]), n)
-    return total / float(arr["b_bar"][-1])
+    return _oracles(params, n)[0]
 
 
 def oracle_eps_diff(params: ParameterSet, n: int) -> float:
@@ -196,22 +216,7 @@ def oracle_eps_diff(params: ParameterSet, n: int) -> float:
     Critical regime: (d_k)^2 = (2 alpha kappa_K)^-1 k^-phi log_M k, already
     Gamma-normalized (the k = 1 term vanishes with log_M 1 = 0).
     """
-    if n > _MAX_ORACLE_N:
-        raise ValueError("oracle restricted to n <= 1e7 (exact summation)")
-    p = params
-    arr = schedule_arrays(p, n)
-    b, s = arr["b"], arr["s"]
-
-    def terms(lo, hi):  # (b_k d_k)^2 at k = lo+1..hi
-        k = np.arange(lo + 1, hi + 1, dtype=float)
-        if p.regime == SLOW:
-            return b[lo:hi] ** 2 * (p.M ** ((1.0 - p.beta) * s[lo:hi]) / k ** p.phi)
-        return b[lo:hi] ** 2 * ((2.0 * p.alpha * p.kappa_K) ** -1.0 * k ** (-p.phi) * np.log(k)
-                                / math.log(p.M))
-
-    conv = (1.0 if p.regime == CRITICAL else
-            math.sqrt(p.kappa_K * (p.phi + 1) * (1.0 - p.M ** (-(1.0 - p.beta) / 2.0))))
-    return math.sqrt(_window_sum(terms, n)) / float(arr["b_bar"][-1]) / conv
+    return _oracles(params, n)[1]
 
 
 def predictions_csv(params: ParameterSet, ns: Sequence[int]) -> str:

@@ -18,7 +18,6 @@ import sys
 import warnings
 
 import numpy as np
-import scipy.special
 
 from . import harness
 from ._svg import loglog_plot
@@ -154,11 +153,7 @@ def cmd_run(args) -> int:
 
         lo = [c for c in spec.checkpoints if ball.n0 <= c <= spec.n_final // 2]
         hi = [c for c in spec.checkpoints if c > spec.n_final // 2]
-        windows = []
-        if lo:
-            windows.append((min(lo), max(lo)))
-        if hi:
-            windows.append((min(hi), max(hi)))
+        windows = [(min(c), max(c)) for c in (lo, hi) if c]
         mon = harness.l2_monitor(record, cfg.params, windows)
         write("l2_monitor.json", harness.report_json(mon, config_hash=cfg_hash,
                                                      master_seed=spec.master_seed))
@@ -174,6 +169,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_plot(args) -> int:
+    from scipy.special import ndtri  # imported here: ``import mlsa.cli`` stays free of it
     run_dir = args.run_dir
     needed = ["records.csv", "cost_table.csv"]
     try:  # a damaged manifest, stored config or record table is a domain failure
@@ -231,7 +227,7 @@ def cmd_plot(args) -> int:
     for j in range(bars.shape[1]):
         col = np.sort(bars[:, j])
         col = (col - col.mean()) / (col.std(ddof=1) or 1.0)
-        q = scipy.special.ndtri((np.arange(1, len(col) + 1) - 0.5) / len(col))
+        q = ndtri((np.arange(1, len(col) + 1) - 0.5) / len(col))
         for column, values in zip(qq, ([j] * len(col), q.tolist(), col.tolist())):
             column += map(str, values)
     qq_path = os.path.join(run_dir, "qq_data.csv")

@@ -22,12 +22,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .families import LevelFamily
-from .params import InvalidParameters, ParameterSet, schedule_arrays
+from .params import WINDOW, InvalidParameters, ParameterSet, schedule_arrays
 
 # snap near-integer count values before the ceiling so exact ratios such as
 # K/M^s = 8 are not pushed up by float noise from pow/log round-trips
 _INT_SNAP = 1e-9
-_DRAW_CAP = 1 << 16  # most standard normals in one chunk's synthetic draw (512 KB)
 
 
 def replication_counts(params: ParameterSet, s, K) -> np.ndarray:
@@ -212,7 +211,7 @@ def run(plan: RunPlan, family: LevelFamily, projection, theta0, checkpoints: Seq
     gamma, s = plan.gamma.tolist(), plan.s.tolist()
     runs = np.flatnonzero(np.diff(plan.s, prepend=0)).tolist() + [n_final]  # where s_n changes
     cuts = [n for a, e in zip(runs, runs[1:])
-            for n in range(a, e, max(1, _DRAW_CAP // (replicas * s[a] * family.d)))]
+            for n in range(a, e, max(1, WINDOW // (replicas * s[a] * family.d)))]
     blocks = [plan.counts[a:e, :s[a]] for a, e in zip(cuts, cuts[1:] + [n_final])]
 
     def draw(block):  # numpy's errstate is per thread

@@ -23,6 +23,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .params import WINDOW
+
 
 @dataclass(frozen=True)
 class GeometricCostModel:
@@ -75,20 +77,26 @@ class LevelFamily(abc.ABC):
         contend with the recursion for the GIL on the draw thread."""
         return [rng] * len(counts)
 
+    def sample_normals(self, k: int) -> int:
+        """Standard normals one level-k sample draws."""
+        return self.d
+
     def ml_estimate(self, theta: np.ndarray, counts: Sequence[int], rng: np.random.Generator) -> np.ndarray:
         """Multilevel estimates for the rows of ``theta`` (shape (R, d)), shape (R, d).
 
         Each row sums over k the mean of counts[k-1] samples.  Rows draw in
-        order, each level-major and sample-minor, all samples independent
-        (one batch per level).  Families with exploitable structure may
-        override with an exact equal-in-law shortcut (see
-        SyntheticGaussianFamily).
+        order, each level-major and sample-minor, all samples independent, in
+        batches of at most WINDOW normals whose sums add in order.  Families
+        with exploitable structure may override with an exact equal-in-law
+        shortcut (see SyntheticGaussianFamily).
         """
         theta = np.asarray(theta, dtype=float)
         z = np.zeros(theta.shape)
         for row, out in zip(theta, z):
-            for k, n_k in enumerate(counts, start=1):
-                out += self.sample_level_diff_batch(row, k, int(n_k), rng).mean(axis=0)
+            for k, n_k in enumerate(map(int, counts), start=1):
+                step = max(1, WINDOW // self.sample_normals(k))
+                out += sum(self.sample_level_diff_batch(row, k, min(step, n_k - i), rng).sum(axis=0)
+                           for i in range(0, n_k, step)) / n_k
         return z
 
     def has_ground_truth(self) -> bool:
@@ -225,6 +233,9 @@ class EulerSdeFamily(LevelFamily):
     def f(self, theta):
         """f at theta of shape (1,) or at each row of theta of shape (R, 1)."""
         return self.target - np.asarray(theta, dtype=float) * np.exp(self.drift * self.T)
+
+    def sample_normals(self, k):
+        return self.M ** k
 
     def sample_level_diff_batch(self, theta, k, size, rng):
         if k < 1:

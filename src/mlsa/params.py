@@ -128,43 +128,56 @@ def validate(v: Mapping) -> tuple[str, ...]:
 
 
 _latest: dict = {}  # {(params, n): arrays} of the latest build; ParameterSet hashes by value
-WINDOW = 2 ** 16  # indices per window of the schedule build and of the oracle sums
+WINDOW = 2 ** 16  # elements of a streamed window, 512 KB of doubles: indices or normals
+KEYS = ("gamma", "b", "b_bar", "K", "K_bar", "s", "xi")
+
+
+def schedule_windows(params: ParameterSet, n: int, keys=KEYS):
+    """The single source of s_n, K_bar_n, xi_n: yields ``(lo, w)`` for each
+    ``WINDOW``-index slice lo+1..min(lo+WINDOW, n) of 1..n, ``w`` a dict of ``keys``
+    and what they need over it, cleared as the next window starts.  K_bar and b_bar
+    go on from the window before's sum, adding the exact terms in index order.
+    Overflow gives inf or nan, not warnings."""
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    p, need = params, set(keys) | ({"s"} if "xi" in keys else set())
+    need |= {"K_bar"} if p.regime == SLOW and "s" in need else set()
+    need |= {t[:-4] for t in need if t.endswith("_bar")}  # a sum needs its terms
+    terms = {"gamma": lambda i: i ** (-p.psi), "b": lambda i: i ** p.rho,
+             "K": lambda i: p.kappa_K * (p.phi + 1.0) * i ** p.phi}
+    last = {"K_bar": 0.0, "b_bar": 0.0}
+    w: dict = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, n, WINDOW):
+            w.clear()
+            idx = np.arange(lo + 1, min(lo + WINDOW, n) + 1, dtype=float)
+            w.update((k, terms[k](idx)) for k in need & terms.keys())
+            for total in need & {"K_bar", "b_bar"}:  # the terms after the sum so far
+                w[total] = np.cumsum(np.concatenate(([last[total]], w[total[:-4]])))[1:]
+                last[total] = w[total][-1]
+            if "s" in need:
+                if p.regime == SLOW:  # xi holds the level before rounding until s is taken off
+                    w["xi"] = (np.log(p.kappa_s * w["K_bar"] ** (1.0 / (2 * p.alpha - p.beta + 1)))
+                               / math.log(p.M))
+                else:
+                    w["xi"] = (1.0 / p.alpha) * ((p.phi + 1) / 2.0) * np.log(idx) / math.log(p.M)
+                w["s"] = np.maximum((np.floor if p.regime == SLOW else np.ceil)(w["xi"]), 1.0)
+                w["xi"] -= w["s"]
+                w["s"] = w["s"].astype(np.int64)
+            yield lo, w
 
 
 def schedule_arrays(params: ParameterSet, n: int) -> dict[str, np.ndarray]:
-    """Schedules for all indices 1..n: the single source of s_n, K_bar_n, xi_n.
-
-    Returns a new dict of arrays ``gamma, b, b_bar, K, K_bar, s, xi``, built
-    ``WINDOW`` indices at a time; K_bar and b_bar sum the exact terms in index
-    order.  Calls with an equal ``(params, n)`` share the latest build, so its
-    arrays are read-only; it is dropped before a new build starts, so two
-    builds are never held at once.  Overflow gives inf or nan, not warnings.
-    """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    """A new dict of every :data:`KEYS` schedule over 1..n, for the run plan and config
+    load; calls with an equal ``(params, n)`` share the latest build, read-only."""
     if (params, n) in _latest:
         return dict(_latest[params, n])
     _latest.clear()
-    p = params
-    a = {k: np.empty(n, dtype=np.int64 if k == "s" else float)
-         for k in ("gamma", "b", "b_bar", "K", "K_bar", "s", "xi")}
-    base = np.arange(1, min(n, WINDOW) + 1, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, n, WINDOW):
-            w, run = slice(lo, lo + WINDOW), slice(max(lo - 1, 0), lo + WINDOW)
-            idx = base[:min(WINDOW, n - lo)] + lo
-            a["K"][w] = a["K_bar"][w] = p.kappa_K * (p.phi + 1.0) * idx ** p.phi
-            a["b"][w] = a["b_bar"][w] = idx ** p.rho
-            for total in (a["K_bar"][run], a["b_bar"][run]):  # on from the sum at lo - 1
-                np.cumsum(total, out=total)
-            if p.regime == SLOW:
-                raw = (np.log(p.kappa_s * a["K_bar"][w] ** (1.0 / (2 * p.alpha - p.beta + 1)))
-                       / math.log(p.M))
-                s = np.maximum(np.floor(raw), 1.0)
-            else:
-                raw = (1.0 / p.alpha) * ((p.phi + 1) / 2.0) * np.log(idx) / math.log(p.M)
-                s = np.maximum(np.ceil(raw), 1.0)
-            a["s"][w], a["xi"][w], a["gamma"][w] = s, raw - s, idx ** (-p.psi)
+    a = {k: np.empty(n, dtype=np.int64 if k == "s" else float) for k in KEYS}
+    for keys in (KEYS[:3], KEYS[3:]):  # in two passes, fewer window arrays are held at once
+        for lo, w in schedule_windows(params, n, keys):
+            for k in keys:
+                a[k][lo:lo + WINDOW] = w[k]
     for v in a.values():
         v.flags.writeable = False
     _latest[params, n] = a

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -207,3 +208,39 @@ def test_euler_step_major_kernel_at_eight_term_groups():
             got = fam.sample_level_diff_batch(np.array([0.9]), k, size, np.random.default_rng(k))
             ref = sample_major_level_diff(fam, 0.9, k, size, np.random.default_rng(k))
             np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14)
+
+
+def one_shot_estimate(fam, theta, counts, rng):
+    """The estimate with each level drawn in one batch: the mean of all its samples at once."""
+    z = np.zeros(theta.shape)
+    for row, out in zip(theta, z):
+        for k, n_k in enumerate(counts, start=1):
+            out += fam.sample_level_diff_batch(row, k, int(n_k), rng).mean(axis=0)
+    return z
+
+
+def test_euler_estimate_in_draw_cap_batches_matches_one_batch_per_level():
+    # level k draws 2^k normals a sample, so a batch holds 2^(16-k) samples: these
+    # counts take 1 to 7 batches a level; the same normals are drawn in the same order
+    fam = EulerSdeFamily(drift=0.05, diffusion=0.2, target=1.0, M=2)
+    theta = np.array([[0.9], [1.1]])
+    for counts in ((40_000, 30_000, 20_000), (70_000, 3, 50_000), (5, 4, 3)):
+        rng, ref_rng = np.random.default_rng(counts), np.random.default_rng(counts)
+        got = fam.ml_estimate(theta, np.array(counts), rng)
+        want = one_shot_estimate(fam, theta, counts, ref_rng)
+        assert np.all(np.abs(got - want) <= 8 * np.spacing(np.abs(want)))  # measured: 1 ulp
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        if max(counts) < 2 ** 13:  # one batch a level: the same bits
+            assert np.array_equal(got, want)
+
+
+def test_euler_estimate_memory_is_bounded_above_the_draw_cap():
+    # 200,000 level-3 samples are 1.6 million normals: about 30 MB drawn in one batch
+    fam = EulerSdeFamily(drift=0.05, diffusion=0.2, target=1.0, M=2)
+    tracemalloc.start()
+    try:
+        fam.ml_estimate(np.array([[0.9]]), np.array([1, 1, 200_000]), np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20

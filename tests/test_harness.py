@@ -64,16 +64,18 @@ def test_kolmogorov_critical_against_scipy():
 
 def test_import_loads_neither_scipy_stats_nor_special():
     # a fresh interpreter: this test session has already imported scipy.special;
-    # the process pool, too, is imported only by the run that opens one
+    # the process pool, too, is imported only by the run that opens one, and
+    # scipy.special only by the KS statistics and ``mlsa plot``
     src = os.path.join(os.path.dirname(__file__), "..", "src")
-    code = ("import sys, mlsa; "
-            "print(sorted(m for m in ('scipy.stats', 'scipy.special', 'scipy.linalg', "
-            "'concurrent.futures') if m in sys.modules))")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    for module in ("mlsa", "mlsa.cli"):
+        code = (f"import sys, {module}; "
+                "print(sorted(m for m in ('scipy.stats', 'scipy.special', 'scipy.linalg', "
+                "'concurrent.futures') if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert out.stdout.strip() == "[]", module
 
 
 def test_ks_statistic_behaviour():

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mlsa.asymptotics
 import mlsa.params
 from mlsa import ConfigError, InvalidParameters, ParameterSet, config_from_dict, validate
-from mlsa.asymptotics import oracle_eps_bias, oracle_eps_diff, predictions
+from mlsa.asymptotics import (_powers, oracle_eps_bias, oracle_eps_diff, predict_critical,
+                              predict_slow, predictions)
 from mlsa.harness import ReplicationSpec, clt_report, cost_curve, run_replicas
-from mlsa.params import schedule_arrays
+from mlsa.params import schedule_arrays, schedule_windows
 
 from conftest import CRITICAL_DEFAULT, SLOW_PINNED
 
@@ -188,23 +190,112 @@ def test_windowed_build_is_bitwise_one_shot(base, overrides):
         assert got[k].dtype == v.dtype and got[k].tobytes() == v.tobytes(), k
 
 
+def drop_schedule_memos():
+    """Forget the memoised schedule build and oracle sums, so the next call starts cold."""
+    mlsa.params._latest.clear()
+    mlsa.asymptotics._oracles.cache_clear()
+
+
+WINDOWS_PEAK = 8 * 2 ** 20  # a few 2^16-index windows of doubles, far below one n = 10^6 array
+
+
 def test_build_and_oracles_hold_no_full_length_temporaries(slow_params_pinned,
                                                            critical_params_pinned):
     n, slack = 10 ** 6, 4 * 2 ** 20
     for p in (slow_params_pinned, critical_params_pinned):
-        schedule_arrays(p, 1)  # drop any memoised n build
+        drop_schedule_memos()
         tracemalloc.start()
         try:
-            schedule_arrays(p, n)  # the memo keeps the build the oracles then read
+            schedule_arrays(p, n)
             held, peak = tracemalloc.get_traced_memory()
             assert held >= 7 * 8 * n and peak <= 7 * 8 * n + slack
+            drop_schedule_memos()  # the oracles stream the schedule and read no build
             tracemalloc.reset_peak()
             if p.regime == "slow":
                 oracle_eps_bias(p, n)
             oracle_eps_diff(p, n)
-            assert tracemalloc.get_traced_memory()[1] <= held + slack
+            assert tracemalloc.get_traced_memory()[1] <= WINDOWS_PEAK
         finally:
             tracemalloc.stop()
+
+
+def test_streamed_predictions_hold_a_few_windows(slow_params_pinned, critical_params_pinned):
+    n = 10 ** 6
+    for p, predict in ((slow_params_pinned, predict_slow), (critical_params_pinned, predict_critical)):
+        drop_schedule_memos()
+        tracemalloc.start()
+        try:
+            predict(p, n)
+            assert tracemalloc.get_traced_memory()[1] <= WINDOWS_PEAK
+        finally:
+            tracemalloc.stop()
+        assert not mlsa.params._latest  # nothing of full length is kept either
+
+
+def streamed(p, n, keys):
+    """Each key of one pass over the windows, concatenated."""
+    parts = {k: [] for k in keys}
+    for _, w in schedule_windows(p, n, keys):
+        for k in keys:
+            parts[k].append(w[k].copy())
+    return {k: np.concatenate(v) for k, v in parts.items()}
+
+
+def full_build_oracles(p, n):
+    """(eps_bias or None, eps_diff) reduced from one full schedule_arrays build: np.sum
+    of the elementwise terms per 2^16-index window, the window sums in order."""
+    arr = schedule_arrays(p, n)
+    k = np.arange(1, n + 1, dtype=float)
+    if p.regime == "slow":
+        bias = arr["b"] * p.M ** (-p.alpha * arr["s"])
+        d2 = arr["b"] ** 2 * (p.M ** ((1.0 - p.beta) * arr["s"]) / k ** p.phi)
+    else:
+        bias = None
+        d2 = arr["b"] ** 2 * ((2.0 * p.alpha * p.kappa_K) ** -1.0 * k ** (-p.phi) * np.log(k)
+                              / math.log(p.M))
+    windows = range(0, n, 2 ** 16)
+    conv = (1.0 if p.regime == "critical" else
+            math.sqrt(p.kappa_K * (p.phi + 1) * (1.0 - p.M ** (-(1.0 - p.beta) / 2.0))))
+    diff = math.sqrt(sum(float(np.sum(d2[lo:lo + 2 ** 16])) for lo in windows))
+    b_bar = float(arr["b_bar"][-1])
+    return (None if bias is None else
+            sum(float(np.sum(bias[lo:lo + 2 ** 16])) for lo in windows) / b_bar,
+            diff / b_bar / conv)
+
+
+@pytest.mark.parametrize("base, overrides", [(SLOW_PINNED, {}),
+                                             (SLOW_PINNED, {"kappa_s": 8.0, "psi": 0.5}),
+                                             (SLOW_PINNED, {"phi": 1.5, "rho": 1.5}),
+                                             (CRITICAL_DEFAULT, {})])
+def test_streamed_schedule_and_oracles_are_bitwise_a_full_build(base, overrides):
+    p = ParameterSet(**make(overrides, base=base))
+    drop_schedule_memos()
+    ns = [1, 2, 2 ** 16, 2 ** 16 + 1, 2 * 2 ** 16 + 5, WINDOWED_N - 1, WINDOWED_N]
+    pred = predictions(p, ns if p.regime == "slow" else ns[1:])
+    bias, diff = (oracle_eps_bias(p, WINDOWED_N) if p.regime == "slow" else None,
+                  oracle_eps_diff(p, WINDOWED_N))
+    assert not mlsa.params._latest  # streamed: no build was made
+    arr = schedule_arrays(p, WINDOWED_N)
+    at = pred.n - 1
+    assert pred.s.tobytes() == arr["s"][at].tobytes() and pred.xi.tobytes() == arr["xi"][at].tobytes()
+    for k in arr:  # each key on its own: a pass computes what the key needs, carries included
+        got = streamed(p, WINDOWED_N, (k,))[k]
+        assert got.dtype == arr[k].dtype and got.tobytes() == arr[k].tobytes(), k
+    want_bias, want_diff = full_build_oracles(p, WINDOWED_N)
+    assert diff.hex() == want_diff.hex()
+    assert bias is None if want_bias is None else bias.hex() == want_bias.hex()
+
+
+@pytest.mark.parametrize("M, alpha, beta", [(2.0, 1.0, 0.5), (3.0, 0.8, 0.3), (1.5, 1.7, 0.9),
+                                            (7.0, 0.55, 0.05)])
+def test_s_power_table_is_the_elementwise_power(M, alpha, beta):
+    rng = np.random.default_rng(int(10 * M))
+    runs = np.repeat(np.arange(1, 60), rng.integers(1, 3000, 59))  # s's nondecreasing runs
+    for s in (runs, runs[::-1].copy(), rng.integers(1, 40, 5000), np.array([5]),
+              np.array([1, 90, 3])):  # the last: a range wider than s, so no table
+        for c in (-alpha, 1.0 - beta):
+            got = _powers(M, c, s)
+            assert got.dtype == np.float64 and np.array_equal(got, M ** (c * s))
 
 
 def test_params_from_dict_strictness():
@@ -231,17 +322,17 @@ def test_bad_regime_tag():
 
 
 class BuildCounter:
-    """numpy as ``mlsa.params`` sees it; each schedule build calls ``arange``
-    once, so its calls count the builds.  ``on_build`` runs as a build starts."""
+    """numpy as ``mlsa.params`` sees it; each pass over the schedule windows enters
+    ``errstate`` once, so its calls count the passes.  ``on_build`` runs as a pass starts."""
 
     def __init__(self, on_build=lambda: None):
         self.builds = 0
         self.on_build = on_build
 
-    def arange(self, *args, **kwargs):
+    def errstate(self, *args, **kwargs):
         self.builds += 1
         self.on_build()
-        return np.arange(*args, **kwargs)
+        return np.errstate(*args, **kwargs)
 
     def __getattr__(self, name):
         return getattr(np, name)
@@ -273,20 +364,28 @@ def test_one_schedule_build_per_params_and_n(monkeypatch, slow_params, slow_para
                                              slow_family, cost_model, identity):
     counter = BuildCounter()
     monkeypatch.setattr(mlsa.params, "np", counter)
+    drop_schedule_memos()
     for i, n in enumerate((1237, WINDOWED_N)):  # one window, then four
-        predictions(slow_params_pinned, [10, n])
-        oracle_eps_bias(slow_params_pinned, n)
+        predictions(slow_params_pinned, [10, n])  # one streamed pass
+        assert counter.builds == 5 * i + 1
+        oracle_eps_bias(slow_params_pinned, n)  # one pass serves both oracles
         oracle_eps_diff(slow_params_pinned, n)
-        assert counter.builds == 2 * i + 1
-        predictions(slow_params_pinned, [n - 1])  # the key is exact: no prefix of the n build
-        assert counter.builds == 2 * i + 2
-    # a run: RunPlan at n_final, clt_report at the last checkpoint and cost_curve
+        oracle_eps_bias(slow_params_pinned, n)
+        assert counter.builds == 5 * i + 2
+        predictions(slow_params_pinned, [n - 1])  # predictions keep no memo
+        assert counter.builds == 5 * i + 3
+        schedule_arrays(slow_params_pinned, n)  # a build is two passes, then memoised
+        schedule_arrays(slow_params_pinned, n)
+        assert counter.builds == 5 * i + 5
+    assert not mlsa.params._latest[slow_params_pinned, WINDOWED_N]["s"].flags.writeable
+    # a run: RunPlan builds at n_final; clt_report and cost_curve stream a pass each
     spec = ReplicationSpec(replicas=20, n_final=60, checkpoints=(30, 60), master_seed=3)
     record = run_replicas(spec, slow_params, slow_family, cost_model, identity,
                           slow_family.theta_star + 0.5)
+    assert counter.builds == 12
     clt_report(record, slow_params, slow_family, 60, divergence_radius=10.0)
     cost_curve(record, slow_params)
-    assert counter.builds == 5
+    assert counter.builds == 14
 
 
 def test_previous_schedule_build_is_released_before_the_next(monkeypatch, slow_params_pinned):
@@ -295,4 +394,4 @@ def test_previous_schedule_build_is_released_before_the_next(monkeypatch, slow_p
     released = []
     monkeypatch.setattr(mlsa.params, "np", BuildCounter(lambda: released.append(kept() is None)))
     schedule_arrays(slow_params_pinned, 501)
-    assert released == [True]
+    assert released == [True, True]  # as each of the build's two passes starts
