@@ -130,6 +130,10 @@ def predictions(params: ParameterSet, ns: Sequence[int]) -> Predictions:
     """
     p = params
     n = np.asarray(ns, dtype=np.int64)
+    if p.regime == CRITICAL and np.any(n < 2):
+        raise ValueError("critical prediction needs n >= 2 (log n vanishes at 1)")
+    if np.any(n < 1):
+        raise ValueError("predictions need every n >= 1")
     s, xi, x = np.zeros(n.shape, dtype=np.int64), np.zeros(n.shape), n.astype(float)
     for lo, w in schedule_windows(p, int(n.max(initial=1)), ("s", "xi")):
         at = (n > lo) & (n <= lo + WINDOW)
@@ -153,8 +157,6 @@ def predictions(params: ParameterSet, ns: Sequence[int]) -> Predictions:
         eps_diff_cost = (p.kappa_C ** rb.r * one_minus ** (-(rb.r + 0.5)) * _diff_prefactor(p)
                          * p.kappa_s ** ((1 - p.beta) / 2) * np.sqrt(psi_d) * cost ** (-rb.r))
     else:
-        if np.any(n < 2):
-            raise ValueError("critical prediction needs n >= 2 (log n vanishes at 1)")
         pre, eps_bias, eps_bias_cost = np.zeros(n.shape, dtype=bool), None, None
         log_M_n = np.log(x) / math.log(p.M)
         eps_diff = (1.0 / math.sqrt(2 * p.alpha * p.kappa_K) * _diff_prefactor(p)

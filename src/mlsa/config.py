@@ -195,7 +195,7 @@ def _check_experiment(cfg: ExperimentConfig):
         _reject("integer M for euler_sde", f"M = {p.M:.6g} is not an integer")
     if p.regime == CRITICAL and max(cfg.replication.checkpoints) < 2:
         _reject("checkpoint n >= 2", "critical predictions need log n > 0")
-    arr = schedule_arrays(p, cfg.replication.n_final)  # the build RunPlan then reuses
+    arr = schedule_arrays(p, cfg.replication.n_final)
     for key, what in (("K_bar", "the budget"), ("b_bar", "the weight sum")):  # s_n, theta_bar_n
         if not np.isfinite(arr[key][-1]):
             _reject(f"finite {key}_n", f"{what} overflows a double by n = {cfg.replication.n_final}")

@@ -137,7 +137,6 @@ class SyntheticGaussianFamily(LevelFamily):
             if a.shape != shape or not np.all(np.isfinite(a)):
                 raise ValueError(f"{name} must be a finite array of shape {shape}")
         self.Gamma = self.A @ self.A.T
-        self._level_terms = {}  # s -> (M^(-beta k/2) for k = 1..s, mu M^(-alpha s))
         self._block_terms = {}  # (block shape, s) -> ml_estimate's operands at that shape
 
     def f(self, theta):
@@ -158,13 +157,6 @@ class SyntheticGaussianFamily(LevelFamily):
             out = out + self.f(theta)
         return out
 
-    def _terms(self, s: int):
-        terms = self._level_terms.get(s)
-        if terms is None:  # scales built at length s: each has the bits of the plain expression
-            terms = self._level_terms[s] = (self.M ** (-self.beta * np.arange(1, s + 1) / 2.0),
-                                            self.mu * self.M ** (-self.alpha * s))
-        return terms
-
     def draw(self, counts, replicas, rng):
         """Exact collapse: the mean of N iid Gaussians is Gaussian with 1/N
         the covariance, so one normal per level reproduces the estimator's law.
@@ -175,7 +167,7 @@ class SyntheticGaussianFamily(LevelFamily):
         """
         s = counts.shape[1]
         g = rng.standard_normal((len(counts), replicas, s, self.d))
-        coef = self._terms(s)[0] / np.sqrt(counts)
+        coef = self.M ** (-self.beta * np.arange(1, s + 1) / 2.0) / np.sqrt(counts)
         return _rowmap(self.A, (coef[:, None, None, :] @ g)[:, :, 0, :])
 
     def ml_estimate(self, theta, counts, noise):
@@ -184,8 +176,9 @@ class SyntheticGaussianFamily(LevelFamily):
         key = theta.shape, len(counts)
         ops = self._block_terms.get(key)
         if ops is None:  # same-shape operands skip numpy's slower broadcasting loops
+            bias = self.mu * self.M ** (-self.alpha * len(counts))
             shaped = [np.array(np.broadcast_to(x, theta.shape))
-                      for x in (self.theta_star, *self.H.T, self._terms(len(counts))[1])]
+                      for x in (self.theta_star, *self.H.T, bias)]
             ops = self._block_terms[key] = shaped[0], tuple(shaped[1:-1]), shaped[-1]
         theta_star, columns, bias = ops
         x = theta - theta_star

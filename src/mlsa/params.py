@@ -127,9 +127,8 @@ def validate(v: Mapping) -> tuple[str, ...]:
     return tuple(violations)
 
 
-_latest: dict = {}  # {(params, n): arrays} of the latest build; ParameterSet hashes by value
 WINDOW = 2 ** 16  # elements of a streamed window, 512 KB of doubles: indices or normals
-KEYS = ("gamma", "b", "b_bar", "K", "K_bar", "s", "xi")
+KEYS = ("gamma", "b", "b_bar", "K", "K_bar", "s")
 
 
 def schedule_windows(params: ParameterSet, n: int, keys=KEYS):
@@ -168,17 +167,11 @@ def schedule_windows(params: ParameterSet, n: int, keys=KEYS):
 
 
 def schedule_arrays(params: ParameterSet, n: int) -> dict[str, np.ndarray]:
-    """A new dict of every :data:`KEYS` schedule over 1..n, for the run plan and config
-    load; calls with an equal ``(params, n)`` share the latest build, read-only."""
-    if (params, n) in _latest:
-        return dict(_latest[params, n])
-    _latest.clear()
+    """New full-length arrays of every :data:`KEYS` schedule over 1..n, for the run plan
+    and config load; predictions and oracles stream the windows instead."""
     a = {k: np.empty(n, dtype=np.int64 if k == "s" else float) for k in KEYS}
     for keys in (KEYS[:3], KEYS[3:]):  # in two passes, fewer window arrays are held at once
         for lo, w in schedule_windows(params, n, keys):
             for k in keys:
                 a[k][lo:lo + WINDOW] = w[k]
-    for v in a.values():
-        v.flags.writeable = False
-    _latest[params, n] = a
-    return dict(a)
+    return a

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from mlsa import (ParameterSet, load_config, oracle_eps_bias, oracle_eps_diff,
                   predict_critical, predict_slow, psi, rates, schedule_arrays)
 from mlsa.asymptotics import predictions, predictions_csv
+from mlsa.params import schedule_windows
 
 from conftest import CRITICAL_PINNED, SLOW_PINNED
 
@@ -201,6 +202,14 @@ def test_critical_rejects_n_one(critical_params_pinned):
         predictions(critical_params_pinned, [5, 1, 7])
 
 
+def test_predictions_reject_any_n_below_one(slow_params_pinned, critical_params_pinned):
+    for ns in ([0, 5], [5, -3]):  # a valid n next to the bad one
+        with pytest.raises(ValueError, match="n >= 1"):
+            predictions(slow_params_pinned, ns)
+        with pytest.raises(ValueError, match="n >= 2"):
+            predictions(critical_params_pinned, ns)
+
+
 def test_predict_wrappers_reject_the_other_regime(slow_params_pinned, critical_params_pinned):
     with pytest.raises(ValueError, match="predict_slow requires slow-regime"):
         predict_slow(critical_params_pinned, 10)
@@ -291,8 +300,8 @@ def test_array_predictions_match_scalar_reference():
              ParameterSet(**dict(SLOW_PINNED, kappa_s=1e-3))]  # pre-asymptotic at small n
     for p in sets:
         ns = list(range(2 if p.regime == "critical" else 1, 4001))
-        arr = schedule_arrays(p, 4000)
-        ref = [scalar_prediction(p, n, int(arr["s"][n - 1]), float(arr["xi"][n - 1]))
+        _, w = next(schedule_windows(p, 4000, ("s", "xi")))  # 4000 indices: one window
+        ref = [scalar_prediction(p, n, int(w["s"][n - 1]), float(w["xi"][n - 1]))
                for n in ns]
         got = predictions(p, ns)
         for name in PREDICTION_COLUMNS:

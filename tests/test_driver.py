@@ -505,7 +505,7 @@ def test_run_cuts_the_chunks_it_draws(slow_params, cost_model, identity):
 def recast(family, cls, **attrs):
     """A copy of ``family`` as an instance of its subclass ``cls``, with ``attrs`` set."""
     out = object.__new__(cls)
-    out.__dict__.update(family.__dict__, _level_terms={}, _block_terms={}, **attrs)
+    out.__dict__.update(family.__dict__, _block_terms={}, **attrs)
     return out
 
 

@@ -68,8 +68,8 @@ def test_validate_is_pure():
 
 
 def schedule_at(params, n):
-    """(K_bar_n, s_n, xi_n) from the last entry of the schedule arrays."""
-    arr = schedule_arrays(params, n)
+    """(K_bar_n, s_n, xi_n) from the last entry of the streamed schedule."""
+    arr = streamed(params, n, ("K_bar", "s", "xi"))
     return float(arr["K_bar"][-1]), int(arr["s"][-1]), float(arr["xi"][-1])
 
 
@@ -103,7 +103,7 @@ def test_critical_level_reference_point():
 
 def test_level_offset_identity_along_n(slow_params_pinned):
     p = slow_params_pinned
-    arr = schedule_arrays(p, 399)
+    arr = streamed(p, 399, ("K_bar", "s", "xi"))
     for K_bar, s, xi in zip(arr["K_bar"], arr["s"], arr["xi"]):
         if xi >= 0:
             lhs = p.M ** (s + xi)
@@ -150,13 +150,14 @@ def test_schedule_arrays_match_exact_reference():
     for base, overrides in cases:
         p = ParameterSet(**make(overrides, base=base))
         arr = schedule_arrays(p, n_max)
+        xi_n = streamed(p, n_max, ("xi",))["xi"]  # a build holds no xi
         if p.phi == 2.0 or p.regime == "critical":
             ns = range(1, n_max + 1)
         else:  # fsum is O(n) per index, so check a spread of indices
             ns = (1, 2, 17, 100, 499, 500, 4_000, 65_537, n_max)
         for n, (s, xi) in reference_schedule(p, ns).items():
             assert arr["s"][n - 1] == s, (overrides, n)
-            assert abs(arr["xi"][n - 1] - xi) <= 1e-10, (overrides, n)
+            assert abs(xi_n[n - 1] - xi) <= 1e-10, (overrides, n)
 
 
 WINDOWED_N = 3 * 2 ** 16 + 7  # three full 2^16-index windows and a tail
@@ -185,14 +186,14 @@ def one_shot_schedule(p, n):
 def test_windowed_build_is_bitwise_one_shot(base, overrides):
     p = ParameterSet(**make(overrides, base=base))
     got, want = schedule_arrays(p, WINDOWED_N), one_shot_schedule(p, WINDOWED_N)
+    got["xi"] = streamed(p, WINDOWED_N, ("xi",))["xi"]  # streamed only: a build holds no xi
     assert got.keys() == want.keys()
     for k, v in want.items():
         assert got[k].dtype == v.dtype and got[k].tobytes() == v.tobytes(), k
 
 
 def drop_schedule_memos():
-    """Forget the memoised schedule build and oracle sums, so the next call starts cold."""
-    mlsa.params._latest.clear()
+    """Forget the memoised oracle sums, so the next call starts cold."""
     mlsa.asymptotics._oracles.cache_clear()
 
 
@@ -206,9 +207,10 @@ def test_build_and_oracles_hold_no_full_length_temporaries(slow_params_pinned,
         drop_schedule_memos()
         tracemalloc.start()
         try:
-            schedule_arrays(p, n)
+            arr = schedule_arrays(p, n)
             held, peak = tracemalloc.get_traced_memory()
-            assert held >= 7 * 8 * n and peak <= 7 * 8 * n + slack
+            assert held >= 6 * 8 * n and peak <= 6 * 8 * n + slack
+            del arr
             drop_schedule_memos()  # the oracles stream the schedule and read no build
             tracemalloc.reset_peak()
             if p.regime == "slow":
@@ -229,7 +231,6 @@ def test_streamed_predictions_hold_a_few_windows(slow_params_pinned, critical_pa
             assert tracemalloc.get_traced_memory()[1] <= WINDOWS_PEAK
         finally:
             tracemalloc.stop()
-        assert not mlsa.params._latest  # nothing of full length is kept either
 
 
 def streamed(p, n, keys):
@@ -274,10 +275,10 @@ def test_streamed_schedule_and_oracles_are_bitwise_a_full_build(base, overrides)
     pred = predictions(p, ns if p.regime == "slow" else ns[1:])
     bias, diff = (oracle_eps_bias(p, WINDOWED_N) if p.regime == "slow" else None,
                   oracle_eps_diff(p, WINDOWED_N))
-    assert not mlsa.params._latest  # streamed: no build was made
     arr = schedule_arrays(p, WINDOWED_N)
     at = pred.n - 1
-    assert pred.s.tobytes() == arr["s"][at].tobytes() and pred.xi.tobytes() == arr["xi"][at].tobytes()
+    xi_n = streamed(p, WINDOWED_N, ("xi",))["xi"]
+    assert pred.s.tobytes() == arr["s"][at].tobytes() and pred.xi.tobytes() == xi_n[at].tobytes()
     for k in arr:  # each key on its own: a pass computes what the key needs, carries included
         got = streamed(p, WINDOWED_N, (k,))[k]
         assert got.dtype == arr[k].dtype and got.tobytes() == arr[k].tobytes(), k
@@ -321,33 +322,11 @@ def test_bad_regime_tag():
     assert "regime" in names(validate(make({"regime": "fast"})))
 
 
-class BuildCounter:
-    """numpy as ``mlsa.params`` sees it; each pass over the schedule windows enters
-    ``errstate`` once, so its calls count the passes.  ``on_build`` runs as a pass starts."""
-
-    def __init__(self, on_build=lambda: None):
-        self.builds = 0
-        self.on_build = on_build
-
-    def errstate(self, *args, **kwargs):
-        self.builds += 1
-        self.on_build()
-        return np.errstate(*args, **kwargs)
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-
-def test_schedule_calls_share_one_read_only_build(slow_params_pinned):
-    a = schedule_arrays(slow_params_pinned, 300)
-    b = schedule_arrays(ParameterSet(**SLOW_PINNED), 300)  # equal by value, not identity
-    assert a is not b and a.keys() == b.keys()
-    assert all(a[k] is b[k] and not a[k].flags.writeable for k in a)
-    with pytest.raises(ValueError):
-        a["gamma"][0] = 0.0
-    # each call gets its own dict, so editing one leaves later calls whole
-    del a["s"]
-    assert "s" in schedule_arrays(slow_params_pinned, 300)
+def test_schedule_build_is_released_with_its_caller(slow_params_pinned):
+    kept = weakref.ref(schedule_arrays(slow_params_pinned, 500)["s"])
+    assert kept() is None  # nothing at module level holds the build
+    arr = schedule_arrays(slow_params_pinned, 500)
+    assert tuple(arr) == mlsa.params.KEYS and all(v.flags.writeable for v in arr.values())
 
 
 def test_schedule_rebuild_after_other_keys_is_bitwise_equal(slow_params_pinned,
@@ -360,38 +339,23 @@ def test_schedule_rebuild_after_other_keys_is_bitwise_equal(slow_params_pinned,
         assert again[k].dtype == v.dtype and again[k].tobytes() == v.tobytes(), k
 
 
-def test_one_schedule_build_per_params_and_n(monkeypatch, slow_params, slow_params_pinned,
-                                             slow_family, cost_model, identity):
-    counter = BuildCounter()
-    monkeypatch.setattr(mlsa.params, "np", counter)
+def test_one_schedule_build_per_params_and_n(slow_params, slow_params_pinned, slow_family,
+                                             cost_model, identity):
     drop_schedule_memos()
     for i, n in enumerate((1237, WINDOWED_N)):  # one window, then four
-        predictions(slow_params_pinned, [10, n])  # one streamed pass
-        assert counter.builds == 5 * i + 1
+        first = predictions(slow_params_pinned, [10, n])
         oracle_eps_bias(slow_params_pinned, n)  # one pass serves both oracles
         oracle_eps_diff(slow_params_pinned, n)
         oracle_eps_bias(slow_params_pinned, n)
-        assert counter.builds == 5 * i + 2
-        predictions(slow_params_pinned, [n - 1])  # predictions keep no memo
-        assert counter.builds == 5 * i + 3
-        schedule_arrays(slow_params_pinned, n)  # a build is two passes, then memoised
-        schedule_arrays(slow_params_pinned, n)
-        assert counter.builds == 5 * i + 5
-    assert not mlsa.params._latest[slow_params_pinned, WINDOWED_N]["s"].flags.writeable
-    # a run: RunPlan builds at n_final; clt_report and cost_curve stream a pass each
+        info = mlsa.asymptotics._oracles.cache_info()
+        assert (info.misses, info.hits) == (i + 1, 2 * i + 2)
+        again = predictions(slow_params_pinned, [10, n])  # predictions keep no memo
+        assert again.xi is not first.xi and again.xi.tobytes() == first.xi.tobytes()
+        assert mlsa.asymptotics._oracles.cache_info() == info
+    # a run, its CLT report and its cost curve make no oracle pass
     spec = ReplicationSpec(replicas=20, n_final=60, checkpoints=(30, 60), master_seed=3)
     record = run_replicas(spec, slow_params, slow_family, cost_model, identity,
                           slow_family.theta_star + 0.5)
-    assert counter.builds == 12
     clt_report(record, slow_params, slow_family, 60, divergence_radius=10.0)
     cost_curve(record, slow_params)
-    assert counter.builds == 14
-
-
-def test_previous_schedule_build_is_released_before_the_next(monkeypatch, slow_params_pinned):
-    # only the kept build references the array once the returned dict is gone
-    kept = weakref.ref(schedule_arrays(slow_params_pinned, 500)["s"])
-    released = []
-    monkeypatch.setattr(mlsa.params, "np", BuildCounter(lambda: released.append(kept() is None)))
-    schedule_arrays(slow_params_pinned, 501)
-    assert released == [True, True]  # as each of the build's two passes starts
+    assert mlsa.asymptotics._oracles.cache_info() == info
