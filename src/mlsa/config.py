@@ -31,6 +31,7 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
+from .asymptotics import predictions
 from .driver import BoxProjection, IdentityProjection, geometric_checkpoints, replication_counts
 from .families import EulerSdeFamily, GeometricCostModel, LevelFamily, SyntheticGaussianFamily
 from .harness import ReplicationSpec
@@ -201,6 +202,16 @@ def _check_experiment(cfg: ExperimentConfig):
             _reject(f"finite {key}_n", f"{what} overflows a double by n = {cfg.replication.n_final}")
     if arr["K"].max() > 2.0 ** 52:  # beta <= 1, so N_1 <= ceil(K_n / M) < 2^53 otherwise
         replication_counts(p, arr["s"], arr["K"])  # rejects a count past 2^53
+    ns = [n for n in cfg.replication.checkpoints if p.regime != CRITICAL or n >= 2]
+    try:  # the closed forms every run writes: cost_table.csv, clt_report.json, predict
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            pred = predictions(p, ns)
+    except OverflowError:
+        _reject("finite predictions", "a closed form's constant overflows a double")
+    for key in ("eps_diff", "predicted_cost"):
+        bad = pred.n[~np.isfinite(getattr(pred, key))]
+        if len(bad):
+            _reject(f"finite {key}", f"the closed form is not a finite double at n = {bad[0]}")
     try:
         family = build_family(cfg)
         projection = build_projection(cfg)

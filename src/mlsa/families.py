@@ -1,18 +1,21 @@
 """Approximation families F_k and cost models.
 
-A level family produces samples of the level differences F_k - F_{k-1} (with
-the multilevel convention F_0 = 0, so level 1 is the full coarse estimator).
-Two built-in families are provided:
+A level family turns one iteration's level counts (N_1, ..., N_s) into the
+multilevel estimate sum_k mean of N_k samples of F_k - F_{k-1} (with the
+convention F_0 = 0, so level 1 is the full coarse estimator), for every row of
+a block of iterates.  Two built-in families are provided:
 
 * :class:`SyntheticGaussianFamily` -- Gaussian level differences constructed so
   that the bias and variance order conditions hold with exact equality:
   E[F_k(theta,U)] - f(theta) = mu * M^(-alpha k) and
   cov(F_k - F_{k-1}) = M^(-beta k) * Gamma.  Ground truth (theta*, H, mu,
-  Gamma) is known exactly, which is what the CLT harness needs.
+  Gamma) is known exactly, which is what the CLT harness needs.  Its estimate
+  is drawn in law, one normal per level, not sample by sample.
 
 * :class:`EulerSdeFamily` -- coupled coarse/fine Euler discretizations of a
   scalar geometric Brownian motion, a qualitative order-(alpha,1) family with
-  exactly known (theta*, H) but no closed-form (mu, Gamma).
+  exactly known (theta*, H) but no closed-form (mu, Gamma).  Its estimate
+  averages the N_k samples of each level.
 """
 
 from __future__ import annotations
@@ -39,21 +42,23 @@ class GeometricCostModel:
         return self.kappa_C * self.M ** k
 
 
-def _rowmap(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """x @ A.T, column by column, so a row's result does not depend on its neighbours."""
-    out = x[..., :1] * A[:, 0]
-    for j in range(1, A.shape[1]):
-        out = out + x[..., j:j + 1] * A[:, j]
+def _rowmap(columns, x: np.ndarray) -> np.ndarray:
+    """x @ A.T for A's ``columns``, column by column, so a row's result does not
+    depend on its neighbours."""
+    out = x[..., :1] * columns[0]
+    for j in range(1, len(columns)):
+        out = out + x[..., j:j + 1] * columns[j]
     return out
 
 
 class LevelFamily(abc.ABC):
-    """Evaluation contract for level differences.
+    """Evaluation contract for multilevel estimates.
 
-    Subclasses fix the dimension ``d`` and implement ``sample_level_diff_batch``.
-    Sampling requires an exclusively owned random stream per caller; family
-    descriptions themselves are immutable, save memos of theta-free terms.  ``draw``
-    takes a block of iterations' random input, ``ml_estimate`` one iteration's estimate.
+    Subclasses fix the dimension ``d`` and implement ``ml_estimate``, the one
+    call the driver makes per iteration and block; ``draw`` may take over the
+    random input.  Sampling requires an exclusively owned random stream per
+    caller; family descriptions themselves are immutable, save memos of
+    theta-free terms.
     """
 
     d: int
@@ -64,10 +69,6 @@ class LevelFamily(abc.ABC):
     mu: Optional[np.ndarray] = None
     Gamma: Optional[np.ndarray] = None
 
-    @abc.abstractmethod
-    def sample_level_diff_batch(self, theta, k: int, size: int, rng) -> np.ndarray:
-        """``size`` independent samples of F_k(theta, U) - F_{k-1}(theta, U), shape (size, d)."""
-
     def draw(self, counts: np.ndarray, replicas: int, rng: np.random.Generator) -> Sequence:
         """One entry for each iteration whose counts are a row of the (T, s) block
         ``counts``, T entries in all, drawing only theirs from ``rng``.  ``driver.run``
@@ -77,27 +78,11 @@ class LevelFamily(abc.ABC):
         contend with the recursion for the GIL on the draw thread."""
         return [rng] * len(counts)
 
-    def sample_normals(self, k: int) -> int:
-        """Standard normals one level-k sample draws."""
-        return self.d
-
-    def ml_estimate(self, theta: np.ndarray, counts: Sequence[int], rng: np.random.Generator) -> np.ndarray:
-        """Multilevel estimates for the rows of ``theta`` (shape (R, d)), shape (R, d).
-
-        Each row sums over k the mean of counts[k-1] samples.  Rows draw in
-        order, each level-major and sample-minor, all samples independent, in
-        batches of at most WINDOW normals whose sums add in order.  Families
-        with exploitable structure may override with an exact equal-in-law
-        shortcut (see SyntheticGaussianFamily).
-        """
-        theta = np.asarray(theta, dtype=float)
-        z = np.zeros(theta.shape)
-        for row, out in zip(theta, z):
-            for k, n_k in enumerate(map(int, counts), start=1):
-                step = max(1, WINDOW // self.sample_normals(k))
-                out += sum(self.sample_level_diff_batch(row, k, min(step, n_k - i), rng).sum(axis=0)
-                           for i in range(0, n_k, step)) / n_k
-        return z
+    @abc.abstractmethod
+    def ml_estimate(self, theta: np.ndarray, counts: Sequence[int], entry) -> np.ndarray:
+        """Multilevel estimates for the rows of ``theta`` (shape (R, d)), shape (R, d):
+        each row's sum over k of the mean of counts[k-1] level-k differences, from
+        ``entry``, this iteration's entry from ``draw``."""
 
     def has_ground_truth(self) -> bool:
         return self.mu is not None and self.Gamma is not None
@@ -115,9 +100,9 @@ class SyntheticGaussianFamily(LevelFamily):
     where Gamma = A A^T, and E[F_k] - f = mu * M^(-alpha k).
 
     f(theta) = H(theta-theta*) is linear, so with the identity projection a run
-    is the averaged linear-Gaussian recursion.  One sample of a level
-    difference consumes exactly d standard normals; ``draw`` consumes s*d per
-    row and iteration (one per level) and ``ml_estimate`` none.
+    is the averaged linear-Gaussian recursion.  No sample is drawn one by one:
+    ``draw`` consumes s*d normals per row and iteration (one per level) and
+    ``ml_estimate`` none.
     """
 
     def __init__(self, theta_star, H, mu, noise_factor, alpha: float, beta: float, M: float):
@@ -139,24 +124,6 @@ class SyntheticGaussianFamily(LevelFamily):
         self.Gamma = self.A @ self.A.T
         self._block_terms = {}  # (block shape, s) -> ml_estimate's operands at that shape
 
-    def f(self, theta):
-        """f at theta of shape (d,) or at each row of theta of shape (R, d)."""
-        return _rowmap(self.H, np.asarray(theta, dtype=float) - self.theta_star)
-
-    def _bias_increment(self, k: int) -> float:
-        if k == 1:
-            return self.M ** (-self.alpha)
-        return self.M ** (-self.alpha * k) - self.M ** (-self.alpha * (k - 1))
-
-    def sample_level_diff_batch(self, theta, k, size, rng):
-        if k < 1:
-            raise ValueError("level k must be >= 1")
-        g = rng.standard_normal((size, self.d))
-        out = self.mu * self._bias_increment(k) + self.M ** (-self.beta * k / 2.0) * (g @ self.A.T)
-        if k == 1:
-            out = out + self.f(theta)
-        return out
-
     def draw(self, counts, replicas, rng):
         """Exact collapse: the mean of N iid Gaussians is Gaussian with 1/N
         the covariance, so one normal per level reproduces the estimator's law.
@@ -168,7 +135,7 @@ class SyntheticGaussianFamily(LevelFamily):
         s = counts.shape[1]
         g = rng.standard_normal((len(counts), replicas, s, self.d))
         coef = self.M ** (-self.beta * np.arange(1, s + 1) / 2.0) / np.sqrt(counts)
-        return _rowmap(self.A, (coef[:, None, None, :] @ g)[:, :, 0, :])
+        return _rowmap(self.A.T, (coef[:, None, None, :] @ g)[:, :, 0, :])
 
     def ml_estimate(self, theta, counts, noise):
         """f(theta) + mu M^(-alpha s) + noise, with ``noise`` the entry from ``draw``: f's steps,
@@ -181,11 +148,7 @@ class SyntheticGaussianFamily(LevelFamily):
                       for x in (self.theta_star, *self.H.T, bias)]
             ops = self._block_terms[key] = shaped[0], tuple(shaped[1:-1]), shaped[-1]
         theta_star, columns, bias = ops
-        x = theta - theta_star
-        out = x[:, :1] * columns[0]
-        for j in range(1, self.d):
-            out = out + x[:, j:j + 1] * columns[j]
-        return out + bias + noise
+        return _rowmap(columns, theta - theta_star) + bias + noise
 
 
 class EulerSdeFamily(LevelFamily):
@@ -223,14 +186,8 @@ class EulerSdeFamily(LevelFamily):
             raise ValueError("EulerSdeFamily needs finite drift, diffusion and target, a horizon "
                              "> 0, and a finite theta* and exp(drift*horizon)")
 
-    def f(self, theta):
-        """f at theta of shape (1,) or at each row of theta of shape (R, 1)."""
-        return self.target - np.asarray(theta, dtype=float) * np.exp(self.drift * self.T)
-
-    def sample_normals(self, k):
-        return self.M ** k
-
     def sample_level_diff_batch(self, theta, k, size, rng):
+        """``size`` independent samples of F_k(theta, U) - F_{k-1}(theta, U), shape (size, 1)."""
         if k < 1:
             raise ValueError("level k must be >= 1")
         x0 = float(np.atleast_1d(theta)[0])
@@ -246,3 +203,15 @@ class EulerSdeFamily(LevelFamily):
         dwc = dw.reshape(n_fine // self.M, self.M, size).sum(axis=1)  # left to right per group
         xc = x0 * np.multiply.reduce(1.0 + self.drift * hc + self.diffusion * dwc, axis=0)
         return ((self.target - xf) - (self.target - xc))[:, None]
+
+    def ml_estimate(self, theta, counts, rng):
+        """Rows draw in order, each level-major and sample-minor, all samples
+        independent, in batches of at most WINDOW normals whose sums add in order."""
+        theta = np.asarray(theta, dtype=float)
+        z = np.zeros(theta.shape)
+        for row, out in zip(theta, z):
+            for k, n_k in enumerate(map(int, counts), start=1):
+                step = max(1, WINDOW // self.M ** k)
+                out += sum(self.sample_level_diff_batch(row, k, min(step, n_k - i), rng).sum(axis=0)
+                           for i in range(0, n_k, step)) / n_k
+        return z

@@ -90,6 +90,60 @@ def estimate(fam, theta, counts, rng):
     return fam.ml_estimate(theta, counts, entry)
 
 
+def columns_sum(A, x):
+    """x @ A.T at x of shape (..., d), A's columns summed left to right, so a row's
+    result does not depend on its neighbours."""
+    out = x[..., :1] * A[:, 0]
+    for j in range(1, A.shape[1]):
+        out = out + x[..., j:j + 1] * A[:, j]
+    return out
+
+
+def synthetic_f(fam, theta):
+    """A SyntheticGaussianFamily's f(theta) = H (theta - theta*) at theta of shape (d,)
+    or at each row of theta of shape (R, d), in the order ml_estimate applies it."""
+    return columns_sum(fam.H, np.asarray(theta, dtype=float) - fam.theta_star)
+
+
+def bias_increment(fam, k):
+    """E[F_k - F_{k-1}] - [k = 1] f, in units of mu: M^(-alpha k) - M^(-alpha (k-1)),
+    with M^0 read as 0 at k = 1."""
+    if k == 1:
+        return fam.M ** (-fam.alpha)
+    return fam.M ** (-fam.alpha * k) - fam.M ** (-fam.alpha * (k - 1))
+
+
+def synthetic_level_diff_batch(fam, theta, k, size, rng):
+    """The per-sample law the SyntheticGaussianFamily collapses: ``size`` independent
+    samples of F_k(theta, U) - F_{k-1}(theta, U), shape (size, d), d normals each:
+    f(theta) [k = 1] + mu (M^(-alpha k) - M^(-alpha (k-1))) + M^(-beta k/2) A g."""
+    if k < 1:
+        raise ValueError("level k must be >= 1")
+    g = rng.standard_normal((size, fam.d))
+    out = fam.mu * bias_increment(fam, k) + fam.M ** (-fam.beta * k / 2.0) * (g @ fam.A.T)
+    if k == 1:
+        out = out + synthetic_f(fam, theta)
+    return out
+
+
+def level_samples(fam, theta, k, size, rng):
+    """``size`` samples of the level-k difference at theta: the synthetic reference law,
+    or the family's own per-sample kernel."""
+    if isinstance(fam, SyntheticGaussianFamily):
+        return synthetic_level_diff_batch(fam, np.asarray(theta, dtype=float), k, size, rng)
+    return fam.sample_level_diff_batch(np.asarray(theta, dtype=float), k, size, rng)
+
+
+def one_shot_estimate(fam, theta, counts, rng):
+    """The multilevel estimate sample by sample, rows in order, each level drawn in one
+    batch: the sum over k of the mean of counts[k-1] level-k samples."""
+    z = np.zeros(np.shape(theta))
+    for row, out in zip(np.asarray(theta, dtype=float), z):
+        for k, n_k in enumerate(counts, start=1):
+            out += level_samples(fam, row, k, int(n_k), rng).mean(axis=0)
+    return z
+
+
 def reference_counts(params, s, K):
     """Scalar reference for replication_counts: (N_1, ..., N_s) as Python ints,
     N_k = ceil((K / M^s) M^((beta+1)/2 (s-k))) after snapping values within

@@ -332,6 +332,28 @@ def test_overflowing_schedule_rejected_without_warnings(tmp_path, capsys):
     assert "finite K_bar_n" in captured.err and not os.path.exists(out_dir)
 
 
+def test_overflowing_predictions_rejected_without_warnings(tmp_path, capsys):
+    # kappa_C = 1e305 in either regime: the predicted cost overflows, which left
+    # cost_table.csv rows of inf,inf,nan; slow M = 1e300: a float power in psi raises
+    # OverflowError, which ended run (after records.csv) and predict in a traceback
+    cases = [("slow_default.json", {"kappa_C": 1e305}, "finite predicted_cost"),
+             ("critical_default.json", {"kappa_C": 1e305}, "finite predicted_cost"),
+             ("slow_default.json", {"M": 1e300}, "finite predictions")]
+    for i, (name, params, message) in enumerate(cases):
+        doc = shipped(name, replicas=4, n_final=60, checkpoints=None)
+        doc["params"].update(params)
+        path, out_dir = write_config(tmp_path, doc, name=f"c{i}.json"), str(tmp_path / f"out{i}")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["validate", path]) == 1
+            assert message in capsys.readouterr().out
+            for command in ("run", "predict"):
+                assert main([command, path, "--out", out_dir]) == 1
+                assert message in capsys.readouterr().err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], name
+        assert not os.path.exists(out_dir)
+
+
 def test_weight_sum_overflow_rejected(tmp_path, capsys):
     # rho = 200: b_k = k^200 overflows past k = 34 while the budget stays finite
     doc = shipped("slow_default.json", replicas=20, n_final=400)
@@ -478,6 +500,7 @@ SHORT_LISTS = st.lists(st.floats(-3, 3) | st.just(float("nan")), max_size=3)
 SPECIAL = {  # well-typed values the loader must still judge
     ("params", "M"): st.sampled_from([2, 2.5, 3.0, 1.5, 4]),
     ("params", "beta"): st.sampled_from([1.0, 0.5, float("nan"), -1.0]),
+    ("params", "kappa_C"): st.sampled_from([1.0, 1e305]),
     ("family", "payoff"): st.sampled_from(["shortfall", "terminal", "call"]),
     ("family", "theta_star"): SHORT_LISTS,
     ("family", "mu"): SHORT_LISTS,
@@ -518,7 +541,8 @@ def mutations(draw):
 @settings(max_examples=30, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 def test_fuzzed_configs_reject_or_complete(doc):
-    """Every document exits 1 or 2 with a message, or completes; never a traceback."""
+    """Every document exits 1 or 2 with a message, or completes with finite artifacts;
+    never a traceback."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cfg.json")
         with open(path, "w") as fh:
@@ -529,7 +553,17 @@ def test_fuzzed_configs_reject_or_complete(doc):
             rc = main(["run", path, "--out", out_dir, "--workers", "1"])
         if rc == 0:
             with open(os.path.join(out_dir, "manifest.json")) as fh:
-                assert json.load(fh)["complete"] is True
+                manifest = json.load(fh)
+            assert manifest["complete"] is True
+            for name in manifest["files"]:
+                with open(os.path.join(out_dir, name)) as fh:
+                    text = fh.read()
+                if name.endswith(".csv"):  # no inf or nan field
+                    values = {v for line in text.splitlines() if not line.startswith("#")
+                              for v in line.split(",")}
+                    assert not values & {"inf", "-inf", "nan"}, name
+                else:  # no Infinity, -Infinity or NaN token
+                    json.loads(text, parse_constant=lambda token: pytest.fail(f"{name}: {token}"))
         else:
             assert rc in (1, 2)
             assert err.getvalue().strip()

@@ -18,18 +18,16 @@ from mlsa import (BallMonitor, BoxProjection, EulerSdeFamily, GeometricCostModel
 from mlsa.driver import RunPlan, csv_header, csv_lines
 from mlsa.families import LevelFamily
 
-from conftest import (CRITICAL_DEFAULT, GAMMA2, SLOW_PINNED, csv_writer_text, estimate,
-                      make_scalar_family, make_slow_family, record_rows, reference_counts)
+from conftest import (CRITICAL_DEFAULT, GAMMA2, SLOW_PINNED, columns_sum, csv_writer_text,
+                      estimate, make_scalar_family, make_slow_family, record_rows,
+                      reference_counts, synthetic_f)
 
 
 def noise(family, counts, g):
     """SyntheticGaussianFamily noise A v of each row of the (..., s, d) normals ``g``, rows
     never mixing: v = sum_k M^(-beta k / 2) g_k / sqrt(N_k), A v summed column by column."""
     v = family.M ** (-family.beta * np.arange(1, len(counts) + 1) / 2.0) / np.sqrt(counts) @ g
-    out = v[..., :1] * family.A[:, 0]
-    for j in range(1, family.d):
-        out = out + v[..., j:j + 1] * family.A[:, j]
-    return out
+    return columns_sum(family.A, v)
 
 
 def reference_run(family, schedule, theta0, checkpoints, seed, R, box=None, ball=None):
@@ -231,9 +229,6 @@ class _BlowUpFamily(LevelFamily):
         self.at = at
         self.calls = 0
 
-    def sample_level_diff_batch(self, theta, k, size, rng):
-        return np.zeros((size, 1))
-
     def ml_estimate(self, theta, counts, rng):
         self.calls += 1
         return np.full(np.shape(theta), np.inf if self.calls >= self.at else 0.0)
@@ -385,7 +380,8 @@ def test_ml_estimate_level_scale_memo_is_bit_exact(slow_params, critical_params,
                 counts = all_counts[s - 1, :s]
                 z = estimate(fam, theta, counts, np.random.default_rng(s))
                 g = np.random.default_rng(s).standard_normal((len(theta), s, 2))
-                ref = fam.f(theta) + fam.mu * fam.M ** (-fam.alpha * s) + noise(fam, counts, g)
+                ref = (synthetic_f(fam, theta) + fam.mu * fam.M ** (-fam.alpha * s)
+                       + noise(fam, counts, g))
                 assert np.array_equal(z, ref), (params.regime, call, s)
 
 

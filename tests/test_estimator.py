@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mlsa import ParameterSet, replication_counts, schedule_arrays
-from mlsa.families import LevelFamily
 
 from conftest import (SLOW_PINNED, CRITICAL_DEFAULT, estimate, make_scalar_family,
-                      reference_counts)
+                      one_shot_estimate, reference_counts, synthetic_f)
 
 
 def counts_row(params, s, K):
@@ -83,7 +82,7 @@ def test_zero_noise_estimate_anywhere(slow_params_pinned):
     for s in (2, 5):
         counts = counts_row(slow_params_pinned, s, 37.0)
         z = estimate(fam, theta, counts, np.random.default_rng(0))
-        np.testing.assert_allclose(z, fam.f(theta) + 2.0 ** (-s), rtol=0, atol=1e-16)
+        np.testing.assert_allclose(z, synthetic_f(fam, theta) + 2.0 ** (-s), rtol=0, atol=1e-16)
 
 
 def test_estimator_variance_closed_form(slow_params_pinned):
@@ -96,12 +95,15 @@ def test_estimator_variance_closed_form(slow_params_pinned):
 
 
 def test_generic_loop_agrees_with_collapse(slow_params_pinned):
+    # the per-sample reference law, N_k samples a level, and the family's one-draw
+    # collapse give the same mean and variance
     fam = make_scalar_family(H=-1.0, gamma_var=1.0, beta=0.5, M=2.0)
     counts = counts_row(slow_params_pinned, 3, 64.0)
     rows = np.tile(fam.theta_star, (6000, 1))
-    zs = LevelFamily.ml_estimate(fam, rows, counts, np.random.default_rng(77))[:, 0]
-    assert np.var(zs, ddof=1) == pytest.approx(0.1106523, rel=0.10)
-    assert np.mean(zs) == pytest.approx(2.0 ** -3, abs=4 * np.sqrt(0.11 / 6000))
+    for zs in (one_shot_estimate(fam, rows, counts, np.random.default_rng(77))[:, 0],
+               estimate(fam, rows, counts, np.random.default_rng(77))[:, 0]):
+        assert np.var(zs, ddof=1) == pytest.approx(0.1106523, rel=0.10)
+        assert np.mean(zs) == pytest.approx(2.0 ** -3, abs=4 * np.sqrt(0.11 / 6000))
 
 
 def test_unbiasedness_at_finest_level(slow_params_pinned):
@@ -110,6 +112,6 @@ def test_unbiasedness_at_finest_level(slow_params_pinned):
     counts = counts_row(slow_params_pinned, 4, 200.0)
     rows = np.tile(theta, (40_000, 1))
     zs = estimate(fam, rows, counts, np.random.default_rng(5))[:, 0]
-    expected = fam.f(theta)[0] + 0.8 * 2.0 ** -4
+    expected = synthetic_f(fam, theta)[0] + 0.8 * 2.0 ** -4
     tol = 4 * np.sqrt(np.var(zs) / len(zs))
     assert np.mean(zs) == pytest.approx(expected, abs=tol)

@@ -6,17 +6,18 @@ import pytest
 
 from mlsa import EulerSdeFamily, GeometricCostModel, SyntheticGaussianFamily
 
-from conftest import estimate, make_scalar_family, make_slow_family
+from conftest import (estimate, level_samples, make_scalar_family, make_slow_family,
+                      one_shot_estimate, synthetic_f)
 
 
 def sample_level_diff(family, theta, k, rng):
-    """One sample of the level-k difference."""
-    return family.sample_level_diff_batch(np.asarray(theta, dtype=float), k, 1, rng)[0]
+    """One sample of the level-k difference (a synthetic family's from the reference law)."""
+    return level_samples(family, theta, k, 1, rng)[0]
 
 
 def scaled_level_covs(family, theta, k_max, samples, rng, beta):
     """cov(F_k - F_{k-1}) * M^(beta k) for k = 1..k_max, one batch of ``samples`` per level."""
-    return [np.atleast_2d(np.cov(family.sample_level_diff_batch(theta, k, samples, rng),
+    return [np.atleast_2d(np.cov(level_samples(family, theta, k, samples, rng),
                                  rowvar=False)) * family.M ** (beta * k)
             for k in range(1, k_max + 1)]
 
@@ -27,6 +28,10 @@ def test_zero_noise_level_two_increment():
     val = sample_level_diff(fam, np.array([0.37]), 2, rng)
     # increment M^(-2a) - M^(-a) = 0.25 - 0.5
     assert val == pytest.approx([-0.25], abs=0)
+    # the family's estimate gains the same increment from s = 1 to s = 2
+    theta = np.array([[0.37]])
+    two, one = (estimate(fam, theta, (1,) * s, rng) for s in (2, 1))
+    assert np.array_equal(two - one, [[-0.25]])
 
 
 def test_zero_noise_level_one_at_root():
@@ -34,20 +39,29 @@ def test_zero_noise_level_one_at_root():
     rng = np.random.default_rng(0)
     val = sample_level_diff(fam, fam.theta_star, 1, rng)
     assert val == pytest.approx([0.5], abs=0)  # f(theta*) = 0 leaves mu M^-1
+    assert np.array_equal(estimate(fam, fam.theta_star[None], (1,), rng), [[0.5]])
 
 
 def test_level_zero_rejected():
     fam = make_scalar_family()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="level k must be >= 1"):
         sample_level_diff(fam, np.zeros(1), 0, np.random.default_rng(0))
+    euler = EulerSdeFamily(drift=0.1, diffusion=0.2, target=1.0)
+    with pytest.raises(ValueError, match="level k must be >= 1"):
+        euler.sample_level_diff_batch(np.ones(1), 0, 1, np.random.default_rng(0))
 
 
 def test_level_variance_monte_carlo():
     # closed-form variance at k = 3: M^(-beta k) = 2^-1.5 = 0.35355339
     fam = make_scalar_family(H=-1.0, gamma_var=1.0, beta=0.5, M=2.0)
     rng = np.random.default_rng(42)
-    batch = fam.sample_level_diff_batch(fam.theta_star, 3, 10 ** 6, rng)
+    batch = level_samples(fam, fam.theta_star, 3, 10 ** 6, rng)
     assert np.var(batch[:, 0], ddof=1) == pytest.approx(0.35355339, rel=0.01)
+    # the family's estimate with one level-3 sample, levels 1 and 2 averaged away
+    # (their variances M^(-beta k) / 2^40 add about 1e-12)
+    rows = np.tile(fam.theta_star, (10 ** 6, 1))
+    zs = estimate(fam, rows, (2 ** 40, 2 ** 40, 1), rng)[:, 0]
+    assert np.var(zs, ddof=1) == pytest.approx(0.35355339, rel=0.01)
 
 
 def test_telescoping_zero_noise():
@@ -56,14 +70,22 @@ def test_telescoping_zero_noise():
     rng = np.random.default_rng(1)
     s = 5
     total = sum(sample_level_diff(fam, theta, k, rng) for k in range(1, s + 1))
-    expected = fam.f(theta) + 0.7 * 2.0 ** (-1.0 * s)
+    expected = synthetic_f(fam, theta) + 0.7 * 2.0 ** (-1.0 * s)
     np.testing.assert_allclose(total, expected, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(estimate(fam, theta[None], (1,) * s, rng), expected[None],
+                               rtol=0, atol=1e-15)
 
 
 def test_sampling_determinism():
     fam = make_slow_family()
     a = sample_level_diff(fam, np.array([0.1, -0.2]), 4, np.random.default_rng(99))
     b = sample_level_diff(fam, np.array([0.1, -0.2]), 4, np.random.default_rng(99))
+    assert np.array_equal(a, b)
+    theta, counts = np.array([[0.1, -0.2], [0.3, 0.4]]), (9, 5, 3, 2)
+    a, b = (estimate(fam, theta, counts, np.random.default_rng(99)) for _ in range(2))
+    assert np.array_equal(a, b)
+    euler = EulerSdeFamily(drift=0.1, diffusion=0.2, target=1.0)
+    a, b = (euler.ml_estimate(theta[:, :1], counts, np.random.default_rng(99)) for _ in range(2))
     assert np.array_equal(a, b)
 
 
@@ -97,11 +119,19 @@ def test_euler_coupling_zero_diffusion_deterministic():
 
 
 def test_euler_shortfall_root_and_slope():
-    fam = EulerSdeFamily(drift=0.1, diffusion=0.2, target=2.0)
-    np.testing.assert_allclose(fam.f(fam.theta_star), [0.0], atol=1e-14)
+    # f(theta) = target - theta exp(drift T) has its root at theta* and slope H; with no
+    # diffusion the estimate telescopes to the finest level's Euler shortfall
+    # target - theta (1 + drift h)^(M^s), which tends to f as s grows
+    fam = EulerSdeFamily(drift=0.1, diffusion=0.0, target=2.0)
+    assert fam.theta_star[0] == pytest.approx(2.0 * np.exp(-0.1))
     assert fam.H[0, 0] == pytest.approx(-np.exp(0.1))
-    rows = np.array([fam.theta_star, fam.theta_star + 1.0])  # one f value per (R, 1) row
-    np.testing.assert_allclose(fam.f(rows), [[0.0], [-np.exp(0.1)]], atol=1e-14)
+    rows = np.array([fam.theta_star, fam.theta_star + 1.0])  # one value per (R, 1) row
+    for s in (1, 4, 10):
+        z = fam.ml_estimate(rows, np.full(s, 3), np.random.default_rng(s))
+        np.testing.assert_allclose(z, 2.0 - rows * (1.0 + 0.1 / 2 ** s) ** 2 ** s, rtol=0,
+                                   atol=1e-13)
+    # the Euler bias theta exp(drift) drift^2 / (2 M^s) at s = 10 is below 2e-5 here
+    np.testing.assert_allclose(z, [[0.0], [fam.H[0, 0]]], rtol=0, atol=2e-5)
 
 
 def test_euler_rejects_nonintegral_scale():
@@ -124,7 +154,7 @@ def test_generic_estimate_matches_collapse_at_zero_noise():
     counts = (7, 4, 2)
     rng = np.random.default_rng(0)
     z_fast = estimate(fam, theta, counts, rng)
-    z_slow = super(type(fam), fam).ml_estimate(theta, counts, np.random.default_rng(1))
+    z_slow = one_shot_estimate(fam, theta, counts, np.random.default_rng(1))
     np.testing.assert_allclose(z_fast, z_slow, rtol=0, atol=1e-15)
 
 
@@ -140,7 +170,7 @@ def test_ml_estimate_block_operand_memo_is_bit_exact():
                                       alpha=1.0, beta=0.5, M=2.0)
         for s, R in itertools.product((1, 4, 9, 4, 1), (100, 7)):
             theta, noise = rng.standard_normal((2, R, d)) * 10.0 ** rng.uniform(-3, 3, (2, R, d))
-            want = fam.f(theta) + fam.mu * fam.M ** (-fam.alpha * s) + noise
+            want = synthetic_f(fam, theta) + fam.mu * fam.M ** (-fam.alpha * s) + noise
             assert np.array_equal(fam.ml_estimate(theta, np.ones(s, dtype=np.int64), noise),
                                   want), (d, s, R)
 
@@ -208,15 +238,6 @@ def test_euler_step_major_kernel_at_eight_term_groups():
             got = fam.sample_level_diff_batch(np.array([0.9]), k, size, np.random.default_rng(k))
             ref = sample_major_level_diff(fam, 0.9, k, size, np.random.default_rng(k))
             np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14)
-
-
-def one_shot_estimate(fam, theta, counts, rng):
-    """The estimate with each level drawn in one batch: the mean of all its samples at once."""
-    z = np.zeros(theta.shape)
-    for row, out in zip(theta, z):
-        for k, n_k in enumerate(counts, start=1):
-            out += fam.sample_level_diff_batch(row, k, int(n_k), rng).mean(axis=0)
-    return z
 
 
 def test_euler_estimate_in_draw_cap_batches_matches_one_batch_per_level():
