@@ -23,9 +23,9 @@ from . import harness
 from ._svg import loglog_plot
 from .asymptotics import predictions_csv, rates
 from .config import (ConfigError, build_cost_model, build_family, build_projection,
-                     config_from_dict, load_config)
+                     config_from_dict, load_config, prediction_checkpoints)
 from .driver import BallMonitor, csv_header, csv_lines, default_theta0
-from .params import CRITICAL, SLOW, InvalidParameters
+from .params import SLOW, InvalidParameters
 
 
 def cmd_validate(args) -> int:
@@ -69,8 +69,7 @@ def cmd_predict(args) -> int:
     cfg, rc = _load_or_report(args.config)
     if cfg is None:
         return rc
-    ns = sorted(n for n in cfg.replication.checkpoints if cfg.params.regime != CRITICAL or n >= 2)
-    table = predictions_csv(cfg.params, ns)
+    table = predictions_csv(cfg.params, prediction_checkpoints(cfg))
     if args.out:
         if not _make_out_dir(args.out):
             return 2

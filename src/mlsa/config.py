@@ -185,6 +185,11 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     return cfg
 
 
+def prediction_checkpoints(cfg: ExperimentConfig) -> list:
+    """The checkpoints that get closed-form predictions; critical ones need log n > 0."""
+    return sorted(n for n in cfg.replication.checkpoints if cfg.params.regime != CRITICAL or n >= 2)
+
+
 def _reject(name: str, detail: str):
     raise InvalidParameters((f"{name}: {detail}",))
 
@@ -202,16 +207,18 @@ def _check_experiment(cfg: ExperimentConfig):
             _reject(f"finite {key}_n", f"{what} overflows a double by n = {cfg.replication.n_final}")
     if arr["K"].max() > 2.0 ** 52:  # beta <= 1, so N_1 <= ceil(K_n / M) < 2^53 otherwise
         replication_counts(p, arr["s"], arr["K"])  # rejects a count past 2^53
-    ns = [n for n in cfg.replication.checkpoints if p.regime != CRITICAL or n >= 2]
     try:  # the closed forms every run writes: cost_table.csv, clt_report.json, predict
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            pred = predictions(p, ns)
+            pred = predictions(p, prediction_checkpoints(cfg))
     except OverflowError:
         _reject("finite predictions", "a closed form's constant overflows a double")
-    for key in ("eps_diff", "predicted_cost"):
-        bad = pred.n[~np.isfinite(getattr(pred, key))]
+    for f in fields(pred):  # every float field; n, s and pre_asymptotic are ints and flags
+        value = getattr(pred, f.name)
+        if value is None or f.name in ("n", "s", "pre_asymptotic"):
+            continue
+        bad = pred.n[~np.isfinite(value)]
         if len(bad):
-            _reject(f"finite {key}", f"the closed form is not a finite double at n = {bad[0]}")
+            _reject(f"finite {f.name}", f"the closed form is not a finite double at n = {bad[0]}")
     try:
         family = build_family(cfg)
         projection = build_projection(cfg)

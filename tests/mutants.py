@@ -1,6 +1,6 @@
 """Mutation check: every listed mutant of ``src/`` must be killed by each of its tests.
 
-    python tests/mutants.py [mutant name ...]
+    python tests/mutants.py
 
 The script copies ``src/``, ``tests/``, ``configs/`` and ``pyproject.toml`` to a
 temporary directory.  For each mutant it checks that the old text occurs exactly
@@ -88,9 +88,12 @@ MUTANTS = (
            "self.target * np.exp(-self.drift * self.T)", "self.target * np.exp(self.drift * self.T)",
            ("tests/test_families.py::test_euler_shortfall_root_and_slope",)),
     Mutant("closed forms not checked at load", "src/mlsa/config.py",
-           "pred = predictions(p, ns)", "pred = predictions(p, ns[:0])",
+           "pred = predictions(p, prediction_checkpoints(cfg))", "pred = predictions(p, [])",
            ("tests/test_config_cli.py::test_overflowing_predictions_rejected_without_warnings",
             "tests/test_config_cli.py::test_fuzzed_configs_reject_or_complete")),
+    Mutant("eps_bias not checked at load", "src/mlsa/config.py",
+           'f.name in ("n", "s", "pre_asymptotic")', 'f.name in ("n", "s", "pre_asymptotic", "eps_bias")',
+           ("tests/test_config_cli.py::test_overflowing_predictions_rejected_without_warnings",)),
 )
 
 
@@ -101,8 +104,7 @@ def run_test(tmp: str, node: str) -> int:
                           stderr=subprocess.DEVNULL).returncode
 
 
-def main(names) -> int:
-    chosen = [m for m in MUTANTS if not names or m.name in names]
+def main() -> int:
     failed = False
     with tempfile.TemporaryDirectory() as tmp:
         for item in COPIED:
@@ -111,7 +113,7 @@ def main(names) -> int:
                 shutil.copytree(src, dst, ignore=shutil.ignore_patterns("__pycache__"))
             else:
                 shutil.copy(src, dst)
-        for m in chosen:
+        for m in MUTANTS:
             path = os.path.join(tmp, m.path)
             with open(path, encoding="utf-8") as fh:
                 original = fh.read()
@@ -134,4 +136,4 @@ def main(names) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -335,10 +335,13 @@ def test_overflowing_schedule_rejected_without_warnings(tmp_path, capsys):
 def test_overflowing_predictions_rejected_without_warnings(tmp_path, capsys):
     # kappa_C = 1e305 in either regime: the predicted cost overflows, which left
     # cost_table.csv rows of inf,inf,nan; slow M = 1e300: a float power in psi raises
-    # OverflowError, which ended run (after records.csv) and predict in a traceback
+    # OverflowError, which ended run (after records.csv) and predict in a traceback;
+    # slow kappa_s = 1e-300, kappa_K = 1e-30: eps_bias alone overflows (a float
+    # product, no OverflowError) while eps_diff and the cost stay finite
     cases = [("slow_default.json", {"kappa_C": 1e305}, "finite predicted_cost"),
              ("critical_default.json", {"kappa_C": 1e305}, "finite predicted_cost"),
-             ("slow_default.json", {"M": 1e300}, "finite predictions")]
+             ("slow_default.json", {"M": 1e300}, "finite predictions"),
+             ("slow_default.json", {"kappa_s": 1e-300, "kappa_K": 1e-30}, "finite eps_bias:")]
     for i, (name, params, message) in enumerate(cases):
         doc = shipped(name, replicas=4, n_final=60, checkpoints=None)
         doc["params"].update(params)
