@@ -110,22 +110,31 @@ def run_replicas(spec: ReplicationSpec, params: ParameterSet, family: LevelFamil
 
 def ks_statistic(sample: np.ndarray) -> float:
     """One-sample KS distance of ``sample`` to the standard normal."""
-    import scipy.special  # imported here: ``import mlsa`` stays free of scipy.special
-
     x = np.sort(np.asarray(sample, dtype=float))
     n = len(x)
-    cdf = scipy.special.ndtr(x)
+    cdf = np.array([0.5 * math.erfc(-v / math.sqrt(2)) for v in x.tolist()])
     i = np.arange(1, n + 1)
     return float(max(np.max(i / n - cdf), np.max(cdf - (i - 1) / n)))
 
 
 def kolmogorov_critical(alpha: float) -> float:
-    """c with P(sup |B(t)| > c) = alpha; the sample-size-n critical value is c/sqrt(n)."""
-    import scipy.special  # imported here: ``import mlsa`` stays free of scipy.special
+    """c with P(sup |B(t)| > c) = alpha; the sample-size-n critical value is c/sqrt(n).
 
+    Newton's method on 2 sum_{k<=40} (-1)^(k-1) exp(-2 k^2 c^2) = alpha (past k = 40 the
+    terms are below 1e-40 for every alpha < 1), from the root of the first term.
+    """
     if not 0 < alpha < 1:
         raise ValueError("alpha must be in (0, 1)")
-    return float(scipy.special.kolmogi(alpha))
+    k2 = np.arange(1, 41) ** 2
+    sign = np.where(k2 % 2, 2.0, -2.0)
+    c = math.sqrt(-0.5 * math.log(alpha / 2))
+    for _ in range(50):
+        terms = sign * np.exp(-2.0 * k2 * c * c)
+        step = (terms.sum() - alpha) / (-4.0 * c * (k2 * terms).sum())
+        c -= float(step)
+        if abs(step) <= 1e-15 * c:
+            break
+    return c
 
 
 def _sym_inv_sqrt(S: np.ndarray) -> np.ndarray:

@@ -112,10 +112,11 @@ def lyapunov_norm(cm: ContractingMatrix) -> LyapunovNorm:
     which no norm meets, so 1/L caps eps0: eps0 = 1 / max(L, lambda_max(X)).
     The whole interval is re-verified on a 100-point grid.
     """
-    import scipy.linalg  # imported here: ``import mlsa`` stays free of scipy.linalg
     H, L, d = cm.H, cm.L, cm.d
-    A = H + L * np.eye(d)
-    P = scipy.linalg.solve_continuous_lyapunov(A.T, -np.eye(d))
+    eye = np.eye(d)
+    At = H.T + L * eye
+    # row-major vec(At P + P At^T) = (At kron I + I kron At) vec P: d^2 unknowns, for small d
+    P = np.linalg.solve(np.kron(At, eye) + np.kron(eye, At), -eye.ravel()).reshape(d, d)
     P = 0.5 * (P + P.T)
     w = np.linalg.eigvalsh(P)
     if w[0] <= 0 or w[-1] / w[0] > 1e12:

@@ -35,6 +35,7 @@ class Mutant:
 
 
 FAMILIES = "src/mlsa/families.py"
+HARNESS = "src/mlsa/harness.py"
 MUTANTS = (
     Mutant("bias exponent len(counts) off by one", FAMILIES,
            "self.mu * self.M ** (-self.alpha * len(counts))",
@@ -94,6 +95,19 @@ MUTANTS = (
     Mutant("eps_bias not checked at load", "src/mlsa/config.py",
            'f.name in ("n", "s", "pre_asymptotic")', 'f.name in ("n", "s", "pre_asymptotic", "eps_bias")',
            ("tests/test_config_cli.py::test_overflowing_predictions_rejected_without_warnings",)),
+    Mutant("normal CDF of the KS statistic mirrored, erfc(x) for erfc(-x)", HARNESS,
+           "math.erfc(-v / math.sqrt(2))", "math.erfc(v / math.sqrt(2))",
+           ("tests/test_harness.py::test_ks_statistic_behaviour",
+            "tests/test_harness.py::test_calibration_with_injected_normals")),
+    Mutant("Kolmogorov series with every term positive", HARNESS,
+           "np.where(k2 % 2, 2.0, -2.0)", "np.where(k2 % 2, 2.0, 2.0)",
+           ("tests/test_harness.py::test_kolmogorov_critical_against_scipy",)),
+    Mutant("Lyapunov Kronecker system built on A, not A^T", "src/mlsa/linear.py",
+           "At = H.T + L * eye", "At = H + L * eye",
+           ("tests/test_linear.py::test_lyapunov_norm_matches_scalar_scan",)),
+    Mutant("plot QQ quantile negated", "src/mlsa/cli.py",
+           "q = [NormalDist().inv_cdf(", "q = [-NormalDist().inv_cdf(",
+           ("tests/test_config_cli.py::test_csv_artifacts_match_csv_writer",)),
 )
 
 

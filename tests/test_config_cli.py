@@ -7,6 +7,7 @@ import os
 import tempfile
 import warnings
 from dataclasses import fields
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -273,7 +274,9 @@ def test_csv_artifacts_match_csv_writer(tmp_path):
         assert not record.aborted.any()
         costs = ["n", "mean_cost", "predicted_cost", "ratio"]
         qq = [["component", "theoretical_quantile", "standardized_value"]]
-        q = scipy.special.ndtri((np.arange(1, spec.replicas + 1) - 0.5) / spec.replicas)
+        p = (np.arange(1, spec.replicas + 1) - 0.5) / spec.replicas
+        q = [NormalDist().inv_cdf(x) for x in p.tolist()]  # the quantile function of mlsa plot
+        assert q == pytest.approx(scipy.special.ndtri(p), rel=0, abs=1e-15)  # scipy's, the reference
         for j in range(family.d):  # the largest checkpoint's averages, as mlsa plot reads them
             col = np.sort(record.theta_bar[-1, :, j])
             qq += ([j, x, y] for x, y in zip(q, (col - col.mean()) / col.std(ddof=1)))

@@ -53,29 +53,70 @@ def test_run_replicas_worker_count_invariance(slow_params, slow_family, cost_mod
 
 
 def test_kolmogorov_critical_against_scipy():
-    for alpha in (0.10, 0.05, 0.01, 0.005):
-        assert kolmogorov_critical(alpha) == pytest.approx(
-            float(scipy.special.kolmogi(alpha)), abs=1e-9)
+    # scipy's inverse stays the reference for the Newton solve on the series
+    for alpha in [*np.geomspace(1e-10, 0.99, 40), 0.10, 0.05, 0.01, 0.005]:
+        assert kolmogorov_critical(float(alpha)) == pytest.approx(
+            float(scipy.special.kolmogi(alpha)), rel=1e-13, abs=0)
         assert scipy.special.kolmogorov(kolmogorov_critical(alpha)) == pytest.approx(alpha)
     for alpha in (0.0, 1.0):
         with pytest.raises(ValueError):
             kolmogorov_critical(alpha)
 
 
-def test_import_loads_neither_scipy_stats_nor_special():
-    # a fresh interpreter: this test session has already imported scipy.special;
-    # the process pool, too, is imported only by the run that opens one, and
-    # scipy.special only by the KS statistics and ``mlsa plot``
+BLOCK_SCIPY = """
+import importlib.abc, json, sys
+
+class BlockScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"scipy is blocked: {name}")
+
+sys.meta_path.insert(0, BlockScipy())
+import numpy as np
+import mlsa, mlsa.cli
+
+cfg, out = sys.argv[1:]
+codes = [mlsa.cli.main(argv) for argv in (["validate", cfg], ["predict", cfg],
+                                          ["run", cfg, "--workers", "1", "--out", out],
+                                          ["plot", out])]
+with open(out + "/manifest.json") as fh:
+    complete = json.load(fh)["complete"]
+cm = mlsa.ContractingMatrix(np.array([[-2.0, 1.5], [-0.5, -3.0]]), 0.5)
+lyap = mlsa.lyapunov_norm(cm)
+gap, bound = mlsa.exp_product_gap(cm, [0.05] * 40, 0, 40, lyap)
+print(json.dumps({"codes": codes, "complete": complete, "eps0": lyap.eps0, "gap": gap,
+                  "bound": bound, "scipy": sorted(m for m in sys.modules
+                                                  if m.split(".")[0] == "scipy")}))
+"""
+
+
+def test_import_loads_neither_scipy_stats_nor_special(tmp_path):
+    # a fresh interpreter: this test session has already imported scipy; the
+    # process pool, too, is imported only by the run that opens one
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     for module in ("mlsa", "mlsa.cli"):
         code = (f"import sys, {module}; "
-                "print(sorted(m for m in ('scipy.stats', 'scipy.special', 'scipy.linalg', "
-                "'concurrent.futures') if m in sys.modules))")
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+                "or m == 'concurrent.futures'))")
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True, timeout=120)
         assert out.stdout.strip() == "[]", module
+    # every command and the criterion 7 functions, with any scipy import raising
+    with open(os.path.join(os.path.dirname(__file__), "..", "configs",
+                           "slow_default.json")) as fh:
+        doc = json.load(fh)
+    doc["replication"].update(replicas=4, n_final=60)
+    cfg = tmp_path / "slow_cut.json"
+    cfg.write_text(json.dumps(doc))
+    out = subprocess.run([sys.executable, "-c", BLOCK_SCIPY, str(cfg), str(tmp_path / "run")],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    assert result["codes"] == [0, 0, 0, 0] and result["complete"] is True
+    assert result["eps0"] > 0.05 and 0 < result["gap"] <= result["bound"]
+    assert result["scipy"] == []
 
 
 def test_ks_statistic_behaviour():
@@ -84,6 +125,12 @@ def test_ks_statistic_behaviour():
     assert ks_statistic(good) < kolmogorov_critical(0.01) / np.sqrt(800)
     shifted = good + 0.5
     assert ks_statistic(shifted) > kolmogorov_critical(0.01) / np.sqrt(800)
+    # scipy's normal CDF stays the reference, out to |x| = 8 in both tails
+    for sample in (good, shifted, 3.0 * good, np.linspace(-8.0, 8.0, 401)):
+        x = np.sort(sample)
+        i, cdf = np.arange(1, len(x) + 1), scipy.special.ndtr(x)
+        ref = max(np.max(i / len(x) - cdf), np.max(cdf - (i - 1) / len(x)))
+        assert ks_statistic(sample) == pytest.approx(ref, rel=0, abs=1e-14)
 
 
 def test_calibration_with_injected_normals():
