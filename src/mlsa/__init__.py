@@ -1,9 +1,10 @@
 """Multilevel Ruppert-Polyak averaged stochastic approximation."""
 
-from .params import CRITICAL, SLOW, InvalidParameters, ParameterSet, schedule_arrays, validate
+from .params import (CRITICAL, SLOW, InvalidParameters, ParameterSet, replication_counts,
+                     schedule_arrays, validate)
 from .families import EulerSdeFamily, GeometricCostModel, LevelFamily, SyntheticGaussianFamily
 from .driver import (BallMonitor, BoxProjection, IdentityProjection, RunPlan, RunRecord,
-                     default_theta0, geometric_checkpoints, replication_counts, run)
+                     default_theta0, geometric_checkpoints, run)
 from .asymptotics import (RateBundle, oracle_eps_bias, oracle_eps_diff,
                           predict_critical, predict_slow, psi, rates)
 from .linear import (ContractingMatrix, IllConditionedError, LyapunovNorm,

@@ -33,7 +33,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .driver import csv_lines
 from .params import CRITICAL, SLOW, WINDOW, ParameterSet, schedule_windows
 
 
@@ -219,13 +218,3 @@ def oracle_eps_diff(params: ParameterSet, n: int) -> float:
     Gamma-normalized (the k = 1 term vanishes with log_M 1 = 0).
     """
     return _oracles(params, n)[1]
-
-
-def predictions_csv(params: ParameterSet, ns: Sequence[int]) -> str:
-    """CSV table of predictions keyed by n, one column per :class:`Predictions`
-    field; ``pre_asymptotic`` is written 0/1."""
-    a = predictions(params, ns)
-    cols = [getattr(a, f.name) for f in fields(a)]
-    cols[-1] = a.pre_asymptotic.astype(np.int64)
-    return csv_lines([f.name, *([""] * len(a.n) if c is None else map(str, c.tolist()))]
-                     for f, c in zip(fields(a), cols))

@@ -1,9 +1,11 @@
 """Configuration-driven command line: validate, predict, run, plot.
 
 Exit codes: 0 success, 1 domain failure (rejected parameters, too few
-surviving replicas, missing or damaged artifacts), 2 usage or parse errors.
-All artifacts embed the configuration hash; ``plot`` refuses inputs whose
-bytes differ from the manifest's sha256.
+surviving replicas, missing or damaged artifacts), 2 usage or parse errors;
+:func:`main` maps ``ConfigError`` to 2 and ``InvalidParameters`` and
+``InsufficientReplicas`` to 1.  Every artifact format lives here, in the one
+module that writes files.  All artifacts embed the configuration hash; ``plot``
+refuses inputs whose bytes differ from the manifest's sha256.
 """
 
 from __future__ import annotations
@@ -21,19 +23,55 @@ import numpy as np
 
 from . import harness
 from ._svg import loglog_plot
-from .asymptotics import predictions_csv, rates
+from .asymptotics import predictions, rates
 from .config import (ConfigError, build_cost_model, build_family, build_projection,
                      config_from_dict, load_config, prediction_checkpoints)
-from .driver import BallMonitor, csv_header, csv_lines, default_theta0
+from .driver import BallMonitor, RunRecord, default_theta0
 from .params import SLOW, InvalidParameters
+
+
+def csv_lines(columns) -> str:
+    """CSV lines of equal-length columns of field strings: what ``csv.writer`` writes of
+    their rows with ``lineterminator="\\n"``, save its quotes on a lone empty field."""
+    return "\n".join([*map(",".join, zip(*columns)), ""])
+
+
+def records_header(d: int) -> list[str]:
+    """Columns of one ``records.csv`` row: replica, n, theta_i, theta_bar_i, cost."""
+    return (["replica", "n"] + [f"theta_{i}" for i in range(d)]
+            + [f"theta_bar_{i}" for i in range(d)] + ["cost"])
+
+
+def records_columns(record: RunRecord) -> list[list[str]]:
+    """Columns of field strings under :func:`records_header`, replica by replica, over the
+    checkpoints reached before any abort: each value's ``str``, its shortest round-trip
+    repr, with each replica index and checkpoint n and cost formatted once."""
+    rep, j = np.nonzero((~record.aborted | (record.ns[:, None] < record.abort_iteration)).T)
+    values = [list(map(str, col)) for x in (record.theta, record.theta_bar)
+              for col in x[j, rep].T.tolist()]
+    reps, ns, costs = (list(map(str, v)) for v in  # shared by many rows: each str'd once
+                       (range(len(record.aborted)), record.ns.tolist(), record.cost.tolist()))
+    rep, j = rep.tolist(), j.tolist()
+    return [[reps[r] for r in rep], [ns[i] for i in j], *values, [costs[i] for i in j]]
+
+
+def report_json(report, **extra) -> str:
+    """Key-sorted JSON of a report dataclass's fields and ``extra``: arrays and
+    tuples become lists, and NaN in a value or list becomes null."""
+    def plain(v):
+        if isinstance(v, np.ndarray):
+            v = v.tolist()
+        if isinstance(v, (list, tuple)):
+            return [plain(x) for x in v]
+        return None if isinstance(v, float) and math.isnan(v) else v
+
+    doc = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+    return json.dumps({k: plain(v) for k, v in {**doc, **extra}.items()}, sort_keys=True)
 
 
 def cmd_validate(args) -> int:
     try:
         load_config(args.config)
-    except ConfigError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
     except InvalidParameters as exc:
         print("rejected")
         for message in exc.violations:
@@ -43,36 +81,23 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _load_or_report(path):
-    """Load a full config; returns (config, exit_code) with config None on failure."""
-    try:
-        return load_config(path), 0
-    except ConfigError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return None, 2
-    except InvalidParameters as exc:
-        print(f"rejected: {exc}", file=sys.stderr)
-        return None, 1
-
-
-def _make_out_dir(path: str) -> bool:
+def _make_out_dir(path: str) -> None:
     """Create the output directory; a path that cannot be one is a parse error."""
     try:
         os.makedirs(path, exist_ok=True)
     except OSError as exc:
-        print(f"parse error: output directory {path}: {exc.strerror}", file=sys.stderr)
-        return False
-    return True
+        raise ConfigError(f"output directory {path}: {exc.strerror}") from exc
 
 
 def cmd_predict(args) -> int:
-    cfg, rc = _load_or_report(args.config)
-    if cfg is None:
-        return rc
-    table = predictions_csv(cfg.params, prediction_checkpoints(cfg))
+    cfg = load_config(args.config)
+    a = predictions(cfg.params, prediction_checkpoints(cfg))
+    cols = [getattr(a, f.name) for f in dataclasses.fields(a)]
+    cols[-1] = a.pre_asymptotic.astype(np.int64)  # written 0/1
+    table = csv_lines([f.name, *([""] * len(a.n) if c is None else map(str, c.tolist()))]
+                      for f, c in zip(dataclasses.fields(a), cols))
     if args.out:
-        if not _make_out_dir(args.out):
-            return 2
+        _make_out_dir(args.out)
         path = os.path.join(args.out, "predictions.csv")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"# config_hash={cfg.config_hash()}\n")
@@ -87,18 +112,13 @@ def cmd_run(args) -> int:
     # --seed follows the rule load_config applies to master_seed
     for flag, value, least in (("--seed", args.seed, 0), ("--workers", args.workers, 1)):
         if value is not None and value < least:
-            print(f"parse error: {flag} must be an integer >= {least}, got {value}",
-                  file=sys.stderr)
-            return 2
-    cfg, rc = _load_or_report(args.config)
-    if cfg is None:
-        return rc
+            raise ConfigError(f"{flag} must be an integer >= {least}, got {value}")
+    cfg = load_config(args.config)
     spec = cfg.replication
     if args.seed is not None:
         spec = dataclasses.replace(spec, master_seed=args.seed)
     out_dir = args.out or cfg.output_dir
-    if not _make_out_dir(out_dir):
-        return 2
+    _make_out_dir(out_dir)
     family = build_family(cfg)
     cost_model = build_cost_model(cfg)
     projection = build_projection(cfg)
@@ -132,7 +152,7 @@ def cmd_run(args) -> int:
                 + csv_lines([name, *col] for name, col in zip(header, columns, strict=True)))
 
     try:
-        write("records.csv", csv_text(["replica"] + csv_header(family.d), record.csv_columns()))
+        write("records.csv", csv_text(records_header(family.d), records_columns(record)))
 
         checkpoint = max(spec.checkpoints)
         if family.has_ground_truth():
@@ -140,7 +160,7 @@ def cmd_run(args) -> int:
                                         divergence_radius=radius,
                                         inputs={"config_hash": cfg_hash,
                                                 "master_seed": spec.master_seed})
-            payload = harness.report_json(report)
+            payload = report_json(report)
         else:
             payload = json.dumps({"config_hash": cfg_hash, "master_seed": spec.master_seed,
                                   "skipped": "family has no ground truth"})
@@ -154,12 +174,9 @@ def cmd_run(args) -> int:
         hi = [c for c in spec.checkpoints if c > spec.n_final // 2]
         windows = [(min(c), max(c)) for c in (lo, hi) if c]
         mon = harness.l2_monitor(record, cfg.params, windows)
-        write("l2_monitor.json", harness.report_json(mon, config_hash=cfg_hash,
-                                                     master_seed=spec.master_seed))
+        write("l2_monitor.json", report_json(mon, config_hash=cfg_hash,
+                                             master_seed=spec.master_seed))
         manifest["complete"] = True
-    except harness.InsufficientReplicas as exc:
-        print(f"run failed: {exc}", file=sys.stderr)
-        return 1
     finally:
         with open(manifest_path, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(manifest, sort_keys=True))
@@ -186,7 +203,7 @@ def cmd_plot(args) -> int:
                 if hashlib.sha256(fh.read()).hexdigest() != manifest["files"][name]:
                     raise ValueError(f"{name} does not match its manifest sha256")
         cfg = config_from_dict(manifest["config"])
-        # records.csv: a hash comment, then ["replica"] + csv_header(d) and its rows
+        # records.csv: a hash comment, then records_header(d) and its rows
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # numpy warns, and does not raise, on a table of no rows
             table = np.loadtxt(os.path.join(run_dir, "records.csv"), delimiter=",", skiprows=2,
@@ -199,7 +216,9 @@ def cmd_plot(args) -> int:
         return 1
     family = build_family(cfg)
     theta_star = family.theta_star
-    n_col, bar, cost = table[:, 1], table[:, 2 + family.d:2 + 2 * family.d], table[:, -1]
+    at = records_header(family.d).index  # each column where the header puts it
+    n_col, cost = table[:, at("n")], table[:, at("cost")]
+    bar = table[:, at("theta_bar_0"):at("cost")]
     ns = np.unique(n_col)
     mean_err = np.array([np.linalg.norm(bar[n_col == n] - theta_star, axis=1).mean() for n in ns])
     mean_cost = np.array([cost[n_col == n].mean() for n in ns])
@@ -262,7 +281,17 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_plot)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return 2
+    except InvalidParameters as exc:
+        print(f"rejected: {exc}", file=sys.stderr)
+        return 1
+    except harness.InsufficientReplicas as exc:
+        print(f"run failed: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

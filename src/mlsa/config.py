@@ -32,15 +32,20 @@ from dataclasses import MISSING, dataclass, fields
 import numpy as np
 
 from .asymptotics import predictions
-from .driver import BoxProjection, IdentityProjection, geometric_checkpoints, replication_counts
+from .driver import BoxProjection, IdentityProjection, RunPlan, geometric_checkpoints
 from .families import EulerSdeFamily, GeometricCostModel, LevelFamily, SyntheticGaussianFamily
-from .harness import ReplicationSpec
+from .harness import BLOCK, ReplicationSpec
 from .linear import spectral_abscissa
-from .params import CRITICAL, InvalidParameters, ParameterSet, schedule_arrays
+from .params import CRITICAL, InvalidParameters, ParameterSet, replication_counts, schedule_arrays
 
 
 class ConfigError(ValueError):
     pass
+
+
+# most entries of a run's (n_final, s_n) counts matrix or of one iteration's (BLOCK, s_n, d)
+# synthetic draw: 2^25 int64 counts are 256 MiB, and building them peaks near 1.4 GB
+PLAN_ENTRIES = 2 ** 25
 
 
 def _check_type(ok: bool, section: str, key: str, expected: str, value):
@@ -205,8 +210,6 @@ def _check_experiment(cfg: ExperimentConfig):
     for key, what in (("K_bar", "the budget"), ("b_bar", "the weight sum")):  # s_n, theta_bar_n
         if not np.isfinite(arr[key][-1]):
             _reject(f"finite {key}_n", f"{what} overflows a double by n = {cfg.replication.n_final}")
-    if arr["K"].max() > 2.0 ** 52:  # beta <= 1, so N_1 <= ceil(K_n / M) < 2^53 otherwise
-        replication_counts(p, arr["s"], arr["K"])  # rejects a count past 2^53
     try:  # the closed forms every run writes: cost_table.csv, clt_report.json, predict
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             pred = predictions(p, prediction_checkpoints(cfg))
@@ -224,7 +227,22 @@ def _check_experiment(cfg: ExperimentConfig):
         projection = build_projection(cfg)
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"family or projection: {exc}") from exc
-    d = family.d
+    n, d = cfg.replication.n_final, family.d
+    entries = max(n, BLOCK * d) * int(arr["s"][-1])  # checked before anything that size
+    if entries > PLAN_ENTRIES:
+        _reject("plan entries <= 2^25",
+                f"max(n_final, BLOCK d) s_n = {entries} fails at n = {n}")
+    if arr["K"].max() > 2.0 ** 52:  # beta <= 1, so N_1 <= ceil(K_n / M) < 2^53 otherwise
+        replication_counts(p, arr["s"], arr["K"])  # rejects a count past 2^53
+    with np.errstate(over="ignore", invalid="ignore"):
+        # N_k <= K_n / M + 1 and K_n, s_n grow with n, so each of the n iterations costs at
+        # most kappa_C (K_n + 1) M^(s_n+1) / (M - 1) at n = n_final
+        bound = n * p.kappa_C * (arr["K"][-1] + 1.0) * p.M ** (arr["s"][-1] + 1.0) / (p.M - 1.0)
+        if not np.isfinite(2.0 * bound):  # then the cost the run sums decides
+            cost = np.cumsum(RunPlan(p, build_cost_model(cfg), n).cost_inc)
+            if not np.isfinite(cost[-1]):  # a sum of terms >= 0 stays inf once it is
+                _reject("finite cost_n", "the cumulative cost overflows a double by n = "
+                        f"{np.argmax(~np.isfinite(cost)) + 1}")
     if fam["kind"] == "synthetic_gaussian":
         if min(np.linalg.matrix_rank(family.H), np.linalg.matrix_rank(family.A)) < d:
             _reject("nonsingular H and noise_factor",

@@ -22,38 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .families import LevelFamily
-from .params import WINDOW, InvalidParameters, ParameterSet, schedule_arrays
-
-# snap near-integer count values before the ceiling so exact ratios such as
-# K/M^s = 8 are not pushed up by float noise from pow/log round-trips
-_INT_SNAP = 1e-9
-
-
-def replication_counts(params: ParameterSet, s, K) -> np.ndarray:
-    """Level counts N_k(s_n, K_n) for all n at once: an (n, max s_n) integer
-    matrix whose row n holds (N_1, ..., N_{s_n}) and zeros past s_n.
-
-    N_k(s, K) = ceil((K / M^s) * M^((beta+1)/2 * (s-k))), nonincreasing in k;
-    for beta = 1 they reduce to ceil(K * M^-k), independent of s.  ``s`` and
-    ``K`` are equal-length sequences, or scalars for a single row.  Raises
-    :class:`InvalidParameters` when a count exceeds 2^53.
-    """
-    s = np.atleast_1d(np.asarray(s))
-    K = np.atleast_1d(np.asarray(K, dtype=float))
-    if np.any(s < 1):
-        raise ValueError("s must be >= 1")
-    if not np.all(K > 0):
-        raise ValueError("K must be positive")
-    M, beta = params.M, params.beta
-    k = np.arange(1, int(s.max()) + 1)
-    x = (K / M ** s)[:, None] * M ** (0.5 * (beta + 1) * (s[:, None] - k))
-    r = np.round(x)
-    counts = np.where(np.abs(x - r) <= _INT_SNAP * np.maximum(1.0, np.abs(x)), r, np.ceil(x))
-    counts = np.where(k <= s[:, None], np.maximum(counts, 1.0), 0.0)
-    n = int(np.argmax(counts[:, 0]))  # N_1 is a row's largest; doubles skip integers past 2^53
-    if not counts[n, 0] <= 2.0 ** 53:
-        raise InvalidParameters((f"N_1 <= 2^53: {counts[n, 0]:.6g} fails at n = {n + 1}",))
-    return counts.astype(np.int64)
+from .params import WINDOW, ParameterSet, replication_counts, schedule_arrays
 
 
 class IdentityProjection:
@@ -85,18 +54,6 @@ class BallMonitor:
     n0: int
 
 
-def csv_header(d: int) -> list[str]:
-    """Columns of one checkpoint row: n, theta_i, theta_bar_i, cost."""
-    return (["n"] + [f"theta_{i}" for i in range(d)]
-            + [f"theta_bar_{i}" for i in range(d)] + ["cost"])
-
-
-def csv_lines(columns) -> str:
-    """CSV lines of equal-length columns of field strings: what ``csv.writer`` writes of
-    their rows with ``lineterminator="\\n"``, save its quotes on a lone empty field."""
-    return "\n".join([*map(",".join, zip(*columns)), ""])
-
-
 @dataclass(frozen=True)
 class RunRecord:
     """Checkpointed output of one run of R replicas; row r is replica r.
@@ -119,18 +76,6 @@ class RunRecord:
     @property
     def aborted(self) -> np.ndarray:
         return self.abort_iteration > 0
-
-    def csv_columns(self) -> list[list[str]]:
-        """Columns of field strings under ``["replica"] + csv_header(d)``, replica by replica,
-        over the checkpoints reached before any abort: each value's ``str``, its shortest
-        round-trip repr, with each replica index and checkpoint n and cost formatted once."""
-        rep, j = np.nonzero((~self.aborted | (self.ns[:, None] < self.abort_iteration)).T)
-        values = [list(map(str, col)) for x in (self.theta, self.theta_bar)
-                  for col in x[j, rep].T.tolist()]
-        reps, ns, costs = (list(map(str, v)) for v in  # shared by many rows: each str'd once
-                           (range(len(self.aborted)), self.ns.tolist(), self.cost.tolist()))
-        rep, j = rep.tolist(), j.tolist()
-        return [[reps[r] for r in rep], [ns[i] for i in j], *values, [costs[i] for i in j]]
 
 
 class RunPlan:

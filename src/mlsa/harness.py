@@ -17,9 +17,8 @@ by a symmetric square root of the target covariance.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -257,20 +256,6 @@ class L2Monitor:
     ratio: Optional[float]  # last window / first window, when both usable
     epsilon: float
     n0: int
-
-
-def report_json(report, **extra) -> str:
-    """Key-sorted JSON of a report dataclass's fields and ``extra``: arrays and
-    tuples become lists, and NaN in a value or list becomes null."""
-    def plain(v):
-        if isinstance(v, np.ndarray):
-            v = v.tolist()
-        if isinstance(v, (list, tuple)):
-            return [plain(x) for x in v]
-        return None if isinstance(v, float) and math.isnan(v) else v
-
-    doc = {f.name: getattr(report, f.name) for f in fields(report)}
-    return json.dumps({k: plain(v) for k, v in {**doc, **extra}.items()}, sort_keys=True)
 
 
 def l2_monitor(record: RunRecord, params: ParameterSet,

@@ -1,4 +1,4 @@
-"""Schedule constants, deterministic schedules and feasibility validation.
+"""Schedule constants, deterministic schedules, level counts and feasibility validation.
 
 The algorithm is driven by power-law schedules
 
@@ -175,3 +175,35 @@ def schedule_arrays(params: ParameterSet, n: int) -> dict[str, np.ndarray]:
             for k in keys:
                 a[k][lo:lo + WINDOW] = w[k]
     return a
+
+
+# snap near-integer count values before the ceiling so exact ratios such as
+# K/M^s = 8 are not pushed up by float noise from pow/log round-trips
+_INT_SNAP = 1e-9
+
+
+def replication_counts(params: ParameterSet, s, K) -> np.ndarray:
+    """Level counts N_k(s_n, K_n) for all n at once: an (n, max s_n) integer
+    matrix whose row n holds (N_1, ..., N_{s_n}) and zeros past s_n.
+
+    N_k(s, K) = ceil((K / M^s) * M^((beta+1)/2 * (s-k))), nonincreasing in k;
+    for beta = 1 they reduce to ceil(K * M^-k), independent of s.  ``s`` and
+    ``K`` are equal-length sequences, or scalars for a single row.  Raises
+    :class:`InvalidParameters` when a count exceeds 2^53.
+    """
+    s = np.atleast_1d(np.asarray(s))
+    K = np.atleast_1d(np.asarray(K, dtype=float))
+    if np.any(s < 1):
+        raise ValueError("s must be >= 1")
+    if not np.all(K > 0):
+        raise ValueError("K must be positive")
+    M, beta = params.M, params.beta
+    k = np.arange(1, int(s.max()) + 1)
+    x = (K / M ** s)[:, None] * M ** (0.5 * (beta + 1) * (s[:, None] - k))
+    r = np.round(x)
+    counts = np.where(np.abs(x - r) <= _INT_SNAP * np.maximum(1.0, np.abs(x)), r, np.ceil(x))
+    counts = np.where(k <= s[:, None], np.maximum(counts, 1.0), 0.0)
+    n = int(np.argmax(counts[:, 0]))  # N_1 is a row's largest; doubles skip integers past 2^53
+    if not counts[n, 0] <= 2.0 ** 53:
+        raise InvalidParameters((f"N_1 <= 2^53: {counts[n, 0]:.6g} fails at n = {n + 1}",))
+    return counts.astype(np.int64)

@@ -7,7 +7,7 @@ import pytest
 
 from mlsa import (GeometricCostModel, IdentityProjection, ParameterSet,
                   SyntheticGaussianFamily)
-from mlsa.driver import csv_header
+from mlsa.cli import records_header
 
 # default experiment constants; chosen so the n = 4000 horizons of the
 # acceptance experiments are deep enough into the asymptotic regime
@@ -169,7 +169,7 @@ def csv_writer_text(rows):
 def record_rows(rec):
     """The header and the CSV rows of a record, as Python numbers: replica by replica,
     the checkpoints each reached before any abort."""
-    return [["replica"] + csv_header(rec.theta.shape[2])] + [
+    return [records_header(rec.theta.shape[2])] + [
         [r, n, *rec.theta[j, r].tolist(), *rec.theta_bar[j, r].tolist(), rec.cost[j].item()]
         for r in range(rec.theta.shape[1]) for j, n in enumerate(rec.ns.tolist())
         if not rec.aborted[r] or n < rec.abort_iteration[r]]

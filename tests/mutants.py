@@ -90,8 +90,7 @@ MUTANTS = (
            ("tests/test_families.py::test_euler_shortfall_root_and_slope",)),
     Mutant("closed forms not checked at load", "src/mlsa/config.py",
            "pred = predictions(p, prediction_checkpoints(cfg))", "pred = predictions(p, [])",
-           ("tests/test_config_cli.py::test_overflowing_predictions_rejected_without_warnings",
-            "tests/test_config_cli.py::test_fuzzed_configs_reject_or_complete")),
+           ("tests/test_config_cli.py::test_overflowing_predictions_rejected_without_warnings",)),
     Mutant("eps_bias not checked at load", "src/mlsa/config.py",
            'f.name in ("n", "s", "pre_asymptotic")', 'f.name in ("n", "s", "pre_asymptotic", "eps_bias")',
            ("tests/test_config_cli.py::test_overflowing_predictions_rejected_without_warnings",)),
@@ -105,6 +104,17 @@ MUTANTS = (
     Mutant("Lyapunov Kronecker system built on A, not A^T", "src/mlsa/linear.py",
            "At = H.T + L * eye", "At = H + L * eye",
            ("tests/test_linear.py::test_lyapunov_norm_matches_scalar_scan",)),
+    Mutant("measured cost not checked at load", "src/mlsa/config.py",
+           "if not np.isfinite(2.0 * bound):", "if False:",
+           ("tests/test_config_cli.py::test_overflowing_predictions_rejected_without_warnings",)),
+    Mutant("plan size not checked at load", "src/mlsa/config.py",
+           "if entries > PLAN_ENTRIES:", "if False:",
+           ("tests/test_config_cli.py::test_plan_too_large_to_hold_rejected",)),
+    Mutant("main maps InvalidParameters to exit 2", "src/mlsa/cli.py",
+           'print(f"rejected: {exc}", file=sys.stderr)\n        return 1',
+           'print(f"rejected: {exc}", file=sys.stderr)\n        return 2',
+           ("tests/test_config_cli.py::test_counts_past_2_53_rejected",
+            "tests/test_config_cli.py::test_overflowing_predictions_rejected_without_warnings")),
     Mutant("plot QQ quantile negated", "src/mlsa/cli.py",
            "q = [NormalDist().inv_cdf(", "q = [-NormalDist().inv_cdf(",
            ("tests/test_config_cli.py::test_csv_artifacts_match_csv_writer",)),

@@ -8,7 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from mlsa import (ParameterSet, load_config, oracle_eps_bias, oracle_eps_diff,
                   predict_critical, predict_slow, psi, rates, schedule_arrays)
-from mlsa.asymptotics import predictions, predictions_csv
+from mlsa.asymptotics import predictions
+from mlsa.cli import main
 from mlsa.params import schedule_windows
 
 from conftest import CRITICAL_PINNED, SLOW_PINNED
@@ -321,16 +322,27 @@ def test_array_predictions_match_scalar_reference():
         json.dumps(vars(one))
 
 
-def test_predictions_csv_shape(slow_params_pinned, critical_params_pinned):
-    early = ParameterSet(**dict(SLOW_PINNED, kappa_s=1e-3))  # n = 1 is pre-asymptotic
-    for p, ns, pre in ((early, [1, 10 ** 4], ["1", "0"]),
-                       (slow_params_pinned, [10, 100], ["0", "0"]),
-                       (critical_params_pinned, [10, 100], ["0", "0"])):
-        lines = predictions_csv(p, ns).splitlines()
+def test_predictions_csv_shape(tmp_path, capsys):
+    # mlsa predict's table: one column per Predictions field, pre_asymptotic as 0/1
+    early = dict(SLOW_PINNED, kappa_s=1e-3)  # n = 1 is pre-asymptotic
+    family = {"kind": "synthetic_gaussian", "theta_star": [0.0], "H": [[-1.0]], "mu": [0.05],
+              "noise_factor": [[1.0]]}
+    for i, (params, ns, pre) in enumerate(((early, [1, 10 ** 4], ["1", "0"]),
+                                           (SLOW_PINNED, [10, 100], ["0", "0"]),
+                                           (CRITICAL_PINNED, [10, 100], ["0", "0"]))):
+        doc = {"params": params, "family": family, "projection": {"kind": "identity"},
+               "replication": {"replicas": 2, "n_final": ns[-1], "checkpoints": ns,
+                               "master_seed": 0},
+               "output": {"directory": "out"}}
+        path = tmp_path / f"predict{i}.json"
+        path.write_text(json.dumps(doc))
+        assert main(["predict", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
         assert lines[0] == ",".join(PREDICTION_COLUMNS)
         rows = [line.split(",") for line in lines[1:]]
         assert [row[0] for row in rows] == [str(n) for n in ns]
         assert [row[-1] for row in rows] == pre
+        p = ParameterSet(**params)
         for j, row in enumerate(rows):
             a = predictions(p, ns).at(j)
             assert float(row[4]) == a.eps_diff and float(row[5]) == a.predicted_cost

@@ -340,11 +340,15 @@ def test_overflowing_predictions_rejected_without_warnings(tmp_path, capsys):
     # cost_table.csv rows of inf,inf,nan; slow M = 1e300: a float power in psi raises
     # OverflowError, which ended run (after records.csv) and predict in a traceback;
     # slow kappa_s = 1e-300, kappa_K = 1e-30: eps_bias alone overflows (a float
-    # product, no OverflowError) while eps_diff and the cost stay finite
+    # product, no OverflowError) while eps_diff and the cost stay finite; critical
+    # kappa_C = 9.38e301: the predicted cost (1.795e308 at n = 60) stays finite and the
+    # measured one, about 1.02 times as large, overflows, which wrote a row of inf
     cases = [("slow_default.json", {"kappa_C": 1e305}, "finite predicted_cost"),
              ("critical_default.json", {"kappa_C": 1e305}, "finite predicted_cost"),
              ("slow_default.json", {"M": 1e300}, "finite predictions"),
-             ("slow_default.json", {"kappa_s": 1e-300, "kappa_K": 1e-30}, "finite eps_bias:")]
+             ("slow_default.json", {"kappa_s": 1e-300, "kappa_K": 1e-30}, "finite eps_bias:"),
+             ("critical_default.json", {"kappa_C": 9.38e301},
+              "finite cost_n: the cumulative cost overflows a double by n = 60")]
     for i, (name, params, message) in enumerate(cases):
         doc = shipped(name, replicas=4, n_final=60, checkpoints=None)
         doc["params"].update(params)
@@ -358,6 +362,21 @@ def test_overflowing_predictions_rejected_without_warnings(tmp_path, capsys):
                 assert message in capsys.readouterr().err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], name
         assert not os.path.exists(out_dir)
+
+
+def test_plan_too_large_to_hold_rejected(tmp_path, capsys):
+    # M = 1.0000001 puts s_60 near 6-7 x 10^7, a counts matrix of 27-31 GiB; validate
+    # only, so a loader without the check fails here by its exit code and allocates
+    # nothing. At n_final = 60 < BLOCK d = 100 the limit is s_60 <= 2^25 / 100 = 335544.3
+    cases = [("critical_default.json", 1.0000001, 1), ("slow_default.json", 1.0000001, 1),
+             ("critical_default.json", 60.0 ** (1.5 / 335543.5), 0),  # s_60 = 335544
+             ("critical_default.json", 60.0 ** (1.5 / 335544.5), 1)]  # s_60 = 335545
+    for i, (name, M, rc) in enumerate(cases):
+        doc = shipped(name, replicas=4, n_final=60, checkpoints=None)
+        doc["params"]["M"] = M
+        assert main(["validate", write_config(tmp_path, doc, name=f"M{i}.json")]) == rc
+        out = capsys.readouterr().out
+        assert ("violation plan entries <= 2^25: max(n_final, BLOCK d) s_n = " in out) == rc, M
 
 
 def test_weight_sum_overflow_rejected(tmp_path, capsys):
@@ -478,7 +497,7 @@ def test_too_few_surviving_replicas_fail_cleanly(tmp_path, capsys):
         rc = main(["run", path, "--out", out_dir, "--workers", "1"])
         assert rc == 1
         err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and "replicas" in err
+        assert len(err.splitlines()) == 1 and err.startswith("run failed:") and "replicas" in err
         manifest = json.loads(open(os.path.join(out_dir, "manifest.json")).read())
         assert manifest["complete"] is False
         assert sorted(manifest["files"]) == ["records.csv"]

@@ -15,7 +15,8 @@ from mlsa import (BallMonitor, BoxProjection, EulerSdeFamily, GeometricCostModel
                   IdentityProjection, ParameterSet, ReplicationSpec, SyntheticGaussianFamily,
                   default_theta0, geometric_checkpoints, replication_counts, run,
                   run_replicas, schedule_arrays)
-from mlsa.driver import RunPlan, csv_header, csv_lines
+from mlsa.cli import csv_lines, records_columns, records_header
+from mlsa.driver import RunPlan
 from mlsa.families import LevelFamily
 
 from conftest import (CRITICAL_DEFAULT, GAMMA2, SLOW_PINNED, columns_sum, csv_writer_text,
@@ -97,7 +98,7 @@ def scalar_schedule(p, n_final):
 
 def written_rows(record):
     """The record's CSV rows as written, each a tuple of field strings."""
-    return list(zip(*record.csv_columns()))
+    return list(zip(*records_columns(record)))
 
 
 def per_iteration_stream_run(family, plan, theta0, n_final, stream):
@@ -153,7 +154,7 @@ def test_run_is_deterministic(slow_params, slow_family, cost_model, identity):
     plan = RunPlan(slow_params, cost_model, 150)
     a = run(plan, slow_family, identity, theta0, (10, 150), 987)
     b = run(plan, slow_family, identity, theta0, (10, 150), 987)
-    assert a.csv_columns() == b.csv_columns()
+    assert records_columns(a) == records_columns(b)
     assert np.array_equal(a.theta[-1], b.theta[-1])
 
 
@@ -350,9 +351,10 @@ def test_run_rejects_bad_checkpoints(slow_params, slow_family, cost_model, ident
 def test_record_serialization_roundtrip(slow_params, slow_family, cost_model, identity):
     rec = run(RunPlan(slow_params, cost_model, 20), slow_family, identity,
               default_theta0(slow_family), (10, 20), 3)
-    assert csv_header(2) == ["n", "theta_0", "theta_1", "theta_bar_0", "theta_bar_1", "cost"]
+    assert records_header(2) == ["replica", "n", "theta_0", "theta_1", "theta_bar_0",
+                                 "theta_bar_1", "cost"]
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(zip(*rec.csv_columns()))
+    csv.writer(buf, lineterminator="\n").writerows(zip(*records_columns(rec)))
     rows = list(csv.reader(io.StringIO(buf.getvalue())))
     assert [row[:2] for row in rows] == [["0", "10"], ["0", "20"]]
     for row in rows:
@@ -418,8 +420,8 @@ def test_csv_lines_match_csv_writer(slow_params, cost_model):
                   range(1, 41), 8, replicas=4)
         assert rec.abort_iteration[1] == 1 and 1 < rec.abort_iteration[2] < 40
         assert not rec.aborted[[0, 3]].any()
-        header = ["replica"] + csv_header(fam.d)
-        assert csv_lines([name, *col] for name, col in zip(header, rec.csv_columns())) == \
+        header = records_header(fam.d)
+        assert csv_lines([name, *col] for name, col in zip(header, records_columns(rec))) == \
             csv_writer_text(record_rows(rec))
     # tables of numbers: each value written as str writes it, a None as an empty field
     tables = [[[0, 7, 1.5, -3, 2 ** 70, np.int64(7), np.int32(-3), np.float64(2.25),

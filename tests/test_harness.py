@@ -12,7 +12,8 @@ import scipy.special
 from mlsa import (BallMonitor, ParameterSet, ReplicationSpec, clt_report, cost_curve,
                   default_theta0, kolmogorov_critical, ks_statistic, l2_monitor,
                   normalized_sample_stats, block_seeds, replication_counts, run_replicas)
-from mlsa.harness import BLOCK, report_json
+from mlsa.cli import records_columns, report_json
+from mlsa.harness import BLOCK
 
 from conftest import CRITICAL_DEFAULT, make_scalar_family, make_slow_family
 
@@ -37,7 +38,7 @@ def test_run_replicas_deterministic_and_nondegenerate(slow_params, slow_family,
     theta0 = default_theta0(slow_family)
     a = run_replicas(small_spec(), slow_params, slow_family, cost_model, identity, theta0)
     b = run_replicas(small_spec(), slow_params, slow_family, cost_model, identity, theta0)
-    assert a.csv_columns() == b.csv_columns()
+    assert records_columns(a) == records_columns(b)
     finals = {tuple(row) for row in a.theta[-1]}
     assert len(finals) >= 2  # noise present: distinct seeds separate
 
@@ -49,7 +50,7 @@ def test_run_replicas_worker_count_invariance(slow_params, slow_family, cost_mod
     runs = [run_replicas(spec, slow_params, slow_family, cost_model, identity, theta0,
                          workers=w) for w in (1, 2, 3)]
     assert runs[0].theta.shape[1] == 2 * BLOCK + 3
-    assert runs[0].csv_columns() == runs[1].csv_columns() == runs[2].csv_columns()
+    assert records_columns(runs[0]) == records_columns(runs[1]) == records_columns(runs[2])
 
 
 def test_kolmogorov_critical_against_scipy():
