@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .params import CRITICAL, SLOW, WINDOW, ParameterSet, schedule_windows
+from .params import CRITICAL, SLOW, WINDOW, ParameterSet, levels, schedule_windows
 
 
 def _psi_formula(u: float, v: float, M: float, z):
@@ -122,10 +122,10 @@ def predict_critical(params: ParameterSet, n: int) -> Predictions:
 
 
 def predictions(params: ParameterSet, ns: Sequence[int]) -> Predictions:
-    """Every closed form at each n in ``ns`` in one array pass over s_n and xi_n,
-    read from the schedule windows.  A slow-regime s_n from the clamp branch
-    (floor <= 0) is flagged ``pre_asymptotic``, not refused: xi_n is then negative
-    and the formulas are evaluated as written.  The critical regime needs n >= 2.
+    """Every closed form at each n in ``ns`` in one array pass, s_n and xi_n from :func:`levels`
+    at those n only (slow: at K_bar_n, streamed to max(ns)).  A slow-regime s_n from the clamp
+    branch (floor <= 0) is flagged ``pre_asymptotic``, not refused: xi_n is then negative and
+    the formulas are evaluated as written.  The critical regime needs n >= 2.
     """
     p = params
     n = np.asarray(ns, dtype=np.int64)
@@ -133,10 +133,12 @@ def predictions(params: ParameterSet, ns: Sequence[int]) -> Predictions:
         raise ValueError("critical prediction needs n >= 2 (log n vanishes at 1)")
     if np.any(n < 1):
         raise ValueError("predictions need every n >= 1")
-    s, xi, x = np.zeros(n.shape, dtype=np.int64), np.zeros(n.shape), n.astype(float)
-    for lo, w in schedule_windows(p, int(n.max(initial=1)), ("s", "xi")):
-        at = (n > lo) & (n <= lo + WINDOW)
-        s[at], xi[at] = w["s"][n[at] - lo - 1], w["xi"][n[at] - lo - 1]
+    x, K_bar = n.astype(float), np.zeros(n.shape)
+    if p.regime == SLOW:
+        for lo, w in schedule_windows(p, int(n.max(initial=1)), ("K_bar",)):
+            at = (n > lo) & (n <= lo + WINDOW)
+            K_bar[at] = w["K_bar"][n[at] - lo - 1]
+    s, xi = levels(p, K_bar if p.regime == SLOW else x)
     if p.regime == SLOW:
         pre = xi < 0.0  # the max(. , 1) clamp was active
         rb = rates(p)

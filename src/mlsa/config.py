@@ -206,10 +206,15 @@ def _check_experiment(cfg: ExperimentConfig):
         _reject("integer M for euler_sde", f"M = {p.M:.6g} is not an integer")
     if p.regime == CRITICAL and max(cfg.replication.checkpoints) < 2:
         _reject("checkpoint n >= 2", "critical predictions need log n > 0")
-    arr = schedule_arrays(p, cfg.replication.n_final)
+    n = cfg.replication.n_final
+    if n > PLAN_ENTRIES:  # s_n >= 1: bounded before the n-length build below
+        _reject("plan entries <= 2^25", f"max(n_final, BLOCK d) s_n >= n_final = {n} fails")
+    arr = schedule_arrays(p, n)
     for key, what in (("K_bar", "the budget"), ("b_bar", "the weight sum")):  # s_n, theta_bar_n
         if not np.isfinite(arr[key][-1]):
-            _reject(f"finite {key}_n", f"{what} overflows a double by n = {cfg.replication.n_final}")
+            _reject(f"finite {key}_n", f"{what} overflows a double by n = {n}")
+    if not 1 <= arr["s"][-1] < np.iinfo(np.int64).max:  # an inf level casts to an int64 end
+        _reject("finite s_n", f"kappa_s K_bar_n^(1/(2 alpha - beta + 1)) overflows by n = {n}")
     try:  # the closed forms every run writes: cost_table.csv, clt_report.json, predict
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             pred = predictions(p, prediction_checkpoints(cfg))
@@ -227,7 +232,7 @@ def _check_experiment(cfg: ExperimentConfig):
         projection = build_projection(cfg)
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"family or projection: {exc}") from exc
-    n, d = cfg.replication.n_final, family.d
+    d = family.d
     entries = max(n, BLOCK * d) * int(arr["s"][-1])  # checked before anything that size
     if entries > PLAN_ENTRIES:
         _reject("plan entries <= 2^25",

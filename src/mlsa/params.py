@@ -131,8 +131,22 @@ WINDOW = 2 ** 16  # elements of a streamed window, 512 KB of doubles: indices or
 KEYS = ("gamma", "b", "b_bar", "K", "K_bar", "s")
 
 
+def levels(params: ParameterSet, x) -> tuple[np.ndarray, np.ndarray]:
+    """The single source of s_n and xi_n: ``(s, xi)`` elementwise at ``x``, K_bar_n (slow) or n
+    (critical); s is int64, xi the real level minus s.  Overflow gives inf or nan, not
+    warnings, and an infinite level casts to an end of int64."""
+    p = params
+    with np.errstate(over="ignore", invalid="ignore"):
+        if p.regime == SLOW:
+            xi = np.log(p.kappa_s * x ** (1.0 / (2 * p.alpha - p.beta + 1))) / math.log(p.M)
+        else:
+            xi = (1.0 / p.alpha) * ((p.phi + 1) / 2.0) * np.log(x) / math.log(p.M)
+        s = np.maximum((np.floor if p.regime == SLOW else np.ceil)(xi), 1.0)
+        return s.astype(np.int64), np.subtract(xi, s, out=xi)  # in place: one window less
+
+
 def schedule_windows(params: ParameterSet, n: int, keys=KEYS):
-    """The single source of s_n, K_bar_n, xi_n: yields ``(lo, w)`` for each
+    """The schedule over 1..n, s_n and xi_n from :func:`levels`: yields ``(lo, w)`` for each
     ``WINDOW``-index slice lo+1..min(lo+WINDOW, n) of 1..n, ``w`` a dict of ``keys``
     and what they need over it, cleared as the next window starts.  K_bar and b_bar
     go on from the window before's sum, adding the exact terms in index order.
@@ -155,14 +169,7 @@ def schedule_windows(params: ParameterSet, n: int, keys=KEYS):
                 w[total] = np.cumsum(np.concatenate(([last[total]], w[total[:-4]])))[1:]
                 last[total] = w[total][-1]
             if "s" in need:
-                if p.regime == SLOW:  # xi holds the level before rounding until s is taken off
-                    w["xi"] = (np.log(p.kappa_s * w["K_bar"] ** (1.0 / (2 * p.alpha - p.beta + 1)))
-                               / math.log(p.M))
-                else:
-                    w["xi"] = (1.0 / p.alpha) * ((p.phi + 1) / 2.0) * np.log(idx) / math.log(p.M)
-                w["s"] = np.maximum((np.floor if p.regime == SLOW else np.ceil)(w["xi"]), 1.0)
-                w["xi"] -= w["s"]
-                w["s"] = w["s"].astype(np.int64)
+                w["s"], w["xi"] = levels(p, w["K_bar"] if p.regime == SLOW else idx)
             yield lo, w
 
 

@@ -36,6 +36,7 @@ class Mutant:
 
 FAMILIES = "src/mlsa/families.py"
 HARNESS = "src/mlsa/harness.py"
+ASYMPTOTICS = "src/mlsa/asymptotics.py"
 MUTANTS = (
     Mutant("bias exponent len(counts) off by one", FAMILIES,
            "self.mu * self.M ** (-self.alpha * len(counts))",
@@ -94,6 +95,26 @@ MUTANTS = (
     Mutant("eps_bias not checked at load", "src/mlsa/config.py",
            'f.name in ("n", "s", "pre_asymptotic")', 'f.name in ("n", "s", "pre_asymptotic", "eps_bias")',
            ("tests/test_config_cli.py::test_overflowing_predictions_rejected_without_warnings",)),
+    Mutant("slow s_n overflow not checked at load", "src/mlsa/config.py",
+           'if not 1 <= arr["s"][-1] < np.iinfo(np.int64).max:', "if False:",
+           ("tests/test_config_cli.py::test_overflowing_slow_level_rejected",)),
+    Mutant("n_final not bounded before the schedule build", "src/mlsa/config.py",
+           "if n > PLAN_ENTRIES:", "if False:",
+           ("tests/test_config_cli.py::test_n_final_bounded_before_the_schedule_build",)),
+    Mutant("slow levels taken at n, not at K_bar_n", ASYMPTOTICS,
+           "levels(p, K_bar if p.regime == SLOW else x)", "levels(p, x)",
+           ("tests/test_params.py::test_predicted_levels_are_the_windows_bit_for_bit",
+            "tests/test_params.py::test_streamed_schedule_and_oracles_are_bitwise_a_full_build",
+            "tests/test_asymptotics.py::test_array_predictions_match_scalar_reference",
+            "tests/test_asymptotics.py::test_slow_predict_vs_oracle_midrange",
+            "tests/test_asymptotics.py::test_slow_predict_vs_oracle_grid_at_1e6",
+            "tests/test_asymptotics.py::test_pre_asymptotic_flagged")),
+    Mutant("K_bar read one index early", ASYMPTOTICS,
+           'K_bar[at] = w["K_bar"][n[at] - lo - 1]', 'K_bar[at] = w["K_bar"][n[at] - lo - 2]',
+           ("tests/test_params.py::test_predicted_levels_are_the_windows_bit_for_bit",
+            "tests/test_params.py::test_streamed_schedule_and_oracles_are_bitwise_a_full_build",
+            "tests/test_asymptotics.py::test_array_predictions_match_scalar_reference",
+            "tests/test_asymptotics.py::test_predictions_csv_shape")),
     Mutant("normal CDF of the KS statistic mirrored, erfc(x) for erfc(-x)", HARNESS,
            "math.erfc(-v / math.sqrt(2))", "math.erfc(v / math.sqrt(2))",
            ("tests/test_harness.py::test_ks_statistic_behaviour",

@@ -379,6 +379,35 @@ def test_plan_too_large_to_hold_rejected(tmp_path, capsys):
         assert ("violation plan entries <= 2^25: max(n_final, BLOCK d) s_n = " in out) == rc, M
 
 
+def test_overflowing_slow_level_rejected(tmp_path, capsys):
+    # kappa_s = 5e306: kappa_s K_bar_n^(1/2.5) overflows between the checkpoint n = 10 and
+    # n_final = 60, so the closed forms at n = 10 are finite while s_60 casts from inf to
+    # an int64 end; that was accepted, the plan-size count came out negative, and run
+    # ended in "ValueError: s must be >= 1"
+    doc = shipped("slow_default.json", replicas=4, n_final=60, checkpoints=[10])
+    doc["params"]["kappa_s"] = 5e306
+    path, out_dir = write_config(tmp_path, doc), str(tmp_path / "out")
+    message = "finite s_n: kappa_s K_bar_n^(1/(2 alpha - beta + 1)) overflows by n = 60"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["validate", path]) == 1
+        assert message in capsys.readouterr().out
+        for command in ("run", "predict"):
+            assert main([command, path, "--out", out_dir]) == 1
+            assert message in capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not os.path.exists(out_dir)
+
+
+def test_n_final_bounded_before_the_schedule_build(tmp_path, capsys):
+    # n_final = 10^15: the schedule build would ask for 7.11 PiB, which no host holds, so a
+    # loader that builds before this check fails here at once with nothing allocated
+    doc = shipped("critical_default.json", n_final=10 ** 15, checkpoints=[10])
+    assert main(["validate", write_config(tmp_path, doc)]) == 1
+    assert ("violation plan entries <= 2^25: max(n_final, BLOCK d) s_n >= n_final = "
+            f"{10 ** 15} fails") in capsys.readouterr().out
+
+
 def test_weight_sum_overflow_rejected(tmp_path, capsys):
     # rho = 200: b_k = k^200 overflows past k = 34 while the budget stays finite
     doc = shipped("slow_default.json", replicas=20, n_final=400)

@@ -287,6 +287,44 @@ def test_streamed_schedule_and_oracles_are_bitwise_a_full_build(base, overrides)
     assert bias is None if want_bias is None else bias.hex() == want_bias.hex()
 
 
+def test_predictions_stream_only_the_budget(monkeypatch, slow_params_pinned,
+                                            critical_params_pinned):
+    # the critical level reads n itself; the slow one reads K_bar_n, a running sum, so its
+    # predictions make one pass over ("K_bar",) to max(ns), and the critical ones none
+    asked = []
+
+    def recording(p, n, keys=mlsa.params.KEYS):
+        asked.append((p.regime, n, tuple(keys)))
+        return schedule_windows(p, n, keys)
+
+    monkeypatch.setattr(mlsa.asymptotics, "schedule_windows", recording)
+    predictions(critical_params_pinned, [2, 10, WINDOWED_N])
+    predict_critical(critical_params_pinned, 10 ** 6)
+    assert asked == []
+    predictions(slow_params_pinned, [10, WINDOWED_N, 3])
+    assert asked == [("slow", WINDOWED_N, ("K_bar",))]
+
+
+@pytest.mark.parametrize("base, overrides", [(SLOW_PINNED, {}),
+                                             (SLOW_PINNED, {"kappa_s": 1e-3}),  # xi_n < 0 early
+                                             (SLOW_PINNED, {"M": 3.0, "alpha": 0.8, "beta": 0.3,
+                                                            "phi": 3.0, "rho": 3.0}),
+                                             (CRITICAL_DEFAULT, {}),
+                                             (CRITICAL_DEFAULT, {"alpha": 2.5})])
+def test_predicted_levels_are_the_windows_bit_for_bit(base, overrides):
+    # predictions decide s_n and xi_n at the asked n only; each n, alone or with the
+    # others, gets the bits the windows give it, at and around every window edge
+    p = ParameterSet(**make(overrides, base=base))
+    want = streamed(p, WINDOWED_N, ("s", "xi"))
+    edges = {lo + d for lo in range(0, WINDOWED_N, 2 ** 16) for d in (-1, 0, 1, 2, 3)}
+    ns = sorted(n for n in edges | {WINDOWED_N - 1, WINDOWED_N, 1000}
+                if (1 if p.regime == "slow" else 2) <= n <= WINDOWED_N)
+    for group in [ns] + [[n] for n in ns]:
+        got, at = predictions(p, group), np.asarray(group) - 1
+        assert got.s.dtype == want["s"].dtype and got.s.tobytes() == want["s"][at].tobytes()
+        assert got.xi.tobytes() == want["xi"][at].tobytes(), group
+
+
 @pytest.mark.parametrize("M, alpha, beta", [(2.0, 1.0, 0.5), (3.0, 0.8, 0.3), (1.5, 1.7, 0.9),
                                             (7.0, 0.55, 0.05)])
 def test_s_power_table_is_the_elementwise_power(M, alpha, beta):
