@@ -121,18 +121,21 @@ def predict_critical(params: ParameterSet, n: int) -> Predictions:
     return predictions(params, [n]).at(0)
 
 
+def least_n(params: ParameterSet) -> int:
+    """The least n with closed forms: 2 in the critical regime, whose log n vanishes at 1."""
+    return 2 if params.regime == CRITICAL else 1
+
+
 def predictions(params: ParameterSet, ns: Sequence[int]) -> Predictions:
     """Every closed form at each n in ``ns`` in one array pass, s_n and xi_n from :func:`levels`
     at those n only (slow: at K_bar_n, streamed to max(ns)).  A slow-regime s_n from the clamp
     branch (floor <= 0) is flagged ``pre_asymptotic``, not refused: xi_n is then negative and
-    the formulas are evaluated as written.  The critical regime needs n >= 2.
+    the formulas are evaluated as written.  Every n must be at least :func:`least_n`.
     """
     p = params
     n = np.asarray(ns, dtype=np.int64)
-    if p.regime == CRITICAL and np.any(n < 2):
-        raise ValueError("critical prediction needs n >= 2 (log n vanishes at 1)")
-    if np.any(n < 1):
-        raise ValueError("predictions need every n >= 1")
+    if np.any(n < least_n(p)):
+        raise ValueError(f"{p.regime} predictions need every n >= {least_n(p)}")
     x, K_bar = n.astype(float), np.zeros(n.shape)
     if p.regime == SLOW:
         for lo, w in schedule_windows(p, int(n.max(initial=1)), ("K_bar",)):

@@ -3,9 +3,9 @@
 Exit codes: 0 success, 1 domain failure (rejected parameters, too few
 surviving replicas, missing or damaged artifacts), 2 usage or parse errors;
 :func:`main` maps ``ConfigError`` to 2 and ``InvalidParameters`` and
-``InsufficientReplicas`` to 1.  Every artifact format lives here, in the one
-module that writes files.  All artifacts embed the configuration hash; ``plot``
-refuses inputs whose bytes differ from the manifest's sha256.
+``InsufficientReplicas`` to 1.  Every artifact format but the plot's SVG markup
+(``_svg``) lives here, in the one module that writes files.  All artifacts embed
+the configuration hash; ``plot`` refuses inputs whose bytes differ from the manifest's sha256.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ import numpy as np
 
 from . import harness
 from ._svg import loglog_plot
-from .asymptotics import predictions, rates
+from .asymptotics import least_n, predictions, rates
 from .config import (ConfigError, build_cost_model, build_family, build_projection,
-                     config_from_dict, load_config, prediction_checkpoints)
+                     config_from_dict, load_config)
 from .driver import BallMonitor, RunRecord, default_theta0
 from .params import SLOW, InvalidParameters
 
@@ -91,7 +91,7 @@ def _make_out_dir(path: str) -> None:
 
 def cmd_predict(args) -> int:
     cfg = load_config(args.config)
-    a = predictions(cfg.params, prediction_checkpoints(cfg))
+    a = predictions(cfg.params, [n for n in cfg.replication.checkpoints if n >= least_n(cfg.params)])
     cols = [getattr(a, f.name) for f in dataclasses.fields(a)]
     cols[-1] = a.pre_asymptotic.astype(np.int64)  # written 0/1
     table = csv_lines([f.name, *([""] * len(a.n) if c is None else map(str, c.tolist()))]
@@ -127,7 +127,7 @@ def cmd_run(args) -> int:
     eps_l2 = float(np.linalg.norm(theta0 - family.theta_star))
     ball = BallMonitor(center=family.theta_star, eps=eps_l2, n0=max(1, spec.n_final // 8))
     radius = 10.0 * eps_l2 if spec.divergence_radius is None else spec.divergence_radius
-    workers = args.workers or min(os.cpu_count() or 1, spec.replicas)
+    workers = args.workers or os.cpu_count() or 1  # run_replicas takes at most one per block
     record = harness.run_replicas(spec, cfg.params, family, cost_model, projection,
                                   theta0, workers=workers, ball=ball)
     cfg_hash = cfg.config_hash()

@@ -31,12 +31,12 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .asymptotics import predictions
+from .asymptotics import least_n, predictions
 from .driver import BoxProjection, IdentityProjection, RunPlan, geometric_checkpoints
 from .families import EulerSdeFamily, GeometricCostModel, LevelFamily, SyntheticGaussianFamily
 from .harness import BLOCK, ReplicationSpec
 from .linear import spectral_abscissa
-from .params import CRITICAL, InvalidParameters, ParameterSet, replication_counts, schedule_arrays
+from .params import InvalidParameters, ParameterSet, replication_counts, schedule_arrays
 
 
 class ConfigError(ValueError):
@@ -190,11 +190,6 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     return cfg
 
 
-def prediction_checkpoints(cfg: ExperimentConfig) -> list:
-    """The checkpoints that get closed-form predictions; critical ones need log n > 0."""
-    return sorted(n for n in cfg.replication.checkpoints if cfg.params.regime != CRITICAL or n >= 2)
-
-
 def _reject(name: str, detail: str):
     raise InvalidParameters((f"{name}: {detail}",))
 
@@ -204,8 +199,9 @@ def _check_experiment(cfg: ExperimentConfig):
     p, fam = cfg.params, cfg.family_spec
     if fam["kind"] == "euler_sde" and p.M != int(p.M):
         _reject("integer M for euler_sde", f"M = {p.M:.6g} is not an integer")
-    if p.regime == CRITICAL and max(cfg.replication.checkpoints) < 2:
-        _reject("checkpoint n >= 2", "critical predictions need log n > 0")
+    least = least_n(p)
+    if cfg.replication.checkpoints[-1] < least:
+        _reject(f"checkpoint n >= {least}", "the closed forms need log n > 0")
     n = cfg.replication.n_final
     if n > PLAN_ENTRIES:  # s_n >= 1: bounded before the n-length build below
         _reject("plan entries <= 2^25", f"max(n_final, BLOCK d) s_n >= n_final = {n} fails")
@@ -217,7 +213,7 @@ def _check_experiment(cfg: ExperimentConfig):
         _reject("finite s_n", f"kappa_s K_bar_n^(1/(2 alpha - beta + 1)) overflows by n = {n}")
     try:  # the closed forms every run writes: cost_table.csv, clt_report.json, predict
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            pred = predictions(p, prediction_checkpoints(cfg))
+            pred = predictions(p, [n for n in cfg.replication.checkpoints if n >= least])
     except OverflowError:
         _reject("finite predictions", "a closed form's constant overflows a double")
     for f in fields(pred):  # every float field; n, s and pre_asymptotic are ints and flags

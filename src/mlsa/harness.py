@@ -24,10 +24,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import driver
-from .asymptotics import predictions, rates
+from .asymptotics import least_n, predictions, rates
 from .driver import BallMonitor, RunPlan, RunRecord
 from .families import LevelFamily
-from .params import CRITICAL, SLOW, ParameterSet
+from .params import SLOW, ParameterSet
 
 
 class InsufficientReplicas(ValueError):
@@ -302,8 +302,7 @@ def cost_curve(record: RunRecord, params: ParameterSet) -> list[dict]:
     mean cost is the cost every replica shares, as the cost model is theta-free."""
     if record.aborted.all():
         raise InsufficientReplicas(f"all {len(record.aborted)} replicas aborted")
-    # the critical law has no prediction at n = 1
-    keep = record.ns >= (2 if params.regime == CRITICAL else 1)
+    keep = record.ns >= least_n(params)
     ns, costs = record.ns[keep], record.cost[keep]
     pred = predictions(params, ns).predicted_cost
     return [{"n": n, "mean_cost": cost, "predicted_cost": q, "ratio": r}

@@ -203,24 +203,17 @@ def linear_iterate(H: np.ndarray, gamma: ScheduleLike, b: ScheduleLike,
     stream-driven closures are both fine.  Returns (theta_n, theta_bar_n) with
     the b-weighted average started at k = 1.
     """
+    if n < 1:
+        raise ValueError(f"need n >= 1 steps, got n = {n}")
     Ht = np.asarray(H, dtype=float).T
     g, bv = _sched_values(gamma, 1, n), _sched_values(b, 1, n)
     theta = np.zeros(Ht.shape[0]) if theta0 is None else np.array(theta0, dtype=float)
+    wsum = 0.0  # sum_{k<=n} b_k theta_k, in index order
     # np.dot gives ``@``'s products bit for bit and skips matmul's slow path for an
-    # (R, 1) state, ten times slower at R = 2000.  Step 1 broadcasts a (d,) start to
-    # (R, d) innovations; later steps update the state's buffers in place, in order
-    theta = theta + g[0] * (np.dot(theta, Ht) + upsilon_source(1))
-    wsum = np.zeros_like(theta) + bv[0] * theta  # sum_{k<=n} b_k theta_k, in index order
-    step, term = np.empty_like(theta), np.empty_like(theta)
-    for k, gk, bk in zip(range(2, n + 1), g[1:].tolist(), bv[1:].tolist()):
-        np.dot(theta, Ht, out=step)
-        step += upsilon_source(k)
-        step *= gk
-        theta += step
-        np.multiply(theta, bk, out=term)
-        wsum += term
-        if k % 4096 == 0 and not np.all(np.isfinite(theta)):
+    # (R, 1) state, ten times slower at R = 2000; a (d,) start broadcasts to (R, d) innovations
+    for k, gk, bk in zip(range(1, n + 1), g.tolist(), bv.tolist()):
+        theta = theta + gk * (np.dot(theta, Ht) + upsilon_source(k))
+        wsum = wsum + bk * theta
+        if (k % 4096 == 0 or k == n) and not np.all(np.isfinite(theta)):
             raise RuntimeError(f"non-finite state at iteration {k}")
-    if not np.all(np.isfinite(theta)):
-        raise RuntimeError("non-finite final state")
     return theta, wsum / np.cumsum(bv)[-1]  # b_bar_n, summed in index order

@@ -37,6 +37,8 @@ class Mutant:
 FAMILIES = "src/mlsa/families.py"
 HARNESS = "src/mlsa/harness.py"
 ASYMPTOTICS = "src/mlsa/asymptotics.py"
+LINEAR = "src/mlsa/linear.py"
+PARAMS = "src/mlsa/params.py"
 MUTANTS = (
     Mutant("bias exponent len(counts) off by one", FAMILIES,
            "self.mu * self.M ** (-self.alpha * len(counts))",
@@ -90,7 +92,8 @@ MUTANTS = (
            "self.target * np.exp(-self.drift * self.T)", "self.target * np.exp(self.drift * self.T)",
            ("tests/test_families.py::test_euler_shortfall_root_and_slope",)),
     Mutant("closed forms not checked at load", "src/mlsa/config.py",
-           "pred = predictions(p, prediction_checkpoints(cfg))", "pred = predictions(p, [])",
+           "pred = predictions(p, [n for n in cfg.replication.checkpoints if n >= least])",
+           "pred = predictions(p, [])",
            ("tests/test_config_cli.py::test_overflowing_predictions_rejected_without_warnings",)),
     Mutant("eps_bias not checked at load", "src/mlsa/config.py",
            'f.name in ("n", "s", "pre_asymptotic")', 'f.name in ("n", "s", "pre_asymptotic", "eps_bias")',
@@ -122,7 +125,7 @@ MUTANTS = (
     Mutant("Kolmogorov series with every term positive", HARNESS,
            "np.where(k2 % 2, 2.0, -2.0)", "np.where(k2 % 2, 2.0, 2.0)",
            ("tests/test_harness.py::test_kolmogorov_critical_against_scipy",)),
-    Mutant("Lyapunov Kronecker system built on A, not A^T", "src/mlsa/linear.py",
+    Mutant("Lyapunov Kronecker system built on A, not A^T", LINEAR,
            "At = H.T + L * eye", "At = H + L * eye",
            ("tests/test_linear.py::test_lyapunov_norm_matches_scalar_scan",)),
     Mutant("measured cost not checked at load", "src/mlsa/config.py",
@@ -139,6 +142,41 @@ MUTANTS = (
     Mutant("plot QQ quantile negated", "src/mlsa/cli.py",
            "q = [NormalDist().inv_cdf(", "q = [-NormalDist().inv_cdf(",
            ("tests/test_config_cli.py::test_csv_artifacts_match_csv_writer",)),
+    Mutant("plot reads files without the manifest sha256 check", "src/mlsa/cli.py",
+           'if hashlib.sha256(fh.read()).hexdigest() != manifest["files"][name]:', "if False:",
+           ("tests/test_config_cli.py::test_plot_refuses_mixed_hashes",)),
+    Mutant("K_bar and b_bar running sums read one index early", PARAMS,
+           "w[total] = np.cumsum(np.concatenate(([last[total]], w[total[:-4]])))[1:]",
+           "w[total] = np.cumsum(np.concatenate(([last[total]], w[total[:-4]])))[:-1]",
+           ("tests/test_params.py::test_schedule_reference_point",
+            "tests/test_params.py::test_schedule_arrays_match_exact_reference",
+            "tests/test_asymptotics.py::test_windowed_oracles_match_fsum")),
+    Mutant("N_k rounded, not ceiled", PARAMS, "r, np.ceil(x))", "r, np.round(x))",
+           ("tests/test_estimator.py::test_counts_reference_plan",
+            "tests/test_estimator.py::test_counts_matrix_matches_scalar_rows",
+            "tests/test_driver.py::test_iteration_cost_arithmetic")),
+    Mutant("eps_bias centering sign flipped", HARNESS,
+           "center = center + pred.eps_bias * (H_inv @ family.mu)",
+           "center = center - pred.eps_bias * (H_inv @ family.mu)",
+           ("tests/test_harness.py::test_clt_report_fields_and_purity",
+            "tests/test_acceptance.py::test_criterion_05_slow_regime_clt")),
+    Mutant("block j runs on child j + 1", HARNESS,
+           "return list(np.random.SeedSequence(master_seed).spawn(n_blocks))",
+           "return list(np.random.SeedSequence(master_seed).spawn(n_blocks + 1))[1:]",
+           ("tests/test_harness.py::test_block_j_runs_on_child_j_of_the_master_seed",)),
+    Mutant("b_k applied to theta_{k-1}", LINEAR,
+           "        theta = theta + gk * (np.dot(theta, Ht) + upsilon_source(k))\n"
+           "        wsum = wsum + bk * theta\n",
+           "        wsum = wsum + bk * theta\n"
+           "        theta = theta + gk * (np.dot(theta, Ht) + upsilon_source(k))\n",
+           ("tests/test_linear.py::test_linear_iterate_matches_scalar_loop",
+            "tests/test_linear.py::test_linear_iterate_broadcasts_default_start_to_batched_innovations")),
+    Mutant("gamma_{k+1} used at step k", LINEAR,
+           "g, bv = _sched_values(gamma, 1, n), _sched_values(b, 1, n)\n    theta =",
+           "g, bv = _sched_values(gamma, 2, n + 1), _sched_values(b, 1, n)\n    theta =",
+           ("tests/test_linear.py::test_linear_iterate_matches_scalar_loop",
+            "tests/test_linear.py::test_linear_iterate_broadcasts_default_start_to_batched_innovations",
+            "tests/test_linear.py::test_linear_iterate_deterministic_drift_limit")),
 )
 
 

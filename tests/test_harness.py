@@ -13,6 +13,7 @@ from mlsa import (BallMonitor, ParameterSet, ReplicationSpec, clt_report, cost_c
                   default_theta0, kolmogorov_critical, ks_statistic, l2_monitor,
                   normalized_sample_stats, block_seeds, replication_counts, run_replicas)
 from mlsa.cli import records_columns, report_json
+from mlsa.driver import RunPlan, run
 from mlsa.harness import BLOCK
 
 from conftest import CRITICAL_DEFAULT, make_scalar_family, make_slow_family
@@ -31,6 +32,18 @@ def test_replica_seed_streams_are_distinct():
         draws = np.random.default_rng(s).random(64)
         prefixes.add(draws.tobytes())
     assert len(prefixes) == 150
+
+
+def test_block_j_runs_on_child_j_of_the_master_seed(slow_params, slow_family, cost_model,
+                                                    identity):
+    # the documented layout: block j draws from default_rng(SeedSequence(master_seed).spawn(n)[j])
+    spec, theta0 = small_spec(R=BLOCK + 3, n=20), default_theta0(slow_family)
+    record = run_replicas(spec, slow_params, slow_family, cost_model, identity, theta0)
+    child = np.random.SeedSequence(spec.master_seed).spawn(2)[1]
+    tail = run(RunPlan(slow_params, cost_model, spec.n_final), slow_family, identity, theta0,
+               spec.checkpoints, child, replicas=3)
+    assert np.array_equal(record.theta[:, BLOCK:], tail.theta)
+    assert np.array_equal(record.theta_bar[:, BLOCK:], tail.theta_bar)
 
 
 def test_run_replicas_deterministic_and_nondegenerate(slow_params, slow_family,
@@ -179,6 +192,10 @@ def test_clt_report_fields_and_purity(slow_params, cost_model, identity):
     assert 0.5 < rep1.cost_ratio < 1.5
     assert rep1.target_cov == pytest.approx(
         np.array([[1.0, 0.15], [0.15, 0.25]]), abs=1e-12)
+    # slow regime: zeta centres theta_bar - theta* at the bias -eps_bias H^-1 mu
+    shift = rep1.eps_bias * np.linalg.solve(fam.H, fam.mu)
+    assert rep1.zeta == pytest.approx(
+        (record.theta_bar[-1] - fam.theta_star + shift) / rep1.eps_diff, rel=1e-9)
     doc = json.loads(report_json(rep1))
     assert doc["inputs"]["divergence_radius"] == 10.0
     with pytest.raises(KeyError):  # not a checkpoint of the run: no neighbouring column

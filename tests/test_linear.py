@@ -294,6 +294,9 @@ def test_linear_iterate_matches_scalar_loop():
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
     with pytest.raises(ValueError, match="600 values.* 601"):
         linear_iterate(H, idx ** -0.5, idx, lambda k: noise[0], n + 1, theta0=theta0)
+    for bad in (0, -1):  # no step to take: named, not an IndexError
+        with pytest.raises(ValueError, match=f"n = {bad}"):
+            linear_iterate(H, idx ** -0.5, idx, lambda k: noise[0], bad, theta0=theta0)
 
 
 def test_linear_iterate_broadcasts_default_start_to_batched_innovations():
