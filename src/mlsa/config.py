@@ -36,7 +36,7 @@ from .driver import BoxProjection, IdentityProjection, RunPlan, geometric_checkp
 from .families import EulerSdeFamily, GeometricCostModel, LevelFamily, SyntheticGaussianFamily
 from .harness import BLOCK, ReplicationSpec
 from .linear import spectral_abscissa
-from .params import InvalidParameters, ParameterSet, replication_counts, schedule_arrays
+from .params import InvalidParameters, ParameterSet, schedule_arrays
 
 
 class ConfigError(ValueError):
@@ -44,7 +44,8 @@ class ConfigError(ValueError):
 
 
 # most entries of a run's (n_final, s_n) counts matrix or of one iteration's (BLOCK, s_n, d)
-# synthetic draw: 2^25 int64 counts are 256 MiB, and building them peaks near 1.4 GB
+# synthetic draw: 2^25 int64 counts are 256 MiB, but a whole run holds about 104 B per
+# iteration (3.5 GB at n_final 2^25 with s_n = 1, an extrapolation in README)
 PLAN_ENTRIES = 2 ** 25
 
 
@@ -233,13 +234,13 @@ def _check_experiment(cfg: ExperimentConfig):
     if entries > PLAN_ENTRIES:
         _reject("plan entries <= 2^25",
                 f"max(n_final, BLOCK d) s_n = {entries} fails at n = {n}")
-    if arr["K"].max() > 2.0 ** 52:  # beta <= 1, so N_1 <= ceil(K_n / M) < 2^53 otherwise
-        replication_counts(p, arr["s"], arr["K"])  # rejects a count past 2^53
     with np.errstate(over="ignore", invalid="ignore"):
         # N_k <= K_n / M + 1 and K_n, s_n grow with n, so each of the n iterations costs at
         # most kappa_C (K_n + 1) M^(s_n+1) / (M - 1) at n = n_final
         bound = n * p.kappa_C * (arr["K"][-1] + 1.0) * p.M ** (arr["s"][-1] + 1.0) / (p.M - 1.0)
-        if not np.isfinite(2.0 * bound):  # then the cost the run sums decides
+        # beta <= 1 and K_n grows (phi > 0), so N_1 <= ceil(K_n / M) < 2^53 unless K_n > 2^52:
+        # in either rare case the exact plan decides, its counts rejecting N_1 past 2^53 first
+        if arr["K"][-1] > 2.0 ** 52 or not np.isfinite(2.0 * bound):
             cost = np.cumsum(RunPlan(p, build_cost_model(cfg), n).cost_inc)
             if not np.isfinite(cost[-1]):  # a sum of terms >= 0 stays inf once it is
                 _reject("finite cost_n", "the cumulative cost overflows a double by n = "

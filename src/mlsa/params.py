@@ -102,28 +102,24 @@ def validate(v: Mapping) -> tuple[str, ...]:
     if violations:
         return tuple(violations)
 
+    # the regime decides only its beta; the critical regime is the slow one's inequalities at b = 1
     if regime == SLOW:
         _check(violations, "beta < 1", beta < 1, beta, "<", 1)
-        _check(violations, "beta < 2 alpha", beta < 2 * alpha, beta, "<", 2 * alpha)
-        if beta < 2 * alpha:
-            lo = 1.0 / (2 * alpha - beta)
-            _check(violations, "phi > 1/(2 alpha - beta)", phi > lo, phi, ">", lo)
-        _check(violations, "phi + 1 < 2 (rho + 1)", phi + 1 < 2 * (rho + 1), phi + 1, "<", 2 * (rho + 1))
-        r = alpha / (2 * alpha - beta + 1)
-        lower = max(0.0, 1.0 - (2 * lam / (lam + 1)) * (phi + 1) * r)
-        _check(violations, "psi > (1 - 2 lambda/(lambda+1) (phi+1) r)_+", psi > lower, psi, ">", lower)
-        _check(violations, "psi < 1", psi < 1, psi, "<", 1)
+        b = beta
     else:
         _check(violations, "beta = 1", beta == 1.0, beta, "=", 1)
-        _check(violations, "alpha > 1/2", alpha > 0.5, alpha, ">", 0.5)
-        if alpha > 0.5:
-            lo = 1.0 / (2 * alpha - 1)
-            _check(violations, "phi > 1/(2 alpha - 1)", phi > lo, phi, ">", lo)
-        _check(violations, "phi + 1 < 2 (rho + 1)", phi + 1 < 2 * (rho + 1), phi + 1, "<", 2 * (rho + 1))
-        lower = max(0.0, 1.0 - (lam / (lam + 1)) * (phi + 1))
-        _check(violations, "psi > (1 - lambda/(lambda+1) (phi+1))_+", psi > lower, psi, ">", lower)
-        _check(violations, "psi < 1", psi < 1, psi, "<", 1)
-
+        b = 1.0
+    bounded = b < 2 * alpha  # the phi and psi bounds are defined only then: 2 alpha - beta + 1 > 1
+    _check(violations, "beta < 2 alpha", bounded, b, "<", 2 * alpha)
+    if bounded:
+        lo = 1.0 / (2 * alpha - b)
+        _check(violations, "phi > 1/(2 alpha - beta)", phi > lo, phi, ">", lo)
+    _check(violations, "phi + 1 < 2 (rho + 1)", phi + 1 < 2 * (rho + 1), phi + 1, "<", 2 * (rho + 1))
+    if bounded:
+        r = alpha / (2 * alpha - b + 1)
+        lower = max(0.0, 1.0 - (2 * lam / (lam + 1)) * (phi + 1) * r)
+        _check(violations, "psi > (1 - 2 lambda/(lambda+1) (phi+1) r)_+", psi > lower, psi, ">", lower)
+    _check(violations, "psi < 1", psi < 1, psi, "<", 1)
     return tuple(violations)
 
 

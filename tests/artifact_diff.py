@@ -14,7 +14,9 @@ embeds is the same on both sides:
   each run, and ``mlsa predict --out``.
 
 It then runs ``diff -r`` on the two output trees and prints the largest relative
-move of any ``records.csv`` value.  It exits 1 when a command fails on either
+move of any ``records.csv`` value, and for each ``clt_report.json`` that differs,
+both trees' gate statistics (KS against its critical value, Frobenius, |mean| and
+the variance ratios); these only report.  It exits 1 when a command fails on either
 tree, or when a file differs (or exists on one side only) that no
 ``Artifacts moved:`` line lists, or when a listed file did not move.  Those are
 the lines that this checkout's ``CHANGES.md`` adds to the one at ``<rev>`` and
@@ -27,11 +29,14 @@ The file has no ``test_`` prefix, so the tier-1 suite does not collect it.
 from __future__ import annotations
 
 import fnmatch
+import json
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
+
+import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SHIPPED = ("slow_default", "critical_default", "euler_gbm")
@@ -117,6 +122,19 @@ def records_move(base_out: str, head_out: str) -> float:
     return worst
 
 
+def gate_margins(path: str) -> str:
+    """The CLT gate statistics of one clt_report.json: the largest KS statistic against its
+    critical value, the relative Frobenius distance, |mean| and the variance ratios."""
+    with open(path, encoding="utf-8") as fh:
+        rep = json.load(fh)
+    if "skipped" in rep:
+        return "no CLT report (" + rep["skipped"] + ")"
+    ratios = np.diag(np.array(rep["cov"])) / np.diag(np.array(rep["target_cov"]))
+    return (f"KS {max(rep['ks_stats']):.4f} < {rep['ks_critical']:.4f}, Frobenius "
+            f"{rep['frobenius_rel']:.4f}, |mean| {np.linalg.norm(rep['mean']):.4f}, variance "
+            f"ratio {', '.join(f'{r:.4f}' for r in ratios)}")
+
+
 def declared(base: str) -> list[str]:
     """Patterns of the lines beginning ``Artifacts moved:`` that this checkout's CHANGES.md adds."""
     def lines(root):
@@ -172,6 +190,11 @@ def main(argv: list[str]) -> int:
             if not any(fnmatch.fnmatch(rel, p) for rel in moved):
                 print(f"UNMOVED  {p} is declared moved but matches no differing file")
                 failed = True
+        for rel in moved:  # reported only: the gates themselves are tier-1's
+            if os.path.basename(rel) == "clt_report.json" and all(
+                    os.path.exists(os.path.join(root, rel)) for root in (base_out, head_out)):
+                print(f"margins  {rel}\n  {argv[0]}: {gate_margins(os.path.join(base_out, rel))}"
+                      f"\n  here: {gate_margins(os.path.join(head_out, rel))}")
         count = sum(len(names) for _, _, names in os.walk(head_out))
         print(f"{count} files, {len(moved)} differ; largest relative records.csv move "
               f"{records_move(base_out, head_out):.3g}")

@@ -8,8 +8,10 @@ once in its file, so a refactor that moves the text fails here and must update
 the mutant; it then applies the mutant and runs each named test id alone with
 pytest.  A test kills the mutant when it fails.  It prints one line per mutant
 and test and exits 1 when a mutant's text is not found exactly once, a test
-survives its mutant, or pytest cannot run a test id.  The file has no ``test_``
-prefix, so the tier-1 suite does not collect it.
+survives its mutant, or pytest cannot run a test id.  It ends with a kill table,
+which only reports: the mutants each test id killed, and the test ids that kill no
+mutant alone.  The file has no ``test_`` prefix, so the tier-1 suite does not
+collect it.
 """
 
 from __future__ import annotations
@@ -66,6 +68,9 @@ MUTANTS = (
            "for j in range(1, len(columns)):", "for j in range(1, len(columns) - 1):",
            ("tests/test_families.py::test_ml_estimate_block_operand_memo_is_bit_exact",
             "tests/test_driver.py::test_ml_estimate_level_scale_memo_is_bit_exact")),
+    Mutant("_block_terms keyed by len(counts) alone", FAMILIES,
+           "key = theta.shape, len(counts)", "key = len(counts)",
+           ("tests/test_families.py::test_ml_estimate_block_operand_memo_is_bit_exact",)),
     Mutant("Gamma = A^T A, not A A^T", FAMILIES,
            "self.Gamma = self.A @ self.A.T", "self.Gamma = self.A.T @ self.A",
            ("tests/test_families.py::test_order_check_synthetic_matches_gamma",)),
@@ -118,6 +123,11 @@ MUTANTS = (
             "tests/test_params.py::test_streamed_schedule_and_oracles_are_bitwise_a_full_build",
             "tests/test_asymptotics.py::test_array_predictions_match_scalar_reference",
             "tests/test_asymptotics.py::test_predictions_csv_shape")),
+    Mutant("_powers table index off by one", ASYMPTOTICS,
+           "(M ** (c * np.arange(lo, hi + 1)))[s - lo]",
+           "(M ** (c * np.arange(lo + 1, hi + 2)))[s - lo]",
+           ("tests/test_params.py::test_s_power_table_is_the_elementwise_power",
+            "tests/test_asymptotics.py::test_windowed_oracles_match_fsum")),
     Mutant("normal CDF of the KS statistic mirrored, erfc(x) for erfc(-x)", HARNESS,
            "math.erfc(-v / math.sqrt(2))", "math.erfc(v / math.sqrt(2))",
            ("tests/test_harness.py::test_ks_statistic_behaviour",
@@ -129,8 +139,11 @@ MUTANTS = (
            "At = H.T + L * eye", "At = H + L * eye",
            ("tests/test_linear.py::test_lyapunov_norm_matches_scalar_scan",)),
     Mutant("measured cost not checked at load", "src/mlsa/config.py",
-           "if not np.isfinite(2.0 * bound):", "if False:",
+           "2.0 ** 52 or not np.isfinite(2.0 * bound):", "2.0 ** 52:",
            ("tests/test_config_cli.py::test_overflowing_predictions_rejected_without_warnings",)),
+    Mutant("counts past 2^53 not checked at load", "src/mlsa/config.py",
+           'if arr["K"][-1] > 2.0 ** 52 or not', "if not",
+           ("tests/test_config_cli.py::test_counts_past_2_53_rejected",)),
     Mutant("plan size not checked at load", "src/mlsa/config.py",
            "if entries > PLAN_ENTRIES:", "if False:",
            ("tests/test_config_cli.py::test_plan_too_large_to_hold_rejected",)),
@@ -139,6 +152,10 @@ MUTANTS = (
            'print(f"rejected: {exc}", file=sys.stderr)\n        return 2',
            ("tests/test_config_cli.py::test_counts_past_2_53_rejected",
             "tests/test_config_cli.py::test_overflowing_predictions_rejected_without_warnings")),
+    Mutant("scipy.special imported by mlsa.cli", "src/mlsa/cli.py",
+           "import numpy as np\n\nfrom . import harness",
+           "import numpy as np\nimport scipy.special\n\nfrom . import harness",
+           ("tests/test_harness.py::test_import_loads_neither_scipy_stats_nor_special",)),
     Mutant("plot QQ quantile negated", "src/mlsa/cli.py",
            "q = [NormalDist().inv_cdf(", "q = [-NormalDist().inv_cdf(",
            ("tests/test_config_cli.py::test_csv_artifacts_match_csv_writer",)),
@@ -150,6 +167,13 @@ MUTANTS = (
            "w[total] = np.cumsum(np.concatenate(([last[total]], w[total[:-4]])))[:-1]",
            ("tests/test_params.py::test_schedule_reference_point",
             "tests/test_params.py::test_schedule_arrays_match_exact_reference",
+            "tests/test_asymptotics.py::test_windowed_oracles_match_fsum")),
+    Mutant("slow regime accepts beta = 1", PARAMS,
+           '"beta < 1", beta < 1,', '"beta < 1", beta <= 1,',
+           ("tests/test_params.py::test_validate_is_the_regime_inequality_list",)),
+    Mutant("K_bar and b_bar window carry dropped", PARAMS,
+           "last[total] = w[total][-1]", "last[total] = 0.0",
+           ("tests/test_params.py::test_schedule_arrays_match_exact_reference",
             "tests/test_asymptotics.py::test_windowed_oracles_match_fsum")),
     Mutant("N_k rounded, not ceiled", PARAMS, "r, np.ceil(x))", "r, np.round(x))",
            ("tests/test_estimator.py::test_counts_reference_plan",
@@ -164,6 +188,10 @@ MUTANTS = (
            "return list(np.random.SeedSequence(master_seed).spawn(n_blocks))",
            "return list(np.random.SeedSequence(master_seed).spawn(n_blocks + 1))[1:]",
            ("tests/test_harness.py::test_block_j_runs_on_child_j_of_the_master_seed",)),
+    Mutant("weighted sum reset at each chunk", "src/mlsa/driver.py",
+           "sums[0] += wsum", "sums[0] += 0.0",
+           ("tests/test_driver.py::test_chunked_run_matches_per_iteration_loop",
+            "tests/test_driver.py::test_run_matches_scalar_reference")),
     Mutant("b_k applied to theta_{k-1}", LINEAR,
            "        theta = theta + gk * (np.dot(theta, Ht) + upsilon_source(k))\n"
            "        wsum = wsum + bk * theta\n",
@@ -187,8 +215,26 @@ def run_test(tmp: str, node: str) -> int:
                           stderr=subprocess.DEVNULL).returncode
 
 
+def kill_table(kills: dict) -> None:
+    """Print the mutants each test id killed, then the test ids none of whose kills is
+    their own: every mutant they killed also fell to another listed test."""
+    print("\nKill table: test id -> the listed mutants it killed")
+    for node in sorted(kills):
+        print(f"  {node}: {'; '.join(kills[node])}")
+    killers: dict = {}
+    for node, names in kills.items():
+        for name in names:
+            killers.setdefault(name, set()).add(node)
+    shared = [node for node in sorted(kills)
+              if all(len(killers[name]) > 1 for name in kills[node])]
+    print(f"Tests that kill no mutant alone ({len(shared)} of {len(kills)}):")
+    for node in shared:
+        print(f"  {node}")
+
+
 def main() -> int:
     failed = False
+    kills: dict = {}  # test id -> names of the mutants it killed
     with tempfile.TemporaryDirectory() as tmp:
         for item in COPIED:
             src, dst = os.path.join(ROOT, item), os.path.join(tmp, item)
@@ -211,10 +257,13 @@ def main() -> int:
                     rc = run_test(tmp, node)
                     verdict = {0: "SURVIVED", 1: "KILLED"}.get(rc, f"ERROR({rc})")
                     failed |= rc != 1
+                    if rc == 1:
+                        kills.setdefault(node, []).append(m.name)
                     print(f"{verdict:9s}{m.name}: {node}", flush=True)
             finally:
                 with open(path, "w", encoding="utf-8") as fh:
                     fh.write(original)
+    kill_table(kills)
     return 1 if failed else 0
 
 

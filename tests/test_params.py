@@ -59,12 +59,62 @@ def test_invalid_set_cannot_be_constructed():
 def test_critical_acceptance_and_rejection():
     assert validate(CRITICAL_DEFAULT) == ()
     assert "beta = 1" in names(validate(make({"beta": 0.9}, base=CRITICAL_DEFAULT)))
-    assert "alpha > 1/2" in names(validate(make({"alpha": 0.5}, base=CRITICAL_DEFAULT)))
+    assert "beta < 2 alpha" in names(validate(make({"alpha": 0.5}, base=CRITICAL_DEFAULT)))
 
 
 def test_validate_is_pure():
     d = make({"beta": 1.2})
     assert validate(d) == validate(d)
+
+
+def regime_inequalities_hold(v):
+    """The standing assumptions, one regime at a time and in the critical regime's own form
+    (alpha > 1/2, phi > 1/(2 alpha - 1), psi > (1 - lam/(lam+1) (phi+1))_+), as plain floats;
+    each bound is taken only after the inequality that makes it finite."""
+    a, beta, phi, rho, psi, lam = (v[k] for k in ("alpha", "beta", "phi", "rho", "psi", "lam"))
+    q = lam / (lam + 1)
+    if v["regime"] == "slow":
+        return (beta < 1 and beta < 2 * a and phi > 1 / (2 * a - beta) and phi + 1 < 2 * (rho + 1)
+                and max(0.0, 1 - 2 * q * (phi + 1) * (a / (2 * a - beta + 1))) < psi < 1)
+    return (beta == 1 and a > 0.5 and phi > 1 / (2 * a - 1) and phi + 1 < 2 * (rho + 1)
+            and max(0.0, 1 - q * (phi + 1)) < psi < 1)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(regime=st.sampled_from(["slow", "critical"]),
+       alpha=st.floats(0.3, 20.0), beta=st.one_of(st.just(1.0), st.floats(0.05, 1.5)),
+       dphi=st.floats(-1.0, 1.5).map(lambda x: 1.0 - x),  # hypothesis favours x = 0
+       drho=st.floats(-1.0, 1.5).map(lambda x: 1.0 - x),
+       u=st.floats(-0.55, 0.55).map(lambda x: 0.5 - x),
+       lam=st.one_of(st.just(1.0), st.floats(1e-3, 1.0)), eighths=st.integers(-8, 96),
+       pin=st.sampled_from([None, None, "weight", "phi", "psi"]))
+def test_validate_is_the_regime_inequality_list(regime, alpha, beta, dphi, drho, u, lam,
+                                                eighths, pin):
+    # phi, rho and psi are drawn as offsets from their bounds, so accepted sets are common;
+    # a pin puts one strict inequality at exact equality, which rejects
+    b = beta if regime == "slow" else 1.0
+    bounded = b < 2 * alpha
+    phi = (1 / (2 * alpha - b) if bounded else 1.0) + (0.0 if pin == "phi" else dphi)
+    rho = (phi + 1) / 2 - 1 + drho
+    if pin == "weight":  # on the grid of eighths, phi + 1 = 2 (rho + 1) exactly
+        rho = eighths / 8
+        phi = 2 * rho + 1
+    v = make({"regime": regime, "alpha": alpha, "beta": beta, "phi": phi, "rho": rho, "lam": lam})
+    lower = 0.0
+    if bounded:  # validate's psi bound: the same operations in the same order
+        lower = max(0.0, 1 - 2 * lam / (lam + 1) * (phi + 1) * (alpha / (2 * alpha - b + 1)))
+    v["psi"] = lower + (0.0 if pin == "psi" else u) * (1 - lower)
+    accepted = validate(v) == ()
+    assert accepted == regime_inequalities_hold(v), validate(v)
+    assert not (accepted and pin)
+
+
+def test_undefined_bounds_reject_without_raising():
+    # slow 2 alpha - beta + 1 = 0, and critical 2 alpha - 1 + 1 = 0 in floats: the phi and
+    # psi bounds are not evaluated where beta < 2 alpha fails
+    for overrides in ({"alpha": 0.5, "beta": 2.0}, {"alpha": 1.0, "beta": 3.0},
+                      {"regime": "critical", "beta": 1.0, "alpha": 1e-20}):
+        assert "beta < 2 alpha" in names(validate(make(overrides)))
 
 
 def schedule_at(params, n):
