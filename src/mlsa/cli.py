@@ -42,17 +42,40 @@ def records_header(d: int) -> list[str]:
             + [f"theta_bar_{i}" for i in range(d)] + ["cost"])
 
 
-def records_columns(record: RunRecord) -> list[list[str]]:
-    """Columns of field strings under :func:`records_header`, replica by replica, over the
-    checkpoints reached before any abort: each value's ``str``, its shortest round-trip
-    repr, with each replica index and checkpoint n and cost formatted once."""
-    rep, j = np.nonzero((~record.aborted | (record.ns[:, None] < record.abort_iteration)).T)
-    values = [list(map(str, col)) for x in (record.theta, record.theta_bar)
-              for col in x[j, rep].T.tolist()]
+RECORD_BLOCK = 2 ** 12  # records.csv rows formatted and written at a time
+
+
+def records_columns(record: RunRecord):
+    """Yields the columns of field strings under :func:`records_header`, ``RECORD_BLOCK`` rows
+    at a time: replica by replica, the checkpoints reached before any abort.  Each value is
+    its ``str``, its shortest round-trip repr; each replica index and checkpoint n and cost
+    is formatted once.  Beyond those, a block's rows are all that is held."""
+    reached = np.where(record.aborted, np.searchsorted(record.ns, record.abort_iteration),
+                       len(record.ns))  # replica r's rows: its checkpoints before the abort
+    ends = np.cumsum(reached)
+    starts = ends - reached
     reps, ns, costs = (list(map(str, v)) for v in  # shared by many rows: each str'd once
-                       (range(len(record.aborted)), record.ns.tolist(), record.cost.tolist()))
-    rep, j = rep.tolist(), j.tolist()
-    return [[reps[r] for r in rep], [ns[i] for i in j], *values, [costs[i] for i in j]]
+                       (range(len(reached)), record.ns.tolist(), record.cost.tolist()))
+    for lo in range(0, int(ends[-1]), RECORD_BLOCK):
+        row = np.arange(lo, min(lo + RECORD_BLOCK, int(ends[-1])))
+        rep = np.searchsorted(ends, row, side="right")
+        j = row - starts[rep]
+        values = [list(map(str, col)) for x in (record.theta, record.theta_bar)
+                  for col in x[j, rep].T.tolist()]
+        rep, j = rep.tolist(), j.tolist()
+        yield [[reps[r] for r in rep], [ns[i] for i in j], *values, [costs[i] for i in j]]
+
+
+def write_text(path: str, parts) -> str:
+    """Writes the text parts to ``path`` in turn, each encoded and hashed as it goes, so only
+    one part is held at a time; returns the file's sha256 hex digest."""
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for part in parts:
+            data = part.encode()
+            fh.write(data)
+            digest.update(data)
+    return digest.hexdigest()
 
 
 def report_json(report, **extra) -> str:
@@ -141,15 +164,13 @@ def cmd_run(args) -> int:
     manifest_path = os.path.join(out_dir, "manifest.json")
     files = manifest["files"]  # filled incrementally so partial runs list what completed
 
-    def write(name: str, text: str):
-        data = text.encode()
-        with open(os.path.join(out_dir, name), "wb") as fh:
-            fh.write(data)
-        files[name] = hashlib.sha256(data).hexdigest()
+    def write(name: str, parts):
+        files[name] = write_text(os.path.join(out_dir, name), parts)
 
-    def csv_text(header: list, columns: list) -> str:
-        return (f"# config_hash={cfg_hash} master_seed={spec.master_seed}\n"
-                + csv_lines([name, *col] for name, col in zip(header, columns, strict=True)))
+    def csv_text(header: list, blocks):
+        yield (f"# config_hash={cfg_hash} master_seed={spec.master_seed}\n"
+               + csv_lines([name] for name in header))
+        yield from map(csv_lines, blocks)
 
     try:
         write("records.csv", csv_text(records_header(family.d), records_columns(record)))
@@ -164,18 +185,18 @@ def cmd_run(args) -> int:
         else:
             payload = json.dumps({"config_hash": cfg_hash, "master_seed": spec.master_seed,
                                   "skipped": "family has no ground truth"})
-        write("clt_report.json", payload)
+        write("clt_report.json", [payload])
 
         rows = harness.cost_curve(record, cfg.params)
         names = ["n", "mean_cost", "predicted_cost", "ratio"]
-        write("cost_table.csv", csv_text(names, [[str(r[k]) for r in rows] for k in names]))
+        write("cost_table.csv", csv_text(names, [[[str(r[k]) for r in rows] for k in names]]))
 
         lo = [c for c in spec.checkpoints if ball.n0 <= c <= spec.n_final // 2]
         hi = [c for c in spec.checkpoints if c > spec.n_final // 2]
         windows = [(min(c), max(c)) for c in (lo, hi) if c]
         mon = harness.l2_monitor(record, cfg.params, windows)
-        write("l2_monitor.json", report_json(mon, config_hash=cfg_hash,
-                                             master_seed=spec.master_seed))
+        write("l2_monitor.json", [report_json(mon, config_hash=cfg_hash,
+                                              master_seed=spec.master_seed)])
         manifest["complete"] = True
     finally:
         with open(manifest_path, "w", encoding="utf-8") as fh:
@@ -219,9 +240,11 @@ def cmd_plot(args) -> int:
     at = records_header(family.d).index  # each column where the header puts it
     n_col, cost = table[:, at("n")], table[:, at("cost")]
     bar = table[:, at("theta_bar_0"):at("cost")]
-    ns = np.unique(n_col)
-    mean_err = np.array([np.linalg.norm(bar[n_col == n] - theta_star, axis=1).mean() for n in ns])
-    mean_cost = np.array([cost[n_col == n].mean() for n in ns])
+    # each checkpoint's rows in file order (a stable sort), so its means sum as a mask's would
+    order = np.argsort(n_col, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(n_col[order])) + 1)
+    mean_err = np.array([np.linalg.norm(bar[g] - theta_star, axis=1).mean() for g in groups])
+    mean_cost = np.array([cost[g].mean() for g in groups])
     keep = mean_err > 0
     mean_err, mean_cost = mean_err[keep], mean_cost[keep]
 
@@ -241,7 +264,7 @@ def cmd_plot(args) -> int:
         fh.write(svg)
 
     qq = [["component"], ["theoretical_quantile"], ["standardized_value"]]
-    bars = bar[n_col == ns[-1]]  # the largest checkpoint, as in the CLT report
+    bars = bar[groups[-1]]  # the largest checkpoint, as in the CLT report
     for j in range(bars.shape[1]):
         col = np.sort(bars[:, j])
         col = (col - col.mean()) / (col.std(ddof=1) or 1.0)

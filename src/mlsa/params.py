@@ -93,6 +93,8 @@ def validate(v: Mapping) -> tuple[str, ...]:
     lam = float(v["lam"])
     violations: list[str] = []
     _check(violations, "alpha > 0", alpha > 0, alpha, ">", 0)
+    # past 2^1023, 2 alpha overflows and every bound below that reads it is void
+    _check(violations, "2 alpha finite", math.isfinite(2 * alpha), alpha, "<=", np.finfo(float).max / 2)
     _check(violations, "beta > 0", beta > 0, beta, ">", 0)
     _check(violations, "M > 1", M > 1, M, ">", 1)
     _check(violations, "kappa_K > 0", float(v["kappa_K"]) > 0, float(v["kappa_K"]), ">", 0)

@@ -7,7 +7,7 @@ import pytest
 
 from mlsa import (GeometricCostModel, IdentityProjection, ParameterSet,
                   SyntheticGaussianFamily)
-from mlsa.cli import records_header
+from mlsa.cli import records_columns, records_header
 
 # default experiment constants; chosen so the n = 4000 horizons of the
 # acceptance experiments are deep enough into the asymptotic regime
@@ -164,6 +164,11 @@ def csv_writer_text(rows):
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
+
+
+def written_columns(rec):
+    """The ``records.csv`` columns of field strings, :func:`records_columns`'s blocks joined."""
+    return [sum(col, []) for col in zip(*records_columns(rec))]
 
 
 def record_rows(rec):

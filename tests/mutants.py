@@ -81,6 +81,10 @@ MUTANTS = (
     Mutant("Euler batching removed", FAMILIES,
            "step = max(1, WINDOW // self.M ** k)", "step = max(1, n_k)",
            ("tests/test_families.py::test_euler_estimate_memory_is_bounded_above_the_draw_cap",)),
+    Mutant("Euler tail batch drawn full", FAMILIES,
+           "min(step, n_k - i)", "step",
+           ("tests/test_families.py::test_euler_shortfall_root_and_slope",
+            "tests/test_families.py::test_euler_estimate_in_draw_cap_batches_matches_one_batch_per_level")),
     Mutant("Euler level mean over N_k + 1", FAMILIES,
            "for i in range(0, n_k, step)) / n_k", "for i in range(0, n_k, step)) / (n_k + 1)",
            ("tests/test_families.py::test_euler_shortfall_root_and_slope",
@@ -162,6 +166,22 @@ MUTANTS = (
     Mutant("plot reads files without the manifest sha256 check", "src/mlsa/cli.py",
            'if hashlib.sha256(fh.read()).hexdigest() != manifest["files"][name]:', "if False:",
            ("tests/test_config_cli.py::test_plot_refuses_mixed_hashes",)),
+    Mutant("records.csv last partial block dropped", "src/mlsa/cli.py",
+           "for lo in range(0, int(ends[-1]), RECORD_BLOCK):",
+           "for lo in range(0, int(ends[-1]) // RECORD_BLOCK * RECORD_BLOCK, RECORD_BLOCK):",
+           ("tests/test_driver.py::test_record_blocks_are_the_whole_table",
+            "tests/test_config_cli.py::test_csv_artifacts_match_csv_writer")),
+    Mutant("records.csv formatted as one block", "src/mlsa/cli.py",
+           "RECORD_BLOCK = 2 ** 12", "RECORD_BLOCK = 2 ** 30",
+           ("tests/test_driver.py::test_record_blocks_are_the_whole_table",
+            "tests/test_driver.py::test_record_write_memory_is_one_block")),
+    Mutant("artifact sha256 fed only the last part", "src/mlsa/cli.py",
+           "digest.update(data)", "digest = hashlib.sha256(data)",
+           ("tests/test_config_cli.py::test_run_writes_manifest_with_four_artifacts",
+            "tests/test_config_cli.py::test_csv_artifacts_match_csv_writer")),
+    Mutant("plot groups rows by an unstable sort", "src/mlsa/cli.py",
+           'np.argsort(n_col, kind="stable")', "np.argsort(n_col)",
+           ("tests/test_config_cli.py::test_plot_means_sum_each_checkpoint_in_file_order",)),
     Mutant("K_bar and b_bar running sums read one index early", PARAMS,
            "w[total] = np.cumsum(np.concatenate(([last[total]], w[total[:-4]])))[1:]",
            "w[total] = np.cumsum(np.concatenate(([last[total]], w[total[:-4]])))[:-1]",
@@ -171,6 +191,18 @@ MUTANTS = (
     Mutant("slow regime accepts beta = 1", PARAMS,
            '"beta < 1", beta < 1,', '"beta < 1", beta <= 1,',
            ("tests/test_params.py::test_validate_is_the_regime_inequality_list",)),
+    Mutant("2 alpha overflow not named", PARAMS,
+           "math.isfinite(2 * alpha), alpha", "True, alpha",
+           ("tests/test_params.py::test_alpha_whose_double_overflows_rejected_by_name",
+            "tests/test_config_cli.py::test_validate_reject_names_inequality")),
+    Mutant("last schedule window skipped", PARAMS,
+           "for lo in range(0, n, WINDOW):", "for lo in range(0, max(n - WINDOW, 1), WINDOW):",
+           ("tests/test_params.py::test_windowed_build_is_bitwise_one_shot",
+            "tests/test_params.py::test_schedule_arrays_match_exact_reference",
+            "tests/test_asymptotics.py::test_slow_predict_vs_oracle_midrange")),
+    Mutant("oracles not cached, so they take two passes", ASYMPTOTICS,
+           "@lru_cache(maxsize=1)", "@lru_cache(maxsize=0)",
+           ("tests/test_params.py::test_one_schedule_build_per_params_and_n",)),
     Mutant("K_bar and b_bar window carry dropped", PARAMS,
            "last[total] = w[total][-1]", "last[total] = 0.0",
            ("tests/test_params.py::test_schedule_arrays_match_exact_reference",

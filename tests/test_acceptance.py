@@ -15,11 +15,11 @@ from mlsa import (BallMonitor, ContractingMatrix, ParameterSet, ReplicationSpec,
                   exp_product_gap, l2_monitor, linear_iterate, lyapunov_norm,
                   oracle_eps_bias, oracle_eps_diff, predict_critical, predict_slow,
                   psi, run_replicas, spectral_abscissa)
-from mlsa.cli import records_columns, report_json
+from mlsa.cli import report_json
 from mlsa.harness import block_seeds
 
 from conftest import (CRITICAL_DEFAULT, CRITICAL_PINNED, SLOW_DEFAULT, SLOW_PINNED,
-                      make_scalar_family, make_slow_family)
+                      make_scalar_family, make_slow_family, written_columns)
 
 WORKERS = 2
 
@@ -252,7 +252,7 @@ def test_criterion_10_determinism(cost_model, identity):
                               theta0, workers=workers)
         rep = clt_report(record, params, family, 400, divergence_radius=10.0)
         curve = cost_curve(record, params)
-        rows = records_columns(record)
+        rows = written_columns(record)
         return rows, report_json(rep), curve
 
     a1 = artifacts(1)

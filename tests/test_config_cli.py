@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from mlsa import (ConfigError, InvalidParameters, build_cost_model, build_family,
                   build_projection, config_from_dict, cost_curve, default_theta0, run_replicas)
 from mlsa.asymptotics import predictions
+import mlsa.cli
 from mlsa.cli import main
 
 from conftest import csv_writer_text, record_rows
@@ -113,7 +114,11 @@ def test_validate_reject_names_inequality(tmp_path, capsys):
                          "family.noise_factor": [[1.0]]}), "contracting H"),
              (variant(**{"family.H": [[-1.0, 3.0], [1.0, -1.0]]}), "contracting H"),
              # a regime string that names no regime; a regime that is no string exits 2
-             (variant(**{"params.regime": "medium"}), "regime: 'medium' not in")]
+             (variant(**{"params.regime": "medium"}), "regime: 'medium' not in"),
+             # an alpha whose double overflows, in either regime: named, not read as a psi bound
+             *(({**d, "params": {**d["params"], "alpha": 1e308}},
+                "2 alpha finite: 1e+308 <= 8.98847e+307 fails")
+               for d in map(shipped, ("slow_default.json", "critical_default.json")))]
     for i, (doc, name) in enumerate(cases):
         path = write_config(tmp_path, doc, name=f"domain{i}.json")
         assert main(["validate", path]) == 1
@@ -258,10 +263,13 @@ def test_plot_outputs_svg_with_guide(tmp_path, capsys):
 
 def test_csv_artifacts_match_csv_writer(tmp_path):
     # every CSV artifact of run, plot and predict, byte for byte what csv.writer writes
-    # of the record and tables computed again in this process
+    # of the record and tables computed again in this process, and the manifest's sha256
+    # of each; the dense run's 9,000 records.csv rows cross two block boundaries
     docs = {"slow": variant(**{"replication.checkpoints": list(range(1, 61))}),
             "critical": shipped("critical_default.json", replicas=3, n_final=40,
-                                checkpoints=list(range(1, 41)))}
+                                checkpoints=list(range(1, 41))),
+            "dense": shipped("critical_default.json", replicas=3, n_final=3000,
+                             checkpoints=list(range(1, 3001)))}
     for name, doc in docs.items():
         path, out_dir = write_config(tmp_path, doc, name=f"{name}.json"), str(tmp_path / name)
         with contextlib.redirect_stdout(io.StringIO()):
@@ -292,9 +300,32 @@ def test_csv_artifacts_match_csv_writer(tmp_path):
             "predictions.csv": (tag, [[f.name for f in fields(a)]] + list(zip(*(
                 [None] * len(a.n) if c is None else c.tolist() for c in cols)))),
         }
+        files = json.loads(open(os.path.join(out_dir, "manifest.json")).read())["files"]
         for file, (first, rows) in expected.items():
-            with open(os.path.join(out_dir, file), encoding="utf-8", newline="") as fh:
-                assert fh.read() == first + "\n" + csv_writer_text(rows), (name, file)
+            with open(os.path.join(out_dir, file), "rb") as fh:
+                data = fh.read()
+            assert data.decode() == first + "\n" + csv_writer_text(rows), (name, file)
+            assert file not in files or hashlib.sha256(data).hexdigest() == files[file]
+
+
+def test_plot_means_sum_each_checkpoint_in_file_order(tmp_path, monkeypatch):
+    # the mean error and cost that mlsa plot draws at each checkpoint are, bit for bit, the
+    # means over that n's rows in file order, as a boolean mask per n picks them out
+    doc = variant(**{"replication.replicas": 20, "replication.n_final": 300,
+                     "replication.checkpoints": list(range(1, 301))})
+    out_dir = run_dir_of(tmp_path, doc, "dense")
+    drawn = {}
+    monkeypatch.setattr(mlsa.cli, "loglog_plot",
+                        lambda x, y, guide, guide_label: drawn.update(x=x, y=y) or "<svg/>")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["plot", out_dir]) == 0
+    table = np.loadtxt(os.path.join(out_dir, "records.csv"), delimiter=",", skiprows=2)
+    n_col, bar, cost = table[:, 1], table[:, 4:6], table[:, 6]
+    ns = np.unique(n_col)
+    err = np.array([np.linalg.norm(bar[n_col == n], axis=1).mean() for n in ns])  # theta* = 0
+    mean_cost = np.array([cost[n_col == n].mean() for n in ns])
+    assert np.array_equal(drawn["x"], mean_cost[err > 0])
+    assert np.array_equal(drawn["y"], err[err > 0])
 
 
 def test_counts_past_2_53_rejected(tmp_path, capsys):

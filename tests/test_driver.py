@@ -3,8 +3,10 @@ import io
 import itertools
 import math
 import pickle
+import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -15,13 +17,13 @@ from mlsa import (BallMonitor, BoxProjection, EulerSdeFamily, GeometricCostModel
                   IdentityProjection, ParameterSet, ReplicationSpec, SyntheticGaussianFamily,
                   default_theta0, geometric_checkpoints, replication_counts, run,
                   run_replicas, schedule_arrays)
-from mlsa.cli import csv_lines, records_columns, records_header
-from mlsa.driver import RunPlan
+from mlsa.cli import RECORD_BLOCK, csv_lines, records_columns, records_header, write_text
+from mlsa.driver import RunPlan, RunRecord
 from mlsa.families import LevelFamily
 
 from conftest import (CRITICAL_DEFAULT, GAMMA2, SLOW_PINNED, columns_sum, csv_writer_text,
                       estimate, make_scalar_family, make_slow_family, record_rows,
-                      reference_counts, synthetic_f)
+                      reference_counts, synthetic_f, written_columns)
 
 
 def noise(family, counts, g):
@@ -98,7 +100,7 @@ def scalar_schedule(p, n_final):
 
 def written_rows(record):
     """The record's CSV rows as written, each a tuple of field strings."""
-    return list(zip(*records_columns(record)))
+    return list(zip(*written_columns(record)))
 
 
 def per_iteration_stream_run(family, plan, theta0, n_final, stream):
@@ -154,7 +156,7 @@ def test_run_is_deterministic(slow_params, slow_family, cost_model, identity):
     plan = RunPlan(slow_params, cost_model, 150)
     a = run(plan, slow_family, identity, theta0, (10, 150), 987)
     b = run(plan, slow_family, identity, theta0, (10, 150), 987)
-    assert records_columns(a) == records_columns(b)
+    assert written_columns(a) == written_columns(b)
     assert np.array_equal(a.theta[-1], b.theta[-1])
 
 
@@ -354,7 +356,7 @@ def test_record_serialization_roundtrip(slow_params, slow_family, cost_model, id
     assert records_header(2) == ["replica", "n", "theta_0", "theta_1", "theta_bar_0",
                                  "theta_bar_1", "cost"]
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(zip(*records_columns(rec)))
+    csv.writer(buf, lineterminator="\n").writerows(zip(*written_columns(rec)))
     rows = list(csv.reader(io.StringIO(buf.getvalue())))
     assert [row[:2] for row in rows] == [["0", "10"], ["0", "20"]]
     for row in rows:
@@ -421,7 +423,7 @@ def test_csv_lines_match_csv_writer(slow_params, cost_model):
         assert rec.abort_iteration[1] == 1 and 1 < rec.abort_iteration[2] < 40
         assert not rec.aborted[[0, 3]].any()
         header = records_header(fam.d)
-        assert csv_lines([name, *col] for name, col in zip(header, records_columns(rec))) == \
+        assert csv_lines([name, *col] for name, col in zip(header, written_columns(rec))) == \
             csv_writer_text(record_rows(rec))
     # tables of numbers: each value written as str writes it, a None as an empty field
     tables = [[[0, 7, 1.5, -3, 2 ** 70, np.int64(7), np.int32(-3), np.float64(2.25),
@@ -435,6 +437,50 @@ def test_csv_lines_match_csv_writer(slow_params, cost_model):
     for rows in tables:
         columns = [["" if v is None else str(v) for v in col] for col in zip(*rows)]
         assert csv_lines(columns) == csv_writer_text(rows)
+
+
+def built_record(replicas, c, d, abort_iteration=None):
+    """A record of ``replicas`` rows at checkpoints 1..c, built directly: normal iterates and
+    averages, and an increasing cost."""
+    rng = np.random.default_rng(0)
+    return RunRecord(ns=np.arange(1, c + 1), theta=rng.standard_normal((c, replicas, d)),
+                     theta_bar=rng.standard_normal((c, replicas, d)),
+                     cost=np.cumsum(rng.random(c) * 1e6), in_ball=None, ball=None,
+                     abort_iteration=np.zeros(replicas, dtype=np.int64) if abort_iteration is None
+                     else np.array(abort_iteration))
+
+
+def test_record_blocks_are_the_whole_table():
+    # 4 replicas x 4000 checkpoints, two block boundaries: replica 1 aborts mid-run, at n =
+    # 2000 (the first boundary falls among its rows), and replica 2 before its first checkpoint
+    rec = built_record(4, 4000, 2, abort_iteration=[0, 2000, 1, 0])
+    blocks = list(records_columns(rec))
+    assert [len(b[0]) for b in blocks] == [RECORD_BLOCK, RECORD_BLOCK, 9999 - 2 * RECORD_BLOCK]
+    assert "".join(map(csv_lines, blocks)) == csv_writer_text(record_rows(rec)[1:])
+    # the table of no rows: every replica aborted before its first checkpoint
+    assert list(records_columns(built_record(3, 10, 2, abort_iteration=[1, 1, 1]))) == []
+
+
+def test_record_write_memory_is_one_block(tmp_path):
+    # the write's traced peak is bounded by one block's fields, each held at most three
+    # times (as its str in a column, in the block's text and in the text's bytes), plus the
+    # replica, n and cost strings that all blocks share; it gains less than a byte per added
+    # row, where anything held per row (an index, a str) costs at least that
+    c, fields = 2 ** 12, 5  # d = 1
+    peaks = []
+    for replicas in (8, 32):  # 2^15 and 2^17 rows
+        rec = built_record(replicas, c, 1)
+        for x in (rec.theta, rec.theta_bar):
+            x[:] = np.round(x * 8) / 8  # short reprs keep the formatting quick
+        tracemalloc.start()
+        try:
+            write_text(str(tmp_path / "records.csv"), map(csv_lines, records_columns(rec)))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    field = sys.getsizeof("x" * 24) + 8  # the longest repr of a double, and its list slot
+    assert peaks[1] < (3 * RECORD_BLOCK * fields + replicas + 2 * c) * field
+    assert peaks[1] - peaks[0] < 2 ** 17 - 2 ** 15, peaks
 
 
 def chunk_starts(plan, replicas, d):

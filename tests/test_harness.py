@@ -12,11 +12,11 @@ import scipy.special
 from mlsa import (BallMonitor, ParameterSet, ReplicationSpec, clt_report, cost_curve,
                   default_theta0, kolmogorov_critical, ks_statistic, l2_monitor,
                   normalized_sample_stats, block_seeds, replication_counts, run_replicas)
-from mlsa.cli import records_columns, report_json
+from mlsa.cli import report_json
 from mlsa.driver import RunPlan, run
 from mlsa.harness import BLOCK
 
-from conftest import CRITICAL_DEFAULT, make_scalar_family, make_slow_family
+from conftest import CRITICAL_DEFAULT, make_scalar_family, make_slow_family, written_columns
 
 
 def small_spec(R=4, n=50, seed=11, checkpoints=None):
@@ -51,7 +51,7 @@ def test_run_replicas_deterministic_and_nondegenerate(slow_params, slow_family,
     theta0 = default_theta0(slow_family)
     a = run_replicas(small_spec(), slow_params, slow_family, cost_model, identity, theta0)
     b = run_replicas(small_spec(), slow_params, slow_family, cost_model, identity, theta0)
-    assert records_columns(a) == records_columns(b)
+    assert written_columns(a) == written_columns(b)
     finals = {tuple(row) for row in a.theta[-1]}
     assert len(finals) >= 2  # noise present: distinct seeds separate
 
@@ -63,7 +63,7 @@ def test_run_replicas_worker_count_invariance(slow_params, slow_family, cost_mod
     runs = [run_replicas(spec, slow_params, slow_family, cost_model, identity, theta0,
                          workers=w) for w in (1, 2, 3)]
     assert runs[0].theta.shape[1] == 2 * BLOCK + 3
-    assert records_columns(runs[0]) == records_columns(runs[1]) == records_columns(runs[2])
+    assert written_columns(runs[0]) == written_columns(runs[1]) == written_columns(runs[2])
 
 
 def test_kolmogorov_critical_against_scipy():

@@ -56,6 +56,16 @@ def test_invalid_set_cannot_be_constructed():
     assert "beta < 1" in names(exc.value.violations)
 
 
+def test_alpha_whose_double_overflows_rejected_by_name():
+    # 2 alpha is finite up to half the largest double, and past it every bound reading it is
+    # void: the named check alone rejects, in either regime
+    half = np.finfo(float).max / 2
+    for base in (SLOW_PINNED, CRITICAL_DEFAULT):
+        assert "2 alpha finite" not in names(validate(make({"alpha": half}, base=base)))
+        assert names(validate(make({"alpha": np.nextafter(half, np.inf)}, base=base))) == (
+            "2 alpha finite",)
+
+
 def test_critical_acceptance_and_rejection():
     assert validate(CRITICAL_DEFAULT) == ()
     assert "beta = 1" in names(validate(make({"beta": 0.9}, base=CRITICAL_DEFAULT)))
