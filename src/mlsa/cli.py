@@ -80,13 +80,13 @@ def write_text(path: str, parts) -> str:
 
 def report_json(report, **extra) -> str:
     """Key-sorted JSON of a report dataclass's fields and ``extra``: arrays and
-    tuples become lists, and NaN in a value or list becomes null."""
+    tuples become lists, and NaN or an infinity in a value or list becomes null."""
     def plain(v):
         if isinstance(v, np.ndarray):
             v = v.tolist()
         if isinstance(v, (list, tuple)):
             return [plain(x) for x in v]
-        return None if isinstance(v, float) and math.isnan(v) else v
+        return None if isinstance(v, float) and not math.isfinite(v) else v
 
     doc = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
     return json.dumps({k: plain(v) for k, v in {**doc, **extra}.items()}, sort_keys=True)
@@ -245,7 +245,12 @@ def cmd_plot(args) -> int:
     groups = np.split(order, np.flatnonzero(np.diff(n_col[order])) + 1)
     mean_err = np.array([np.linalg.norm(bar[g] - theta_star, axis=1).mean() for g in groups])
     mean_cost = np.array([cost[g].mean() for g in groups])
-    keep = mean_err > 0
+    # log10 takes neither a zero error nor the critical law c log_M(x)/sqrt(x) <= 0 at cost x <= 1
+    keep = (mean_err > 0) & ((cfg.params.regime == SLOW) | (mean_cost > 1))
+    if not keep.any():
+        print(f"nothing to plot: no checkpoint in {run_dir} has a nonzero error and a positive "
+              "guide", file=sys.stderr)
+        return 1
     mean_err, mean_cost = mean_err[keep], mean_cost[keep]
 
     if cfg.params.regime == SLOW:

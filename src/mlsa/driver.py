@@ -82,8 +82,9 @@ class RunPlan:
     """Precomputed, immutable per-iteration tables shared by all replicas.
 
     ``counts`` is the :func:`replication_counts` matrix of the run; iteration
-    n samples ``counts[n-1, :s[n-1]]``.  The cost model is theta-free, so the
-    cost of iteration n is the fixed increment sum_k N_k C_k.
+    n samples ``counts[n-1, :s[n-1]]``.  The cost model is theta-free, so
+    ``cost[n-1]``, the cost of iterations 1..n, is the sum of the fixed
+    increments sum_k N_k C_k, summed once in iteration order.
     """
 
     def __init__(self, params: ParameterSet, cost_model, n_final: int):
@@ -95,7 +96,7 @@ class RunPlan:
         self.counts = replication_counts(params, self.s, arr["K"])
         costs = np.array([cost_model.level_cost(k)
                           for k in range(1, self.counts.shape[1] + 1)])
-        self.cost_inc = self.counts @ costs
+        self.cost = np.cumsum(self.counts @ costs)
 
 
 def default_theta0(family: LevelFamily) -> np.ndarray:
@@ -199,7 +200,5 @@ def run(plan: RunPlan, family: LevelFamily, projection, theta0, checkpoints: Seq
                 # row t: the flags after iteration first + t, row 0 the carried ones
                 flags = np.logical_and.accumulate(np.vstack([in_ball, ok]))
                 rec_ball[lo:hi], in_ball = flags[at], flags[-1]
-    # the cost of iterations 1..n, summed in iteration order
-    return RunRecord(ns=ns, theta=rec_theta, theta_bar=rec_bar,
-                     cost=np.cumsum(plan.cost_inc)[ns - 1], in_ball=rec_ball, ball=ball,
-                     abort_iteration=abort_iteration)
+    return RunRecord(ns=ns, theta=rec_theta, theta_bar=rec_bar, cost=plan.cost[ns - 1],
+                     in_ball=rec_ball, ball=ball, abort_iteration=abort_iteration)

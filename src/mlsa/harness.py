@@ -173,10 +173,11 @@ def normalized_sample_stats(zeta: np.ndarray, target_cov: np.ndarray, level: flo
     """
     zeta = np.asarray(zeta, dtype=float)
     n, d = zeta.shape
-    mean = zeta.mean(axis=0)
-    cov = np.atleast_2d(np.cov(zeta, rowvar=False, ddof=1))
-    fro = float(np.linalg.norm(cov - target_cov) / np.linalg.norm(target_cov))
-    w = zeta @ _sym_inv_sqrt(target_cov).T
+    with np.errstate(over="ignore", invalid="ignore"):  # a zeta past 1e154 squares to inf
+        mean = zeta.mean(axis=0)
+        cov = np.atleast_2d(np.cov(zeta, rowvar=False, ddof=1))
+        fro = float(np.linalg.norm(cov - target_cov) / np.linalg.norm(target_cov))
+        w = zeta @ _sym_inv_sqrt(target_cov).T
     ks = np.array([ks_statistic(w[:, j]) for j in range(d)])
     crit = kolmogorov_critical(level / d) / math.sqrt(n)
     return {
@@ -221,7 +222,8 @@ def clt_report(record: RunRecord, params: ParameterSet, family: LevelFamily,
     center = record.theta_bar[j, kept] - theta_star
     if params.regime == SLOW:
         center = center + pred.eps_bias * (H_inv @ family.mu)
-    zeta = center / pred.eps_diff
+    with np.errstate(over="ignore"):  # a zeta past the largest double is inf, reported as null
+        zeta = center / pred.eps_diff
     return CltReport(
         checkpoint=checkpoint,
         replicas_total=R,

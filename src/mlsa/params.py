@@ -131,10 +131,10 @@ KEYS = ("gamma", "b", "b_bar", "K", "K_bar", "s")
 
 def levels(params: ParameterSet, x) -> tuple[np.ndarray, np.ndarray]:
     """The single source of s_n and xi_n: ``(s, xi)`` elementwise at ``x``, K_bar_n (slow) or n
-    (critical); s is int64, xi the real level minus s.  Overflow gives inf or nan, not
-    warnings, and an infinite level casts to an end of int64."""
+    (critical); s is int64, xi the real level minus s.  Overflow and underflow give inf or nan,
+    not warnings, and an infinite level casts to an end of int64."""
     p = params
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # log(0) is -inf, s_n 1
         if p.regime == SLOW:
             xi = np.log(p.kappa_s * x ** (1.0 / (2 * p.alpha - p.beta + 1))) / math.log(p.M)
         else:

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from mlsa import (GeometricCostModel, IdentityProjection, ParameterSet,
-                  SyntheticGaussianFamily)
 from mlsa.cli import records_columns, records_header
+from mlsa.driver import IdentityProjection
+from mlsa.families import GeometricCostModel, SyntheticGaussianFamily
+from mlsa.params import ParameterSet
 
 # default experiment constants; chosen so the n = 4000 horizons of the
 # acceptance experiments are deep enough into the asymptotic regime

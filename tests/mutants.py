@@ -2,16 +2,16 @@
 
     python tests/mutants.py
 
-The script copies ``src/``, ``tests/``, ``configs/`` and ``pyproject.toml`` to a
-temporary directory.  For each mutant it checks that the old text occurs exactly
-once in its file, so a refactor that moves the text fails here and must update
-the mutant; it then applies the mutant and runs each named test id alone with
-pytest.  A test kills the mutant when it fails.  It prints one line per mutant
-and test and exits 1 when a mutant's text is not found exactly once, a test
-survives its mutant, or pytest cannot run a test id.  It ends with a kill table,
-which only reports: the mutants each test id killed, and the test ids that kill no
-mutant alone.  The file has no ``test_`` prefix, so the tier-1 suite does not
-collect it.
+The script copies ``src/``, ``tests/``, ``configs/``, ``perfbench/`` (whose set-up
+probe a test runs) and ``pyproject.toml`` to a temporary directory.  For each
+mutant it checks that the old text occurs exactly once in its file, so a refactor
+that moves the text fails here and must update the mutant; it then applies the
+mutant and runs each named test id alone with pytest.  A test kills the mutant
+when it fails.  It prints one line per mutant and test and exits 1 when a mutant's
+text is not found exactly once, a test survives its mutant, or pytest cannot run a
+test id.  It ends with a kill table, which only reports: the mutants each test id
+killed, and the test ids that kill no mutant alone.  The file has no ``test_``
+prefix, so the tier-1 suite does not collect it.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import tempfile
 from dataclasses import dataclass
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-COPIED = ("src", "tests", "configs", "pyproject.toml")
+COPIED = ("src", "tests", "configs", "perfbench", "pyproject.toml")
 
 
 @dataclass(frozen=True)
@@ -143,7 +143,7 @@ MUTANTS = (
            "At = H.T + L * eye", "At = H + L * eye",
            ("tests/test_linear.py::test_lyapunov_norm_matches_scalar_scan",)),
     Mutant("measured cost not checked at load", "src/mlsa/config.py",
-           "2.0 ** 52 or not np.isfinite(2.0 * bound):", "2.0 ** 52:",
+           "if not np.isfinite(cost[-1]):", "if False:",
            ("tests/test_config_cli.py::test_overflowing_predictions_rejected_without_warnings",)),
     Mutant("counts past 2^53 not checked at load", "src/mlsa/config.py",
            'if arr["K"][-1] > 2.0 ** 52 or not', "if not",
@@ -220,6 +220,30 @@ MUTANTS = (
            "return list(np.random.SeedSequence(master_seed).spawn(n_blocks))",
            "return list(np.random.SeedSequence(master_seed).spawn(n_blocks + 1))[1:]",
            ("tests/test_harness.py::test_block_j_runs_on_child_j_of_the_master_seed",)),
+    Mutant("cost left per increment, the cumulative sum dropped", "src/mlsa/driver.py",
+           "self.cost = np.cumsum(self.counts @ costs)", "self.cost = self.counts @ costs",
+           ("tests/test_driver.py::test_iteration_cost_arithmetic",)),
+    Mutant("RunPlan dropped from the package namespace", "src/mlsa/__init__.py",
+           "from .driver import RunPlan\n", "",
+           ("tests/test_harness.py::test_namespace_serves_the_setup_probe",)),
+    Mutant("checkpoints serialized as a tuple", "src/mlsa/config.py",
+           '"checkpoints": list(self.replication.checkpoints)}',
+           '"checkpoints": self.replication.checkpoints}',
+           ("tests/test_config_cli.py::test_round_trip_is_lossless",)),
+    Mutant("cost ratio not checked at load", "src/mlsa/config.py",
+           "least_cost = min(1.0, pred.predicted_cost.min())", "least_cost = 1.0",
+           ("tests/test_config_cli.py::test_overflowing_predictions_rejected_without_warnings",)),
+    Mutant("log of an underflowed level argument warns", PARAMS,
+           'np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # log(0)',
+           'np.errstate(over="ignore", invalid="ignore"):  # log(0)',
+           ("tests/test_config_cli.py::test_overflowing_predictions_rejected_without_warnings",)),
+    Mutant("report JSON writes an infinity", "src/mlsa/cli.py",
+           "None if isinstance(v, float) and not math.isfinite(v) else v",
+           "None if isinstance(v, float) and math.isnan(v) else v",
+           ("tests/test_config_cli.py::test_overflowing_zeta_reported_as_null",)),
+    Mutant("plot keeps checkpoints whose critical law is <= 0", "src/mlsa/cli.py",
+           "(cfg.params.regime == SLOW) | (mean_cost > 1)", "(cfg.params.regime == SLOW) | True",
+           ("tests/test_config_cli.py::test_critical_plot_leaves_out_costs_at_most_one",)),
     Mutant("weighted sum reset at each chunk", "src/mlsa/driver.py",
            "sums[0] += wsum", "sums[0] += 0.0",
            ("tests/test_driver.py::test_chunked_run_matches_per_iteration_loop",

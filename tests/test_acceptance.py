@@ -10,13 +10,14 @@ import time
 import numpy as np
 import pytest
 
-from mlsa import (BallMonitor, ContractingMatrix, ParameterSet, ReplicationSpec,
-                  averaged_operator, clt_report, cost_curve, default_theta0,
-                  exp_product_gap, l2_monitor, linear_iterate, lyapunov_norm,
-                  oracle_eps_bias, oracle_eps_diff, predict_critical, predict_slow,
-                  psi, run_replicas, spectral_abscissa)
+from mlsa.asymptotics import oracle_eps_bias, oracle_eps_diff, predict_critical, predict_slow, psi
 from mlsa.cli import report_json
-from mlsa.harness import block_seeds
+from mlsa.driver import BallMonitor, default_theta0
+from mlsa.harness import (ReplicationSpec, block_seeds, clt_report, cost_curve, l2_monitor,
+                          run_replicas)
+from mlsa.linear import (ContractingMatrix, averaged_operator, exp_product_gap, linear_iterate,
+                         lyapunov_norm, spectral_abscissa)
+from mlsa.params import ParameterSet
 
 from conftest import (CRITICAL_DEFAULT, CRITICAL_PINNED, SLOW_DEFAULT, SLOW_PINNED,
                       make_scalar_family, make_slow_family, written_columns)

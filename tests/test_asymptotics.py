@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mlsa import (ParameterSet, load_config, oracle_eps_bias, oracle_eps_diff,
-                  predict_critical, predict_slow, psi, rates, schedule_arrays)
-from mlsa.asymptotics import predictions
+from mlsa.asymptotics import (oracle_eps_bias, oracle_eps_diff, predict_critical, predict_slow,
+                              predictions, psi, rates)
 from mlsa.cli import main
-from mlsa.params import schedule_windows
+from mlsa.config import load_config
+from mlsa.params import ParameterSet, schedule_arrays, schedule_windows
 
 from conftest import CRITICAL_PINNED, SLOW_PINNED
 

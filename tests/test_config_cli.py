@@ -3,6 +3,7 @@ import copy
 import hashlib
 import io
 import json
+import math
 import os
 import tempfile
 import warnings
@@ -14,11 +15,14 @@ import pytest
 import scipy.special
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from mlsa import (ConfigError, InvalidParameters, build_cost_model, build_family,
-                  build_projection, config_from_dict, cost_curve, default_theta0, run_replicas)
-from mlsa.asymptotics import predictions
 import mlsa.cli
+from mlsa.asymptotics import predictions
 from mlsa.cli import main
+from mlsa.config import (ConfigError, build_cost_model, build_family, build_projection,
+                         config_from_dict, load_config)
+from mlsa.driver import RunPlan, default_theta0
+from mlsa.harness import cost_curve, run_replicas
+from mlsa.params import InvalidParameters, schedule_arrays
 
 from conftest import csv_writer_text, record_rows
 
@@ -373,13 +377,21 @@ def test_overflowing_predictions_rejected_without_warnings(tmp_path, capsys):
     # slow kappa_s = 1e-300, kappa_K = 1e-30: eps_bias alone overflows (a float
     # product, no OverflowError) while eps_diff and the cost stay finite; critical
     # kappa_C = 9.38e301: the predicted cost (1.795e308 at n = 60) stays finite and the
-    # measured one, about 1.02 times as large, overflows, which wrote a row of inf
+    # measured one, about 1.02 times as large, overflows, which wrote a row of inf;
+    # kappa_K = 1e-300 with M = 1e10: each N_k sits at 1, so cost_n over the predicted cost
+    # overflows, which wrote inf ratios with a numpy warning; slow kappa_s = kappa_K =
+    # 1e-300: kappa_s K_bar_n^(1/2.5) underflows to 0, whose log warned
     cases = [("slow_default.json", {"kappa_C": 1e305}, "finite predicted_cost"),
              ("critical_default.json", {"kappa_C": 1e305}, "finite predicted_cost"),
              ("slow_default.json", {"M": 1e300}, "finite predictions"),
              ("slow_default.json", {"kappa_s": 1e-300, "kappa_K": 1e-30}, "finite eps_bias:"),
              ("critical_default.json", {"kappa_C": 9.38e301},
-              "finite cost_n: the cumulative cost overflows a double by n = 60")]
+              "finite cost_n: the cumulative cost overflows a double by n = 60"),
+             ("critical_default.json", {"kappa_K": 1e-300, "M": 1e10},
+              "finite cost ratio: cost_n / predicted cost overflows at n = 2"),
+             ("slow_default.json", {"kappa_K": 1e-300, "M": 1e10},
+              "finite cost ratio: cost_n / predicted cost overflows at n = 1"),
+             ("slow_default.json", {"kappa_s": 1e-300, "kappa_K": 1e-300}, "finite xi:")]
     for i, (name, params, message) in enumerate(cases):
         doc = shipped(name, replicas=4, n_final=60, checkpoints=None)
         doc["params"].update(params)
@@ -393,6 +405,20 @@ def test_overflowing_predictions_rejected_without_warnings(tmp_path, capsys):
                 assert message in capsys.readouterr().err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], name
         assert not os.path.exists(out_dir)
+
+
+def test_overflowing_zeta_reported_as_null(tmp_path):
+    # M = kappa_K = 1e40, kappa_s = 1e-300: eps_diff is 3.1e-92 at n = 10, so each
+    # normalized error past 1e216 overflows; that wrote Infinity and NaN into
+    # clt_report.json with numpy warnings, and now the report holds null there
+    doc = shipped("slow_default.json", replicas=4, n_final=10, checkpoints=None)
+    doc["params"].update(alpha=0.75, M=1e40, kappa_K=1e40, kappa_s=1e-300)
+    out_dir = run_dir_of(tmp_path, doc, "zeta")
+    with open(os.path.join(out_dir, "clt_report.json")) as fh:
+        report = json.load(fh, parse_constant=lambda token: pytest.fail(token))
+    assert report["eps_diff"] > 0 and report["frobenius_rel"] is None
+    assert report["zeta"] == [[None, None]] * 4 and report["mean"] == [None, None]
+    assert main(["plot", out_dir]) == 0
 
 
 def test_plan_too_large_to_hold_rejected(tmp_path, capsys):
@@ -622,24 +648,39 @@ def mutations(draw):
     return doc
 
 
-@given(mutations())
-@settings(max_examples=30, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.too_slow])
-def test_fuzzed_configs_reject_or_complete(doc):
-    """Every document exits 1 or 2 with a message, or completes with finite artifacts;
-    never a traceback."""
+def ends_cleanly(argv):
+    """Run one command: it exits 0, or 1 or 2 with one stderr line (validate's own rejection
+    lists its violations on stdout instead); an exception fails the test."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    lines = err.getvalue().splitlines()
+    if argv[0] == "validate" and rc == 1 and not lines:
+        assert out.getvalue().startswith("rejected\n  violation ")
+    else:
+        assert rc in (0, 1, 2) and len(lines) == (rc != 0), (rc, lines)
+    return rc
+
+
+def commands_end_cleanly(doc, may_run=lambda path: True):
+    """validate, run and plot ``doc``, each ending cleanly.  A run that completes leaves
+    finite values in every artifact, and a rejected document is rejected alike by run; an
+    accepted document that ``may_run`` refuses is only validated."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cfg.json")
         with open(path, "w") as fh:
             json.dump(doc, fh)
         out_dir = os.path.join(tmp, "out")
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            rc = main(["run", path, "--out", out_dir, "--workers", "1"])
-        if rc == 0:
-            with open(os.path.join(out_dir, "manifest.json")) as fh:
-                manifest = json.load(fh)
-            assert manifest["complete"] is True
+        rc = ends_cleanly(["validate", path])
+        if rc == 0 and not may_run(path):
+            return
+        run_rc = ends_cleanly(["run", path, "--out", out_dir, "--workers", "1"])
+        assert run_rc == rc or rc == 0  # run rejects what validate rejects, with its code
+        if not os.path.exists(os.path.join(out_dir, "manifest.json")):
+            return
+        with open(os.path.join(out_dir, "manifest.json")) as fh:
+            manifest = json.load(fh)
+        if manifest["complete"] is True:
             for name in manifest["files"]:
                 with open(os.path.join(out_dir, name)) as fh:
                     text = fh.read()
@@ -649,9 +690,79 @@ def test_fuzzed_configs_reject_or_complete(doc):
                     assert not values & {"inf", "-inf", "nan"}, name
                 else:  # no Infinity, -Infinity or NaN token
                     json.loads(text, parse_constant=lambda token: pytest.fail(f"{name}: {token}"))
-        else:
-            assert rc in (1, 2)
-            assert err.getvalue().strip()
+        ends_cleanly(["plot", out_dir])
+
+
+@given(mutations())
+@settings(max_examples=30, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_fuzzed_configs_reject_or_complete(doc):
+    """Every document exits 1 or 2 with a message, or completes with finite artifacts and
+    plots; never a traceback."""
+    commands_end_cleanly(doc)
+
+
+WORK = 2 * 10 ** 5  # normals one fuzzed run may draw
+
+
+def affordable(path):
+    """Whether a run of the accepted config at ``path`` draws at most WORK normals: R d s_n
+    per iteration for the synthetic family, R sum_k N_k M^k for Euler's paths.  The plan's
+    width s_n is read from the schedule before the plan is built."""
+    cfg = load_config(path)
+    R, n = cfg.replication.replicas, cfg.replication.n_final
+    if R * build_family(cfg).d * schedule_arrays(cfg.params, n)["s"].sum() > WORK:
+        return False
+    if cfg.family_spec["kind"] != "euler_sde":
+        return True
+    counts = RunPlan(cfg.params, build_cost_model(cfg), n).counts
+    with np.errstate(over="ignore"):  # an M^k past the largest double is inf: too much work
+        return R * counts.sum(axis=0) @ cfg.params.M ** np.arange(1.0, counts.shape[1] + 1) <= WORK
+
+
+def at_or_inside(bound, toward):
+    """``bound`` itself, one ulp inside it, or 0.1% or half of a step towards ``toward``."""
+    step = toward - bound if math.isfinite(toward) else 1.0 + abs(bound)
+    values = {"half": bound + 0.5 * step, "near": bound + 1e-3 * step,
+              "ulp": float(np.nextafter(bound, toward)), "at": bound}
+    return st.sampled_from(list(values.values()))
+
+
+def log_uniform(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def numeric_edges(draw):
+    """An accepted-looking shipped config with every constant drawn at the numeric edges of
+    the domain: M - 1 log-uniform, kappa_* from 1e-300 to 1e300, phi, rho and psi at or
+    just inside their inequalities."""
+    doc = copy.deepcopy(draw(st.sampled_from(FUZZ_BASES)))
+    regime = draw(st.sampled_from(["slow", "critical"]))
+    alpha = draw(st.sampled_from([0.75, 1.0, 2.0]))
+    beta = 1.0 if regime == "critical" else draw(st.sampled_from([0.25, 0.5, 0.75]))
+    M = draw(st.one_of(st.sampled_from([2.0, 3.0, 4.0]),
+                       st.floats(-9, 3).map(lambda e: 1.0 + 10.0 ** e), log_uniform(3, 300)))
+    phi = draw(at_or_inside(1.0 / (2 * alpha - beta), math.inf))
+    rho = draw(at_or_inside((phi - 1) / 2, math.inf))
+    lam = draw(st.sampled_from([1.0, 0.5]))
+    r = alpha / (2 * alpha - beta + 1)
+    lower = max(0.0, 1.0 - (2 * lam / (lam + 1)) * (phi + 1) * r)
+    psi = draw(st.one_of(at_or_inside(lower, 1.0), at_or_inside(1.0, lower)))
+    doc["params"] = {"regime": regime, "alpha": alpha, "beta": beta, "M": M, "phi": phi,
+                     "rho": rho, "psi": psi, "lam": lam,
+                     **{k: draw(log_uniform(-300, 300)) for k in ("kappa_K", "kappa_s", "kappa_C")}}
+    doc["replication"].update(replicas=draw(st.integers(2, 4)), n_final=draw(st.integers(1, 60)))
+    return doc
+
+
+@given(numeric_edges())
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_numeric_edge_configs_reject_or_complete(doc):
+    """At the numeric edges of the accepted domain every config still exits 1 or 2 with a
+    message, or completes with finite artifacts and plots; never a traceback."""
+    commands_end_cleanly(doc, affordable)
 
 
 def test_run_euler_family_without_ground_truth(tmp_path):
@@ -666,6 +777,27 @@ def test_run_euler_family_without_ground_truth(tmp_path):
     assert "skipped" in report  # no (mu, Gamma): the CLT report does not apply
     assert report["master_seed"] == doc["replication"]["master_seed"]
     assert main(["plot", out_dir]) == 0
+
+
+def test_critical_plot_leaves_out_costs_at_most_one(tmp_path, capsys):
+    # kappa_C = 1e-4: the guide c log_M(x)/sqrt(x) is <= 0 at each measured cost x <= 1,
+    # whose log10 ended plot in a traceback; those checkpoints are left out, as zero-error
+    # ones are, and a run with none left exits 1 with one line
+    doc = shipped("critical_default.json", replicas=4, n_final=200)
+    doc["params"]["kappa_C"] = 1e-4
+    out_dir = run_dir_of(tmp_path, doc, "cheap")
+    assert main(["plot", out_dir]) == 0
+    with open(os.path.join(out_dir, "cost_table.csv")) as fh:
+        costs = [float(line.split(",")[1]) for line in fh.readlines()[2:]]
+    assert min(costs) <= 1 < max(costs)
+    with open(os.path.join(out_dir, "error_vs_cost.svg")) as fh:
+        assert fh.read().count("<circle") == sum(c > 1 for c in costs)
+    doc["params"]["kappa_C"] = 1e-9
+    out_dir = run_dir_of(tmp_path, doc, "cheaper")
+    capsys.readouterr()
+    assert main(["plot", out_dir]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("nothing to plot:")
 
 
 def test_critical_guide_plot(tmp_path):

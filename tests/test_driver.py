@@ -13,13 +13,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mlsa import (BallMonitor, BoxProjection, EulerSdeFamily, GeometricCostModel,
-                  IdentityProjection, ParameterSet, ReplicationSpec, SyntheticGaussianFamily,
-                  default_theta0, geometric_checkpoints, replication_counts, run,
-                  run_replicas, schedule_arrays)
 from mlsa.cli import RECORD_BLOCK, csv_lines, records_columns, records_header, write_text
-from mlsa.driver import RunPlan, RunRecord
-from mlsa.families import LevelFamily
+from mlsa.driver import (BallMonitor, BoxProjection, IdentityProjection, RunPlan, RunRecord,
+                         default_theta0, geometric_checkpoints, run)
+from mlsa.families import EulerSdeFamily, GeometricCostModel, LevelFamily, SyntheticGaussianFamily
+from mlsa.harness import ReplicationSpec, run_replicas
+from mlsa.params import ParameterSet, replication_counts, schedule_arrays
 
 from conftest import (CRITICAL_DEFAULT, GAMMA2, SLOW_PINNED, columns_sum, csv_writer_text,
                       estimate, make_scalar_family, make_slow_family, record_rows,
@@ -139,7 +138,7 @@ def test_iteration_cost_arithmetic(critical_params):
     p = ParameterSet(**dict(CRITICAL_DEFAULT, kappa_K=10.0 / 27.0))
     plan = RunPlan(p, GeometricCostModel(kappa_C=1.0, M=2.0), 3)
     assert tuple(plan.counts[2]) == (5, 3, 2)
-    assert plan.cost_inc[2] == 5 * 2 + 3 * 4 + 2 * 8  # = 38
+    assert plan.cost[2] - plan.cost[1] == 5 * 2 + 3 * 4 + 2 * 8  # = 38
 
 
 def test_step_cost_matches_schedule(slow_params_pinned, cost_model):

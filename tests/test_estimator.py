@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mlsa import ParameterSet, replication_counts, schedule_arrays
+from mlsa.params import ParameterSet, replication_counts, schedule_arrays
 
 from conftest import (SLOW_PINNED, CRITICAL_DEFAULT, estimate, make_scalar_family,
                       one_shot_estimate, reference_counts, synthetic_f)

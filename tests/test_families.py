@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mlsa import EulerSdeFamily, GeometricCostModel, SyntheticGaussianFamily
+from mlsa.families import EulerSdeFamily, GeometricCostModel, SyntheticGaussianFamily
 
 from conftest import (estimate, level_samples, make_scalar_family, make_slow_family,
                       one_shot_estimate, synthetic_f)

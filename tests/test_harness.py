@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 import scipy.special
 
-from mlsa import (BallMonitor, ParameterSet, ReplicationSpec, clt_report, cost_curve,
-                  default_theta0, kolmogorov_critical, ks_statistic, l2_monitor,
-                  normalized_sample_stats, block_seeds, replication_counts, run_replicas)
 from mlsa.cli import report_json
-from mlsa.driver import RunPlan, run
-from mlsa.harness import BLOCK
+from mlsa.driver import BallMonitor, RunPlan, default_theta0, run
+from mlsa.harness import (BLOCK, ReplicationSpec, block_seeds, clt_report, cost_curve,
+                          kolmogorov_critical, ks_statistic, l2_monitor, normalized_sample_stats,
+                          run_replicas)
+from mlsa.params import ParameterSet, replication_counts
 
 from conftest import CRITICAL_DEFAULT, make_scalar_family, make_slow_family, written_columns
 
@@ -87,7 +87,7 @@ class BlockScipy(importlib.abc.MetaPathFinder):
 
 sys.meta_path.insert(0, BlockScipy())
 import numpy as np
-import mlsa, mlsa.cli
+import mlsa, mlsa.cli, mlsa.linear
 
 cfg, out = sys.argv[1:]
 codes = [mlsa.cli.main(argv) for argv in (["validate", cfg], ["predict", cfg],
@@ -95,9 +95,9 @@ codes = [mlsa.cli.main(argv) for argv in (["validate", cfg], ["predict", cfg],
                                           ["plot", out])]
 with open(out + "/manifest.json") as fh:
     complete = json.load(fh)["complete"]
-cm = mlsa.ContractingMatrix(np.array([[-2.0, 1.5], [-0.5, -3.0]]), 0.5)
-lyap = mlsa.lyapunov_norm(cm)
-gap, bound = mlsa.exp_product_gap(cm, [0.05] * 40, 0, 40, lyap)
+cm = mlsa.linear.ContractingMatrix(np.array([[-2.0, 1.5], [-0.5, -3.0]]), 0.5)
+lyap = mlsa.linear.lyapunov_norm(cm)
+gap, bound = mlsa.linear.exp_product_gap(cm, [0.05] * 40, 0, 40, lyap)
 print(json.dumps({"codes": codes, "complete": complete, "eps0": lyap.eps0, "gap": gap,
                   "bound": bound, "scipy": sorted(m for m in sys.modules
                                                   if m.split(".")[0] == "scipy")}))
@@ -131,6 +131,17 @@ def test_import_loads_neither_scipy_stats_nor_special(tmp_path):
     assert result["codes"] == [0, 0, 0, 0] and result["complete"] is True
     assert result["eps0"] > 0.05 and 0 < result["gap"] <= result["bound"]
     assert result["scipy"] == []
+
+
+def test_namespace_serves_the_setup_probe():
+    # the benchmark's set-up probe reads the names the package namespace keeps
+    root = os.path.join(os.path.dirname(__file__), "..")
+    out = subprocess.run([sys.executable, os.path.join(root, "perfbench", "setup_probe.py"),
+                          "--plan", os.path.join(root, "configs", "slow_default.json")],
+                         env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert float(out.stdout) > 0  # the set-up time, in seconds
 
 
 def test_ks_statistic_behaviour():

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from mlsa import (ContractingMatrix, IllConditionedError, LyapunovNorm, averaged_operator,
-                  exp_product_gap, linear_iterate, lyapunov_norm, product_operator,
-                  spectral_abscissa)
-from mlsa.linear import _expm
+from mlsa.linear import (ContractingMatrix, IllConditionedError, LyapunovNorm, _expm,
+                         averaged_operator, exp_product_gap, linear_iterate, lyapunov_norm,
+                         product_operator, spectral_abscissa)
 
 
 def random_contracting(rng, d=None, margin=1.0):

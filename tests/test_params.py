@@ -8,11 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 import mlsa.asymptotics
 import mlsa.params
-from mlsa import ConfigError, InvalidParameters, ParameterSet, config_from_dict, validate
 from mlsa.asymptotics import (_powers, oracle_eps_bias, oracle_eps_diff, predict_critical,
                               predict_slow, predictions)
+from mlsa.config import ConfigError, config_from_dict
 from mlsa.harness import ReplicationSpec, clt_report, cost_curve, run_replicas
-from mlsa.params import schedule_arrays, schedule_windows
+from mlsa.params import (InvalidParameters, ParameterSet, schedule_arrays, schedule_windows,
+                         validate)
 
 from conftest import CRITICAL_DEFAULT, SLOW_PINNED
 
