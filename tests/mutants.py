@@ -6,10 +6,11 @@ The script copies ``src/``, ``tests/``, ``configs/``, ``perfbench/`` (whose set-
 probe a test runs) and ``pyproject.toml`` to a temporary directory.  For each
 mutant it checks that the old text occurs exactly once in its file, so a refactor
 that moves the text fails here and must update the mutant; it then applies the
-mutant and runs each named test id alone with pytest.  A test kills the mutant
-when it fails.  It prints one line per mutant and test and exits 1 when a mutant's
-text is not found exactly once, a test survives its mutant, or pytest cannot run a
-test id.  It ends with a kill table, which only reports: the mutants each test id
+mutant and runs its named test ids in one pytest process, reading each id's outcome
+from pytest's ``-rA`` summary, so the interpreter and pytest start once per mutant.  A
+test kills the mutant when it fails or errors.  It prints one line per mutant and test
+and exits 1 when a mutant's text is not found exactly once, a test survives its mutant,
+or pytest cannot run a test id (an exit code other than 0 or 1, or no outcome for it).  It ends with a kill table, which only reports: the mutants each test id
 killed, and the test ids that kill no mutant alone.  The file has no ``test_``
 prefix, so the tier-1 suite does not collect it.
 """
@@ -17,6 +18,7 @@ prefix, so the tier-1 suite does not collect it.
 from __future__ import annotations
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -145,6 +147,9 @@ MUTANTS = (
     Mutant("measured cost not checked at load", "src/mlsa/config.py",
            "if not np.isfinite(cost[-1]):", "if False:",
            ("tests/test_config_cli.py::test_overflowing_predictions_rejected_without_warnings",)),
+    Mutant("exact plan not built for an overflowing cost bound or ratio", "src/mlsa/config.py",
+           "2.0 ** 52 or not np.isfinite(2.0 * bound / least_cost):", "2.0 ** 52:",
+           ("tests/test_config_cli.py::test_overflowing_predictions_rejected_without_warnings",)),
     Mutant("counts past 2^53 not checked at load", "src/mlsa/config.py",
            'if arr["K"][-1] > 2.0 ** 52 or not', "if not",
            ("tests/test_config_cli.py::test_counts_past_2_53_rejected",)),
@@ -160,6 +165,10 @@ MUTANTS = (
            "import numpy as np\n\nfrom . import harness",
            "import numpy as np\nimport scipy.special\n\nfrom . import harness",
            ("tests/test_harness.py::test_import_loads_neither_scipy_stats_nor_special",)),
+    Mutant("run exits 0 with its manifest never marked complete", "src/mlsa/cli.py",
+           'manifest["complete"] = True', "pass",
+           ("tests/test_config_cli.py::test_fuzzed_configs_reject_or_complete",
+            "tests/test_config_cli.py::test_numeric_edge_configs_reject_or_complete")),
     Mutant("plot QQ quantile negated", "src/mlsa/cli.py",
            "q = [NormalDist().inv_cdf(", "q = [-NormalDist().inv_cdf(",
            ("tests/test_config_cli.py::test_csv_artifacts_match_csv_writer",)),
@@ -264,11 +273,25 @@ MUTANTS = (
 )
 
 
-def run_test(tmp: str, node: str) -> int:
+OUTCOME = re.compile(r"^(PASSED|FAILED|ERROR) (\S+)", re.MULTILINE)  # -rA summary lines
+
+
+def run_tests(tmp: str, nodes: tuple) -> dict:
+    """Run ``nodes`` in one pytest process and map each to KILLED (some outcome of it
+    failed or errored), SURVIVED (every outcome passed) or ERROR (pytest exited other
+    than 0 or 1, or reported no outcome for it)."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tmp, "src"))
-    return subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-                           node], cwd=tmp, env=env, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.DEVNULL).returncode
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rA", "-p", "no:cacheprovider",
+                           *nodes], cwd=tmp, env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.DEVNULL, text=True)
+    if proc.returncode not in (0, 1):
+        return {node: f"ERROR({proc.returncode})" for node in nodes}
+    passed: dict = {}  # test id -> whether every outcome reported for it passed
+    for status, node in OUTCOME.findall(proc.stdout):
+        node = node.split("[")[0]  # a parametrized id's cases count as the id
+        passed[node] = passed.get(node, True) and status == "PASSED"
+    return {node: "ERROR" if node not in passed else "SURVIVED" if passed[node] else "KILLED"
+            for node in nodes}
 
 
 def kill_table(kills: dict) -> None:
@@ -309,11 +332,9 @@ def main() -> int:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(original.replace(m.old, m.new))
             try:
-                for node in m.tests:
-                    rc = run_test(tmp, node)
-                    verdict = {0: "SURVIVED", 1: "KILLED"}.get(rc, f"ERROR({rc})")
-                    failed |= rc != 1
-                    if rc == 1:
+                for node, verdict in run_tests(tmp, m.tests).items():
+                    failed |= verdict != "KILLED"
+                    if verdict == "KILLED":
                         kills.setdefault(node, []).append(m.name)
                     print(f"{verdict:9s}{m.name}: {node}", flush=True)
             finally:

@@ -663,9 +663,10 @@ def ends_cleanly(argv):
 
 
 def commands_end_cleanly(doc, may_run=lambda path: True):
-    """validate, run and plot ``doc``, each ending cleanly.  A run that completes leaves
-    finite values in every artifact, and a rejected document is rejected alike by run; an
-    accepted document that ``may_run`` refuses is only validated."""
+    """validate, run and plot ``doc``, each ending cleanly.  A run exits 0 exactly when its
+    manifest reads complete, and then leaves finite values in every artifact; a rejected
+    document is rejected alike by run; an accepted document that ``may_run`` refuses is
+    only validated."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cfg.json")
         with open(path, "w") as fh:
@@ -676,11 +677,12 @@ def commands_end_cleanly(doc, may_run=lambda path: True):
             return
         run_rc = ends_cleanly(["run", path, "--out", out_dir, "--workers", "1"])
         assert run_rc == rc or rc == 0  # run rejects what validate rejects, with its code
-        if not os.path.exists(os.path.join(out_dir, "manifest.json")):
+        if run_rc != 0 and not os.path.exists(os.path.join(out_dir, "manifest.json")):
             return
         with open(os.path.join(out_dir, "manifest.json")) as fh:
             manifest = json.load(fh)
-        if manifest["complete"] is True:
+        assert (manifest["complete"] is True) == (run_rc == 0)  # exit 0 iff complete
+        if run_rc == 0:
             for name in manifest["files"]:
                 with open(os.path.join(out_dir, name)) as fh:
                     text = fh.read()
@@ -697,8 +699,8 @@ def commands_end_cleanly(doc, may_run=lambda path: True):
 @settings(max_examples=30, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 def test_fuzzed_configs_reject_or_complete(doc):
-    """Every document exits 1 or 2 with a message, or completes with finite artifacts and
-    plots; never a traceback."""
+    """Every document exits 1 or 2 with a message, or exits 0 with a complete manifest,
+    finite artifacts and a plot; never a traceback."""
     commands_end_cleanly(doc)
 
 
@@ -761,7 +763,8 @@ def numeric_edges(draw):
           suppress_health_check=[HealthCheck.too_slow])
 def test_numeric_edge_configs_reject_or_complete(doc):
     """At the numeric edges of the accepted domain every config still exits 1 or 2 with a
-    message, or completes with finite artifacts and plots; never a traceback."""
+    message, or exits 0 with a complete manifest, finite artifacts and a plot; never a
+    traceback."""
     commands_end_cleanly(doc, affordable)
 
 
