@@ -192,12 +192,19 @@ def _oracles(params: ParameterSet, n: int) -> tuple[float, float]:
     p, slow, bias, diff = params, params.regime == SLOW, 0.0, 0.0
     for lo, w in schedule_windows(p, n, ("b", "b_bar", "s") if slow else ("b", "b_bar")):
         b, k = w["b"], np.arange(lo + 1, lo + len(w["b"]) + 1, dtype=float)
-        if slow:
+        if slow:  # in the arrays held, by the one-line forms' operators in order: their bits
             bias += float(np.sum(b * _powers(p.M, -p.alpha, w["s"])))
-            d2 = _powers(p.M, 1.0 - p.beta, w["s"]) / k ** p.phi
-        else:
-            d2 = (2.0 * p.alpha * p.kappa_K) ** -1.0 * k ** (-p.phi) * np.log(k) / math.log(p.M)
-        diff += float(np.sum(b ** 2 * d2))
+            k **= p.phi
+            d2 = _powers(p.M, 1.0 - p.beta, w["s"])
+            d2 /= k
+        else:  # (2 alpha kappa_K)^-1 k^-phi log k / log M
+            d2 = np.log(k)
+            k **= -p.phi
+            d2 *= np.multiply(k, (2.0 * p.alpha * p.kappa_K) ** -1.0, out=k)
+            d2 /= math.log(p.M)
+        b **= 2
+        diff += float(np.sum(np.multiply(b, d2, out=d2)))
+        del b, k, d2  # released before the generator builds the next window
     b_bar = float(w["b_bar"][-1])
     conv = (1.0 if not slow else
             math.sqrt(p.kappa_K * (p.phi + 1) * (1.0 - p.M ** (-(1.0 - p.beta) / 2.0))))

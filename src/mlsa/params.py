@@ -130,25 +130,28 @@ KEYS = ("gamma", "b", "b_bar", "K", "K_bar", "s")
 
 
 def levels(params: ParameterSet, x) -> tuple[np.ndarray, np.ndarray]:
-    """The single source of s_n and xi_n: ``(s, xi)`` elementwise at ``x``, K_bar_n (slow) or n
-    (critical); s is int64, xi the real level minus s.  Overflow and underflow give inf or nan,
-    not warnings, and an infinite level casts to an end of int64."""
+    """The single source of s_n and xi_n: ``(s, xi)`` elementwise at the array ``x``, K_bar_n
+    (slow) or n (critical); s is int64, xi the real level minus s.  Overflow and underflow give
+    inf or nan, not warnings, and an infinite level casts to an end of int64."""
     p = params
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # log(0) is -inf, s_n 1
-        if p.regime == SLOW:
-            xi = np.log(p.kappa_s * x ** (1.0 / (2 * p.alpha - p.beta + 1))) / math.log(p.M)
+        if p.regime == SLOW:  # in one array, by the one-line form's operators in order: its bits
+            xi = x ** (1.0 / (2 * p.alpha - p.beta + 1))
+            np.log(np.multiply(xi, p.kappa_s, out=xi), out=xi)
         else:
-            xi = (1.0 / p.alpha) * ((p.phi + 1) / 2.0) * np.log(x) / math.log(p.M)
-        s = np.maximum((np.floor if p.regime == SLOW else np.ceil)(xi), 1.0)
-        return s.astype(np.int64), np.subtract(xi, s, out=xi)  # in place: one window less
+            xi = np.log(x)
+            xi *= (1.0 / p.alpha) * ((p.phi + 1) / 2.0)
+        xi /= math.log(p.M)
+        s = (np.floor if p.regime == SLOW else np.ceil)(xi)
+        return np.maximum(s, 1.0, out=s).astype(np.int64), np.subtract(xi, s, out=xi)
 
 
 def schedule_windows(params: ParameterSet, n: int, keys=KEYS):
     """The schedule over 1..n, s_n and xi_n from :func:`levels`: yields ``(lo, w)`` for each
-    ``WINDOW``-index slice lo+1..min(lo+WINDOW, n) of 1..n, ``w`` a dict of ``keys``
-    and what they need over it, cleared as the next window starts.  K_bar and b_bar
-    go on from the window before's sum, adding the exact terms in index order.
-    Overflow gives inf or nan, not warnings."""
+    ``WINDOW``-index slice lo+1..min(lo+WINDOW, n) of 1..n, ``w`` a dict of exactly ``keys``
+    over it, cleared as the next window starts; a window holds only what those keys need.
+    K_bar and b_bar go on from the window before's sum, adding the exact terms in index
+    order.  Overflow gives inf or nan, not warnings."""
     if n < 1:
         raise ValueError("n must be a positive integer")
     p, need = params, set(keys) | ({"s"} if "xi" in keys else set())
@@ -163,11 +166,16 @@ def schedule_windows(params: ParameterSet, n: int, keys=KEYS):
             w.clear()
             idx = np.arange(lo + 1, min(lo + WINDOW, n) + 1, dtype=float)
             w.update((k, terms[k](idx)) for k in need & terms.keys())
-            for total in need & {"K_bar", "b_bar"}:  # the terms after the sum so far
-                w[total] = np.cumsum(np.concatenate(([last[total]], w[total[:-4]])))[1:]
-                last[total] = w[total][-1]
-            if "s" in need:
-                w["s"], w["xi"] = levels(p, w["K_bar"] if p.regime == SLOW else idx)
+            if "s" in need and p.regime == CRITICAL:  # the level of n, before the indices go
+                w["s"], w["xi"] = levels(p, idx)
+            del idx
+            for total in need & {"K_bar", "b_bar"}:  # the sum so far, then the terms, in place
+                w[total] = w[total[:-4]].copy() if total[:-4] in keys else w.pop(total[:-4])
+                w[total][0] += last[total]
+                last[total] = np.cumsum(w[total], out=w[total])[-1]
+            if "s" in need and p.regime == SLOW:  # the level of K_bar_n
+                w["s"], w["xi"] = levels(p, w["K_bar"])
+            w = {k: w[k] for k in keys}  # the next window clears this dict
             yield lo, w
 
 
@@ -177,8 +185,8 @@ def schedule_arrays(params: ParameterSet, n: int) -> dict[str, np.ndarray]:
     a = {k: np.empty(n, dtype=np.int64 if k == "s" else float) for k in KEYS}
     for keys in (KEYS[:3], KEYS[3:]):  # in two passes, fewer window arrays are held at once
         for lo, w in schedule_windows(params, n, keys):
-            for k in keys:
-                a[k][lo:lo + WINDOW] = w[k]
+            for k in keys:  # each window array goes as it is copied, the last pass's too
+                a[k][lo:lo + WINDOW] = w.pop(k)
     return a
 
 

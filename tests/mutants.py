@@ -192,8 +192,9 @@ MUTANTS = (
            'np.argsort(n_col, kind="stable")', "np.argsort(n_col)",
            ("tests/test_config_cli.py::test_plot_means_sum_each_checkpoint_in_file_order",)),
     Mutant("K_bar and b_bar running sums read one index early", PARAMS,
-           "w[total] = np.cumsum(np.concatenate(([last[total]], w[total[:-4]])))[1:]",
-           "w[total] = np.cumsum(np.concatenate(([last[total]], w[total[:-4]])))[:-1]",
+           "last[total] = np.cumsum(w[total], out=w[total])[-1]\n",
+           "last[total] = np.cumsum(w[total], out=w[total])[-1]\n"
+           "                w[total][1:] = w[total][:-1].copy()\n",
            ("tests/test_params.py::test_schedule_reference_point",
             "tests/test_params.py::test_schedule_arrays_match_exact_reference",
             "tests/test_asymptotics.py::test_windowed_oracles_match_fsum")),
@@ -209,13 +210,33 @@ MUTANTS = (
            ("tests/test_params.py::test_windowed_build_is_bitwise_one_shot",
             "tests/test_params.py::test_schedule_arrays_match_exact_reference",
             "tests/test_asymptotics.py::test_slow_predict_vs_oracle_midrange")),
+    Mutant("oracle loop keeps its previous window's arrays", ASYMPTOTICS,
+           "        del b, k, d2  # released before the generator builds the next window\n", "",
+           ("tests/test_params.py::test_build_and_oracles_hold_no_full_length_temporaries",)),
     Mutant("oracles not cached, so they take two passes", ASYMPTOTICS,
            "@lru_cache(maxsize=1)", "@lru_cache(maxsize=0)",
            ("tests/test_params.py::test_one_schedule_build_per_params_and_n",)),
     Mutant("K_bar and b_bar window carry dropped", PARAMS,
-           "last[total] = w[total][-1]", "last[total] = 0.0",
+           "last[total] = np.cumsum(w[total], out=w[total])[-1]",
+           "np.cumsum(w[total], out=w[total])",
            ("tests/test_params.py::test_schedule_arrays_match_exact_reference",
             "tests/test_asymptotics.py::test_windowed_oracles_match_fsum")),
+    Mutant("K_bar and b_bar window carry added after the in-place cumsum", PARAMS,
+           "w[total][0] += last[total]\n"
+           "                last[total] = np.cumsum(w[total], out=w[total])[-1]\n",
+           "carry, last[total] = last[total], np.cumsum(w[total], out=w[total])[-1]\n"
+           "                w[total][0] += carry\n",
+           ("tests/test_params.py::test_schedule_arrays_match_exact_reference",
+            "tests/test_params.py::test_windowed_build_is_bitwise_one_shot",
+            "tests/test_asymptotics.py::test_windowed_oracles_match_fsum")),
+    Mutant("s-only slow window pass keeps K_bar", PARAMS,
+           "w = {k: w[k] for k in keys}", 'w = {k: w[k] for k in (*keys, "K_bar") if k in w}',
+           ("tests/test_params.py::test_streamed_schedule_and_oracles_are_bitwise_a_full_build",
+            "tests/test_params.py::test_windowed_build_is_bitwise_one_shot",
+            "tests/test_params.py::test_build_and_oracles_hold_no_full_length_temporaries")),
+    Mutant("schedule build keeps each pass's last window", PARAMS,
+           "a[k][lo:lo + WINDOW] = w.pop(k)", "a[k][lo:lo + WINDOW] = w[k]",
+           ("tests/test_params.py::test_build_and_oracles_hold_no_full_length_temporaries",)),
     Mutant("N_k rounded, not ceiled", PARAMS, "r, np.ceil(x))", "r, np.round(x))",
            ("tests/test_estimator.py::test_counts_reference_plan",
             "tests/test_estimator.py::test_counts_matrix_matches_scalar_rows",

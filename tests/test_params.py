@@ -258,26 +258,42 @@ def drop_schedule_memos():
     mlsa.asymptotics._oracles.cache_clear()
 
 
-WINDOWS_PEAK = 8 * 2 ** 20  # a few 2^16-index windows of doubles, far below one n = 10^6 array
+def windows_peak(windows):
+    """The traced peak of a pass that holds ``windows`` window arrays at once (2^16 doubles or
+    int64s each, 512 KiB), plus one 64 KiB allowance for all that is not a window array: the
+    dicts, scalars and 0-d results, and the small ``_powers`` tables."""
+    return windows * 8 * mlsa.params.WINDOW + 2 ** 16
+
+
+# The window arrays each pass holds at once by design:
+# - a schedule build's second pass: K, with K_bar (slow) or the indices (critical), while levels
+#   makes xi and s, as float then int64;
+# - a slow oracle pass: b, b_bar and K_bar while levels makes xi and the two s; after it, b, b_bar
+#   and s, with the oracle's k, the _powers index and result, or its product;
+# - a critical oracle pass: b and b_bar, and the oracle's k and log k;
+# - a slow prediction: the indices, their power and K, the running sum made in K;
+# - a critical prediction: none, since it makes no pass.
+BUILD_WINDOWS, ORACLE_WINDOWS = 5, {"slow": 6, "critical": 4}
+PREDICTION_WINDOWS = {"slow": 3, "critical": 0}
 
 
 def test_build_and_oracles_hold_no_full_length_temporaries(slow_params_pinned,
                                                            critical_params_pinned):
-    n, slack = 10 ** 6, 4 * 2 ** 20
+    n = 10 ** 6
     for p in (slow_params_pinned, critical_params_pinned):
         drop_schedule_memos()
         tracemalloc.start()
         try:
             arr = schedule_arrays(p, n)
             held, peak = tracemalloc.get_traced_memory()
-            assert held >= 6 * 8 * n and peak <= 6 * 8 * n + slack
+            assert held >= 6 * 8 * n and peak <= 6 * 8 * n + windows_peak(BUILD_WINDOWS)
             del arr
             drop_schedule_memos()  # the oracles stream the schedule and read no build
             tracemalloc.reset_peak()
             if p.regime == "slow":
                 oracle_eps_bias(p, n)
             oracle_eps_diff(p, n)
-            assert tracemalloc.get_traced_memory()[1] <= WINDOWS_PEAK
+            assert tracemalloc.get_traced_memory()[1] <= windows_peak(ORACLE_WINDOWS[p.regime])
         finally:
             tracemalloc.stop()
 
@@ -289,15 +305,17 @@ def test_streamed_predictions_hold_a_few_windows(slow_params_pinned, critical_pa
         tracemalloc.start()
         try:
             predict(p, n)
-            assert tracemalloc.get_traced_memory()[1] <= WINDOWS_PEAK
+            peak = tracemalloc.get_traced_memory()[1]
+            assert peak <= windows_peak(PREDICTION_WINDOWS[p.regime])
         finally:
             tracemalloc.stop()
 
 
 def streamed(p, n, keys):
-    """Each key of one pass over the windows, concatenated."""
+    """Each key of one pass over the windows, concatenated; each window holds exactly ``keys``."""
     parts = {k: [] for k in keys}
     for _, w in schedule_windows(p, n, keys):
+        assert list(w) == list(keys)
         for k in keys:
             parts[k].append(w[k].copy())
     return {k: np.concatenate(v) for k, v in parts.items()}
