@@ -203,8 +203,8 @@ def _oracles(params: ParameterSet, n: int) -> tuple[float, float]:
             d2 *= np.multiply(k, (2.0 * p.alpha * p.kappa_K) ** -1.0, out=k)
             d2 /= math.log(p.M)
         b **= 2
+        # b, k and d2 live on through the next window's build: freed sooner, their pages re-fault
         diff += float(np.sum(np.multiply(b, d2, out=d2)))
-        del b, k, d2  # released before the generator builds the next window
     b_bar = float(w["b_bar"][-1])
     conv = (1.0 if not slow else
             math.sqrt(p.kappa_K * (p.phi + 1) * (1.0 - p.M ** (-(1.0 - p.beta) / 2.0))))

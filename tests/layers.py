@@ -1,11 +1,12 @@
 """Layer profile of one replica block, and the memory of the streamed schedule passes.
 
-    PYTHONPATH=src python tests/layers.py [--reps 3]
+    PYTHONPATH=src python tests/layers.py
 
 For each of perfbench's three replica workloads (their configs written by
 ``perfbench/workloads.py``'s ``generate_inputs`` at seed 1) and each shipped config,
-it takes the run's first block of ``harness.BLOCK`` replicas and prints three median
-times over ``--reps`` reps, the three timings taken in alternating order:
+it takes the first block of ``harness.BLOCK`` replicas that ``mlsa run`` makes and
+prints three median times over ``REPS`` reps, the three timings taken in alternating
+order:
 
 - ``run``: the full ``driver.run`` of the block, its draw thread included;
 - ``thread``: the same call, with every draw made beforehand, so the draw thread only
@@ -19,12 +20,11 @@ build's temporaries), in MiB and in window arrays of ``params.WINDOW`` doubles.
 
 Timings are noisy, so this is not a CI gate; the file has no ``test_`` prefix, so
 the tier-1 suite does not collect it.  It changes no file outside a temporary
-directory, and takes 26-30 s on a 2-vCPU host at the default reps.
+directory, and takes 26-34 s on a 2-vCPU host.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 import tempfile
@@ -37,11 +37,12 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import workloads  # noqa: E402  (perfbench/workloads.py, read only)
-from mlsa import asymptotics, driver, harness  # noqa: E402
-from mlsa.config import build_cost_model, build_family, build_projection, load_config  # noqa: E402
+from mlsa import asymptotics, cli, driver, harness  # noqa: E402
+from mlsa.config import load_config  # noqa: E402
 from mlsa.params import WINDOW, KEYS, ParameterSet, schedule_arrays  # noqa: E402
 
 SHIPPED = ("slow_default", "critical_default", "euler_gbm")
+REPS = 3
 
 
 class Replay:
@@ -63,24 +64,29 @@ class Replay:
         return self.family.ml_estimate(theta, counts, entry)
 
 
-def first_block(config_path: str):
-    """What ``mlsa run`` gives the first block of ``config_path``, as ``driver.run``'s
-    arguments, with the block's seed and size."""
-    cfg = load_config(config_path)
-    spec, family = cfg.replication, build_family(cfg)
-    theta0 = driver.default_theta0(family)
-    eps = float(np.linalg.norm(theta0 - family.theta_star))
-    ball = driver.BallMonitor(center=family.theta_star, eps=eps, n0=max(1, spec.n_final // 8))
-    plan = driver.RunPlan(cfg.params, build_cost_model(cfg), spec.n_final)
-    n_blocks = -(-spec.replicas // harness.BLOCK)
-    seed = harness.block_seeds(spec.master_seed, n_blocks)[0]
-    size = min(harness.BLOCK, spec.replicas)
-    return plan, family, build_projection(cfg), theta0, spec.checkpoints, seed, size, ball
+class _FirstBlock(Exception):
+    """Carries the first task that ``harness.run_replicas`` hands ``harness._run_block``."""
 
 
-def profile(config_path: str, reps: int) -> dict:
+def first_block(config_path: str, out_dir: str) -> tuple:
+    """The first block's task ``(common, seed, size, ball)``, exactly as ``mlsa run``
+    builds it: the run starts in one process, and its first block call stops it."""
+    def stop(task):
+        raise _FirstBlock(task)
+
+    real, harness._run_block = harness._run_block, stop
+    try:
+        cli.main(["run", config_path, "--workers", "1", "--out", out_dir])
+    except _FirstBlock as first:
+        return first.args[0]
+    finally:
+        harness._run_block = real
+    raise RuntimeError(f"mlsa run {config_path} ran no block")
+
+
+def profile(config_path: str, out_dir: str) -> dict:
     """Median seconds of ``run``, ``thread`` and ``draw`` for the first block."""
-    plan, family, projection, theta0, cps, seed, size, ball = first_block(config_path)
+    (plan, family, projection, theta0, cps), seed, size, ball = first_block(config_path, out_dir)
 
     def run(fam):
         return driver.run(plan, fam, projection, theta0, cps, seed, replicas=size, ball=ball)
@@ -107,7 +113,7 @@ def profile(config_path: str, reps: int) -> dict:
                "thread": lambda: same(*timed(run, Replay(family, draw()))),
                "draw": lambda: timed(draw)[0]}
     times: dict = {name: [] for name in timings}
-    for rep in range(reps):
+    for rep in range(REPS):
         for name in (list(timings) if rep % 2 == 0 else list(timings)[::-1]):
             times[name].append(timings[name]())
     return {name: float(np.median(v)) for name, v in times.items()}
@@ -141,10 +147,7 @@ def window_peaks(n: int = 10 ** 6) -> dict:
     }
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--reps", type=int, default=3)
-    args = ap.parse_args(argv)
+def main() -> int:
     os.chdir(ROOT)  # generate_inputs reads the shipped configs by relative path
     started = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
@@ -155,9 +158,9 @@ def main(argv=None) -> int:
             inputs = workloads.generate_inputs(workloads.WORKLOADS[name], 1, work_dir)
             cases.append((f"perfbench {name}", inputs["config"]))
         cases += [(f"shipped {name}", os.path.join("configs", f"{name}.json")) for name in SHIPPED]
-        print(f"median ms over {args.reps} alternating reps: run / thread / draw")
+        print(f"median ms over {REPS} alternating reps: run / thread / draw")
         for label, path in cases:
-            t = profile(path, args.reps)
+            t = profile(path, os.path.join(tmp, "run"))
             print(f"  {label:26s} {1e3 * t['run']:9.1f} {1e3 * t['thread']:9.1f} "
                   f"{1e3 * t['draw']:9.1f}", flush=True)
     print(f"traced peaks at n = 10^6, in MiB and in windows of {WINDOW} doubles")

@@ -210,8 +210,10 @@ MUTANTS = (
            ("tests/test_params.py::test_windowed_build_is_bitwise_one_shot",
             "tests/test_params.py::test_schedule_arrays_match_exact_reference",
             "tests/test_asymptotics.py::test_slow_predict_vs_oracle_midrange")),
-    Mutant("oracle loop keeps its previous window's arrays", ASYMPTOTICS,
-           "        del b, k, d2  # released before the generator builds the next window\n", "",
+    Mutant("oracle loop holds its bias terms through the next window's build", ASYMPTOTICS,
+           '            bias += float(np.sum(b * _powers(p.M, -p.alpha, w["s"])))\n',
+           '            t = b * _powers(p.M, -p.alpha, w["s"])\n'
+           "            bias += float(np.sum(t))\n",
            ("tests/test_params.py::test_build_and_oracles_hold_no_full_length_temporaries",)),
     Mutant("oracles not cached, so they take two passes", ASYMPTOTICS,
            "@lru_cache(maxsize=1)", "@lru_cache(maxsize=0)",
@@ -232,8 +234,7 @@ MUTANTS = (
     Mutant("s-only slow window pass keeps K_bar", PARAMS,
            "w = {k: w[k] for k in keys}", 'w = {k: w[k] for k in (*keys, "K_bar") if k in w}',
            ("tests/test_params.py::test_streamed_schedule_and_oracles_are_bitwise_a_full_build",
-            "tests/test_params.py::test_windowed_build_is_bitwise_one_shot",
-            "tests/test_params.py::test_build_and_oracles_hold_no_full_length_temporaries")),
+            "tests/test_params.py::test_windowed_build_is_bitwise_one_shot")),
     Mutant("schedule build keeps each pass's last window", PARAMS,
            "a[k][lo:lo + WINDOW] = w.pop(k)", "a[k][lo:lo + WINDOW] = w[k]",
            ("tests/test_params.py::test_build_and_oracles_hold_no_full_length_temporaries",)),
