@@ -42,7 +42,7 @@ def records_header(d: int) -> list[str]:
             + [f"theta_bar_{i}" for i in range(d)] + ["cost"])
 
 
-RECORD_BLOCK = 2 ** 12  # records.csv rows formatted and written at a time
+RECORD_BLOCK = 2 ** 10  # records.csv rows formatted and written at a time
 
 
 def records_columns(record: RunRecord):

@@ -82,9 +82,9 @@ class RunPlan:
     """Precomputed, immutable per-iteration tables shared by all replicas.
 
     ``counts`` is the :func:`replication_counts` matrix of the run; iteration
-    n samples ``counts[n-1, :s[n-1]]``.  The cost model is theta-free, so
-    ``cost[n-1]``, the cost of iterations 1..n, is the sum of the fixed
-    increments sum_k N_k C_k, summed once in iteration order.
+    n samples ``counts[n-1, :s[n-1]]``.  The cost model is theta-free, so ``cost[n-1]``,
+    the cost of iterations 1..n, sums the fixed increments sum_k N_k C_k once in iteration
+    order, each formed in the counts' row windows: one window is cast to float at a time.
     """
 
     def __init__(self, params: ParameterSet, cost_model, n_final: int):
@@ -96,7 +96,10 @@ class RunPlan:
         self.counts = replication_counts(params, self.s, arr["K"])
         costs = np.array([cost_model.level_cost(k)
                           for k in range(1, self.counts.shape[1] + 1)])
-        self.cost = np.cumsum(self.counts @ costs)
+        rows, self.cost = max(1, WINDOW // 4 // len(costs)), np.empty(self.n_final)
+        for lo in range(0, self.n_final, rows):
+            self.cost[lo:lo + rows] = self.counts[lo:lo + rows] @ costs
+        np.cumsum(self.cost, out=self.cost)
 
 
 def default_theta0(family: LevelFamily) -> np.ndarray:

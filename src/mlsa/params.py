@@ -202,7 +202,8 @@ def replication_counts(params: ParameterSet, s, K) -> np.ndarray:
     N_k(s, K) = ceil((K / M^s) * M^((beta+1)/2 * (s-k))), nonincreasing in k;
     for beta = 1 they reduce to ceil(K * M^-k), independent of s.  ``s`` and
     ``K`` are equal-length sequences, or scalars for a single row.  Raises
-    :class:`InvalidParameters` when a count exceeds 2^53.
+    :class:`InvalidParameters` when a count exceeds 2^53.  Built in windows of whole rows,
+    at most ``WINDOW // 4`` entries (a row at least), in place as doubles, cast once checked.
     """
     s = np.atleast_1d(np.asarray(s))
     K = np.atleast_1d(np.asarray(K, dtype=float))
@@ -210,13 +211,23 @@ def replication_counts(params: ParameterSet, s, K) -> np.ndarray:
         raise ValueError("s must be >= 1")
     if not np.all(K > 0):
         raise ValueError("K must be positive")
-    M, beta = params.M, params.beta
-    k = np.arange(1, int(s.max()) + 1)
-    x = (K / M ** s)[:, None] * M ** (0.5 * (beta + 1) * (s[:, None] - k))
-    r = np.round(x)
-    counts = np.where(np.abs(x - r) <= _INT_SNAP * np.maximum(1.0, np.abs(x)), r, np.ceil(x))
-    counts = np.where(k <= s[:, None], np.maximum(counts, 1.0), 0.0)
-    n = int(np.argmax(counts[:, 0]))  # N_1 is a row's largest; doubles skip integers past 2^53
-    if not counts[n, 0] <= 2.0 ** 53:
-        raise InvalidParameters((f"N_1 <= 2^53: {counts[n, 0]:.6g} fails at n = {n + 1}",))
-    return counts.astype(np.int64)
+    M, beta, k = params.M, params.beta, np.arange(1, int(s.max()) + 1)
+    counts, rows, tops = np.empty((len(s), len(k)), np.int64), max(1, WINDOW // 4 // len(k)), []
+    for lo in range(0, len(s), rows):  # each entry the whole-matrix form's, made in place
+        sw = s[lo:lo + rows, None]
+        x, past = M ** (0.5 * (beta + 1) * (sw - k)), k > sw  # past: the zeros past s_n
+        x *= K[lo:lo + rows, None] / M ** sw
+        r, c = np.round(x), np.abs(x)  # round(x) where |x - r| <= _INT_SNAP max(1, |x|)
+        near = np.abs(np.subtract(x, r, out=r), out=r) <= np.multiply(
+            _INT_SNAP, np.maximum(1.0, c, out=c), out=c)
+        np.copyto(np.ceil(x, out=c), np.round(x, out=r), where=near)  # else ceil(x)
+        np.copyto(np.maximum(c, 1.0, out=c), 0.0, where=past)
+        i = int(np.argmax(c[:, 0]))  # N_1 is a row's largest; doubles skip integers past 2^53
+        tops.append((c[i, 0], lo + i))
+        if c[i, 0] <= 2.0 ** 53:  # checked before the cast, which would wrap a larger count
+            counts[lo:lo + rows] = c
+        del x, past, r, c, near  # before the next window's are made
+    top, n = tops[int(np.argmax([v for v, _ in tops]))]  # the first largest N_1 of all rows
+    if not top <= 2.0 ** 53:
+        raise InvalidParameters((f"N_1 <= 2^53: {top:.6g} fails at n = {n + 1}",))
+    return counts

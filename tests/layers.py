@@ -16,15 +16,19 @@ order:
 Euler draws its samples inside ``ml_estimate``, so its ``draw`` is near zero and its
 ``thread`` holds its draws.  Then it prints the ``tracemalloc`` peaks of the streamed
 passes at n = 10^6 (the slow and critical oracles, the predictions and a schedule
-build's temporaries), in MiB and in window arrays of ``params.WINDOW`` doubles.
+build's temporaries), in MiB and in window arrays of ``params.WINDOW`` doubles; and, for
+the three replica workloads, the peaks of the ``RunPlan`` build (with the bytes the plan
+keeps) and of the ``records.csv`` write of one whole ``mlsa run --workers 1``.
 
 Timings are noisy, so this is not a CI gate; the file has no ``test_`` prefix, so
 the tier-1 suite does not collect it.  It changes no file outside a temporary
-directory, and takes 26-34 s on a 2-vCPU host.
+directory, and takes 25-34 s on a 2-vCPU host.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import os
 import sys
 import tempfile
@@ -129,6 +133,38 @@ def traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
+def plan_and_write_peaks(config_path: str, out_dir: str) -> dict:
+    """Traced peak bytes of the ``RunPlan`` build (``plan``, and ``kept``, what the plan holds)
+    and of the ``records.csv`` write (``write``) that one ``mlsa run --workers 1`` makes."""
+    peaks: dict = {}
+    real_plan, real_write = harness.RunPlan, cli.write_text
+
+    def traced(fn, *args):
+        tracemalloc.start()
+        try:
+            return fn(*args), tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+
+    def plan(*args):
+        built, (peaks["kept"], peaks["plan"]) = traced(real_plan, *args)
+        return built
+
+    def write(path, parts):
+        if os.path.basename(path) != "records.csv":
+            return real_write(path, parts)
+        digest, (_, peaks["write"]) = traced(real_write, path, parts)
+        return digest
+
+    harness.RunPlan, cli.write_text = plan, write
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(["run", config_path, "--workers", "1", "--out", out_dir])
+    finally:
+        harness.RunPlan, cli.write_text = real_plan, real_write
+    return peaks
+
+
 def window_peaks(n: int = 10 ** 6) -> dict:
     """Traced peak bytes of each streamed pass at ``n``; for a schedule build, the bytes
     above its six full-length arrays."""
@@ -163,6 +199,12 @@ def main() -> int:
             t = profile(path, os.path.join(tmp, "run"))
             print(f"  {label:26s} {1e3 * t['run']:9.1f} {1e3 * t['thread']:9.1f} "
                   f"{1e3 * t['draw']:9.1f}", flush=True)
+        print("traced peaks of mlsa run's RunPlan build (what the plan keeps) and records.csv "
+              "write, in MiB")
+        for label, path in cases[:3]:
+            pk = plan_and_write_peaks(path, os.path.join(tmp, "whole"))
+            print(f"  {label:26s} {pk['plan'] / 2 ** 20:7.2f} ({pk['kept'] / 2 ** 20:.2f}) "
+                  f"{pk['write'] / 2 ** 20:7.2f}", flush=True)
     print(f"traced peaks at n = 10^6, in MiB and in windows of {WINDOW} doubles")
     for label, peak in window_peaks().items():
         print(f"  {label:26s} {peak / 2 ** 20:7.2f} MiB {peak / (8 * WINDOW):6.2f}")

@@ -181,7 +181,7 @@ MUTANTS = (
            ("tests/test_driver.py::test_record_blocks_are_the_whole_table",
             "tests/test_config_cli.py::test_csv_artifacts_match_csv_writer")),
     Mutant("records.csv formatted as one block", "src/mlsa/cli.py",
-           "RECORD_BLOCK = 2 ** 12", "RECORD_BLOCK = 2 ** 30",
+           "RECORD_BLOCK = 2 ** 10", "RECORD_BLOCK = 2 ** 30",
            ("tests/test_driver.py::test_record_blocks_are_the_whole_table",
             "tests/test_driver.py::test_record_write_memory_is_one_block")),
     Mutant("artifact sha256 fed only the last part", "src/mlsa/cli.py",
@@ -238,10 +238,20 @@ MUTANTS = (
     Mutant("schedule build keeps each pass's last window", PARAMS,
            "a[k][lo:lo + WINDOW] = w.pop(k)", "a[k][lo:lo + WINDOW] = w[k]",
            ("tests/test_params.py::test_build_and_oracles_hold_no_full_length_temporaries",)),
-    Mutant("N_k rounded, not ceiled", PARAMS, "r, np.ceil(x))", "r, np.round(x))",
+    Mutant("N_k rounded, not ceiled", PARAMS,
+           "np.copyto(np.ceil(x, out=c)", "np.copyto(np.round(x, out=c)",
            ("tests/test_estimator.py::test_counts_reference_plan",
             "tests/test_estimator.py::test_counts_matrix_matches_scalar_rows",
             "tests/test_driver.py::test_iteration_cost_arithmetic")),
+    Mutant("count windows drop the last partial window", PARAMS,
+           "for lo in range(0, len(s), rows):", "for lo in range(0, len(s) // rows * rows, rows):",
+           ("tests/test_params.py::test_windowed_counts_and_cost_are_bitwise_the_whole_matrix",
+            "tests/test_estimator.py::test_counts_matrix_matches_scalar_rows")),
+    Mutant("N_1 bound read from the int64 counts", PARAMS,
+           "        tops.append((c[i, 0], lo + i))\n",
+           "        counts[lo:lo + rows] = c\n"
+           "        tops.append((counts[lo + i, 0], lo + i))\n",
+           ("tests/test_config_cli.py::test_counts_past_2_53_rejected",)),
     Mutant("eps_bias centering sign flipped", HARNESS,
            "center = center + pred.eps_bias * (H_inv @ family.mu)",
            "center = center - pred.eps_bias * (H_inv @ family.mu)",
@@ -252,8 +262,13 @@ MUTANTS = (
            "return list(np.random.SeedSequence(master_seed).spawn(n_blocks + 1))[1:]",
            ("tests/test_harness.py::test_block_j_runs_on_child_j_of_the_master_seed",)),
     Mutant("cost left per increment, the cumulative sum dropped", "src/mlsa/driver.py",
-           "self.cost = np.cumsum(self.counts @ costs)", "self.cost = self.counts @ costs",
+           "        np.cumsum(self.cost, out=self.cost)\n", "",
            ("tests/test_driver.py::test_iteration_cost_arithmetic",)),
+    Mutant("RunPlan cost summed per window without its carry", "src/mlsa/driver.py",
+           "            self.cost[lo:lo + rows] = self.counts[lo:lo + rows] @ costs\n"
+           "        np.cumsum(self.cost, out=self.cost)\n",
+           "            self.cost[lo:lo + rows] = np.cumsum(self.counts[lo:lo + rows] @ costs)\n",
+           ("tests/test_params.py::test_windowed_counts_and_cost_are_bitwise_the_whole_matrix",)),
     Mutant("RunPlan dropped from the package namespace", "src/mlsa/__init__.py",
            "from .driver import RunPlan\n", "",
            ("tests/test_harness.py::test_namespace_serves_the_setup_probe",)),

@@ -450,11 +450,11 @@ def built_record(replicas, c, d, abort_iteration=None):
 
 
 def test_record_blocks_are_the_whole_table():
-    # 4 replicas x 4000 checkpoints, two block boundaries: replica 1 aborts mid-run, at n =
-    # 2000 (the first boundary falls among its rows), and replica 2 before its first checkpoint
-    rec = built_record(4, 4000, 2, abort_iteration=[0, 2000, 1, 0])
+    # 4 replicas x 1000 checkpoints, two block boundaries: replica 1 aborts mid-run, at n =
+    # 500 (the first boundary falls among its rows), and replica 2 before its first checkpoint
+    rec = built_record(4, 1000, 2, abort_iteration=[0, 500, 1, 0])
     blocks = list(records_columns(rec))
-    assert [len(b[0]) for b in blocks] == [RECORD_BLOCK, RECORD_BLOCK, 9999 - 2 * RECORD_BLOCK]
+    assert [len(b[0]) for b in blocks] == [RECORD_BLOCK, RECORD_BLOCK, 2499 - 2 * RECORD_BLOCK]
     assert "".join(map(csv_lines, blocks)) == csv_writer_text(record_rows(rec)[1:])
     # the table of no rows: every replica aborted before its first checkpoint
     assert list(records_columns(built_record(3, 10, 2, abort_iteration=[1, 1, 1]))) == []

@@ -11,11 +11,12 @@ import mlsa.params
 from mlsa.asymptotics import (_powers, oracle_eps_bias, oracle_eps_diff, predict_critical,
                               predict_slow, predictions)
 from mlsa.config import ConfigError, config_from_dict
+from mlsa.driver import RunPlan
 from mlsa.harness import ReplicationSpec, clt_report, cost_curve, run_replicas
-from mlsa.params import (InvalidParameters, ParameterSet, schedule_arrays, schedule_windows,
-                         validate)
+from mlsa.params import (InvalidParameters, ParameterSet, replication_counts, schedule_arrays,
+                         schedule_windows, validate)
 
-from conftest import CRITICAL_DEFAULT, SLOW_PINNED
+from conftest import CRITICAL_DEFAULT, SLOW_DEFAULT, SLOW_PINNED
 
 
 def make(overrides, base=SLOW_PINNED):
@@ -315,6 +316,78 @@ def test_streamed_predictions_hold_a_few_windows(slow_params_pinned, critical_pa
             assert peak <= windows_peak(PREDICTION_WINDOWS[p.regime])
         finally:
             tracemalloc.stop()
+
+
+COUNT_WINDOW = mlsa.params.WINDOW // 4  # entries of one window of replication_counts' rows
+
+
+def count_windows_peak(windows):
+    """The traced bytes of ``windows`` float windows of COUNT_WINDOW entries (128 KiB each),
+    plus the 64 KiB allowance of :func:`windows_peak`."""
+    return windows * 8 * COUNT_WINDOW + 2 ** 16
+
+
+# A counts window holds three float arrays at once (the real counts x; round(x), then
+# |x - round(x)|; the snap bound, then the counts) and two boolean masks of an eighth each
+# (past s_n, and near an integer); the previous window's are released first.  RunPlan's
+# cost casts one window of counts to float at a time.  No count assumes temporary elision.
+COUNT_WINDOWS, COST_WINDOWS = 3.25, 1
+
+
+def test_plan_build_holds_a_few_count_windows(monkeypatch, slow_params, cost_model):
+    n = 4000  # the slow_clt shape: slow_default's plan, s_max = 17, so 963 rows a window
+    arr = schedule_arrays(slow_params, n)
+    tracemalloc.start()
+    try:
+        counts = replication_counts(slow_params, arr["s"], arr["K"])
+        assert counts.shape == (n, 17)
+        peak = tracemalloc.get_traced_memory()[1]
+        assert peak <= counts.nbytes + count_windows_peak(COUNT_WINDOWS)
+    finally:
+        tracemalloc.stop()
+    del arr, counts
+    peaks = []
+
+    def counts_then_reset(*args):  # the peak up to the counts, then the cost's alone
+        counts = replication_counts(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        return counts
+
+    monkeypatch.setattr(mlsa.driver, "replication_counts", counts_then_reset)
+    tracemalloc.start()
+    try:
+        plan = RunPlan(slow_params, cost_model, n)
+        held, cost_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    schedule = len(mlsa.params.KEYS) * 8 * n  # the build's arrays, K and K_bar until it returns
+    assert held >= plan.counts.nbytes + 5 * 8 * n
+    assert peaks[0] <= schedule + plan.counts.nbytes + count_windows_peak(COUNT_WINDOWS)
+    assert cost_peak <= held + 2 * 8 * n + count_windows_peak(COST_WINDOWS)
+
+
+def whole_matrix_counts(p, s, K):
+    """replication_counts' one-shot form: every (n, s_max) array at once, cast at the end."""
+    k = np.arange(1, int(s.max()) + 1)
+    x = (K / p.M ** s)[:, None] * p.M ** (0.5 * (p.beta + 1) * (s[:, None] - k))
+    r = np.round(x)
+    counts = np.where(np.abs(x - r) <= 1e-9 * np.maximum(1.0, np.abs(x)), r, np.ceil(x))
+    return np.where(k <= s[:, None], np.maximum(counts, 1.0), 0.0).astype(np.int64)
+
+
+@pytest.mark.parametrize("base", [SLOW_DEFAULT, CRITICAL_DEFAULT])
+def test_windowed_counts_and_cost_are_bitwise_the_whole_matrix(base, cost_model):
+    p, n = ParameterSet(**base), 4000
+    plan, arr = RunPlan(p, cost_model, n), schedule_arrays(p, n)
+    rows = COUNT_WINDOW // plan.counts.shape[1]
+    assert n % rows  # the last window is partial
+    steps = np.flatnonzero(np.diff(plan.s)) + 1  # the first rows of a new s_n
+    assert np.any(steps % rows)  # and s_n changes inside a window
+    want = whole_matrix_counts(p, arr["s"], arr["K"])
+    assert plan.counts.dtype == want.dtype and plan.counts.tobytes() == want.tobytes()
+    costs = np.array([cost_model.level_cost(k) for k in range(1, want.shape[1] + 1)])
+    assert plan.cost.tobytes() == np.cumsum(want @ costs).tobytes()
 
 
 def streamed(p, n, keys):
