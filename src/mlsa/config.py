@@ -44,8 +44,8 @@ class ConfigError(ValueError):
 
 
 # most entries of a run's (n_final, s_n) counts matrix or of one iteration's (BLOCK, s_n, d)
-# synthetic draw: 2^25 int64 counts are 256 MiB, but a whole run holds about 109 B per
-# iteration (3.7 GB at n_final 2^25 with s_n = 1, an extrapolation in README)
+# synthetic draw: 2^25 int64 counts are 256 MiB, but a whole run holds about 59 B per
+# iteration (2.0 GB at n_final 2^25 with s_n = 1, an extrapolation in README)
 PLAN_ENTRIES = 2 ** 25
 
 

@@ -156,12 +156,10 @@ def run(plan: RunPlan, family: LevelFamily, projection, theta0, checkpoints: Seq
     rec_theta = np.empty((len(ns),) + theta.shape)
     rec_bar = np.empty_like(rec_theta)
     rec_ball = None if ball is None else np.empty((len(ns), replicas), dtype=bool)
-    # Python scalars: the same doubles, without numpy scalar dispatch per iteration
-    gamma, s = plan.gamma.tolist(), plan.s.tolist()
     runs = np.flatnonzero(np.diff(plan.s, prepend=0)).tolist() + [n_final]  # where s_n changes
     cuts = [n for a, e in zip(runs, runs[1:])
-            for n in range(a, e, max(1, WINDOW // (replicas * s[a] * family.d)))]
-    blocks = [plan.counts[a:e, :s[a]] for a, e in zip(cuts, cuts[1:] + [n_final])]
+            for n in range(a, e, max(1, WINDOW // (replicas * int(plan.s[a]) * family.d)))]
+    blocks = [plan.counts[a:e, :plan.s[a]] for a, e in zip(cuts, cuts[1:] + [n_final])]
 
     def draw(block):  # numpy's errstate is per thread
         with np.errstate(over="ignore", invalid="ignore"):
@@ -174,12 +172,12 @@ def run(plan: RunPlan, family: LevelFamily, projection, theta0, checkpoints: Seq
             entries = ahead.pop(0).result()
             if c + 3 < len(blocks):
                 ahead.append(pool.submit(draw, blocks[c + 3]))
-            path = [theta]
-            for i, (counts, entry) in enumerate(zip(block, entries), first):
+            path, last = [theta], first + len(block)
+            # Python scalars, one chunk's: the same doubles, without numpy scalar dispatch
+            for counts, entry, gamma in zip(block, entries, plan.gamma[first:last].tolist()):
                 z = family.ml_estimate(theta, counts, entry)
-                theta = projection(theta + gamma[i] * z)
+                theta = projection(theta + gamma * z)
                 path.append(theta)
-            last = first + len(block)
             states = np.stack(path)  # row t: the states after iteration first + t
             # row t: the sums and averages after iteration first + t + 1; the carried sum
             # goes into the first term, so the chunk's cuts leave every bit as it is

@@ -147,13 +147,18 @@ def averaged_operator(H: np.ndarray, gamma: ScheduleLike, b: ScheduleLike, l: in
 
     Incremental product reuse: O(n - l) matrix multiplies over the prebuilt
     (n - l, d, d) stack of steps I + gamma_k H, then a sum in index order.
+    At d = 1 a product is one rounded multiply: one cumulative product, the same bits.
     """
     if l > n:
         raise ValueError("need l <= n")
     H = np.asarray(H, dtype=float)
     g, bv = _sched_values(gamma, l, n), _sched_values(b, l, n)
     eye = np.eye(H.shape[0])
-    prods = np.array(list(itertools.accumulate(eye + g[1:, None, None] * H, np.dot, initial=eye)))
+    steps = eye + g[1:, None, None] * H
+    if H.shape == (1, 1):
+        prods = np.cumprod(np.concatenate([eye[None], steps]), axis=0)
+    else:
+        prods = np.array(list(itertools.accumulate(steps, np.dot, initial=eye)))
     return (g[0] / bv[0]) * np.cumsum(bv[:, None, None] * prods, axis=0)[-1]
 
 

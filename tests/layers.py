@@ -14,7 +14,13 @@ order:
 - ``draw``: the block's draws alone, one after another on a fresh stream.
 
 Euler draws its samples inside ``ml_estimate``, so its ``draw`` is near zero and its
-``thread`` holds its draws.  Then it prints the ``tracemalloc`` peaks of the streamed
+``thread`` holds its draws; for Euler it also prints ``normals``: the standard normals
+the block's ``ml_estimate`` calls draw, drawn alone on a fresh stream in the same batch
+shapes and order, with their count.  Next it prints the ``theory`` workload's linear
+layer at perfbench's shapes, medians over ``REPS`` alternating reps: the six
+``averaged_operator`` calls at ``OPERATOR_N``, grouped by ``d``, and the two
+``linear_iterate`` calls (the drift and the lockstep ``LINEAR_R`` trajectories).  Then it
+prints the ``tracemalloc`` peaks of the streamed
 passes at n = 10^6 (the slow and critical oracles, the predictions and a schedule
 build's temporaries), in MiB and in window arrays of ``params.WINDOW`` doubles; and, for
 the three replica workloads, the peaks of the ``RunPlan`` build (with the bytes the plan
@@ -22,7 +28,7 @@ keeps) and of the ``records.csv`` write of one whole ``mlsa run --workers 1``.
 
 Timings are noisy, so this is not a CI gate; the file has no ``test_`` prefix, so
 the tier-1 suite does not collect it.  It changes no file outside a temporary
-directory, and takes 25-34 s on a 2-vCPU host.
+directory, and takes 30-45 s on a 2-vCPU host.
 """
 
 from __future__ import annotations
@@ -41,8 +47,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import workloads  # noqa: E402  (perfbench/workloads.py, read only)
-from mlsa import asymptotics, cli, driver, harness  # noqa: E402
+from mlsa import asymptotics, cli, driver, harness, linear  # noqa: E402
 from mlsa.config import load_config  # noqa: E402
+from mlsa.families import EulerSdeFamily  # noqa: E402
 from mlsa.params import WINDOW, KEYS, ParameterSet, schedule_arrays  # noqa: E402
 
 SHIPPED = ("slow_default", "critical_default", "euler_gbm")
@@ -88,8 +95,26 @@ def first_block(config_path: str, out_dir: str) -> tuple:
     raise RuntimeError(f"mlsa run {config_path} ran no block")
 
 
+def euler_shapes(plan, family, size: int) -> list:
+    """The ``standard_normal`` shapes, in order, of one Euler block's ``ml_estimate`` calls."""
+    return [(min(step, n_k - i), family.M ** k)
+            for n in range(plan.n_final) for _ in range(size)
+            for k, n_k in enumerate(plan.counts[n, :plan.s[n]].tolist(), start=1)
+            for step in (max(1, WINDOW // family.M ** k),) for i in range(0, n_k, step)]
+
+
+def median_times(timings: dict) -> dict:
+    """Median seconds of each timing over ``REPS`` reps, in alternating order."""
+    times: dict = {name: [] for name in timings}
+    for rep in range(REPS):
+        for name in (list(timings) if rep % 2 == 0 else list(timings)[::-1]):
+            times[name].append(timings[name]())
+    return {name: float(np.median(v)) for name, v in times.items()}
+
+
 def profile(config_path: str, out_dir: str) -> dict:
-    """Median seconds of ``run``, ``thread`` and ``draw`` for the first block."""
+    """Median seconds of ``run``, ``thread`` and ``draw`` for the first block, and for an
+    Euler block ``normals``, with their count in ``normals_drawn``."""
     (plan, family, projection, theta0, cps), seed, size, ball = first_block(config_path, out_dir)
 
     def run(fam):
@@ -116,11 +141,51 @@ def profile(config_path: str, out_dir: str) -> dict:
                # Euler's entries are the stream itself, so each replay draws afresh, untimed
                "thread": lambda: same(*timed(run, Replay(family, draw()))),
                "draw": lambda: timed(draw)[0]}
-    times: dict = {name: [] for name in timings}
-    for rep in range(REPS):
-        for name in (list(timings) if rep % 2 == 0 else list(timings)[::-1]):
-            times[name].append(timings[name]())
-    return {name: float(np.median(v)) for name, v in times.items()}
+    if not isinstance(family, EulerSdeFamily):
+        return median_times(timings)
+    shapes = euler_shapes(plan, family, size)
+
+    def normals():
+        rng = np.random.default_rng(seed)
+        for shape in shapes:
+            rng.standard_normal(shape)
+
+    timings["normals"] = lambda: timed(normals)[0]
+    return dict(median_times(timings), normals_drawn=sum(a * b for a, b in shapes))
+
+
+def linear_layer() -> dict:
+    """Median seconds of the ``theory`` workload's linear calls at perfbench's shapes."""
+    rng = np.random.default_rng(1)
+
+    def contracting(d):  # perfbench's draw without its perturbation: the timing depends on d
+        Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        return Q @ np.diag(-rng.uniform(1.0, 2.5, d)) @ Q.T
+
+    gamma, weights = (lambda k: k ** (-1.0 / 3.0)), (lambda k: 1.0)
+    by_d: dict = {}
+    for H in [np.array([[-1.0]])] + [contracting(1 + i % 4) for i in range(5)]:
+        by_d.setdefault(len(H), []).append(H)
+    n, R = workloads.LINEAR_N, workloads.LINEAR_R
+    idx = np.arange(1, n + 1, dtype=float)
+    gam, b, delta = idx ** -0.5, idx ** 2.0, idx ** -0.3
+
+    def timed(fn):
+        def call():
+            t0 = time.perf_counter()
+            fn()
+            return time.perf_counter() - t0
+        return call
+
+    timings = {f"averaged_operator d = {d} ({len(Hs)})": timed(
+        lambda Hs=Hs: [linear.averaged_operator(H, gamma, weights, 200, workloads.OPERATOR_N)
+                       for H in Hs]) for d, Hs in sorted(by_d.items())}
+    timings["linear_iterate drift"] = timed(lambda: linear.linear_iterate(
+        np.array([[-1.0]]), gam, b, lambda k: np.array([delta[k - 1]]), n))
+    timings[f"linear_iterate R = {R}"] = timed(lambda: linear.linear_iterate(
+        np.array([[-1.0]]), gam, b, lambda k: delta[k - 1] * rng.standard_normal((R, 1)), n,
+        theta0=np.zeros((R, 1))))
+    return median_times(timings)
 
 
 def traced_peak(fn) -> int:
@@ -197,8 +262,14 @@ def main() -> int:
         print(f"median ms over {REPS} alternating reps: run / thread / draw")
         for label, path in cases:
             t = profile(path, os.path.join(tmp, "run"))
+            normals = (f"   normals alone: {t['normals_drawn'] / 1e6:.2f} M in "
+                       f"{1e3 * t['normals']:.1f}" if "normals" in t else "")
             print(f"  {label:26s} {1e3 * t['run']:9.1f} {1e3 * t['thread']:9.1f} "
-                  f"{1e3 * t['draw']:9.1f}", flush=True)
+                  f"{1e3 * t['draw']:9.1f}{normals}", flush=True)
+        print(f"theory's linear layer at perfbench's shapes, median ms over {REPS} alternating "
+              "reps (averaged_operator: the calls at each d)")
+        for label, seconds in linear_layer().items():
+            print(f"  {label:32s} {1e3 * seconds:9.1f}", flush=True)
         print("traced peaks of mlsa run's RunPlan build (what the plan keeps) and records.csv "
               "write, in MiB")
         for label, path in cases[:3]:

@@ -307,6 +307,19 @@ MUTANTS = (
            ("tests/test_linear.py::test_linear_iterate_matches_scalar_loop",
             "tests/test_linear.py::test_linear_iterate_broadcasts_default_start_to_batched_innovations",
             "tests/test_linear.py::test_linear_iterate_deterministic_drift_limit")),
+    Mutant("scalar averaged-operator path sums its steps", LINEAR,
+           "prods = np.cumprod(np.concatenate(", "prods = np.cumsum(np.concatenate(",
+           ("tests/test_linear.py::test_averaged_operator_matches_scalar_loop",
+            "tests/test_linear.py::test_averaged_operator_scalar_path_bitwise_at_criterion_7_horizon",
+            "tests/test_linear.py::test_averaged_operator_regression_heavy_weights",
+            "tests/test_linear.py::test_averaged_operator_standard_schedule_limit",
+            "tests/test_linear.py::test_averaged_operator_monotone_envelope",
+            "tests/test_acceptance.py::test_criterion_07_linear_machinery")),
+    Mutant("scalar averaged-operator path taken at every d", LINEAR,
+           "    if H.shape == (1, 1):\n        prods = np.cumprod(",
+           "    if True:\n        prods = np.cumprod(",
+           ("tests/test_linear.py::test_averaged_operator_matches_scalar_loop",
+            "tests/test_acceptance.py::test_criterion_07_linear_machinery")),
 )
 
 

@@ -194,6 +194,15 @@ def test_averaged_operator_matches_scalar_loop():
         averaged_operator(H, idx ** -0.6, idx, 1, 1201)
 
 
+def test_averaged_operator_scalar_path_bitwise_at_criterion_7_horizon():
+    # d = 1 takes one cumulative product; criterion 7 calls it at (200, 2e4)
+    for h in (-1.0, -0.37, -2.5):
+        for gamma, b in ((lambda k: k ** (-1.0 / 3.0), lambda k: 1.0),
+                         (lambda k: k ** -0.75, lambda k: k ** 2.0)):
+            assert np.array_equal(averaged_operator(np.array([[h]]), gamma, b, 200, 20000),
+                                  reference_averaged_operator(np.array([[h]]), gamma, b, 200, 20000))
+
+
 def test_averaged_operator_regression_heavy_weights():
     # with gamma = k^-0.75 and b = k^2 the operator at (200, 2e4) is still far
     # from -H^-1 = 1: the weight growth dominates the elapsed ODE time scale
