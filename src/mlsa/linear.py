@@ -145,21 +145,26 @@ def product_operator(H: np.ndarray, gamma: ScheduleLike, l: int, k: int) -> np.n
 def averaged_operator(H: np.ndarray, gamma: ScheduleLike, b: ScheduleLike, l: int, n: int) -> np.ndarray:
     """Hbar[l,n] = (gamma_l / b_l) sum_{k=l}^n b_k Hprod[l,k].
 
-    Incremental product reuse: O(n - l) matrix multiplies over the prebuilt
-    (n - l, d, d) stack of steps I + gamma_k H, then a sum in index order.
-    At d = 1 a product is one rounded multiply: one cumulative product, the same bits.
+    Incremental product reuse: one (n - l + 1, d, d) stack of the identity and the
+    steps I + gamma_k H becomes the running products (at d = 1 one rounded multiply
+    each: one in-place cumulative product, the same bits; d >= 2 streams the np.dot
+    chain into a second stack), then the weighted sum in index order, in place.
     """
     if l > n:
         raise ValueError("need l <= n")
     H = np.asarray(H, dtype=float)
     g, bv = _sched_values(gamma, l, n), _sched_values(b, l, n)
     eye = np.eye(H.shape[0])
-    steps = eye + g[1:, None, None] * H
+    prods = np.empty((len(g),) + H.shape)
+    prods[0] = eye
+    np.add(eye, np.multiply(g[1:, None, None], H, out=prods[1:]), out=prods[1:])
     if H.shape == (1, 1):
-        prods = np.cumprod(np.concatenate([eye[None], steps]), axis=0)
+        np.cumprod(prods, axis=0, out=prods)
     else:
-        prods = np.array(list(itertools.accumulate(steps, np.dot, initial=eye)))
-    return (g[0] / bv[0]) * np.cumsum(bv[:, None, None] * prods, axis=0)[-1]
+        prods = np.fromiter(itertools.accumulate(prods[1:], np.dot, initial=eye),
+                            np.dtype((float, H.shape)), len(g))
+    prods *= bv[:, None, None]
+    return (g[0] / bv[0]) * np.cumsum(prods, axis=0, out=prods)[-1]
 
 
 def _expm(X: np.ndarray) -> np.ndarray:

@@ -18,8 +18,9 @@ Euler draws its samples inside ``ml_estimate``, so its ``draw`` is near zero and
 the block's ``ml_estimate`` calls draw, drawn alone on a fresh stream in the same batch
 shapes and order, with their count.  Next it prints the ``theory`` workload's linear
 layer at perfbench's shapes, medians over ``REPS`` alternating reps: the six
-``averaged_operator`` calls at ``OPERATOR_N``, grouped by ``d``, and the two
-``linear_iterate`` calls (the drift and the lockstep ``LINEAR_R`` trajectories).  Then it
+``averaged_operator`` calls at ``OPERATOR_N``, grouped by ``d``, each group with its
+``tracemalloc`` peak in MiB and in stacks of ``(OPERATOR_N - 199) d^2`` doubles, and the
+two ``linear_iterate`` calls (the drift and the lockstep ``LINEAR_R`` trajectories).  Then it
 prints the ``tracemalloc`` peaks of the streamed
 passes at n = 10^6 (the slow and critical oracles, the predictions and a schedule
 build's temporaries), in MiB and in window arrays of ``params.WINDOW`` doubles; and, for
@@ -154,8 +155,9 @@ def profile(config_path: str, out_dir: str) -> dict:
     return dict(median_times(timings), normals_drawn=sum(a * b for a, b in shapes))
 
 
-def linear_layer() -> dict:
-    """Median seconds of the ``theory`` workload's linear calls at perfbench's shapes."""
+def linear_layer() -> tuple:
+    """Median seconds of the ``theory`` workload's linear calls at perfbench's shapes, and
+    the traced peak bytes of each ``averaged_operator`` group with the bytes of its stack."""
     rng = np.random.default_rng(1)
 
     def contracting(d):  # perfbench's draw without its perturbation: the timing depends on d
@@ -177,15 +179,18 @@ def linear_layer() -> dict:
             return time.perf_counter() - t0
         return call
 
-    timings = {f"averaged_operator d = {d} ({len(Hs)})": timed(
+    groups = {f"averaged_operator d = {d} ({len(Hs)})": (
         lambda Hs=Hs: [linear.averaged_operator(H, gamma, weights, 200, workloads.OPERATOR_N)
-                       for H in Hs]) for d, Hs in sorted(by_d.items())}
+                       for H in Hs], 8 * (workloads.OPERATOR_N - 199) * d * d)
+        for d, Hs in sorted(by_d.items())}
+    peaks = {label: (traced_peak(fn), stack) for label, (fn, stack) in groups.items()}
+    timings = {label: timed(fn) for label, (fn, _) in groups.items()}
     timings["linear_iterate drift"] = timed(lambda: linear.linear_iterate(
         np.array([[-1.0]]), gam, b, lambda k: np.array([delta[k - 1]]), n))
     timings[f"linear_iterate R = {R}"] = timed(lambda: linear.linear_iterate(
         np.array([[-1.0]]), gam, b, lambda k: delta[k - 1] * rng.standard_normal((R, 1)), n,
         theta0=np.zeros((R, 1))))
-    return median_times(timings)
+    return median_times(timings), peaks
 
 
 def traced_peak(fn) -> int:
@@ -267,9 +272,13 @@ def main() -> int:
             print(f"  {label:26s} {1e3 * t['run']:9.1f} {1e3 * t['thread']:9.1f} "
                   f"{1e3 * t['draw']:9.1f}{normals}", flush=True)
         print(f"theory's linear layer at perfbench's shapes, median ms over {REPS} alternating "
-              "reps (averaged_operator: the calls at each d)")
-        for label, seconds in linear_layer().items():
-            print(f"  {label:32s} {1e3 * seconds:9.1f}", flush=True)
+              "reps (averaged_operator: the calls at each d, then their traced peak in MiB and "
+              "in stacks)")
+        times, peaks = linear_layer()
+        for label, seconds in times.items():
+            peak = (f" {peaks[label][0] / 2 ** 20:7.2f} MiB {peaks[label][0] / peaks[label][1]:6.2f}"
+                    if label in peaks else "")
+            print(f"  {label:32s} {1e3 * seconds:9.1f}{peak}", flush=True)
         print("traced peaks of mlsa run's RunPlan build (what the plan keeps) and records.csv "
               "write, in MiB")
         for label, path in cases[:3]:

@@ -308,7 +308,7 @@ MUTANTS = (
             "tests/test_linear.py::test_linear_iterate_broadcasts_default_start_to_batched_innovations",
             "tests/test_linear.py::test_linear_iterate_deterministic_drift_limit")),
     Mutant("scalar averaged-operator path sums its steps", LINEAR,
-           "prods = np.cumprod(np.concatenate(", "prods = np.cumsum(np.concatenate(",
+           "np.cumprod(prods, axis=0, out=prods)", "np.cumsum(prods, axis=0, out=prods)",
            ("tests/test_linear.py::test_averaged_operator_matches_scalar_loop",
             "tests/test_linear.py::test_averaged_operator_scalar_path_bitwise_at_criterion_7_horizon",
             "tests/test_linear.py::test_averaged_operator_regression_heavy_weights",
@@ -316,10 +316,20 @@ MUTANTS = (
             "tests/test_linear.py::test_averaged_operator_monotone_envelope",
             "tests/test_acceptance.py::test_criterion_07_linear_machinery")),
     Mutant("scalar averaged-operator path taken at every d", LINEAR,
-           "    if H.shape == (1, 1):\n        prods = np.cumprod(",
-           "    if True:\n        prods = np.cumprod(",
+           "    if H.shape == (1, 1):\n        np.cumprod(",
+           "    if True:\n        np.cumprod(",
            ("tests/test_linear.py::test_averaged_operator_matches_scalar_loop",
             "tests/test_acceptance.py::test_criterion_07_linear_machinery")),
+    Mutant("averaged-operator products listed before they are stacked", LINEAR,
+           "prods = np.fromiter(itertools.accumulate(prods[1:], np.dot, initial=eye),\n"
+           "                            np.dtype((float, H.shape)), len(g))",
+           "prods = np.array(list(itertools.accumulate(prods[1:], np.dot, initial=eye)))",
+           ("tests/test_linear.py::test_averaged_operator_peak_is_two_stacks",)),
+    Mutant("averaged-operator weights multiplied into the caller's schedule", LINEAR,
+           "    prods *= bv[:, None, None]\n    return (g[0] / bv[0]) * np.cumsum(",
+           "    bv *= g[0] / bv[0]\n    prods *= bv[:, None, None]\n    return np.cumsum(",
+           ("tests/test_linear.py::"
+            "test_averaged_operator_and_linear_iterate_leave_ndarray_schedules_unchanged",)),
 )
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -195,12 +196,46 @@ def test_averaged_operator_matches_scalar_loop():
 
 
 def test_averaged_operator_scalar_path_bitwise_at_criterion_7_horizon():
-    # d = 1 takes one cumulative product; criterion 7 calls it at (200, 2e4)
-    for h in (-1.0, -0.37, -2.5):
+    # d = 1 takes one cumulative product, d >= 2 the np.dot chain; criterion 7 calls both
+    # at (200, 2e4)
+    rng = np.random.default_rng(7)
+    Hs = [np.array([[h]]) for h in (-1.0, -0.37, -2.5)] + [random_contracting(rng, d=d)
+                                                             for d in (2, 3, 4)]
+    for H in Hs:
         for gamma, b in ((lambda k: k ** (-1.0 / 3.0), lambda k: 1.0),
                          (lambda k: k ** -0.75, lambda k: k ** 2.0)):
-            assert np.array_equal(averaged_operator(np.array([[h]]), gamma, b, 200, 20000),
-                                  reference_averaged_operator(np.array([[h]]), gamma, b, 200, 20000))
+            assert np.array_equal(averaged_operator(H, gamma, b, 200, 20000),
+                                  reference_averaged_operator(H, gamma, b, 200, 20000))
+
+
+def test_averaged_operator_peak_is_two_stacks():
+    # the steps and their running products, each an (n - l + 1, d, d) stack, and the two
+    # schedule vectors; a list of the products copied into a third stack exceeds it
+    rng = np.random.default_rng(11)
+    gamma, b, l, n = (lambda k: k ** (-1.0 / 3.0)), (lambda k: 1.0), 200, 5000
+    for d in (2, 4):
+        H = random_contracting(rng, d=d)
+        averaged_operator(H, gamma, b, l, n)  # untraced first call: numpy's lazy set-up
+        tracemalloc.start()
+        try:
+            averaged_operator(H, gamma, b, l, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (n - l + 1) * (2 * d * d + 2) + 2 ** 16
+
+
+def test_averaged_operator_and_linear_iterate_leave_ndarray_schedules_unchanged():
+    # an ndarray schedule is read through views of the caller's array
+    rng = np.random.default_rng(13)
+    idx = np.arange(1, 401, dtype=float)
+    gamma, b = idx ** -0.6, idx ** 1.5
+    kept = gamma.copy(), b.copy()
+    for d in (1, 3):
+        H = random_contracting(rng, d=d)
+        averaged_operator(H, gamma, b, 7, 400)
+        linear_iterate(H, gamma, b, lambda k: np.ones(d), 400)
+        assert np.array_equal(gamma, kept[0]) and np.array_equal(b, kept[1])
 
 
 def test_averaged_operator_regression_heavy_weights():
